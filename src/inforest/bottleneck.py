@@ -10,9 +10,11 @@ algebraic relation against an independent reachability test.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError, VertexOutOfRangeError
 from .forest import ForestMatrices, forest_matrices
@@ -78,6 +80,63 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
     return k not in graph.reachable(i, excluded=j)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``N`` and one positive ``c`` with ``values[t] == N[t] / c``."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _exact_report(
+    triple: tuple[int, int, int], lhs: int, rhs: int, square: int, separator: bool
+) -> BottleneckReport:
+    """Exact verdict from the integer products of a common-denominator
+    matrix ``N = c F``; ``square`` is ``c**2``.
+
+    The law is homogeneous of degree 2, so comparing ``N_ij N_jk`` with
+    ``N_ik N_jj`` gives the verdict of the ``F`` products. Any violation
+    raises :class:`InconsistentWithTheoremError`.
+    """
+    if lhs > rhs:
+        raise InconsistentWithTheoremError(
+            f"triple {triple}: product {Fraction(lhs, square)} exceeds {Fraction(rhs, square)}"
+        )
+    equal = lhs == rhs
+    relation = RELATION_EQUAL if equal else RELATION_STRICT
+    if equal != separator:
+        raise InconsistentWithTheoremError(
+            f"triple {triple}: relation {relation} but separator is {separator}"
+        )
+    left = Fraction(lhs, square)
+    i, j, k = triple
+    return BottleneckReport(
+        triple=triple,
+        lhs=left,
+        rhs=left if equal else Fraction(rhs, square),
+        relation=relation,
+        separator=separator,
+        consistent=True,
+        degenerate=j in (i, k) or i == k,
+    )
+
+
+def _float_report(
+    triple: tuple[int, int, int], lhs: float, rhs: float, separator: bool
+) -> BottleneckReport:
+    """Tolerance-based verdict; disagreement is recorded, not raised."""
+    close = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
+    relation = RELATION_EQUAL if close else RELATION_STRICT
+    i, j, k = triple
+    return BottleneckReport(
+        triple=triple,
+        lhs=lhs,
+        rhs=rhs,
+        relation=relation,
+        separator=separator,
+        consistent=close == separator,
+        degenerate=j in (i, k) or i == k,
+    )
+
+
 def check_triple(
     forests: ForestMatrices, graph: MultiDigraph, i: int, j: int, k: int
 ) -> BottleneckReport:
@@ -89,33 +148,14 @@ def check_triple(
     implementation bug. Float mode records the verdict tolerantly and
     leaves judgment to the caller.
     """
-    weights = forests.matrix
-    lhs = weights[i, j] * weights[j, k]
-    rhs = weights[i, k] * weights[j, j]
     separator = is_bottleneck(graph, i, j, k)
+    weights = forests.matrix
+    entries = [weights[i, j], weights[j, k], weights[i, k], weights[j, j]]
     if forests.mode == EXACT:
-        if lhs > rhs:
-            raise InconsistentWithTheoremError(
-                f"triple {(i, j, k)}: product {lhs} exceeds {rhs}"
-            )
-        relation = RELATION_EQUAL if lhs == rhs else RELATION_STRICT
-    else:
-        close = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
-        relation = RELATION_EQUAL if close else RELATION_STRICT
-    consistent = (relation == RELATION_EQUAL) == separator
-    if forests.mode == EXACT and not consistent:
-        raise InconsistentWithTheoremError(
-            f"triple {(i, j, k)}: relation {relation} but separator is {separator}"
-        )
-    return BottleneckReport(
-        triple=(i, j, k),
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        separator=separator,
-        consistent=consistent,
-        degenerate=j in (i, k) or i == k,
-    )
+        (ij, jk, ik, jj), common = _common_denominator(entries)
+        return _exact_report((i, j, k), ij * jk, ik * jj, common * common, separator)
+    ij, jk, ik, jj = entries
+    return _float_report((i, j, k), ij * jk, ik * jj, separator)
 
 
 def verify_all_triples(
@@ -135,40 +175,30 @@ def verify_all_triples(
         for i in range(n)
         if i != j
     }
-    weights = forests.matrix
     exact = forests.mode == EXACT
+    if exact:
+        flat, common = _common_denominator(
+            [v for row in forests.matrix.to_lists() for v in row]
+        )
+        values = [flat[r * n : (r + 1) * n] for r in range(n)]
+        square = common * common
+    else:
+        values = forests.matrix.to_lists()
     reports = []
     for i in range(n):
+        row_i = values[i]
         for j in range(n):
+            reachable = reach.get((i, j), frozenset())
+            row_j = values[j]
+            ij, jj = row_i[j], row_j[j]
             for k in range(n):
-                lhs = weights[i, j] * weights[j, k]
-                rhs = weights[i, k] * weights[j, j]
-                separator = _separates(i, j, k, reach.get((i, j), frozenset()))
+                triple = (i, j, k)
+                separator = _separates(i, j, k, reachable)
+                lhs, rhs = ij * row_j[k], row_i[k] * jj
                 if exact:
-                    if lhs > rhs:
-                        raise InconsistentWithTheoremError(
-                            f"triple {(i, j, k)}: product {lhs} exceeds {rhs}"
-                        )
-                    relation = RELATION_EQUAL if lhs == rhs else RELATION_STRICT
+                    reports.append(_exact_report(triple, lhs, rhs, square, separator))
                 else:
-                    close = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
-                    relation = RELATION_EQUAL if close else RELATION_STRICT
-                consistent = (relation == RELATION_EQUAL) == separator
-                if exact and not consistent:
-                    raise InconsistentWithTheoremError(
-                        f"triple {(i, j, k)}: relation {relation} but separator is {separator}"
-                    )
-                reports.append(
-                    BottleneckReport(
-                        triple=(i, j, k),
-                        lhs=lhs,
-                        rhs=rhs,
-                        relation=relation,
-                        separator=separator,
-                        consistent=consistent,
-                        degenerate=j in (i, k) or i == k,
-                    )
-                )
+                    reports.append(_float_report(triple, lhs, rhs, separator))
     return reports
 
 
@@ -194,17 +224,25 @@ def _undirected_separates(n: int, edges, i: int, j: int, k: int) -> bool:
     return k not in seen
 
 
-def verify_undirected(n: int, edges: Iterable, mode: str = EXACT) -> list[BottleneckReport]:
+def verify_undirected(
+    n: int,
+    edges: Iterable,
+    mode: str = EXACT,
+    forests: Optional[ForestMatrices] = None,
+) -> list[BottleneckReport]:
     """Verify all triples of an undirected multigraph.
 
     The graph is converted by replacing each edge with two opposite arcs;
     on top of the triple sweep this checks that the forest matrix is
     symmetric and that the undirected separator condition coincides with
-    the directed one on the doubled digraph.
+    the directed one on the doubled digraph. ``forests``, when given, must
+    be the forest matrices of that doubled digraph; their mode then wins.
     """
     edges = tuple(edges)
     graph = MultiDigraph.from_undirected(n, edges)
-    forests = forest_matrices(graph, mode)
+    if forests is None:
+        forests = forest_matrices(graph, mode)
+    mode = forests.mode
     symmetric = forests.matrix.is_symmetric(
         0 if mode == EXACT else FLOAT_EQUALITY_RTOL * max(1.0, forests.matrix.max_abs())
     )

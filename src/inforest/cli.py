@@ -25,6 +25,7 @@ from .bottleneck import (
 )
 from .errors import (
     BadParametersError,
+    GraphFormatError,
     InconsistentWithTheoremError,
     InforestError,
     VertexOutOfRangeError,
@@ -102,10 +103,17 @@ def _vertex_arg(value: int, graph: MultiDigraph, flag: str) -> int:
     return value - 1
 
 
+def _rational_arg(raw: str, flag: str) -> Fraction:
+    try:
+        return parse_weight(raw)
+    except GraphFormatError as exc:
+        raise BadParametersError(f"{flag} must be a rational, got {raw!r}") from exc
+
+
 def _epsilon_arg(args, graph: MultiDigraph):
     if args.epsilon is None:
         return choose_epsilon(graph)
-    return parse_weight(args.epsilon)
+    return _rational_arg(args.epsilon, "--epsilon")
 
 
 def _cmd_forest(args) -> int:
@@ -252,16 +260,16 @@ def _cmd_verify(args) -> int:
     parsed = _load_graph(args)
     graph = parsed.graph
     mode = _resolve_mode(args, graph)
+    forests = forest_matrices(graph, mode)
     if parsed.undirected:
-        reports = verify_undirected(graph.n, parsed.edges, mode)
+        reports = verify_undirected(graph.n, parsed.edges, forests=forests)
     else:
-        reports = verify_all_triples(graph, mode=mode)
+        reports = verify_all_triples(graph, forests)
     counts = summarize(reports)
     oracle_state = "skipped"
     cap = _oracle_cap()
     if mode == EXACT and choice_count(graph) <= cap:
         oracle = oracle_matrices(graph, cap=cap)
-        forests = forest_matrices(graph, EXACT)
         if (
             oracle.total_weight != forests.total_weight
             or oracle.matrix != forests.matrix
@@ -299,7 +307,7 @@ def _parse_weight_range(raw: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
-    weight = parse_weight(args.weights)
+    weight = _rational_arg(args.weights, "--weights")
     if args.kind == "random":
         if args.seed is None:
             raise BadParametersError("gen random requires --seed")
@@ -383,7 +391,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        # Flush inside the handler so a closed pipe raises here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does. Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,22 @@ vertex i in a tree rooted at j. Scaling by the total forest weight (the
 determinant of ``I + L``) yields the matrix of raw forest weights. The
 brute-force enumeration in :mod:`inforest.oracle` realizes the same values
 combinatorially and serves as the independent cross-check.
+
+Exact mode finds ``f = det(I + L)`` and ``F = adj(I + L)`` together in one
+fraction-free Gauss-Jordan elimination on Python ints (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968). With ``D`` the least common multiple of the entry
+denominators, eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the
+left and ``D^n F`` on the right; every division in the loop is exact, so
+no ``Fraction`` is normalized until the final entries are built. Float
+mode inverts with partial pivoting and takes the determinant separately.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError, SingularMatrixError
 from .graph import MultiDigraph
@@ -33,9 +44,55 @@ class ForestMatrices:
     mode: str
 
 
+def _integer_forest_solve(shifted: Matrix) -> tuple[int, int, list[list[int]]]:
+    """``(det, scale, R)`` with ``f = det / scale`` and ``F = R / scale``.
+
+    ``scale`` is ``D^n``. No pivot search: ``I + L`` is strictly row
+    diagonally dominant, so every leading principal minor of ``D(I + L)``,
+    which is the pivot of its step, is positive.
+    """
+    n = shifted.order
+    entries = shifted.to_lists()
+    common = math.lcm(*(v.denominator for row in entries for v in row))
+    rows = [
+        [v.numerator * (common // v.denominator) for v in row]
+        + [common if c == r else 0 for c in range(n)]
+        for r, row in enumerate(entries)
+    ]
+    previous = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise InconsistentWithTheoremError(
+                f"leading principal minor {k + 1} of the scaled identity-plus-Laplacian "
+                f"is {pivot}; it must be positive"
+            )
+        # Columns up to k are settled: the left block there is diagonal.
+        tail = pivot_row[k + 1 :]
+        for r in range(n):
+            if r == k:
+                continue
+            row = rows[r]
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+    return previous, common**n, [row[n:] for row in rows]
+
+
 def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
     """Compute the forest matrices from the graph's Laplacian."""
     shifted = Matrix.identity(graph.n, mode) + graph.laplacian(mode)
+    if mode == EXACT:
+        det, scale, weights = _integer_forest_solve(shifted)
+        return ForestMatrices(
+            total_weight=Fraction(det, scale),
+            matrix=Matrix([[Fraction(v, scale) for v in row] for row in weights], EXACT),
+            proximity=Matrix([[Fraction(v, det) for v in row] for row in weights], EXACT),
+            mode=mode,
+        )
     try:
         proximity = invert(shifted)
     except SingularMatrixError as exc:

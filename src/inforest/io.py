@@ -112,6 +112,8 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
     n = payload["n"]
     if not isinstance(n, int):
         raise GraphFormatError('"n" must be an integer')
+    if not isinstance(payload["arcs"], list):
+        raise GraphFormatError('"arcs" must be a list')
     directed = payload.get("directed", True)
     entries = []
     for item in payload["arcs"]:

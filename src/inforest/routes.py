@@ -26,7 +26,7 @@ from .errors import (
     InstanceTooLargeError,
     VertexOutOfRangeError,
 )
-from .forest import ForestMatrices
+from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
     EXACT,
@@ -170,11 +170,15 @@ def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix
 def closed_route_matrix(
     graph: MultiDigraph, eps: Optional[EpsilonValue] = None, mode: str = EXACT
 ) -> Matrix:
-    """Route weights in closed form, inverting I minus the step matrix."""
+    """Route weights in closed form: the inverse of I minus the step matrix.
+
+    That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
+    ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
+    """
     if eps is None:
         eps = choose_epsilon(graph)
-    step, _ = _step_matrix(graph, eps, mode)
-    return invert(Matrix.identity(graph.n, mode) - step)
+    validate_epsilon(graph, eps)
+    return expected_route_weights(forest_matrices(graph, mode), eps)
 
 
 def _loop_adjacency(graph: MultiDigraph, eps: EpsilonValue, mode: str):
@@ -302,12 +306,12 @@ def route_decomposition(
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
     if eps is None:
         eps = choose_epsilon(graph)
-    step, _ = _step_matrix(graph, eps, mode)
-    full = invert(Matrix.identity(graph.n, mode) - step)
+    full = closed_route_matrix(graph, eps, mode)
     degenerate = via in (start, end)
     if degenerate:
         avoiding = zero_scalar(mode)
     else:
+        step, _ = _step_matrix(graph, eps, mode)
         keep = [v for v in range(graph.n) if v != via]
         reduced = invert(Matrix.identity(graph.n - 1, mode) - step.submatrix(keep))
         avoiding = reduced[keep.index(start), keep.index(end)]

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import inforest.bottleneck
+import inforest.cli
 from inforest.cli import run
 
 PATH_FILE = "digraph 3\n1 2 1\n2 3 1\n"
@@ -234,3 +236,48 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("triples=27")
+
+
+def test_routes_epsilon_that_is_no_rational_is_bad_parameters(path_file, capsys):
+    assert run(["routes", "--input", path_file, "--epsilon", "abc"]) == 1
+    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_json_arcs_that_are_no_list_is_format_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    source.write_text('{"n":3,"arcs":5}')
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")
+
+
+def test_closed_stdout_pipe_exits_quietly(path_file):
+    process = subprocess.Popen(
+        [sys.executable, "-m", "inforest", "forest", "--input", path_file],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # The reader goes away before the first write, as "| head -c 0" would.
+    process.stdout.close()
+    stderr = process.stderr.read().decode()
+    assert process.wait(timeout=60) == 1
+    assert stderr == ""
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_FILE, "graph 3\n1 2 1\n2 3 1/2\n"])
+def test_verify_solves_the_forest_matrices_once(tmp_path, capsys, monkeypatch, text):
+    source = tmp_path / "g.graph"
+    source.write_text(text)
+    assert run(["verify", "--input", str(source)]) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    original = inforest.cli.forest_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inforest.cli, "forest_matrices", counted)
+    monkeypatch.setattr(inforest.bottleneck, "forest_matrices", counted)
+    assert run(["verify", "--input", str(source)]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1

@@ -17,6 +17,7 @@ from inforest import (
     complete_graph,
     expected_route_weights,
     forest_matrices,
+    invert,
     route_decomposition,
     route_matrix,
     route_weight_by_length,
@@ -24,7 +25,13 @@ from inforest import (
     stochastic_matrix,
     validate_epsilon,
 )
-from tests.helpers import make_path, make_triangle, multidigraphs
+from tests.helpers import (
+    CORPUS_SEED,
+    make_path,
+    make_triangle,
+    multidigraphs,
+    random_multidigraph,
+)
 
 
 def test_choose_epsilon_rules():
@@ -196,3 +203,26 @@ def test_decomposition_same_endpoints_is_strict():
 def test_decomposition_float_mode_consistent():
     deco = route_decomposition(make_triangle(), 0, 1, 2, mode=FLOAT)
     assert deco.through_via == pytest.approx(deco.start_via_once * deco.via_end, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_closed_route_matrix_matches_reference_inverse(mode):
+    # closed_route_matrix scales Q from the forest solver; the reference
+    # inverts I minus the step matrix directly.
+    graphs = [make_path(), make_triangle(), MultiDigraph(2, []), complete_graph(3)]
+    graphs += [random_multidigraph(CORPUS_SEED + 500 + index) for index in range(20)]
+    for g in graphs:
+        default = choose_epsilon(g)
+        for eps in (default, default / 3):
+            ratio = 1 / (1 + Fraction(eps))
+            step = stochastic_matrix(g, eps, mode).scaled(ratio)
+            reference = invert(Matrix.identity(g.n, mode) - step)
+            closed = closed_route_matrix(g, eps, mode)
+            assert closed.mode == mode
+            if mode == EXACT:
+                assert closed == reference
+            else:
+                assert (closed - reference).max_abs() <= 1e-12 * reference.max_abs()
+            deco = route_decomposition(g, 0, g.n - 1, 0, eps=eps, mode=mode)
+            assert deco.start_via == closed[0, g.n - 1]
+            assert deco.via_via == closed[g.n - 1, g.n - 1]

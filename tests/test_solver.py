@@ -1,0 +1,114 @@
+"""The one-pass integer forest solver against the reference oracles.
+
+Exact ``forest_matrices`` runs one fraction-free elimination on ints; the
+general ``invert``/``determinant`` and the brute-force enumeration stay as
+the references it must match exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from inforest import (
+    EXACT,
+    InconsistentWithTheoremError,
+    Matrix,
+    MultiDigraph,
+    determinant,
+    forest_matrices,
+    invert,
+    oracle_matrices,
+    random_graph,
+    verify_all_triples,
+    verify_undirected,
+)
+from inforest.forest import _integer_forest_solve
+from tests.helpers import CORPUS_SEED, corpus, random_undirected
+
+
+def _reference(graph):
+    shifted = Matrix.identity(graph.n) + graph.laplacian()
+    proximity = invert(shifted)
+    total = determinant(shifted)
+    return total, proximity.scaled(total), proximity
+
+
+def _assert_matches_reference(graph):
+    forests = forest_matrices(graph, EXACT)
+    total, matrix, proximity = _reference(graph)
+    assert forests.total_weight == total
+    assert forests.matrix == matrix
+    assert forests.proximity == proximity
+    for values in (forests.matrix.to_lists(), forests.proximity.to_lists()):
+        assert all(type(v) is Fraction for row in values for v in row)
+    assert type(forests.total_weight) is Fraction
+    return forests
+
+
+@pytest.mark.parametrize("weight_range", [(1, 5), (1, 9), (2, 7)])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_solver_equals_invert_and_determinant(n, weight_range):
+    for seed in range(3):
+        _assert_matches_reference(random_graph(n, CORPUS_SEED + seed, weight_range))
+
+
+def test_solver_equals_oracle_on_random_graphs():
+    for n, seed in [(2, 1), (3, 2), (4, 3), (4, 4), (5, 5)]:
+        for weight_range in ((1, 5), (1, 9)):
+            graph = random_graph(n, seed, weight_range)
+            forests = _assert_matches_reference(graph)
+            oracle = oracle_matrices(graph)
+            assert forests.total_weight == oracle.total_weight
+            assert forests.matrix == oracle.matrix
+
+
+def test_solver_with_parallel_arcs_and_mixed_denominators():
+    graph = MultiDigraph(
+        4,
+        [
+            (0, 1, Fraction(1, 3)),
+            (0, 1, Fraction(5, 7)),
+            (1, 2, Fraction(9, 4)),
+            (2, 0, 2),
+            (2, 0, Fraction(1, 6)),
+            (3, 2, Fraction(3, 8)),
+        ],
+    )
+    forests = _assert_matches_reference(graph)
+    assert forests.matrix == oracle_matrices(graph).matrix
+    for g in corpus(40):
+        _assert_matches_reference(g)
+
+
+def test_solver_on_arcless_graph_and_smallest_graph():
+    forests = _assert_matches_reference(MultiDigraph(2, []))
+    assert forests.total_weight == 1 and forests.matrix == Matrix.identity(2)
+    forests = _assert_matches_reference(MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, 5)]))
+    assert forests.total_weight == 1 + Fraction(2, 3) + 5
+
+
+def test_solver_rejects_a_nonpositive_pivot():
+    # Not of the form I + L: its first leading principal minor is 0.
+    with pytest.raises(InconsistentWithTheoremError):
+        _integer_forest_solve(Matrix([[0, 1], [1, 0]]))
+
+
+def test_report_products_are_the_forest_products():
+    for graph in (random_graph(5, 11, (1, 9)), corpus(1)[0], MultiDigraph(3, [])):
+        forests = forest_matrices(graph)
+        weights = forests.matrix
+        for report in verify_all_triples(graph, forests):
+            i, j, k = report.triple
+            assert type(report.lhs) is Fraction and type(report.rhs) is Fraction
+            assert report.lhs == weights[i, j] * weights[j, k]
+            assert report.rhs == weights[i, k] * weights[j, j]
+
+
+def test_verify_undirected_reuses_given_forests():
+    for index in range(10):
+        n, edges = random_undirected(CORPUS_SEED + index)
+        doubled = MultiDigraph.from_undirected(n, edges)
+        forests = _assert_matches_reference(doubled)
+        given = verify_undirected(n, edges, forests=forests)
+        assert given == verify_undirected(n, edges)
+        assert given == verify_all_triples(doubled, forests)
