@@ -14,7 +14,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError, VertexOutOfRangeError
 from .forest import ForestMatrices, forest_matrices
@@ -58,14 +59,32 @@ class TripleSummary(NamedTuple):
     inconsistent: int
 
 
-def _separates(i: int, j: int, k: int, reachable_without_j: frozenset[int]) -> bool:
+def relation(lhs: Scalar, rhs: Scalar, mode: str) -> str:
+    """Equal or strict: exact comparison in exact mode, a relative
+    tolerance of ``FLOAT_EQUALITY_RTOL`` in float mode."""
+    if mode == EXACT:
+        equal = lhs == rhs
+    else:
+        equal = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
+    return RELATION_EQUAL if equal else RELATION_STRICT
+
+
+def _separates(
+    i: int, j: int, n: int, reachable: Callable[[int, int], Container[int]]
+) -> list[bool]:
+    """Entry k is True when every path from i to k contains j.
+
+    ``reachable(i, j)`` gives the vertices reachable from i without
+    visiting j; it is called once, when j != i.
+    """
     # Endpoints lie on every path; the zero-length path from i to i
     # contains only i, so no other vertex can separate i from itself.
-    if j == i or j == k:
-        return True
-    if i == k:
-        return False
-    return k not in reachable_without_j
+    if j == i:
+        return [True] * n
+    avoiding_j = reachable(i, j)
+    row = [k not in avoiding_j for k in range(n)]
+    row[i], row[j] = False, True
+    return row
 
 
 def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
@@ -73,66 +92,52 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
     for v in (i, j, k):
         if not (0 <= v < graph.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
-    if j == i or j == k:
-        return True
-    if i == k:
-        return False
-    return k not in graph.reachable(i, excluded=j)
+    return _separates(i, j, graph.n, graph.reachable)[k]
 
 
-def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers ``N`` and one positive ``c`` with ``values[t] == N[t] / c``."""
+def _common_scale(values: Sequence[Scalar], mode: str) -> tuple[list[Scalar], int]:
+    """In exact mode, integers ``N`` and ``c**2`` for the least positive
+    ``c`` with every ``c * values[t]`` an integer ``N[t]``; in float mode
+    the values themselves and 1."""
+    if mode != EXACT:
+        return list(values), 1
     common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
+    return [v.numerator * (common // v.denominator) for v in values], common * common
 
 
-def _exact_report(
-    triple: tuple[int, int, int], lhs: int, rhs: int, square: int, separator: bool
+def _report(
+    mode: str, triple: tuple[int, int, int], lhs: Scalar, rhs: Scalar, separator: bool, square: int
 ) -> BottleneckReport:
-    """Exact verdict from the integer products of a common-denominator
-    matrix ``N = c F``; ``square`` is ``c**2``.
+    """Verdict for one triple from its two products.
 
-    The law is homogeneous of degree 2, so comparing ``N_ij N_jk`` with
-    ``N_ik N_jj`` gives the verdict of the ``F`` products. Any violation
-    raises :class:`InconsistentWithTheoremError`.
+    In exact mode ``lhs`` and ``rhs`` are the integer products of the
+    matrix ``N = c F`` from :func:`_common_scale` and ``square`` is
+    ``c**2``: the law is homogeneous of degree 2, so comparing
+    ``N_ij N_jk`` with ``N_ik N_jj`` gives the verdict of the ``F``
+    products. Any violation raises :class:`InconsistentWithTheoremError`.
+    Float mode records a disagreement as ``consistent=False`` instead.
     """
-    if lhs > rhs:
-        raise InconsistentWithTheoremError(
-            f"triple {triple}: product {Fraction(lhs, square)} exceeds {Fraction(rhs, square)}"
-        )
-    equal = lhs == rhs
-    relation = RELATION_EQUAL if equal else RELATION_STRICT
-    if equal != separator:
-        raise InconsistentWithTheoremError(
-            f"triple {triple}: relation {relation} but separator is {separator}"
-        )
-    left = Fraction(lhs, square)
-    i, j, k = triple
-    return BottleneckReport(
-        triple=triple,
-        lhs=left,
-        rhs=left if equal else Fraction(rhs, square),
-        relation=relation,
-        separator=separator,
-        consistent=True,
-        degenerate=j in (i, k) or i == k,
-    )
-
-
-def _float_report(
-    triple: tuple[int, int, int], lhs: float, rhs: float, separator: bool
-) -> BottleneckReport:
-    """Tolerance-based verdict; disagreement is recorded, not raised."""
-    close = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
-    relation = RELATION_EQUAL if close else RELATION_STRICT
+    verdict = relation(lhs, rhs, mode)
+    equal = verdict == RELATION_EQUAL
+    if mode == EXACT:
+        if lhs > rhs:
+            raise InconsistentWithTheoremError(
+                f"triple {triple}: product {Fraction(lhs, square)} exceeds {Fraction(rhs, square)}"
+            )
+        if equal != separator:
+            raise InconsistentWithTheoremError(
+                f"triple {triple}: relation {verdict} but separator is {separator}"
+            )
+        lhs = Fraction(lhs, square)
+        rhs = lhs if equal else Fraction(rhs, square)
     i, j, k = triple
     return BottleneckReport(
         triple=triple,
         lhs=lhs,
         rhs=rhs,
-        relation=relation,
+        relation=verdict,
         separator=separator,
-        consistent=close == separator,
+        consistent=equal == separator,
         degenerate=j in (i, k) or i == k,
     )
 
@@ -150,12 +155,10 @@ def check_triple(
     """
     separator = is_bottleneck(graph, i, j, k)
     weights = forests.matrix
-    entries = [weights[i, j], weights[j, k], weights[i, k], weights[j, j]]
-    if forests.mode == EXACT:
-        (ij, jk, ik, jj), common = _common_denominator(entries)
-        return _exact_report((i, j, k), ij * jk, ik * jj, common * common, separator)
-    ij, jk, ik, jj = entries
-    return _float_report((i, j, k), ij * jk, ik * jj, separator)
+    (ij, jk, ik, jj), square = _common_scale(
+        [weights[i, j], weights[j, k], weights[i, k], weights[j, j]], forests.mode
+    )
+    return _report(forests.mode, (i, j, k), ij * jk, ik * jj, separator, square)
 
 
 def verify_all_triples(
@@ -167,61 +170,34 @@ def verify_all_triples(
     if forests is None:
         forests = forest_matrices(graph, mode)
     n = graph.n
-    # One reachability sweep per (source, excluded) pair; is_bottleneck
-    # applies the same rule one triple at a time.
-    reach = {
-        (i, j): graph.reachable(i, excluded=j)
-        for j in range(n)
-        for i in range(n)
-        if i != j
-    }
-    exact = forests.mode == EXACT
-    if exact:
-        flat, common = _common_denominator(
-            [v for row in forests.matrix.to_lists() for v in row]
-        )
-        values = [flat[r * n : (r + 1) * n] for r in range(n)]
-        square = common * common
-    else:
-        values = forests.matrix.to_lists()
+    mode = forests.mode
+    flat, square = _common_scale([v for row in forests.matrix.to_lists() for v in row], mode)
+    values = [flat[r * n : (r + 1) * n] for r in range(n)]
     reports = []
     for i in range(n):
         row_i = values[i]
         for j in range(n):
-            reachable = reach.get((i, j), frozenset())
+            separators = _separates(i, j, n, graph.reachable)
             row_j = values[j]
             ij, jj = row_i[j], row_j[j]
             for k in range(n):
-                triple = (i, j, k)
-                separator = _separates(i, j, k, reachable)
-                lhs, rhs = ij * row_j[k], row_i[k] * jj
-                if exact:
-                    reports.append(_exact_report(triple, lhs, rhs, square, separator))
-                else:
-                    reports.append(_float_report(triple, lhs, rhs, separator))
+                reports.append(
+                    _report(mode, (i, j, k), ij * row_j[k], row_i[k] * jj, separators[k], square)
+                )
     return reports
 
 
-def _undirected_separates(n: int, edges, i: int, j: int, k: int) -> bool:
-    # Edge-based breadth-first search, independent of the arc doubling.
-    if j == i or j == k:
-        return True
-    if i == k:
-        return False
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v, _ in edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen = {i}
-    queue = deque([i])
+def _edge_reach(neighbors: Sequence[set[int]], source: int, excluded: int) -> set[int]:
+    """Vertices joined to ``source`` by edge paths that avoid ``excluded``."""
+    seen = {source}
+    queue = deque([source])
     while queue:
         v = queue.popleft()
         for w in neighbors[v]:
-            if w == j or w in seen:
-                continue
-            seen.add(w)
-            queue.append(w)
-    return k not in seen
+            if w != excluded and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def verify_undirected(
@@ -234,9 +210,10 @@ def verify_undirected(
 
     The graph is converted by replacing each edge with two opposite arcs;
     on top of the triple sweep this checks that the forest matrix is
-    symmetric and that the undirected separator condition coincides with
-    the directed one on the doubled digraph. ``forests``, when given, must
-    be the forest matrices of that doubled digraph; their mode then wins.
+    symmetric and that the undirected separator condition, found by a
+    breadth-first search over the edge list, coincides with the directed
+    one on the doubled digraph. ``forests``, when given, must be the
+    forest matrices of that doubled digraph; their mode then wins.
     """
     edges = tuple(edges)
     graph = MultiDigraph.from_undirected(n, edges)
@@ -250,13 +227,20 @@ def verify_undirected(
         raise InconsistentWithTheoremError(
             "forest matrix of a doubled undirected graph must be symmetric"
         )
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v, _ in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    reachable = partial(_edge_reach, neighbors)
     reports = verify_all_triples(graph, forests, mode)
-    for report in reports:
-        i, j, k = report.triple
-        if _undirected_separates(n, edges, i, j, k) != report.separator:
-            raise InconsistentWithTheoremError(
-                f"triple {(i, j, k)}: undirected and directed separator tests disagree"
-            )
+    for i in range(n):
+        for j in range(n):
+            start = (i * n + j) * n
+            directed = [report.separator for report in reports[start : start + n]]
+            if _separates(i, j, n, reachable) != directed:
+                raise InconsistentWithTheoremError(
+                    f"triples ({i}, {j}, k): undirected and directed separator tests disagree"
+                )
     return reports
 
 

@@ -15,10 +15,8 @@ from fractions import Fraction
 
 from . import __version__
 from .bottleneck import (
-    RELATION_EQUAL,
-    RELATION_STRICT,
-    FLOAT_EQUALITY_RTOL,
     check_triple,
+    relation,
     summarize,
     verify_all_triples,
     verify_undirected,
@@ -48,11 +46,18 @@ EXACT_MODE_MAX_VERTICES = 12
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            text = sys.stdin.read()
+            # Stdin may turn undecodable bytes into lone surrogates
+            # (surrogateescape); those do not encode back to UTF-8.
+            text.encode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
+    except UnicodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise GraphFormatError(f"{source} is not UTF-8 text") from exc
     except OSError as exc:
         raise BadParametersError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -77,10 +82,6 @@ def _oracle_cap() -> int:
         raise BadParametersError(f"FOREST_ORACLE_CAP must be an integer, got {raw!r}") from exc
 
 
-def _scalar_text(value) -> str:
-    return format_weight(value)
-
-
 def _scalar_json(value):
     if isinstance(value, float):
         return value
@@ -93,7 +94,7 @@ def _matrix_json(matrix: Matrix):
 
 def _matrix_tsv(matrix: Matrix) -> list[str]:
     return [
-        "\t".join(_scalar_text(v) for v in matrix.row(i)) for i in range(matrix.order)
+        "\t".join(format_weight(v) for v in matrix.row(i)) for i in range(matrix.order)
     ]
 
 
@@ -128,7 +129,7 @@ def _cmd_forest(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        print(f"# f={_scalar_text(forests.total_weight)}")
+        print(f"# f={format_weight(forests.total_weight)}")
         print("\n".join(_matrix_tsv(forests.matrix)))
     return 0
 
@@ -162,7 +163,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     for forest in enumerate_in_forests(graph, cap=cap):
         tokens = ["root" if c is None else str(c + 1) for c in forest.arc_choice]
-        print(" ".join(tokens) + "\t" + _scalar_text(forest.weight))
+        print(" ".join(tokens) + "\t" + format_weight(forest.weight))
     return 0
 
 
@@ -187,7 +188,7 @@ def _cmd_routes(args) -> int:
         print(json.dumps(payload))
     else:
         print(
-            f"# epsilon={_scalar_text(result.epsilon)} terms_used={result.terms_used} "
+            f"# epsilon={format_weight(result.epsilon)} terms_used={result.terms_used} "
             f"tail_bound={float(result.tail_bound)!r}"
         )
         print("\n".join(_matrix_tsv(result.route_weights)))
@@ -202,13 +203,7 @@ def _cmd_decompose(args) -> int:
     j = _vertex_arg(args.j, graph, "-j")
     k = _vertex_arg(args.k, graph, "-k")
     deco = route_decomposition(graph, i, j, k, eps=eps, mode=mode)
-    lhs = deco.start_via * deco.via_end
-    rhs = deco.start_end * deco.via_via
-    if mode == EXACT:
-        relation = RELATION_EQUAL if lhs == rhs else RELATION_STRICT
-    else:
-        close = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
-        relation = RELATION_EQUAL if close else RELATION_STRICT
+    verdict = relation(deco.start_via * deco.via_end, deco.start_end * deco.via_via, mode)
     fields = {
         "r_ij": deco.start_via,
         "r_jj": deco.via_via,
@@ -220,12 +215,12 @@ def _cmd_decompose(args) -> int:
     }
     if args.fmt == "json":
         payload = {name: _scalar_json(value) for name, value in fields.items()}
-        payload["relation"] = relation
+        payload["relation"] = verdict
         payload["degenerate"] = deco.degenerate
         print(json.dumps(payload))
     else:
-        parts = [f"{name}={_scalar_text(value)}" for name, value in fields.items()]
-        parts.append(f"relation={relation}")
+        parts = [f"{name}={format_weight(value)}" for name, value in fields.items()]
+        parts.append(f"relation={verdict}")
         parts.append(f"degenerate={str(deco.degenerate).lower()}")
         print(" ".join(parts))
     return 0
@@ -251,7 +246,7 @@ def _cmd_bottleneck(args) -> int:
     else:
         print(
             f"{report.relation} separator={str(report.separator).lower()} "
-            f"lhs={_scalar_text(report.lhs)} rhs={_scalar_text(report.rhs)}"
+            f"lhs={format_weight(report.lhs)} rhs={format_weight(report.rhs)}"
         )
     return 0
 

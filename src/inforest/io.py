@@ -115,6 +115,8 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
     if not isinstance(payload["arcs"], list):
         raise GraphFormatError('"arcs" must be a list')
     directed = payload.get("directed", True)
+    if not isinstance(directed, bool):
+        raise GraphFormatError('"directed" must be true or false')
     entries = []
     for item in payload["arcs"]:
         if not isinstance(item, (list, tuple)) or len(item) != 3:

@@ -83,14 +83,18 @@ def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT)
     return result
 
 
-def _step_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str) -> tuple[Matrix, Scalar]:
-    """Total-arc-weight matrix of the loop-augmented graph and the per-step
-    contraction ratio ``1 / (1 + eps)``."""
+def _walk_matrices(
+    graph: MultiDigraph, eps: EpsilonValue, mode: str
+) -> tuple[Matrix, Matrix, Scalar]:
+    """The stochastic matrix, the total-arc-weight matrix of the
+    loop-augmented graph (the stochastic matrix times the ratio) and the
+    per-step contraction ratio ``1 / (1 + eps)``."""
     if mode == EXACT:
         ratio = Fraction(1) / (1 + Fraction(eps))
     else:
         ratio = 1.0 / (1.0 + float(eps))
-    return stochastic_matrix(graph, eps, mode).scaled(ratio), ratio
+    stochastic = stochastic_matrix(graph, eps, mode)
+    return stochastic, stochastic.scaled(ratio), ratio
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def route_matrix(
     """
     if eps is None:
         eps = choose_epsilon(graph)
-    step, ratio = _step_matrix(graph, eps, mode)
+    stochastic, step, ratio = _walk_matrices(graph, eps, mode)
     series = geometric_series(step, tolerance, max_terms)
     tail = series.last_term_norm * ratio / (1 - ratio)
     if mode == FLOAT:
@@ -140,7 +144,7 @@ def route_matrix(
         )
     result = RouteMatrices(
         epsilon=eps,
-        stochastic=stochastic_matrix(graph, eps, mode),
+        stochastic=stochastic,
         step_weights=step,
         route_weights=series.total,
         terms_used=series.terms_used,
@@ -184,12 +188,8 @@ def closed_route_matrix(
 def _loop_adjacency(graph: MultiDigraph, eps: EpsilonValue, mode: str):
     """Per-vertex outgoing (head, weight) pairs of the loop-augmented graph,
     keeping parallel arcs distinct; the loop comes first."""
-    step = _step_matrix(graph, eps, mode)[0]
-    if mode == EXACT:
-        eps_s, one = Fraction(eps), Fraction(1)
-    else:
-        eps_s, one = float(eps), 1.0
-    ratio = one / (one + eps_s)
+    _, step, ratio = _walk_matrices(graph, eps, mode)
+    eps_s = Fraction(eps) if mode == EXACT else float(eps)
     adjacency = []
     for v in range(graph.n):
         entries = [(v, step[v, v])]
@@ -227,9 +227,11 @@ def route_weights_by_length(
     adjacency = _loop_adjacency(graph, eps, mode)
     totals = [zero_scalar(mode)] * graph.n
     visited = 0
-
-    def walk(vertex, remaining, accumulated):
-        nonlocal visited
+    # Depth-first with an explicit stack, so long routes cannot exhaust the
+    # recursion limit; children are pushed in reverse to pop in order.
+    stack = [(source, length, one_scalar(mode))]
+    while stack:
+        vertex, remaining, accumulated = stack.pop()
         if remaining == 0:
             visited += 1
             if visited > cap:
@@ -237,11 +239,9 @@ def route_weights_by_length(
                     f"more than {cap} routes of length {length} from vertex {source}"
                 )
             totals[vertex] += accumulated
-            return
-        for head, weight in adjacency[vertex]:
-            walk(head, remaining - 1, accumulated * weight)
-
-    walk(source, length, one_scalar(mode))
+            continue
+        for head, weight in reversed(adjacency[vertex]):
+            stack.append((head, remaining - 1, accumulated * weight))
     return totals
 
 
@@ -311,7 +311,7 @@ def route_decomposition(
     if degenerate:
         avoiding = zero_scalar(mode)
     else:
-        step, _ = _step_matrix(graph, eps, mode)
+        _, step, _ = _walk_matrices(graph, eps, mode)
         keep = [v for v in range(graph.n) if v != via]
         reduced = invert(Matrix.identity(graph.n - 1, mode) - step.submatrix(keep))
         avoiding = reduced[keep.index(start), keep.index(end)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -55,6 +56,28 @@ def random_undirected(seed, min_n=2, max_n=5, max_edges=6, weight_limit=5):
         weight = Fraction(rng.randint(1, weight_limit), rng.randint(1, weight_limit))
         edges.append((u, v, weight))
     return n, edges
+
+
+def undirected_separates(n, edges, i, j, k) -> bool:
+    """Reference separator test for one triple of an undirected multigraph:
+    a breadth-first search over the edge list from i that never enters j."""
+    if j == i or j == k:
+        return True
+    if i == k:
+        return False
+    neighbors = [set() for _ in range(n)]
+    for u, v, _ in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    seen = {i}
+    queue = deque([i])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if w != j and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return k not in seen
 
 
 def corpus(count=200, base_seed=CORPUS_SEED, **kwargs):

@@ -23,7 +23,16 @@ from inforest import (
     verify_undirected,
     VertexOutOfRangeError,
 )
-from tests.helpers import make_path, make_triangle, multidigraphs
+from inforest.cli import run
+from tests.helpers import (
+    CORPUS_SEED,
+    corpus,
+    make_path,
+    make_triangle,
+    multidigraphs,
+    random_undirected,
+    undirected_separates,
+)
 
 
 def test_check_triple_path_equality():
@@ -151,3 +160,45 @@ def test_sweep_never_inconsistent(g):
     counts = summarize(verify_all_triples(g))
     assert counts.inconsistent == 0
     assert counts.total == g.n ** 3
+
+
+def test_sweep_separators_match_is_bottleneck_on_corpus():
+    for g in corpus():
+        for report in verify_all_triples(g, mode=FLOAT):
+            assert report.separator == is_bottleneck(g, *report.triple)
+
+
+def test_undirected_separators_match_reference_bfs():
+    for seed in range(60):
+        n, edges = random_undirected(CORPUS_SEED + seed, max_n=6, max_edges=8)
+        for report in verify_undirected(n, edges, mode=FLOAT):
+            assert report.separator == undirected_separates(n, edges, *report.triple)
+
+
+def test_undirected_cross_check_catches_a_wrong_directed_search(monkeypatch):
+    # Float mode records the sweep's own disagreement, so only the
+    # edge-based cross-check can raise here.
+    original = MultiDigraph.reachable
+
+    def drops_last_vertex(self, source, excluded=None):
+        return original(self, source, excluded) - {self.n - 1} | {source}
+
+    monkeypatch.setattr(MultiDigraph, "reachable", drops_last_vertex)
+    with pytest.raises(InconsistentWithTheoremError, match="undirected and directed"):
+        verify_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], mode=FLOAT)
+
+
+@pytest.mark.parametrize(
+    "chord, expected",
+    # The chord 1 -> 3 puts the two products about 2 * chord apart,
+    # relative, on both sides of FLOAT_EQUALITY_RTOL = 1e-9.
+    [(Fraction(1, 4 * 10**9), RELATION_EQUAL), (Fraction(1, 10**9), RELATION_STRICT)],
+)
+def test_decompose_and_check_triple_share_the_float_verdict(tmp_path, capsys, chord, expected):
+    g = MultiDigraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, chord)])
+    assert check_triple(forest_matrices(g, FLOAT), g, 0, 1, 2).relation == expected
+    source = tmp_path / "near.graph"
+    source.write_text(f"digraph 3\n1 2 1\n2 3 1\n1 3 {chord}\n")
+    argv = ["decompose", "--input", str(source), "--mode", "float", "-i", "1", "-j", "2", "-k", "3"]
+    assert run(argv) == 0
+    assert f"relation={expected}" in capsys.readouterr().out.split()

@@ -281,3 +281,20 @@ def test_verify_solves_the_forest_matrices_once(tmp_path, capsys, monkeypatch, t
     assert run(["verify", "--input", str(source)]) == 0
     assert capsys.readouterr().out == expected
     assert len(calls) == 1
+
+
+def test_non_utf8_file_is_format_error(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_bytes(b"digraph 2\n1 2 \xff\n")
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_non_utf8_stdin_is_format_error(monkeypatch, capsys, errors):
+    # Under surrogateescape, the default for stdin in the C and POSIX
+    # locales, a bad byte in a comment would otherwise pass unnoticed.
+    raw = io.BytesIO(b"digraph 2\n# caf\xe9\n1 2 1\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8", errors=errors))
+    assert run(["forest"]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")

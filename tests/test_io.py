@@ -121,3 +121,8 @@ def test_parse_json_undirected_and_numeric_weights():
 def test_malformed_json_rejected(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+def test_json_directed_must_be_a_bool():
+    with pytest.raises(GraphFormatError, match="directed"):
+        parse_graph('{"n": 2, "directed": "no", "arcs": [[1, 2, "1"]]}')

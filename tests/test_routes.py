@@ -18,6 +18,7 @@ from inforest import (
     expected_route_weights,
     forest_matrices,
     invert,
+    path_graph,
     route_decomposition,
     route_matrix,
     route_weight_by_length,
@@ -226,3 +227,14 @@ def test_closed_route_matrix_matches_reference_inverse(mode):
             deco = route_decomposition(g, 0, g.n - 1, 0, eps=eps, mode=mode)
             assert deco.start_via == closed[0, g.n - 1]
             assert deco.via_via == closed[g.n - 1, g.n - 1]
+
+
+def test_route_enumeration_survives_long_routes():
+    # 3001 routes of 3000 arcs each: deeper than the recursion limit.
+    g = path_graph(2)
+    eps = Fraction(1, 1000)
+    step = stochastic_matrix(g, eps, FLOAT).scaled(1.0 / (1.0 + float(eps)))
+    expected = list((step ** 3000).row(0))
+    assert route_weights_by_length(g, 0, 3000, eps=eps, mode=FLOAT) == pytest.approx(
+        expected, rel=1e-9
+    )
