@@ -171,7 +171,7 @@ def _cmd_routes(args) -> int:
     graph = _load_graph(args).graph
     mode = _resolve_mode(args, graph)
     eps = _epsilon_arg(args, graph)
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise BadParametersError(f"--tol must be positive, got {args.tol}")
     if args.max_terms < 1:
         raise BadParametersError(f"--max-terms must be at least 1, got {args.max_terms}")

@@ -15,7 +15,9 @@ Comp. 22, 1968). With ``D`` the least common multiple of the entry
 denominators, eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the
 left and ``D^n F`` on the right; every division in the loop is exact, so
 no ``Fraction`` is normalized until the final entries are built. Float
-mode inverts with partial pivoting and takes the determinant separately.
+mode takes ``Q = (I + L)^-1`` and ``f`` from one Gauss-Jordan elimination
+with scaled partial pivoting (:func:`inforest.matrix.gauss_jordan`), whose
+pivot product is the determinant, and scales ``Q`` by ``f`` to get ``F``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError, SingularMatrixError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, determinant, invert
+from .matrix import EXACT, Matrix, Scalar, gauss_jordan
+
+# The general reference solvers stay importable from here.
+from .matrix import determinant, invert  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -94,13 +99,12 @@ def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
             mode=mode,
         )
     try:
-        proximity = invert(shifted)
+        proximity, total = gauss_jordan(shifted)
     except SingularMatrixError as exc:
         # Impossible for a valid graph; inversion failing means a bug.
         raise InconsistentWithTheoremError(
             "identity-plus-Laplacian reported singular; this must never happen"
         ) from exc
-    total = determinant(shifted)
     return ForestMatrices(
         total_weight=total,
         matrix=proximity.scaled(total),

@@ -4,6 +4,12 @@ The exact mode stores ``fractions.Fraction`` entries so that determinants,
 inverses and series sums are computed without rounding; the float mode
 stores plain doubles. A scalar mode is fixed when a matrix is built and
 binary operations never mix modes.
+
+One Gauss-Jordan elimination, :func:`gauss_jordan`, serves both
+:func:`invert` and :func:`determinant` in both modes: the determinant is the
+product of its pivots, negated once per row swap (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 9), so a matrix is singular for
+both functions under the same pivot rule.
 """
 
 from __future__ import annotations
@@ -166,78 +172,19 @@ class Matrix:
         return True
 
 
-def determinant(matrix: Matrix) -> Scalar:
-    """Determinant; exact fraction-free elimination or float partial pivoting.
+def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
+    """Inverse and determinant from one Gauss-Jordan elimination.
 
-    Returns zero for singular input instead of raising.
-    """
-    if matrix.mode == EXACT:
-        return _determinant_exact(matrix)
-    return _determinant_float(matrix)
-
-
-def _determinant_exact(matrix: Matrix) -> Fraction:
-    # Bareiss fraction-free elimination: every intermediate entry is a minor
-    # of the original matrix, which keeps numerators and denominators small.
-    n = matrix.order
-    if n == 0:
-        return Fraction(1)
-    m = matrix.to_lists()
-    sign = 1
-    previous = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) / previous
-            m[i][k] = Fraction(0)
-        previous = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _determinant_float(matrix: Matrix) -> float:
-    n = matrix.order
-    if n == 0:
-        return 1.0
-    m = matrix.to_lists()
-    det = 1.0
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[pivot_row][k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                row_i, row_k = m[i], m[k]
-                for j in range(k, n):
-                    row_i[j] -= factor * row_k[j]
-    return det
-
-
-def invert(matrix: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan elimination.
-
-    Raises :class:`SingularMatrixError` when no acceptable pivot exists
-    (exactly zero in exact mode, below ``FLOAT_PIVOT_RTOL`` times the row
-    scale in float mode).
+    The determinant is the product of the pivots, negated once per row
+    swap. Raises :class:`SingularMatrixError` when no acceptable pivot
+    exists (exactly zero in exact mode, below ``FLOAT_PIVOT_RTOL`` times the
+    row scale in float mode).
     """
     n = matrix.order
     mode = matrix.mode
     a = matrix.to_lists()
     inv = Matrix.identity(n, mode).to_lists()
+    det = one_scalar(mode)
     if mode == FLOAT:
         scales = [max((abs(v) for v in row), default=0.0) or 1.0 for row in a]
     for col in range(n):
@@ -249,7 +196,9 @@ def invert(matrix: Matrix) -> Matrix:
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
             if mode == FLOAT:
                 scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
+            det = -det
         pivot = a[col][col]
+        det *= pivot
         a[col] = [v / pivot for v in a[col]]
         inv[col] = [v / pivot for v in inv[col]]
         for r in range(n):
@@ -259,7 +208,25 @@ def invert(matrix: Matrix) -> Matrix:
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return Matrix._wrap(inv, mode)
+    return Matrix._wrap(inv, mode), det
+
+
+def invert(matrix: Matrix) -> Matrix:
+    """Inverse via :func:`gauss_jordan`; raises :class:`SingularMatrixError`
+    where that elimination finds no acceptable pivot."""
+    return gauss_jordan(matrix)[0]
+
+
+def determinant(matrix: Matrix) -> Scalar:
+    """Determinant via :func:`gauss_jordan`.
+
+    Returns zero, instead of raising, exactly where :func:`invert` raises
+    :class:`SingularMatrixError`.
+    """
+    try:
+        return gauss_jordan(matrix)[1]
+    except SingularMatrixError:
+        return zero_scalar(matrix.mode)
 
 
 def _select_pivot(a, col, n, mode, scales):
@@ -293,7 +260,7 @@ def geometric_series(matrix: Matrix, tolerance: float, max_terms: int = 100_000)
     term that was added. Raises :class:`NotConvergedError` when ``max_terms``
     terms were added and the next term is still at or above tolerance.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")

@@ -14,6 +14,7 @@ decompositions usable to certify forest-weight identities.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,17 +84,31 @@ def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT)
     return result
 
 
+def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
+    """``eps`` as a scalar of ``mode``; raises :class:`EpsilonOutOfRangeError`
+    when a positive value rounds to zero or overflows as a double."""
+    if mode == EXACT:
+        return Fraction(eps)
+    try:
+        value = float(eps)
+    except OverflowError:
+        value = math.inf
+    if eps > 0 and not 0 < value < math.inf:
+        raise EpsilonOutOfRangeError(f"epsilon {eps} is not representable in float mode")
+    return value
+
+
 def _walk_matrices(
     graph: MultiDigraph, eps: EpsilonValue, mode: str
 ) -> tuple[Matrix, Matrix, Scalar]:
     """The stochastic matrix, the total-arc-weight matrix of the
     loop-augmented graph (the stochastic matrix times the ratio) and the
     per-step contraction ratio ``1 / (1 + eps)``."""
-    if mode == EXACT:
-        ratio = Fraction(1) / (1 + Fraction(eps))
-    else:
-        ratio = 1.0 / (1.0 + float(eps))
+    # Convert before scaling, so an eps no double holds is out of range
+    # rather than an overflow inside the scaling.
+    eps_s = _epsilon_scalar(eps, mode)
     stochastic = stochastic_matrix(graph, eps, mode)
+    ratio = one_scalar(mode) / (1 + eps_s)
     return stochastic, stochastic.scaled(ratio), ratio
 
 
@@ -103,9 +118,11 @@ class RouteMatrices:
 
     ``tail_bound`` is a guaranteed upper bound on the max-abs truncation
     error of ``route_weights``: the last added term decays at least
-    geometrically with ratio ``step_ratio`` from there on (row sums of the
-    step matrix shrink exactly by that ratio each step). In float mode a
-    small rounding allowance is folded in so the bound stays honest.
+    geometrically with ratio ``r = 1 / (1 + eps)`` from there on (row sums
+    of the step matrix shrink exactly by that ratio each step). When no
+    term was added the whole series, at most ``1 / (1 - r) = 1 + 1/eps``,
+    is the remainder. In float mode a small rounding allowance is folded
+    in so the bound stays honest.
     """
 
     epsilon: EpsilonValue
@@ -133,13 +150,17 @@ def route_matrix(
         eps = choose_epsilon(graph)
     stochastic, step, ratio = _walk_matrices(graph, eps, mode)
     series = geometric_series(step, tolerance, max_terms)
-    tail = series.last_term_norm * ratio / (1 - ratio)
+    # The remainder after the last added term P^m is at most its norm times
+    # r + r^2 + ...; with no term added it is the whole series from I on.
+    head = series.last_term_norm * ratio if series.terms_used else one_scalar(mode)
+    tail = head / (1 - ratio)
     if mode == FLOAT:
-        # Accumulated rounding of terms_used float matrix additions.
+        # Accumulated rounding of terms_used float matrix additions; at
+        # least one unit covers the rounding of the bound itself.
         tail += (
             2.0
             * sys.float_info.epsilon
-            * series.terms_used
+            * max(series.terms_used, 1)
             * (1.0 + series.total.max_abs())
         )
     result = RouteMatrices(
@@ -164,10 +185,7 @@ def route_matrix(
 def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix:
     """Closed-form route weights from forest matrices: (1 + 1/eps) times
     the proximity matrix."""
-    if forests.mode == EXACT:
-        factor = 1 + Fraction(1) / Fraction(eps)
-    else:
-        factor = 1.0 + 1.0 / float(eps)
+    factor = 1 + 1 / _epsilon_scalar(eps, forests.mode)
     return forests.proximity.scaled(factor)
 
 
@@ -189,7 +207,7 @@ def _loop_adjacency(graph: MultiDigraph, eps: EpsilonValue, mode: str):
     """Per-vertex outgoing (head, weight) pairs of the loop-augmented graph,
     keeping parallel arcs distinct; the loop comes first."""
     _, step, ratio = _walk_matrices(graph, eps, mode)
-    eps_s = Fraction(eps) if mode == EXACT else float(eps)
+    eps_s = _epsilon_scalar(eps, mode)
     adjacency = []
     for v in range(graph.n):
         entries = [(v, step[v, v])]

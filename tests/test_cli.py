@@ -298,3 +298,19 @@ def test_non_utf8_stdin_is_format_error(monkeypatch, capsys, errors):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8", errors=errors))
     assert run(["forest"]) == 1
     assert capsys.readouterr().err.startswith("error:format:")
+
+
+def test_routes_nan_tolerance_is_bad_parameters(path_file, capsys):
+    assert run(["routes", "--input", path_file, "--tol", "nan", "--max-terms", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_decompose_float_epsilon_that_underflows_is_out_of_range(path_file, capsys):
+    argv = ["decompose", "--input", path_file, "-i", "1", "-j", "2", "-k", "3"]
+    assert run(argv + ["--mode", "float", "--epsilon", "1e-400"]) == 1
+    assert capsys.readouterr().err.startswith("error:epsilon-out-of-range:")
+
+
+def test_routes_epsilon_minus_one_is_out_of_range(path_file, capsys):
+    assert run(["routes", "--input", path_file, "--epsilon", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:epsilon-out-of-range:")

@@ -1,0 +1,32 @@
+"""The code-line counter skips blanks, comments and docstrings only."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+# A comment.
+import os  # trailing comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring."""
+        text = """not a docstring,
+        but a value"""
+        return (text,
+                os.sep)
+'''
+
+
+def test_counts_code_lines_of_a_sample():
+    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # import, class, def, two string lines, two return lines.
+    assert module.code_lines(SAMPLE) == 7

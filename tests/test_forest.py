@@ -110,3 +110,24 @@ def test_float_mode_rows_sum_near_one():
     assert forests.mode == FLOAT
     for total in forests.proximity.row_sums():
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_float_forest_matrices_run_one_elimination(monkeypatch):
+    import inforest.forest
+
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gauss_jordan", "invert", "determinant"):
+        monkeypatch.setattr(
+            inforest.forest, name, counted(name, getattr(inforest.forest, name))
+        )
+    forests = forest_matrices(make_path(), FLOAT)
+    assert calls == ["gauss_jordan"]
+    assert forests.total_weight == pytest.approx(4.0)

@@ -163,3 +163,31 @@ def test_submatrix_and_symmetry_helpers():
     assert m.transpose() == m
     assert (m ** 0) == Matrix.identity(3)
     assert (m ** 2) == m @ m
+
+
+def test_float_near_singular_determinant_is_zero_where_invert_raises():
+    m = Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-14]], FLOAT)
+    with pytest.raises(SingularMatrixError):
+        invert(m)
+    assert determinant(m) == 0.0
+
+
+def test_float_determinant_flips_sign_on_swap():
+    assert determinant(Matrix([[0, 1], [1, 0]], FLOAT)) == -1.0
+
+
+@given(square_matrices(3, limit=2))
+@settings(max_examples=80, deadline=None)
+def test_float_determinant_is_zero_exactly_where_invert_raises(m):
+    m = m.with_mode(FLOAT)
+    try:
+        invert(m)
+    except SingularMatrixError:
+        assert determinant(m) == 0.0
+    else:
+        assert determinant(m) != 0.0
+
+
+def test_geometric_series_rejects_nan_tolerance():
+    with pytest.raises(ValueError):
+        geometric_series(Matrix([[Fraction(1, 2)]]), float("nan"))

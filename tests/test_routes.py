@@ -238,3 +238,33 @@ def test_route_enumeration_survives_long_routes():
     assert route_weights_by_length(g, 0, 3000, eps=eps, mode=FLOAT) == pytest.approx(
         expected, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_tail_bound_covers_a_series_that_adds_no_term(mode):
+    g = make_path()
+    eps = choose_epsilon(g)
+    result = route_matrix(g, eps=eps, tolerance=2, mode=mode)
+    assert result.terms_used == 0
+    expected = expected_route_weights(forest_matrices(g, mode), eps)
+    gap = (result.route_weights - expected.with_mode(mode)).max_abs()
+    assert gap <= result.tail_bound
+    route_matrix(g, eps=eps, tolerance=2, mode=mode, check_against=forest_matrices(g, EXACT))
+
+
+def test_route_matrix_rejects_nan_tolerance():
+    with pytest.raises(ValueError):
+        route_matrix(make_path(), tolerance=float("nan"), max_terms=5)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**400), Fraction(10**400)])
+def test_float_epsilon_that_is_no_double_is_out_of_range(eps):
+    g = MultiDigraph(2, []) if eps > 1 else make_path()
+    validate_epsilon(g, eps)
+    for call in (
+        lambda: route_matrix(g, eps=eps, mode=FLOAT),
+        lambda: closed_route_matrix(g, eps=eps, mode=FLOAT),
+        lambda: route_weights_by_length(g, 0, 1, eps=eps, mode=FLOAT),
+    ):
+        with pytest.raises(EpsilonOutOfRangeError):
+            call()

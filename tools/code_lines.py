@@ -1,0 +1,78 @@
+"""Count code lines per module of the ``inforest`` package.
+
+A code line is a source line that holds at least one token other than a
+comment, and that is not part of a docstring (the leading string literal of
+a module, class or function). Blank lines, comment-only lines and docstring
+lines are left out; a statement spanning several lines counts each line.
+
+Usage: ``python tools/code_lines.py [package_dir]``, where ``package_dir``
+defaults to the repository's ``src/inforest``. Prints one
+``<lines> <module>`` row per module and a ``total`` row.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NON_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def _docstring_lines(tree: ast.AST) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        body = node.body
+        if (
+            body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        ):
+            lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Number of code lines in one module's source text."""
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NON_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: code_lines.py [package_dir]", file=sys.stderr)
+        return 2
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "inforest"
+    modules = sorted(root.glob("*.py"))
+    if not modules:
+        print(f"no modules under {root}", file=sys.stderr)
+        return 2
+    total = 0
+    for path in modules:
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d} {path.name}")
+    print(f"{total:6d} total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
