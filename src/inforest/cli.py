@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__
 from .bottleneck import (
@@ -31,7 +32,7 @@ from .errors import (
 from .forest import forest_matrices
 from .generators import complete_graph, cycle_graph, path_graph, random_graph
 from .graph import MultiDigraph
-from .io import format_graph, format_weight, parse_graph, parse_weight
+from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
 from .matrix import EXACT, FLOAT, Matrix
 from .oracle import DEFAULT_CHOICE_CAP, choice_count, enumerate_in_forests, oracle_matrices
 from .routes import (
@@ -62,16 +63,6 @@ def _read_input(path: str) -> str:
         raise BadParametersError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_graph(args):
-    return parse_graph(_read_input(args.input), force_undirected=args.undirected)
-
-
-def _resolve_mode(args, graph: MultiDigraph) -> str:
-    if args.mode:
-        return args.mode
-    return EXACT if graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT
-
-
 def _oracle_cap() -> int:
     raw = os.environ.get("FOREST_ORACLE_CAP")
     if raw is None:
@@ -82,26 +73,49 @@ def _oracle_cap() -> int:
         raise BadParametersError(f"FOREST_ORACLE_CAP must be an integer, got {raw!r}") from exc
 
 
-def _scalar_json(value):
-    if isinstance(value, float):
+def _json_value(value):
+    if isinstance(value, Matrix):
+        return [[_json_value(v) for v in value.row(i)] for i in range(value.order)]
+    if isinstance(value, (float, int, str)):
         return value
-    return str(Fraction(value))
+    return format_weight(value)
 
 
-def _matrix_json(matrix: Matrix):
-    return [[_scalar_json(v) for v in matrix.row(i)] for i in range(matrix.order)]
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, str):
+        return value
+    return format_weight(value)
 
 
-def _matrix_tsv(matrix: Matrix) -> list[str]:
-    return [
-        "\t".join(format_weight(v) for v in matrix.row(i)) for i in range(matrix.order)
-    ]
+def _emit(fmt: str, fields: dict, line: Optional[str] = None) -> None:
+    """Print ``fields`` as one JSON object or as TSV.
+
+    TSV is one line of ``name=value`` pairs, or ``line`` formatted with the
+    field texts, followed by the rows of the first matrix among the fields;
+    the line then starts with ``# ``. All text is built before any is
+    printed, so a value too long to print leaves stdout empty.
+    """
+    if fmt == "json":
+        print(json.dumps({name: _json_value(value) for name, value in fields.items()}))
+        return
+    texts = {name: _text(value) for name, value in fields.items() if not isinstance(value, Matrix)}
+    head = line.format(**texts) if line else " ".join(f"{k}={v}" for k, v in texts.items())
+    matrix = next((value for value in fields.values() if isinstance(value, Matrix)), None)
+    if matrix is None:
+        print(head)
+        return
+    rows = ["\t".join(format_weight(v) for v in matrix.row(i)) for i in range(matrix.order)]
+    print("\n".join(([f"# {head}"] if head else []) + rows))
 
 
-def _vertex_arg(value: int, graph: MultiDigraph, flag: str) -> int:
-    if not (1 <= value <= graph.n):
-        raise VertexOutOfRangeError(f"{flag} must lie in 1..{graph.n}, got {value}")
-    return value - 1
+def _triple_args(args, graph: MultiDigraph) -> tuple[int, int, int]:
+    """The 0-based vertices of ``-i``, ``-j`` and ``-k``."""
+    for flag, value in (("-i", args.i), ("-j", args.j), ("-k", args.k)):
+        if not (1 <= value <= graph.n):
+            raise VertexOutOfRangeError(f"{flag} must lie in 1..{graph.n}, got {value}")
+    return args.i - 1, args.j - 1, args.k - 1
 
 
 def _rational_arg(raw: str, flag: str) -> Fraction:
@@ -117,93 +131,58 @@ def _epsilon_arg(args, graph: MultiDigraph):
     return _rational_arg(args.epsilon, "--epsilon")
 
 
-def _cmd_forest(args) -> int:
-    graph = _load_graph(args).graph
-    mode = _resolve_mode(args, graph)
-    forests = forest_matrices(graph, mode)
-    if args.fmt == "json":
-        payload = {
-            "f": _scalar_json(forests.total_weight),
-            "F": _matrix_json(forests.matrix),
-            "Q": _matrix_json(forests.proximity),
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"# f={format_weight(forests.total_weight)}")
-        print("\n".join(_matrix_tsv(forests.matrix)))
+def _cmd_forest(args, parsed: ParsedGraph, mode: str) -> int:
+    forests = forest_matrices(parsed.graph, mode)
+    _emit(args.fmt, {"f": forests.total_weight, "F": forests.matrix, "Q": forests.proximity})
     return 0
 
 
-def _cmd_proximity(args) -> int:
-    graph = _load_graph(args).graph
-    mode = _resolve_mode(args, graph)
-    forests = forest_matrices(graph, mode)
-    if args.fmt == "json":
-        print(json.dumps({"Q": _matrix_json(forests.proximity)}))
-    else:
-        print("\n".join(_matrix_tsv(forests.proximity)))
+def _cmd_proximity(args, parsed: ParsedGraph, mode: str) -> int:
+    _emit(args.fmt, {"Q": forest_matrices(parsed.graph, mode).proximity})
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    graph = _load_graph(args).graph
-    cap = _oracle_cap()
+def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
+    forests = enumerate_in_forests(parsed.graph, cap=_oracle_cap())
     if args.fmt == "json":
-        forests = [
+        payload = [
             {
-                "choices": [
-                    "root" if c is None else c + 1 for c in forest.arc_choice
-                ],
+                "choices": ["root" if c is None else c + 1 for c in forest.arc_choice],
                 "roots": [v + 1 for v in forest.roots],
-                "weight": _scalar_json(forest.weight),
+                "weight": _json_value(forest.weight),
             }
-            for forest in enumerate_in_forests(graph, cap=cap)
+            for forest in forests
         ]
-        print(json.dumps(forests))
+        print(json.dumps(payload))
         return 0
-    for forest in enumerate_in_forests(graph, cap=cap):
+    for forest in forests:
         tokens = ["root" if c is None else str(c + 1) for c in forest.arc_choice]
         print(" ".join(tokens) + "\t" + format_weight(forest.weight))
     return 0
 
 
-def _cmd_routes(args) -> int:
-    graph = _load_graph(args).graph
-    mode = _resolve_mode(args, graph)
-    eps = _epsilon_arg(args, graph)
+def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
+    eps = _epsilon_arg(args, parsed.graph)
     if not args.tol > 0:
         raise BadParametersError(f"--tol must be positive, got {args.tol}")
     if args.max_terms < 1:
         raise BadParametersError(f"--max-terms must be at least 1, got {args.max_terms}")
     result = route_matrix(
-        graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode
+        parsed.graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode
     )
-    if args.fmt == "json":
-        payload = {
-            "epsilon": _scalar_json(result.epsilon),
-            "terms_used": result.terms_used,
-            "tail_bound": float(result.tail_bound),
-            "R": _matrix_json(result.route_weights),
-        }
-        print(json.dumps(payload))
-    else:
-        print(
-            f"# epsilon={format_weight(result.epsilon)} terms_used={result.terms_used} "
-            f"tail_bound={float(result.tail_bound)!r}"
-        )
-        print("\n".join(_matrix_tsv(result.route_weights)))
+    fields = {
+        "epsilon": result.epsilon,
+        "terms_used": result.terms_used,
+        "tail_bound": float(result.tail_bound),
+        "R": result.route_weights,
+    }
+    _emit(args.fmt, fields)
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    graph = _load_graph(args).graph
-    mode = _resolve_mode(args, graph)
-    eps = _epsilon_arg(args, graph)
-    i = _vertex_arg(args.i, graph, "-i")
-    j = _vertex_arg(args.j, graph, "-j")
-    k = _vertex_arg(args.k, graph, "-k")
-    deco = route_decomposition(graph, i, j, k, eps=eps, mode=mode)
-    verdict = relation(deco.start_via * deco.via_end, deco.start_end * deco.via_via, mode)
+def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
+    eps = _epsilon_arg(args, parsed.graph)
+    deco = route_decomposition(parsed.graph, *_triple_args(args, parsed.graph), eps=eps, mode=mode)
     fields = {
         "r_ij": deco.start_via,
         "r_jj": deco.via_via,
@@ -212,49 +191,30 @@ def _cmd_decompose(args) -> int:
         "r_ij_once": deco.start_via_once,
         "r_ijk": deco.through_via,
         "r_ik_avoid_j": deco.avoiding_via,
+        "relation": relation(deco.start_via * deco.via_end, deco.start_end * deco.via_via, mode),
+        "degenerate": deco.degenerate,
     }
-    if args.fmt == "json":
-        payload = {name: _scalar_json(value) for name, value in fields.items()}
-        payload["relation"] = verdict
-        payload["degenerate"] = deco.degenerate
-        print(json.dumps(payload))
-    else:
-        parts = [f"{name}={format_weight(value)}" for name, value in fields.items()]
-        parts.append(f"relation={verdict}")
-        parts.append(f"degenerate={str(deco.degenerate).lower()}")
-        print(" ".join(parts))
+    _emit(args.fmt, fields)
     return 0
 
 
-def _cmd_bottleneck(args) -> int:
-    graph = _load_graph(args).graph
-    mode = _resolve_mode(args, graph)
-    forests = forest_matrices(graph, mode)
-    i = _vertex_arg(args.i, graph, "-i")
-    j = _vertex_arg(args.j, graph, "-j")
-    k = _vertex_arg(args.k, graph, "-k")
-    report = check_triple(forests, graph, i, j, k)
-    if args.fmt == "json":
-        payload = {
-            "relation": report.relation,
-            "separator": report.separator,
-            "lhs": _scalar_json(report.lhs),
-            "rhs": _scalar_json(report.rhs),
-            "degenerate": report.degenerate,
-        }
-        print(json.dumps(payload))
-    else:
-        print(
-            f"{report.relation} separator={str(report.separator).lower()} "
-            f"lhs={format_weight(report.lhs)} rhs={format_weight(report.rhs)}"
-        )
+def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
+    forests = forest_matrices(parsed.graph, mode)
+    report = check_triple(forests, parsed.graph, *_triple_args(args, parsed.graph))
+    fields = {
+        "relation": report.relation,
+        "separator": report.separator,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "degenerate": report.degenerate,
+    }
+    # The bare leading relation token is what scripts split on.
+    _emit(args.fmt, fields, "{relation} separator={separator} lhs={lhs} rhs={rhs}")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    parsed = _load_graph(args)
+def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:
     graph = parsed.graph
-    mode = _resolve_mode(args, graph)
     forests = forest_matrices(graph, mode)
     if parsed.undirected:
         reports = verify_undirected(graph.n, parsed.edges, forests=forests)
@@ -273,20 +233,14 @@ def _cmd_verify(args) -> int:
                 "enumeration oracle disagrees with the algebraic forest matrices"
             )
         oracle_state = "match"
-    if args.fmt == "json":
-        payload = {
-            "triples": counts.total,
-            "equal": counts.equal,
-            "strict": counts.strict,
-            "inconsistent": counts.inconsistent,
-            "oracle": oracle_state,
-        }
-        print(json.dumps(payload))
-    else:
-        print(
-            f"triples={counts.total} equal={counts.equal} strict={counts.strict} "
-            f"inconsistent={counts.inconsistent} oracle={oracle_state}"
-        )
+    fields = {
+        "triples": counts.total,
+        "equal": counts.equal,
+        "strict": counts.strict,
+        "inconsistent": counts.inconsistent,
+        "oracle": oracle_state,
+    }
+    _emit(args.fmt, fields)
     return 3 if counts.inconsistent else 0
 
 
@@ -367,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--weights", default="1", help="fixed arc weight for non-random kinds")
     gen.add_argument("--seed", type=int, help="seed for the random kind")
     gen.add_argument("--weight-range", default="1:5", help="numerator/denominator range lo:hi")
-    gen.set_defaults(handler=_cmd_gen)
 
     return parser
 
@@ -379,7 +332,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        parsed = parse_graph(_read_input(args.input), force_undirected=args.undirected)
+        mode = args.mode or (EXACT if parsed.graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT)
+        return args.handler(args, parsed, mode)
     except InforestError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

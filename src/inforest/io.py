@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InstanceTooLargeError
 from .graph import MultiDigraph, Weight
 
 
@@ -39,18 +39,48 @@ class ParsedGraph:
     edges: Optional[tuple[tuple[int, int, Weight], ...]]
 
 
+# Python's default limit on the digits of an int converted to or from text
+# (``sys.int_info.default_max_str_digits``). It caps plain integer tokens,
+# and here also decimal exponents, which ``Fraction`` would otherwise expand
+# into integers of that many digits.
+MAX_DIGITS = 4300
+
+
 def parse_weight(token: str) -> Fraction:
+    """A decimal or ``p/q`` rational; exponents beyond ``MAX_DIGITS`` in
+    magnitude are rejected."""
+    _, marker, exponent = token.lower().partition("e")
     try:
-        value = Fraction(token)
+        if marker and abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError("exponent out of range")
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad weight {token!r}") from exc
-    return value
 
 
 def format_weight(value: Weight) -> str:
+    """The one text form of a value: ``repr`` for floats, ``p/q`` or an
+    integer for exact values. Raises :class:`InstanceTooLargeError` when an
+    exact value has more digits than Python converts to text."""
     if isinstance(value, float):
         return repr(value)
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise InstanceTooLargeError(
+            f"a value has more than {MAX_DIGITS} digits and cannot be printed"
+        ) from exc
+
+
+def _is_int(value) -> bool:
+    # JSON true and false arrive as bools, which Python counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parsed_graph(n: int, entries: list[tuple[int, int, Fraction]], undirected: bool) -> ParsedGraph:
+    if undirected:
+        return ParsedGraph(MultiDigraph.from_undirected(n, entries), True, tuple(entries))
+    return ParsedGraph(MultiDigraph(n, entries), False, None)
 
 
 def _parse_vertex(token: str, n: int, line_no: int) -> int:
@@ -92,14 +122,7 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
         )
     if header is None:
         raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
-    undirected = header == "graph" or force_undirected
-    if undirected:
-        return ParsedGraph(
-            graph=MultiDigraph.from_undirected(n, entries),
-            undirected=True,
-            edges=tuple(entries),
-        )
-    return ParsedGraph(graph=MultiDigraph(n, entries), undirected=False, edges=None)
+    return _parsed_graph(n, entries, header == "graph" or force_undirected)
 
 
 def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
@@ -110,7 +133,7 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
     if not isinstance(payload, dict) or "n" not in payload or "arcs" not in payload:
         raise GraphFormatError('JSON graphs need "n" and "arcs" keys')
     n = payload["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise GraphFormatError('"n" must be an integer')
     if not isinstance(payload["arcs"], list):
         raise GraphFormatError('"arcs" must be a list')
@@ -122,17 +145,10 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise GraphFormatError(f"bad arc entry {item!r}")
         tail, head, weight = item
-        if not isinstance(tail, int) or not isinstance(head, int):
+        if not (_is_int(tail) and _is_int(head)):
             raise GraphFormatError(f"bad arc endpoints in {item!r}")
         entries.append((tail - 1, head - 1, parse_weight(str(weight))))
-    undirected = (not directed) or force_undirected
-    if undirected:
-        return ParsedGraph(
-            graph=MultiDigraph.from_undirected(n, entries),
-            undirected=True,
-            edges=tuple(entries),
-        )
-    return ParsedGraph(graph=MultiDigraph(n, entries), undirected=False, edges=None)
+    return _parsed_graph(n, entries, not directed or force_undirected)
 
 
 def parse_graph(text: str, force_undirected: bool = False) -> ParsedGraph:

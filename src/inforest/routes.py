@@ -63,11 +63,13 @@ def choose_epsilon(graph: MultiDigraph) -> EpsilonValue:
 
 
 def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
-    """Check ``0 < eps`` and ``eps * max out-weight < 1`` (strictly)."""
-    if eps <= 0:
+    """Check ``0 < eps`` and ``eps * max out-weight < 1`` (strictly).
+
+    Both tests are written so that NaN fails them."""
+    if not eps > 0:
         raise EpsilonOutOfRangeError(f"epsilon must be positive, got {eps}")
     heaviest = graph.max_out_weight()
-    if eps * heaviest >= 1:
+    if not eps * heaviest < 1:
         raise EpsilonOutOfRangeError(
             f"epsilon {eps} times max out-weight {heaviest} must stay below 1"
         )

@@ -314,3 +314,127 @@ def test_decompose_float_epsilon_that_underflows_is_out_of_range(path_file, caps
 def test_routes_epsilon_minus_one_is_out_of_range(path_file, capsys):
     assert run(["routes", "--input", path_file, "--epsilon", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error:epsilon-out-of-range:")
+
+
+_TRIPLE = ["-i", "1", "-j", "2", "-k", "3"]
+_R_DENOMINATOR = "278128389443693511257285776231761"
+_R_ROWS = [
+    [
+        f"417192584165540266885928664347641/{_R_DENOMINATOR}",
+        f"208596292082770133442964332173786/{_R_DENOMINATOR}",
+        f"208596292082179837632605626522144/{_R_DENOMINATOR}",
+    ],
+    [
+        "0",
+        f"417192584165540266885928664347641/{_R_DENOMINATOR}",
+        "139064194721649990358523319565310/92709463147897837085761925410587",
+    ],
+    ["0", "0", f"834385168330490237961498623043571/{_R_DENOMINATOR}"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["forest", "--format", "tsv"], "# f=4\n2\t1\t1\n0\t2\t2\n0\t0\t4\n"),
+        (
+            ["forest", "--format", "json"],
+            '{"f": "4", "F": [["2", "1", "1"], ["0", "2", "2"], ["0", "0", "4"]], '
+            '"Q": [["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"], ["0", "0", "1"]]}\n',
+        ),
+        (["proximity", "--format", "tsv"], "1/2\t1/4\t1/4\n0\t1/2\t1/2\n0\t0\t1\n"),
+        (
+            ["proximity", "--format", "json"],
+            '{"Q": [["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"], ["0", "0", "1"]]}\n',
+        ),
+        (
+            ["routes", "--format", "tsv"],
+            "# epsilon=1/2 terms_used=69 tail_bound=2.122386037395905e-12\n"
+            + "".join("\t".join(row) + "\n" for row in _R_ROWS),
+        ),
+        (
+            ["routes", "--format", "json"],
+            '{"epsilon": "1/2", "terms_used": 69, "tail_bound": 2.122386037395905e-12, "R": '
+            + json.dumps(_R_ROWS)
+            + "}\n",
+        ),
+        (
+            ["decompose", "--format", "tsv", *_TRIPLE],
+            "r_ij=3/4 r_jj=3/2 r_jk=3/2 r_ik=3/4 r_ij_once=1/2 r_ijk=3/4 r_ik_avoid_j=0 "
+            "relation=equal degenerate=false\n",
+        ),
+        (
+            ["decompose", "--format", "json", *_TRIPLE],
+            '{"r_ij": "3/4", "r_jj": "3/2", "r_jk": "3/2", "r_ik": "3/4", "r_ij_once": "1/2", '
+            '"r_ijk": "3/4", "r_ik_avoid_j": "0", "relation": "equal", "degenerate": false}\n',
+        ),
+        (["bottleneck", "--format", "tsv", *_TRIPLE], "equal separator=true lhs=2 rhs=2\n"),
+        (
+            ["bottleneck", "--format", "json", *_TRIPLE],
+            '{"relation": "equal", "separator": true, "lhs": "2", "rhs": "2", "degenerate": false}\n',
+        ),
+        (
+            ["verify", "--format", "tsv"],
+            "triples=27 equal=19 strict=8 inconsistent=0 oracle=match\n",
+        ),
+        (
+            ["verify", "--format", "json"],
+            '{"triples": 27, "equal": 19, "strict": 8, "inconsistent": 0, "oracle": "match"}\n',
+        ),
+        (
+            ["verify", "--format", "tsv", "--mode", "float"],
+            "triples=27 equal=19 strict=8 inconsistent=0 oracle=skipped\n",
+        ),
+    ],
+)
+def test_golden_stdout_on_the_path(path_file, capsys, argv, expected):
+    mode = [] if "--mode" in argv else ["--mode", "exact"]
+    assert run([*argv, "--input", path_file, *mode]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.fixture
+def nines_file(tmp_path):
+    # Each weight parses, but f, the F products and row 2 of Q hold
+    # integers of over 4300 digits; row 1 of Q (vertex 1 has no arcs) does not.
+    nines = "9" * 3000
+    target = tmp_path / "nines.graph"
+    target.write_text(f"digraph 4\n2 3 {nines}\n3 4 {nines}\n")
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forest", "--format", "tsv"],
+        ["forest", "--format", "json"],
+        ["proximity", "--format", "tsv"],
+        ["bottleneck", "-i", "2", "-j", "3", "-k", "4"],
+    ],
+)
+def test_value_too_long_to_print_is_instance_too_large(nines_file, capsys, argv):
+    assert run([*argv, "--input", nines_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:instance-too-large:")
+
+
+def test_weight_exponent_beyond_the_digit_limit_is_format_error(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 2 1e1000000\n")
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")
+
+
+def test_epsilon_exponent_beyond_the_digit_limit_is_bad_parameters(path_file, capsys):
+    assert run(["routes", "--input", path_file, "--epsilon", "1e1000000"]) == 1
+    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_json_boolean_endpoint_is_format_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    source.write_text('{"n": 3, "arcs": [[true, 2, "1"], [2, 3, "1"]]}')
+    assert run(["forest", "--input", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:format:")

@@ -6,6 +6,7 @@ import pytest
 
 from inforest import (
     GraphFormatError,
+    InstanceTooLargeError,
     MultiDigraph,
     NonPositiveWeightError,
     VertexOutOfRangeError,
@@ -126,3 +127,31 @@ def test_malformed_json_rejected(text):
 def test_json_directed_must_be_a_bool():
     with pytest.raises(GraphFormatError, match="directed"):
         parse_graph('{"n": 2, "directed": "no", "arcs": [[1, 2, "1"]]}')
+
+
+def test_weight_exponent_beyond_the_digit_limit_is_rejected():
+    assert parse_weight("1e300") == 10**300
+    assert parse_weight("1E-300") == Fraction(1, 10**300)
+    assert parse_weight("1e4300") == 10**4300
+    for token in ("1e1000000", "1e4301", "1e-4301"):
+        with pytest.raises(GraphFormatError):
+            parse_weight(token)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": true, "arcs": []}',
+        '{"n": 3, "arcs": [[true, 2, "1"], [2, 3, "1"]]}',
+        '{"n": 3, "arcs": [[1, false, "1"]]}',
+    ],
+)
+def test_json_booleans_are_no_integers(text):
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
+
+
+def test_value_too_long_to_print_is_instance_too_large():
+    assert format_weight(Fraction(10**4299, 3)) == f"{10**4299}/3"
+    with pytest.raises(InstanceTooLargeError):
+        format_weight(Fraction(10**4300, 3))

@@ -268,3 +268,22 @@ def test_float_epsilon_that_is_no_double_is_out_of_range(eps):
     ):
         with pytest.raises(EpsilonOutOfRangeError):
             call()
+
+
+def test_validate_epsilon_rejects_nan():
+    with pytest.raises(EpsilonOutOfRangeError):
+        validate_epsilon(path_graph(3), float("nan"))
+
+
+def test_float_route_series_with_nan_epsilon_is_out_of_range():
+    with pytest.raises(EpsilonOutOfRangeError):
+        route_matrix(path_graph(3), float("nan"), mode=FLOAT, max_terms=50)
+
+
+def test_infinite_epsilon_on_an_arcless_graph_is_out_of_range():
+    # inf * 0 is NaN, which an ``eps * heaviest >= 1`` test lets through.
+    arcless = MultiDigraph(2, [])
+    with pytest.raises(EpsilonOutOfRangeError):
+        validate_epsilon(arcless, float("inf"))
+    with pytest.raises(EpsilonOutOfRangeError):
+        closed_route_matrix(arcless, float("inf"))
