@@ -5,22 +5,33 @@ times (j rooted-at k) never exceeds (i rooted-at k) times (j rooted-at j),
 and the two sides are equal exactly when every directed path from i to k
 passes through j (j is a separator, possibly vacuously when k is
 unreachable). This module classifies all triples and cross-checks the
-algebraic relation against an independent reachability test.
+algebraic relation against an independent graph-theoretic test.
+
+The all-triples sweep takes its separators from one dominator tree per
+start vertex i: for j and k other than i and each other, every path from
+i to k contains j exactly when k is unreachable from i or j dominates k
+(Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
+It compares the products a whole (i, j) row at a time and counts the
+verdicts as it goes; the report objects of :func:`verify_all_triples` are
+built only when they are read, and :func:`summarize` returns the sweep's
+counts without building any. The single-triple :func:`is_bottleneck`
+stays a breadth-first search, the oracle the sweep is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError, VertexOutOfRangeError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, Scalar
+from .matrix import EXACT, Scalar, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -59,14 +70,19 @@ class TripleSummary(NamedTuple):
     inconsistent: int
 
 
-def relation(lhs: Scalar, rhs: Scalar, mode: str) -> str:
-    """Equal or strict: exact comparison in exact mode, a relative
-    tolerance of ``FLOAT_EQUALITY_RTOL`` in float mode."""
+def _equal(lhs: Sequence[Scalar], rhs: Sequence[Scalar], mode: str) -> list[bool]:
+    """The one equal-vs-strict rule, entry by entry: exact equality in
+    exact mode; in float mode a difference of at most
+    ``FLOAT_EQUALITY_RTOL`` times the larger magnitude, so the verdict
+    does not depend on the scale of the weights."""
     if mode == EXACT:
-        equal = lhs == rhs
-    else:
-        equal = abs(lhs - rhs) <= FLOAT_EQUALITY_RTOL * max(1.0, abs(rhs))
-    return RELATION_EQUAL if equal else RELATION_STRICT
+        return list(map(operator.eq, lhs, rhs))
+    return [abs(a - b) <= FLOAT_EQUALITY_RTOL * max(abs(a), abs(b)) for a, b in zip(lhs, rhs)]
+
+
+def relation(lhs: Scalar, rhs: Scalar, mode: str) -> str:
+    """Equal or strict for one pair of products, by :func:`_equal`."""
+    return RELATION_EQUAL if _equal((lhs,), (rhs,), mode)[0] else RELATION_STRICT
 
 
 def _separates(
@@ -93,6 +109,27 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
         if not (0 <= v < graph.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
     return _separates(i, j, graph.n, graph.reachable)[k]
+
+
+def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
+    """``_separates(i, j, ...)`` for every j, from one dominator tree.
+
+    For j other than i, the vertices reachable from i without visiting j
+    are the reachable ones outside the subtree of j in the tree rooted at
+    i, since a reachable k != j avoids j on some path exactly when j does
+    not dominate k.
+    """
+    n = graph.n
+    idom = graph.dominator_tree(i)
+    subtree = [{v} for v in range(n)]
+    for k in range(n):
+        if k != i and idom[k] != -1:
+            ancestor = idom[k]
+            while ancestor != i:
+                subtree[ancestor].add(k)
+                ancestor = idom[ancestor]
+    reached = {v for v in range(n) if idom[v] != -1}
+    return [_separates(i, j, n, lambda _, j: reached - subtree[j]) for j in range(n)]
 
 
 def _common_scale(values: Sequence[Scalar], mode: str) -> tuple[list[Scalar], int]:
@@ -122,7 +159,8 @@ def _report(
     if mode == EXACT:
         if lhs > rhs:
             raise InconsistentWithTheoremError(
-                f"triple {triple}: product {Fraction(lhs, square)} exceeds {Fraction(rhs, square)}"
+                f"triple {triple}: product {format_for_message(Fraction(lhs, square))} "
+                f"exceeds {format_for_message(Fraction(rhs, square))}"
             )
         if equal != separator:
             raise InconsistentWithTheoremError(
@@ -161,30 +199,114 @@ def check_triple(
     return _report(forests.mode, (i, j, k), ij * jk, ik * jj, separator, square)
 
 
+class TripleReports(Sequence[BottleneckReport]):
+    """The reports of all ordered triples in lexicographic order, built on
+    access from the sweep's scaled ``F`` rows, scale and separator rows.
+
+    A read-only sequence: reports built here equal those of
+    :func:`_report` called triple by triple, and ``summary`` holds the
+    counts the sweep made. Indexing takes ints, negative ones too, and
+    slices, which return lists.
+    """
+
+    def __init__(
+        self,
+        mode: str,
+        values: list[list[Scalar]],
+        square: int,
+        separators: list[list[bool]],
+        summary: TripleSummary,
+    ):
+        self.mode = mode
+        self.summary = summary
+        self._values = values
+        self._square = square
+        self._separators = separators
+        self._n = len(values)
+
+    def separators(self, i: int, j: int) -> list[bool]:
+        """Entry k tells whether every path from i to k contains j."""
+        return self._separators[i * self._n + j]
+
+    def _report(self, i: int, j: int, k: int) -> BottleneckReport:
+        row_i, row_j = self._values[i], self._values[j]
+        return _report(
+            self.mode,
+            (i, j, k),
+            row_i[j] * row_j[k],
+            row_i[k] * row_j[j],
+            self._separators[i * self._n + j][k],
+            self._square,
+        )
+
+    def __len__(self) -> int:
+        return self._n**3
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[t] for t in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("triple index out of range")
+        i, rest = divmod(index, self._n * self._n)
+        return self._report(i, *divmod(rest, self._n))
+
+    def __iter__(self) -> Iterator[BottleneckReport]:
+        span = range(self._n)
+        return (self._report(i, j, k) for i in span for j in span for k in span)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, TripleReports)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"TripleReports(n={self._n}, mode={self.mode!r}, summary={self.summary})"
+
+
 def verify_all_triples(
     graph: MultiDigraph,
     forests: Optional[ForestMatrices] = None,
     mode: str = EXACT,
-) -> list[BottleneckReport]:
-    """Reports for all ordered triples, in lexicographic order."""
+) -> TripleReports:
+    """Reports for all ordered triples, in lexicographic order.
+
+    The checks run here, in one sweep: exact mode raises
+    :class:`InconsistentWithTheoremError` at the first triple that breaks
+    the law, and float mode counts disagreements as ``inconsistent``.
+    """
     if forests is None:
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
     flat, square = _common_scale([v for row in forests.matrix.to_lists() for v in row], mode)
     values = [flat[r * n : (r + 1) * n] for r in range(n)]
-    reports = []
+    separators = []
+    equal = inconsistent = 0
     for i in range(n):
         row_i = values[i]
-        for j in range(n):
-            separators = _separates(i, j, n, graph.reachable)
+        for j, row_sep in enumerate(_dominator_separators(graph, i)):
             row_j = values[j]
             ij, jj = row_i[j], row_j[j]
-            for k in range(n):
-                reports.append(
-                    _report(mode, (i, j, k), ij * row_j[k], row_i[k] * jj, separators[k], square)
+            lhs = [ij * v for v in row_j]
+            rhs = [v * jj for v in row_i]
+            verdicts = _equal(lhs, rhs, mode)
+            if mode == EXACT and (verdicts != row_sep or any(map(operator.gt, lhs, rhs))):
+                k = next(
+                    k for k in range(n) if lhs[k] > rhs[k] or verdicts[k] != row_sep[k]
                 )
-    return reports
+                _report(mode, (i, j, k), lhs[k], rhs[k], row_sep[k], square)  # raises
+            if verdicts != row_sep:
+                inconsistent += sum(map(operator.ne, verdicts, row_sep))
+            equal += sum(verdicts)
+            separators.append(row_sep)
+    total = n**3
+    # Triples with j at an endpoint or with i = k.
+    degenerate = total - n * (n - 1) * (n - 2)
+    summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
+    return TripleReports(mode, values, square, separators, summary)
 
 
 def _edge_reach(neighbors: Sequence[set[int]], source: int, excluded: int) -> set[int]:
@@ -205,7 +327,7 @@ def verify_undirected(
     edges: Iterable,
     mode: str = EXACT,
     forests: Optional[ForestMatrices] = None,
-) -> list[BottleneckReport]:
+) -> TripleReports:
     """Verify all triples of an undirected multigraph.
 
     The graph is converted by replacing each edge with two opposite arcs;
@@ -235,9 +357,7 @@ def verify_undirected(
     reports = verify_all_triples(graph, forests, mode)
     for i in range(n):
         for j in range(n):
-            start = (i * n + j) * n
-            directed = [report.separator for report in reports[start : start + n]]
-            if _separates(i, j, n, reachable) != directed:
+            if _separates(i, j, n, reachable) != reports.separators(i, j):
                 raise InconsistentWithTheoremError(
                     f"triples ({i}, {j}, k): undirected and directed separator tests disagree"
                 )
@@ -245,6 +365,9 @@ def verify_undirected(
 
 
 def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:
+    """Counts of the reports; for the sweep's own reports, the counts it made."""
+    if isinstance(reports, TripleReports):
+        return reports.summary
     total = equal = strict = degenerate = inconsistent = 0
     for report in reports:
         total += 1

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError, SingularMatrixError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, gauss_jordan
+from .matrix import EXACT, Matrix, Scalar, format_for_message, gauss_jordan
 
 # The general reference solvers stay importable from here.
 from .matrix import determinant, invert  # noqa: F401
@@ -71,7 +71,7 @@ def _integer_forest_solve(shifted: Matrix) -> tuple[int, int, list[list[int]]]:
         if pivot <= 0:
             raise InconsistentWithTheoremError(
                 f"leading principal minor {k + 1} of the scaled identity-plus-Laplacian "
-                f"is {pivot}; it must be positive"
+                f"is {format_for_message(pivot)}; it must be positive"
             )
         # Columns up to k are settled: the left block there is diagonal.
         tail = pivot_row[k + 1 :]

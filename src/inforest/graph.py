@@ -20,7 +20,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, zero_scalar
+from .matrix import EXACT, Matrix, format_for_message, zero_scalar
 
 Weight = Union[Fraction, int, float]
 
@@ -39,7 +39,9 @@ def _check_weight(weight: Weight) -> Weight:
     if not isinstance(weight, (int, float, Rational)):
         raise NonPositiveWeightError(f"arc weight must be a number, got {type(weight).__name__}")
     if weight <= 0:
-        raise NonPositiveWeightError(f"arc weight must be positive, got {weight}")
+        raise NonPositiveWeightError(
+            f"arc weight must be positive, got {format_for_message(weight)}"
+        )
     return weight
 
 
@@ -150,6 +152,63 @@ class MultiDigraph:
                 seen.add(head)
                 queue.append(head)
         return frozenset(seen)
+
+    def dominator_tree(self, root: int) -> list[int]:
+        """Immediate dominators of the flow graph rooted at ``root``.
+
+        Entry v is the last vertex other than v that every path from
+        ``root`` to v visits; ``root`` maps to itself and vertices
+        unreachable from ``root`` map to -1. This is the iterative
+        algorithm of Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+        Algorithm" (2001), over a reverse postorder of a depth-first search.
+        """
+        self._check_vertex(root)
+        heads = [[self.arcs[index].head for index in out] for out in self._out]
+        postorder = []
+        seen = [False] * self.n
+        seen[root] = True
+        stack = [(root, iter(heads[root]))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(heads[w])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(v)
+        number = [0] * self.n
+        for position, v in enumerate(postorder):
+            number[v] = position
+        predecessors: list[list[int]] = [[] for _ in range(self.n)]
+        for v in postorder:
+            for w in heads[v]:
+                predecessors[w].append(v)
+        idom = [-1] * self.n
+        idom[root] = root
+        changed = True
+        while changed:
+            changed = False
+            for v in reversed(postorder[:-1]):
+                new = -1
+                for p in predecessors[v]:
+                    if idom[p] == -1:
+                        continue
+                    if new != -1:
+                        # Climb both fingers to their common dominator.
+                        while p != new:
+                            while number[p] < number[new]:
+                                p = idom[p]
+                            while number[new] < number[p]:
+                                new = idom[new]
+                    new = p
+                    if new == root:
+                        break  # no vertex lies above the root
+                if idom[v] != new:
+                    idom[v] = new
+                    changed = True
+        return idom
 
     def scaled(self, factor: Weight) -> "MultiDigraph":
         """Copy of the graph with every arc weight multiplied by ``factor``."""

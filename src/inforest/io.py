@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GraphFormatError, InstanceTooLargeError
+from .errors import GraphFormatError
 from .graph import MultiDigraph, Weight
+from .matrix import MAX_DIGITS, format_weight
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,10 @@ class ParsedGraph:
     edges: Optional[tuple[tuple[int, int, Weight], ...]]
 
 
-# Python's default limit on the digits of an int converted to or from text
-# (``sys.int_info.default_max_str_digits``). It caps plain integer tokens,
-# and here also decimal exponents, which ``Fraction`` would otherwise expand
-# into integers of that many digits.
-MAX_DIGITS = 4300
-
-
 def parse_weight(token: str) -> Fraction:
     """A decimal or ``p/q`` rational; exponents beyond ``MAX_DIGITS`` in
-    magnitude are rejected."""
+    magnitude are rejected, since ``Fraction`` would expand them into
+    integers of that many digits."""
     _, marker, exponent = token.lower().partition("e")
     try:
         if marker and abs(int(exponent)) > MAX_DIGITS:
@@ -56,20 +51,6 @@ def parse_weight(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad weight {token!r}") from exc
-
-
-def format_weight(value: Weight) -> str:
-    """The one text form of a value: ``repr`` for floats, ``p/q`` or an
-    integer for exact values. Raises :class:`InstanceTooLargeError` when an
-    exact value has more digits than Python converts to text."""
-    if isinstance(value, float):
-        return repr(value)
-    try:
-        return str(Fraction(value))
-    except ValueError as exc:
-        raise InstanceTooLargeError(
-            f"a value has more than {MAX_DIGITS} digits and cannot be printed"
-        ) from exc
 
 
 def _is_int(value) -> bool:

@@ -14,10 +14,11 @@ both functions under the same pivot rule.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import NotConvergedError, SingularMatrixError
+from .errors import InstanceTooLargeError, NotConvergedError, SingularMatrixError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -27,6 +28,37 @@ Scalar = Union[Fraction, float]
 # Relative pivot threshold below which float elimination treats the matrix
 # as singular. Exact mode tests pivots against zero exactly.
 FLOAT_PIVOT_RTOL = 1e-12
+
+
+# Python's default limit on the digits of an int converted to or from text
+# (``sys.int_info.default_max_str_digits``).
+MAX_DIGITS = 4300
+
+
+def format_weight(value: Union[Scalar, int]) -> str:
+    """The one text form of a value: ``repr`` for floats, ``p/q`` or an
+    integer for exact values. Raises :class:`InstanceTooLargeError` when an
+    exact value has more digits than Python converts to text."""
+    if isinstance(value, float):
+        return repr(value)
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise InstanceTooLargeError(
+            f"a value has more than {MAX_DIGITS} digits and cannot be printed"
+        ) from exc
+
+
+def format_for_message(value: Union[Scalar, int]) -> str:
+    """``value`` as error-message text: :func:`format_weight`'s text, or
+    its sign and decimal order of magnitude beyond ``MAX_DIGITS``, so that
+    building a message never raises."""
+    try:
+        return format_weight(value)
+    except InstanceTooLargeError:
+        value = Fraction(value)
+        magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        return f"{'-' if value < 0 else ''}~10^{magnitude:.2f}"
 
 
 def _coerce(value, mode: str) -> Scalar:

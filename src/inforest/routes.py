@@ -34,6 +34,7 @@ from .matrix import (
     FLOAT,
     Matrix,
     Scalar,
+    format_for_message,
     geometric_series,
     invert,
     one_scalar,
@@ -67,11 +68,12 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
 
     Both tests are written so that NaN fails them."""
     if not eps > 0:
-        raise EpsilonOutOfRangeError(f"epsilon must be positive, got {eps}")
+        raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
     heaviest = graph.max_out_weight()
     if not eps * heaviest < 1:
         raise EpsilonOutOfRangeError(
-            f"epsilon {eps} times max out-weight {heaviest} must stay below 1"
+            f"epsilon {format_for_message(eps)} times max out-weight "
+            f"{format_for_message(heaviest)} must stay below 1"
         )
     return eps
 
@@ -96,7 +98,9 @@ def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
     except OverflowError:
         value = math.inf
     if eps > 0 and not 0 < value < math.inf:
-        raise EpsilonOutOfRangeError(f"epsilon {eps} is not representable in float mode")
+        raise EpsilonOutOfRangeError(
+            f"epsilon {format_for_message(eps)} is not representable in float mode"
+        )
     return value
 
 

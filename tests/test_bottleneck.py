@@ -30,6 +30,7 @@ from tests.helpers import (
     make_path,
     make_triangle,
     multidigraphs,
+    random_multidigraph,
     random_undirected,
     undirected_separates,
 )
@@ -168,6 +169,76 @@ def test_sweep_separators_match_is_bottleneck_on_corpus():
             assert report.separator == is_bottleneck(g, *report.triple)
 
 
+def test_sweep_separators_match_is_bottleneck_on_sparse_corpus():
+    unreachable = genuine_equal = 0
+    for g in corpus(count=40, min_n=4, max_n=12, max_arcs=14):
+        reports = verify_all_triples(g)
+        for report in reports:
+            i, j, k = report.triple
+            assert reports.separators(i, j)[k] == is_bottleneck(g, i, j, k)
+            reached = k in g.reachable(i)
+            unreachable += not reached
+            genuine_equal += reached and len({i, j, k}) == 3 and report.relation == RELATION_EQUAL
+    # The corpus exercises both the vacuous and the genuine equality case.
+    assert unreachable and genuine_equal
+
+
+def _reports_one_by_one(g, forests):
+    """Reports triple by triple, with separators from breadth-first search."""
+    n = g.n
+    return [check_triple(forests, g, i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+
+
+def _typed(report):
+    return (report, type(report.lhs), type(report.rhs), report.lhs is report.rhs)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_reports_behave_as_the_list_they_replace(mode):
+    g = random_multidigraph(CORPUS_SEED, min_n=4, max_n=4, max_arcs=6)
+    forests = forest_matrices(g, mode)
+    reports = verify_all_triples(g, forests)
+    expected = _reports_one_by_one(g, forests)
+    assert len(reports) == len(expected) == 64
+    assert [_typed(r) for r in reports] == [_typed(r) for r in expected]
+    assert reports == expected and expected == reports
+    assert reports != expected[:-1] and reports != expected[::-1]
+    assert reports[-1] == expected[-1] and reports[-64] == expected[0]
+    assert reports[5] == expected[5] and reports[-7] == expected[-7]
+    assert reports[3:50:7] == expected[3:50:7] and isinstance(reports[3:50:7], list)
+    assert reports[::-1] == expected[::-1]
+    for index in (64, -65):
+        with pytest.raises(IndexError):
+            reports[index]
+    assert reports.summary == summarize(reports) == summarize(list(reports))
+    assert summarize(reports) == summarize(expected)
+
+
+def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
+    g = random_multidigraph(CORPUS_SEED, min_n=5, max_n=5, max_arcs=12)
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    rows[2][4] *= 2
+    doctored = replace(forests, matrix=Matrix(rows))
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, doctored)
+    # The message names the first triple in lexicographic order that the
+    # triple-by-triple check rejects.
+    with pytest.raises(InconsistentWithTheoremError) as first:
+        _reports_one_by_one(g, doctored)
+    assert str(raised.value) == str(first.value)
+
+
+def test_float_sweep_counts_the_bad_triples_of_corrupted_forests():
+    g = make_path()
+    forests = forest_matrices(g, FLOAT)
+    rows = forests.matrix.to_lists()
+    rows[0][1] += 100  # breaks the equality of the separated triple (0, 1, 2)
+    reports = verify_all_triples(g, replace(forests, matrix=Matrix(rows, FLOAT)))
+    assert reports.summary.inconsistent > 0
+    assert reports.summary == summarize(list(reports))
+
+
 def test_undirected_separators_match_reference_bfs():
     for seed in range(60):
         n, edges = random_undirected(CORPUS_SEED + seed, max_n=6, max_edges=8)
@@ -177,13 +248,18 @@ def test_undirected_separators_match_reference_bfs():
 
 def test_undirected_cross_check_catches_a_wrong_directed_search(monkeypatch):
     # Float mode records the sweep's own disagreement, so only the
-    # edge-based cross-check can raise here.
-    original = MultiDigraph.reachable
+    # edge-based cross-check can raise here. The directed sweep reads its
+    # separators off dominator trees; hiding the last vertex from them
+    # makes every directed search miss it.
+    original = MultiDigraph.dominator_tree
 
-    def drops_last_vertex(self, source, excluded=None):
-        return original(self, source, excluded) - {self.n - 1} | {source}
+    def hides_last_vertex(self, root):
+        idom = original(self, root)
+        if root != self.n - 1:
+            idom[-1] = -1
+        return idom
 
-    monkeypatch.setattr(MultiDigraph, "reachable", drops_last_vertex)
+    monkeypatch.setattr(MultiDigraph, "dominator_tree", hides_last_vertex)
     with pytest.raises(InconsistentWithTheoremError, match="undirected and directed"):
         verify_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], mode=FLOAT)
 

@@ -10,6 +10,7 @@ import pytest
 
 import inforest.bottleneck
 import inforest.cli
+from inforest import format_graph, random_graph
 from inforest.cli import run
 
 PATH_FILE = "digraph 3\n1 2 1\n2 3 1\n"
@@ -429,6 +430,40 @@ def test_weight_exponent_beyond_the_digit_limit_is_format_error(tmp_path, capsys
 def test_epsilon_exponent_beyond_the_digit_limit_is_bad_parameters(path_file, capsys):
     assert run(["routes", "--input", path_file, "--epsilon", "1e1000000"]) == 1
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["routes", "--epsilon", "1e4300"],
+        ["decompose", "-i", "1", "-j", "2", "-k", "1", "--epsilon", "1e4300"],
+        ["routes", "--epsilon=-1e4300"],
+        ["routes", "--mode", "float", "--epsilon", "1e-4300"],
+    ],
+)
+def test_epsilon_too_long_to_print_is_out_of_range(tmp_path, capsys, argv):
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 2 1\n")
+    assert run([*argv, "--input", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:epsilon-out-of-range:")
+
+
+def test_weight_too_long_to_print_is_nonpositive_weight(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 2 -1e4300\n")
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:nonpositive-weight:")
+
+
+def test_float_verify_is_consistent_on_small_weights(tmp_path, capsys):
+    # The products here lie far below 1, where a tolerance with an absolute
+    # floor called strict triples equal.
+    source = tmp_path / "small.graph"
+    source.write_text(format_graph(random_graph(8, 1).scaled(Fraction(1, 10000))))
+    assert run(["verify", "--mode", "float", "--input", str(source)]) == 0
+    assert "inconsistent=0" in capsys.readouterr().out.split()
 
 
 def test_json_boolean_endpoint_is_format_error(tmp_path, capsys):

@@ -134,6 +134,16 @@ def test_reachable_rejects_bad_arguments():
         g.reachable(1, excluded=1)
 
 
+def test_dominator_tree_cases():
+    # 0 -> 1 -> 2 -> 3 with a bypass 1 -> 3, plus 4 -> 0 out of reach.
+    g = MultiDigraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 0, 1)])
+    assert g.dominator_tree(0) == [0, 0, 1, 1, -1]
+    assert g.dominator_tree(3) == [-1, -1, -1, 3, -1]
+    assert g.dominator_tree(4) == [4, 0, 1, 1, 4]
+    with pytest.raises(VertexOutOfRangeError):
+        g.dominator_tree(5)
+
+
 def test_scaled_multiplies_weights():
     g = make_path(1, 2).scaled(Fraction(1, 3))
     assert [a.weight for a in g.arcs] == [Fraction(1, 3), Fraction(2, 3)]

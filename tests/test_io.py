@@ -15,6 +15,7 @@ from inforest import (
     parse_graph,
     parse_weight,
 )
+from inforest.matrix import format_for_message
 
 PATH_TEXT = """\
 # three-vertex path
@@ -155,3 +156,10 @@ def test_value_too_long_to_print_is_instance_too_large():
     assert format_weight(Fraction(10**4299, 3)) == f"{10**4299}/3"
     with pytest.raises(InstanceTooLargeError):
         format_weight(Fraction(10**4300, 3))
+
+
+def test_message_text_of_a_value_too_long_to_print_is_its_magnitude():
+    assert format_for_message(Fraction(10**4299, 3)) == f"{10**4299}/3"
+    assert format_for_message(0.5) == "0.5"
+    assert format_for_message(Fraction(10**4300, 3)) == "~10^4299.52"
+    assert format_for_message(-Fraction(1, 10**4300)) == "-~10^-4300.00"
