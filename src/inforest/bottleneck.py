@@ -7,9 +7,9 @@ passes through j (j is a separator, possibly vacuously when k is
 unreachable). This module classifies all triples and cross-checks the
 algebraic relation against an independent graph-theoretic test.
 
-The all-triples sweep takes its separators from one dominator tree per
-start vertex i: for j and k other than i and each other, every path from
-i to k contains j exactly when k is unreachable from i or j dominates k
+The all-triples sweep takes its separators from the dominator sets of each
+start vertex i: every path from i to k contains j exactly when j dominates
+k in the flow graph rooted at i, vacuously so when k is unreachable from i
 (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
 It compares the products a whole (i, j) row at a time and counts the
 verdicts as it goes; the report objects of :func:`verify_all_triples` are
@@ -112,24 +112,20 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
 
 
 def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
-    """``_separates(i, j, ...)`` for every j, from one dominator tree.
+    """``_separates(i, j, ...)`` for every j, from the dominator sets of i.
 
-    For j other than i, the vertices reachable from i without visiting j
-    are the reachable ones outside the subtree of j in the tree rooted at
-    i, since a reachable k != j avoids j on some path exactly when j does
-    not dominate k.
+    Row j, entry k, is True exactly when j lies in the dominator set of k.
+    An unreachable k has every vertex there, and i has only itself, which
+    are the conventions of :func:`_separates`.
     """
     n = graph.n
-    idom = graph.dominator_tree(i)
-    subtree = [{v} for v in range(n)]
-    for k in range(n):
-        if k != i and idom[k] != -1:
-            ancestor = idom[k]
-            while ancestor != i:
-                subtree[ancestor].add(k)
-                ancestor = idom[ancestor]
-    reached = {v for v in range(n) if idom[v] != -1}
-    return [_separates(i, j, n, lambda _, j: reached - subtree[j]) for j in range(n)]
+    rows = [[False] * n for _ in range(n)]
+    for k, mask in enumerate(graph.dominators(i)):
+        while mask:
+            j = mask.bit_length() - 1
+            rows[j][k] = True
+            mask ^= 1 << j
+    return rows
 
 
 def _common_scale(values: Sequence[Scalar], mode: str) -> tuple[list[Scalar], int]:
@@ -332,7 +328,8 @@ def verify_undirected(
 
     The graph is converted by replacing each edge with two opposite arcs;
     on top of the triple sweep this checks that the forest matrix is
-    symmetric and that the undirected separator condition, found by a
+    symmetric, each row equal to its column by the rule of
+    :func:`_equal`, and that the undirected separator condition, found by a
     breadth-first search over the edge list, coincides with the directed
     one on the doubled digraph. ``forests``, when given, must be the
     forest matrices of that doubled digraph; their mode then wins.
@@ -342,10 +339,8 @@ def verify_undirected(
     if forests is None:
         forests = forest_matrices(graph, mode)
     mode = forests.mode
-    symmetric = forests.matrix.is_symmetric(
-        0 if mode == EXACT else FLOAT_EQUALITY_RTOL * max(1.0, forests.matrix.max_abs())
-    )
-    if not symmetric:
+    rows = forests.matrix.to_lists()
+    if not all(all(_equal(row, column, mode)) for row, column in zip(rows, zip(*rows))):
         raise InconsistentWithTheoremError(
             "forest matrix of a doubled undirected graph must be symmetric"
         )

@@ -153,14 +153,16 @@ class MultiDigraph:
                 queue.append(head)
         return frozenset(seen)
 
-    def dominator_tree(self, root: int) -> list[int]:
-        """Immediate dominators of the flow graph rooted at ``root``.
+    def dominators(self, root: int) -> list[int]:
+        """Dominator sets of the flow graph rooted at ``root``, as bit masks.
 
-        Entry v is the last vertex other than v that every path from
-        ``root`` to v visits; ``root`` maps to itself and vertices
-        unreachable from ``root`` map to -1. This is the iterative
-        algorithm of Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
-        Algorithm" (2001), over a reverse postorder of a depth-first search.
+        Bit u of entry v is set when every path from ``root`` to v visits u,
+        v itself included. No path reaches a vertex unreachable from
+        ``root``, so its entry has every bit set. This is the iterative data
+        flow ``D[v] = {v} | meet of D[p] over the predecessors p``, started
+        from every bit and run in reverse postorder of a depth-first search:
+        the set formulation in section 2 of Cooper, Harvey and Kennedy, "A
+        Simple, Fast Dominance Algorithm" (2001).
         """
         self._check_vertex(root)
         heads = [[self.arcs[index].head for index in out] for out in self._out]
@@ -178,37 +180,24 @@ class MultiDigraph:
             else:
                 stack.pop()
                 postorder.append(v)
-        number = [0] * self.n
-        for position, v in enumerate(postorder):
-            number[v] = position
         predecessors: list[list[int]] = [[] for _ in range(self.n)]
-        for v in postorder:
-            for w in heads[v]:
-                predecessors[w].append(v)
-        idom = [-1] * self.n
-        idom[root] = root
+        for arc in self.arcs:
+            predecessors[arc.head].append(arc.tail)
+        every = (1 << self.n) - 1
+        dominators = [every] * self.n
+        dominators[root] = 1 << root
         changed = True
         while changed:
             changed = False
             for v in reversed(postorder[:-1]):
-                new = -1
+                meet = every
                 for p in predecessors[v]:
-                    if idom[p] == -1:
-                        continue
-                    if new != -1:
-                        # Climb both fingers to their common dominator.
-                        while p != new:
-                            while number[p] < number[new]:
-                                p = idom[p]
-                            while number[new] < number[p]:
-                                new = idom[new]
-                    new = p
-                    if new == root:
-                        break  # no vertex lies above the root
-                if idom[v] != new:
-                    idom[v] = new
+                    meet &= dominators[p]
+                meet |= 1 << v
+                if dominators[v] != meet:
+                    dominators[v] = meet
                     changed = True
-        return idom
+        return dominators
 
     def scaled(self, factor: Weight) -> "MultiDigraph":
         """Copy of the graph with every arc weight multiplied by ``factor``."""

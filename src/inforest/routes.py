@@ -19,12 +19,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     EpsilonOutOfRangeError,
     InconsistentWithTheoremError,
     InstanceTooLargeError,
+    NotConvergedError,
     VertexOutOfRangeError,
 )
 from .forest import ForestMatrices, forest_matrices
@@ -36,10 +37,12 @@ from .matrix import (
     Scalar,
     format_for_message,
     geometric_series,
-    invert,
     one_scalar,
     zero_scalar,
 )
+
+# The general reference inverse stays importable from here.
+from .matrix import invert  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_TERMS = 100_000
@@ -78,16 +81,6 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
     return eps
 
 
-def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT) -> Matrix:
-    """The row-stochastic matrix ``I - eps * L``."""
-    validate_epsilon(graph, eps)
-    lap = graph.laplacian(mode)
-    result = Matrix.identity(graph.n, mode) - lap.scaled(eps)
-    if mode == EXACT:
-        assert all(total == 1 for total in result.row_sums())
-    return result
-
-
 def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
     """``eps`` as a scalar of ``mode``; raises :class:`EpsilonOutOfRangeError`
     when a positive value rounds to zero or overflows as a double."""
@@ -104,18 +97,40 @@ def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
     return value
 
 
-def _walk_matrices(
-    graph: MultiDigraph, eps: EpsilonValue, mode: str
-) -> tuple[Matrix, Matrix, Scalar]:
-    """The stochastic matrix, the total-arc-weight matrix of the
-    loop-augmented graph (the stochastic matrix times the ratio) and the
-    per-step contraction ratio ``1 / (1 + eps)``."""
-    # Convert before scaling, so an eps no double holds is out of range
-    # rather than an overflow inside the scaling.
-    eps_s = _epsilon_scalar(eps, mode)
-    stochastic = stochastic_matrix(graph, eps, mode)
-    ratio = one_scalar(mode) / (1 + eps_s)
-    return stochastic, stochastic.scaled(ratio), ratio
+class _Walk(NamedTuple):
+    """A checked walk parameter: ``eps`` as given, the same value as a
+    scalar of the mode, and the per-step contraction ratio ``1 / (1 + eps)``."""
+
+    eps: EpsilonValue
+    scalar: Scalar
+    ratio: Scalar
+
+
+def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
+    """The walk parameter, :func:`choose_epsilon` when ``eps`` is None.
+
+    It is range-checked first and then converted, so an eps no double
+    holds is out of range rather than an overflow inside a scaling.
+    """
+    if eps is None:
+        eps = choose_epsilon(graph)
+    validate_epsilon(graph, eps)
+    scalar = _epsilon_scalar(eps, mode)
+    return _Walk(eps, scalar, one_scalar(mode) / (1 + scalar))
+
+
+def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
+    result = Matrix.identity(graph.n, mode) - graph.laplacian(mode).scaled(walk.scalar)
+    if mode == EXACT:
+        assert all(total == 1 for total in result.row_sums())
+    return result
+
+
+def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT) -> Matrix:
+    """The row-stochastic matrix ``I - eps * L``. The total-arc-weight
+    matrix of the loop-augmented graph, the step matrix, is this matrix
+    times ``1 / (1 + eps)``."""
+    return _stochastic(graph, _walk(graph, eps, mode), mode)
 
 
 @dataclass(frozen=True)
@@ -132,11 +147,40 @@ class RouteMatrices:
     """
 
     epsilon: EpsilonValue
-    stochastic: Matrix
     step_weights: Matrix
     route_weights: Matrix
     terms_used: int
     tail_bound: Scalar
+
+
+def _refuse_unreachable_tolerance(
+    n: int, walk: _Walk, tolerance: float, max_terms: int, mode: str
+) -> None:
+    """Raise :class:`NotConvergedError` where ``max_terms`` terms provably
+    cannot bring the series below ``tolerance``.
+
+    The step matrix is nonnegative and its rows sum to ``r = 1/(1 + eps)``,
+    so the rows of ``P^m`` sum to ``r^m`` and some entry is at least
+    ``r^m / n``. Since ``ln(1 + eps) <= eps``, once ``max_terms * eps <=
+    ln(1 / (n * tolerance))`` every term up to ``P^max_terms`` stays at or
+    above ``tolerance``, and the summation must end in that error. In
+    float mode each step may shrink the row sums by a further ``(2n + 8)``
+    units of rounding, which are added to eps; the argument is not made
+    for a tolerance below the smallest normal double.
+    """
+    # geometric_series rejects a tolerance or a term count out of range.
+    floor = sys.float_info.min if mode == FLOAT else 0
+    if not (tolerance > floor and max_terms >= 1):
+        return
+    logs = (math.log(tolerance), math.log(n))
+    # Lowered by more than the rounding of the two logarithms.
+    limit = -sum(logs) - 4 * sys.float_info.epsilon * sum(map(abs, logs))
+    rounding = 2 * (n + 4) * Fraction(sys.float_info.epsilon) if mode == FLOAT else 0
+    if max_terms * (Fraction(walk.scalar) + rounding) <= limit:
+        raise NotConvergedError(
+            f"series cannot reach tolerance {tolerance} within {max_terms} terms: at epsilon "
+            f"{format_for_message(walk.eps)}, term m has an entry of at least (1 + eps)^-m / {n}"
+        )
 
 
 def route_matrix(
@@ -149,36 +193,27 @@ def route_matrix(
 ) -> RouteMatrices:
     """Sum the route-weight series of the loop-augmented graph.
 
-    When ``check_against`` is given, the proportionality of the result to
-    the forest matrices is asserted within ``tail_bound``.
+    Raises :class:`NotConvergedError` before the first product when the
+    series provably needs more than ``max_terms`` terms. When
+    ``check_against`` is given, the proportionality of the result to the
+    forest matrices is asserted within ``tail_bound``.
     """
-    if eps is None:
-        eps = choose_epsilon(graph)
-    stochastic, step, ratio = _walk_matrices(graph, eps, mode)
+    walk = _walk(graph, eps, mode)
+    _refuse_unreachable_tolerance(graph.n, walk, tolerance, max_terms, mode)
+    step = _stochastic(graph, walk, mode).scaled(walk.ratio)
     series = geometric_series(step, tolerance, max_terms)
     # The remainder after the last added term P^m is at most its norm times
     # r + r^2 + ...; with no term added it is the whole series from I on.
-    head = series.last_term_norm * ratio if series.terms_used else one_scalar(mode)
-    tail = head / (1 - ratio)
+    head = series.last_term_norm * walk.ratio if series.terms_used else one_scalar(mode)
+    tail = head / (1 - walk.ratio)
     if mode == FLOAT:
         # Accumulated rounding of terms_used float matrix additions; at
         # least one unit covers the rounding of the bound itself.
-        tail += (
-            2.0
-            * sys.float_info.epsilon
-            * max(series.terms_used, 1)
-            * (1.0 + series.total.max_abs())
-        )
-    result = RouteMatrices(
-        epsilon=eps,
-        stochastic=stochastic,
-        step_weights=step,
-        route_weights=series.total,
-        terms_used=series.terms_used,
-        tail_bound=tail,
-    )
+        terms = max(series.terms_used, 1)
+        tail += 2.0 * sys.float_info.epsilon * terms * (1.0 + series.total.max_abs())
+    result = RouteMatrices(walk.eps, step, series.total, series.terms_used, tail)
     if check_against is not None:
-        expected = expected_route_weights(check_against, eps).with_mode(mode)
+        expected = expected_route_weights(check_against, walk.eps).with_mode(mode)
         gap = (result.route_weights - expected).max_abs()
         if gap > tail:
             raise InconsistentWithTheoremError(
@@ -195,6 +230,10 @@ def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix
     return forests.proximity.scaled(factor)
 
 
+def _closed_routes(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
+    return expected_route_weights(forest_matrices(graph, mode), walk.scalar)
+
+
 def closed_route_matrix(
     graph: MultiDigraph, eps: Optional[EpsilonValue] = None, mode: str = EXACT
 ) -> Matrix:
@@ -203,24 +242,20 @@ def closed_route_matrix(
     That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
-    if eps is None:
-        eps = choose_epsilon(graph)
-    validate_epsilon(graph, eps)
-    return expected_route_weights(forest_matrices(graph, mode), eps)
+    return _closed_routes(graph, _walk(graph, eps, mode), mode)
 
 
-def _loop_adjacency(graph: MultiDigraph, eps: EpsilonValue, mode: str):
+def _loop_adjacency(graph: MultiDigraph, walk: _Walk, mode: str):
     """Per-vertex outgoing (head, weight) pairs of the loop-augmented graph,
     keeping parallel arcs distinct; the loop comes first."""
-    _, step, ratio = _walk_matrices(graph, eps, mode)
-    eps_s = _epsilon_scalar(eps, mode)
+    step = _stochastic(graph, walk, mode).scaled(walk.ratio)
     adjacency = []
     for v in range(graph.n):
         entries = [(v, step[v, v])]
         for index in graph.out_arcs(v):
             arc = graph.arcs[index]
             weight = Fraction(arc.weight) if mode == EXACT else float(arc.weight)
-            entries.append((arc.head, ratio * eps_s * weight))
+            entries.append((arc.head, walk.ratio * walk.scalar * weight))
         adjacency.append(entries)
     return adjacency
 
@@ -246,9 +281,7 @@ def route_weights_by_length(
         raise VertexOutOfRangeError(f"vertex {source} outside 0..{graph.n - 1}")
     if length < 0:
         raise ValueError("route length must be nonnegative")
-    if eps is None:
-        eps = choose_epsilon(graph)
-    adjacency = _loop_adjacency(graph, eps, mode)
+    adjacency = _loop_adjacency(graph, _walk(graph, eps, mode), mode)
     totals = [zero_scalar(mode)] * graph.n
     visited = 0
     # Depth-first with an explicit stack, so long routes cannot exhaust the
@@ -321,24 +354,23 @@ def route_decomposition(
 ) -> RouteDecomposition:
     """Decompose closed-form route weights over the triple (start, via, end).
 
-    The avoiding weight is the (start, end) route weight of the
-    loop-augmented graph restricted to the vertices other than ``via``
-    (dropping a vertex removes exactly the routes that touch it).
+    The avoiding weight is the (start, end) closed-form route weight of the
+    cut graph, the graph without the out-arcs of ``via``. Every other
+    vertex keeps its arcs and its loop, while a route that enters ``via``
+    there stays on its loop; so the routes from ``start`` to an ``end``
+    other than ``via`` are exactly the original routes that avoid ``via``.
     """
     for v in (start, via, end):
         if not (0 <= v < graph.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
-    if eps is None:
-        eps = choose_epsilon(graph)
-    full = closed_route_matrix(graph, eps, mode)
+    walk = _walk(graph, eps, mode)
+    full = _closed_routes(graph, walk, mode)
     degenerate = via in (start, end)
     if degenerate:
         avoiding = zero_scalar(mode)
     else:
-        _, step, _ = _walk_matrices(graph, eps, mode)
-        keep = [v for v in range(graph.n) if v != via]
-        reduced = invert(Matrix.identity(graph.n - 1, mode) - step.submatrix(keep))
-        avoiding = reduced[keep.index(start), keep.index(end)]
+        cut = MultiDigraph(graph.n, [arc for arc in graph.arcs if arc.tail != via])
+        avoiding = _closed_routes(cut, walk, mode)[start, end]
     start_via = full[start, via]
     via_via = full[via, via]
     via_end = full[via, end]

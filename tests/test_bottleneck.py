@@ -108,6 +108,41 @@ def test_doctored_forest_matrix_raises():
         check_triple(doctored, g, 0, 1, 2)
 
 
+def test_gap_is_the_forest_weight_of_the_cut_graph():
+    # F_ik F_jj - F_ij F_jk = f * F'_ik for i, k other than j, where F' is
+    # the forest matrix of the graph without the out-arcs of j, and its
+    # total weight is F_jj.
+    checked = 0
+    for g in corpus(60):
+        forests = forest_matrices(g)
+        weights, total = forests.matrix, forests.total_weight
+        for j in range(g.n):
+            cut = forest_matrices(MultiDigraph(g.n, [a for a in g.arcs if a.tail != j]))
+            assert cut.total_weight == weights[j, j]
+            for i in range(g.n):
+                for k in range(g.n):
+                    if j in (i, k):
+                        continue
+                    gap = weights[i, k] * weights[j, j] - weights[i, j] * weights[j, k]
+                    assert gap == total * cut.matrix[i, k]
+                    checked += 1
+    assert checked > 1000
+
+
+def test_undirected_symmetry_check_is_relative_to_each_entry():
+    # The off-diagonal entries are about 1e-6 while the diagonal is about
+    # 1; one of them off by 1e-3 relative is caught, whatever the scale of
+    # the largest entry.
+    edges = [(0, 1, 1e-6), (1, 2, 1e-6)]
+    forests = forest_matrices(MultiDigraph.from_undirected(3, edges), FLOAT)
+    assert verify_undirected(3, edges, forests=forests).summary.inconsistent == 0
+    rows = forests.matrix.to_lists()
+    rows[0][1] *= 1.001
+    doctored = replace(forests, matrix=Matrix(rows, FLOAT))
+    with pytest.raises(InconsistentWithTheoremError, match="symmetric"):
+        verify_undirected(3, edges, forests=doctored)
+
+
 def test_verdicts_invariant_under_weight_scaling():
     g = make_triangle(Fraction(1, 2), 2, Fraction(3, 5))
     base = [r.relation for r in verify_all_triples(g)]
@@ -249,17 +284,17 @@ def test_undirected_separators_match_reference_bfs():
 def test_undirected_cross_check_catches_a_wrong_directed_search(monkeypatch):
     # Float mode records the sweep's own disagreement, so only the
     # edge-based cross-check can raise here. The directed sweep reads its
-    # separators off dominator trees; hiding the last vertex from them
-    # makes every directed search miss it.
-    original = MultiDigraph.dominator_tree
+    # separators off dominator sets; giving the last vertex every bit, as
+    # if unreachable, makes every directed search miss it.
+    original = MultiDigraph.dominators
 
     def hides_last_vertex(self, root):
-        idom = original(self, root)
+        dominators = original(self, root)
         if root != self.n - 1:
-            idom[-1] = -1
-        return idom
+            dominators[-1] = (1 << self.n) - 1
+        return dominators
 
-    monkeypatch.setattr(MultiDigraph, "dominator_tree", hides_last_vertex)
+    monkeypatch.setattr(MultiDigraph, "dominators", hides_last_vertex)
     with pytest.raises(InconsistentWithTheoremError, match="undirected and directed"):
         verify_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], mode=FLOAT)
 

@@ -10,7 +10,7 @@ import pytest
 
 import inforest.bottleneck
 import inforest.cli
-from inforest import format_graph, random_graph
+from inforest import Matrix, format_graph, random_graph
 from inforest.cli import run
 
 PATH_FILE = "digraph 3\n1 2 1\n2 3 1\n"
@@ -131,6 +131,22 @@ def test_routes_header_and_matrix(path_file, capsys):
 
 def test_routes_not_converged_exit_code(path_file, capsys):
     assert run(["routes", "--input", path_file, "--max-terms", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:not-converged:")
+
+
+def test_routes_refuses_a_series_that_cannot_converge_before_any_product(
+    tmp_path, capsys, monkeypatch
+):
+    # At eps = 1e-4300 every term keeps an entry near 1/2, so 100,000
+    # terms cannot reach the tolerance; no matrix product is needed to
+    # know it.
+    def no_products(self, other):
+        raise AssertionError("matrix product computed")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_products)
+    source = tmp_path / "arc.graph"
+    source.write_text("digraph 2\n1 2 1\n")
+    assert run(["routes", "--input", str(source), "--epsilon", "1e-4300"]) == 2
     assert capsys.readouterr().err.startswith("error:not-converged:")
 
 

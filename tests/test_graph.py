@@ -134,14 +134,20 @@ def test_reachable_rejects_bad_arguments():
         g.reachable(1, excluded=1)
 
 
-def test_dominator_tree_cases():
+def test_dominators_cases():
     # 0 -> 1 -> 2 -> 3 with a bypass 1 -> 3, plus 4 -> 0 out of reach.
     g = MultiDigraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 0, 1)])
-    assert g.dominator_tree(0) == [0, 0, 1, 1, -1]
-    assert g.dominator_tree(3) == [-1, -1, -1, 3, -1]
-    assert g.dominator_tree(4) == [4, 0, 1, 1, 4]
+
+    def sets(root):
+        return [{u for u in range(g.n) if mask >> u & 1} for mask in g.dominators(root)]
+
+    every = set(range(5))
+    # The root dominates only itself; an unreachable vertex has every bit.
+    assert sets(0) == [{0}, {0, 1}, {0, 1, 2}, {0, 1, 3}, every]
+    assert sets(3) == [every, every, every, {3}, every]
+    assert sets(4) == [{4, 0}, {4, 0, 1}, {4, 0, 1, 2}, {4, 0, 1, 3}, {4}]
     with pytest.raises(VertexOutOfRangeError):
-        g.dominator_tree(5)
+        g.dominators(5)
 
 
 def test_scaled_multiplies_weights():

@@ -11,12 +11,14 @@ from inforest import (
     EpsilonOutOfRangeError,
     InstanceTooLargeError,
     Matrix,
+    NotConvergedError,
     MultiDigraph,
     choose_epsilon,
     closed_route_matrix,
     complete_graph,
     expected_route_weights,
     forest_matrices,
+    geometric_series,
     invert,
     path_graph,
     route_decomposition,
@@ -28,6 +30,7 @@ from inforest import (
 )
 from tests.helpers import (
     CORPUS_SEED,
+    corpus,
     make_path,
     make_triangle,
     multidigraphs,
@@ -229,6 +232,26 @@ def test_closed_route_matrix_matches_reference_inverse(mode):
             assert deco.via_via == closed[g.n - 1, g.n - 1]
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_avoiding_weight_matches_the_reduced_inverse(mode):
+    # The reference is a second, general solve: drop the via vertex from
+    # I minus the step matrix and invert what is left.
+    for g in corpus(20, base_seed=CORPUS_SEED + 700, min_n=3, max_n=6, max_arcs=12):
+        eps = choose_epsilon(g)
+        step = stochastic_matrix(g, eps, mode).scaled(1 / (1 + Fraction(eps)))
+        for via in range(g.n):
+            keep = [v for v in range(g.n) if v != via]
+            reduced = invert(Matrix.identity(g.n - 1, mode) - step.submatrix(keep))
+            for a, start in enumerate(keep):
+                for b, end in enumerate(keep):
+                    avoiding = route_decomposition(g, start, via, end, eps, mode).avoiding_via
+                    if mode == EXACT:
+                        assert avoiding == reduced[a, b]
+                    else:
+                        assert avoiding >= 0
+                        assert abs(avoiding - reduced[a, b]) <= 1e-12 * reduced.max_abs()
+
+
 def test_route_enumeration_survives_long_routes():
     # 3001 routes of 3000 arcs each: deeper than the recursion limit.
     g = path_graph(2)
@@ -250,6 +273,38 @@ def test_tail_bound_covers_a_series_that_adds_no_term(mode):
     gap = (result.route_weights - expected.with_mode(mode)).max_abs()
     assert gap <= result.tail_bound
     route_matrix(g, eps=eps, tolerance=2, mode=mode, check_against=forest_matrices(g, EXACT))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_up_front_refusal_never_changes_the_outcome(mode, monkeypatch):
+    # ln(1 / (3 * 1e-6)) / (1/8) is about 101.7: up to 101 terms are
+    # refused before any product, and each refusal is a run that would
+    # have ended in the same error.
+    g, eps, tol = make_path(), Fraction(1, 8), 1e-6
+    step = route_matrix(g, eps, tol, mode=mode).step_weights
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for max_terms in (1, 101, 102, 120, 200):
+        products.clear()
+        try:
+            geometric_series(step, tol, max_terms)
+            expected = None
+        except NotConvergedError:
+            expected = NotConvergedError
+        products.clear()
+        try:
+            route_matrix(g, eps, tol, max_terms, mode)
+            outcome = None
+        except NotConvergedError:
+            outcome = NotConvergedError
+        assert outcome is expected
+        assert (products == []) == (max_terms <= 101)
 
 
 def test_route_matrix_rejects_nan_tolerance():

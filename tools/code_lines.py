@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -75,4 +76,13 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        # Flush inside the handler so a closed pipe raises here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does. Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
