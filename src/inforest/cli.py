@@ -38,7 +38,6 @@ from .oracle import DEFAULT_CHOICE_CAP, choice_count, enumerate_in_forests, orac
 from .routes import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOLERANCE,
-    choose_epsilon,
     route_decomposition,
     route_matrix,
 )
@@ -125,9 +124,10 @@ def _rational_arg(raw: str, flag: str) -> Fraction:
         raise BadParametersError(f"{flag} must be a rational, got {raw!r}") from exc
 
 
-def _epsilon_arg(args, graph: MultiDigraph):
+def _epsilon_arg(args) -> Optional[Fraction]:
+    """The ``--epsilon`` value, or None for the library's default."""
     if args.epsilon is None:
-        return choose_epsilon(graph)
+        return None
     return _rational_arg(args.epsilon, "--epsilon")
 
 
@@ -162,7 +162,7 @@ def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
-    eps = _epsilon_arg(args, parsed.graph)
+    eps = _epsilon_arg(args)
     if not args.tol > 0:
         raise BadParametersError(f"--tol must be positive, got {args.tol}")
     if args.max_terms < 1:
@@ -181,7 +181,7 @@ def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
-    eps = _epsilon_arg(args, parsed.graph)
+    eps = _epsilon_arg(args)
     deco = route_decomposition(parsed.graph, *_triple_args(args, parsed.graph), eps=eps, mode=mode)
     fields = {
         "r_ij": deco.start_via,
@@ -271,15 +271,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_io_options(parser: argparse.ArgumentParser) -> None:
+def _add_io_options(parser: argparse.ArgumentParser, with_mode: bool) -> None:
     parser.add_argument("--input", default="-", help="graph file, or - for stdin")
-    parser.add_argument("--mode", choices=[EXACT, FLOAT], help="scalar mode (default: exact up to 12 vertices)")
+    if with_mode:
+        parser.add_argument("--mode", choices=[EXACT, FLOAT], help="scalar mode (default: exact up to 12 vertices)")
     parser.add_argument("--format", dest="fmt", choices=["tsv", "json"], default="tsv")
     parser.add_argument("--undirected", action="store_true", help="treat input lines as undirected edges")
 
 
 def _add_series_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", help="walk parameter as a rational, e.g. 1/4")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
 
@@ -299,21 +299,24 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, extras in [
-        ("forest", _cmd_forest, ()),
-        ("proximity", _cmd_proximity, ()),
+        ("forest", _cmd_forest, ("mode",)),
+        ("proximity", _cmd_proximity, ("mode",)),
         ("enumerate", _cmd_enumerate, ()),
-        ("routes", _cmd_routes, ("series",)),
-        ("decompose", _cmd_decompose, ("series", "triple")),
-        ("bottleneck", _cmd_bottleneck, ("triple",)),
-        ("verify", _cmd_verify, ()),
+        ("routes", _cmd_routes, ("mode", "epsilon", "series")),
+        ("decompose", _cmd_decompose, ("mode", "epsilon", "triple")),
+        ("bottleneck", _cmd_bottleneck, ("mode", "triple")),
+        ("verify", _cmd_verify, ("mode",)),
     ]:
         sub = commands.add_parser(name)
-        _add_io_options(sub)
+        _add_io_options(sub, with_mode="mode" in extras)
+        if "epsilon" in extras:
+            sub.add_argument("--epsilon", help="walk parameter as a rational, e.g. 1/4")
         if "series" in extras:
             _add_series_options(sub)
         if "triple" in extras:
             _add_triple_options(sub)
-        sub.set_defaults(handler=handler)
+        # enumerate has no --mode, but run reads args.mode for every graph command.
+        sub.set_defaults(handler=handler, mode=None)
 
     gen = commands.add_parser("gen", help="emit a generated graph file")
     gen.add_argument("kind", choices=["path", "cycle", "complete", "random"])

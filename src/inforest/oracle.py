@@ -2,10 +2,11 @@
 
 A spanning converging forest assigns each vertex either the role of a root
 or exactly one of its outgoing arcs, such that following chosen arcs never
-cycles. Enumerating all per-vertex choices and filtering the cyclic ones is
-deliberately the simplest correct realization: this module is the ground
-truth the algebraic computation is tested against, so transparency beats
-speed.
+cycles. One depth-first pass chooses for the vertices in order and drops an
+arc as soon as it closes a cycle with the choices made so far, so only
+acyclic prefixes are visited. It touches no Laplacian and no elimination:
+this module is the ground truth the algebraic computation is tested
+against, so transparency beats speed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError
@@ -51,36 +51,12 @@ class OracleResult:
 
 
 def choice_count(graph: MultiDigraph) -> int:
-    """Number of per-vertex choice vectors the enumeration must scan."""
+    """Number of per-vertex choice vectors, the product of out-degree + 1.
+
+    The enumeration cap bounds this count. The pass itself visits only
+    the acyclic prefixes among these vectors, so it may do far less work.
+    """
     return math.prod(graph.out_degree(v) + 1 for v in range(graph.n))
-
-
-def _chain_roots(choice, heads, n) -> Optional[list[int]]:
-    """Per-vertex roots of a successor choice, or None if the arcs cycle."""
-    root = [-1] * n
-    state = bytearray(n)  # 0 unvisited, 1 on the current chain, 2 resolved
-    for start in range(n):
-        if state[start] == 2:
-            continue
-        chain = []
-        v = start
-        while True:
-            if state[v] == 2:
-                terminal = root[v]
-                break
-            if state[v] == 1:
-                return None
-            state[v] = 1
-            chain.append(v)
-            arc = choice[v]
-            if arc is None:
-                terminal = v
-                break
-            v = heads[arc]
-        for u in chain:
-            state[u] = 2
-            root[u] = terminal
-    return root
 
 
 def enumerate_in_forests(
@@ -88,29 +64,57 @@ def enumerate_in_forests(
 ) -> Iterator[InForest]:
     """Yield every spanning converging forest exactly once.
 
-    Parallel arcs yield distinct forests. The arcless forest (all vertices
-    roots, weight 1) comes first. Raises :class:`InstanceTooLargeError`
-    before yielding anything when the choice space exceeds ``cap``.
+    Choices run in lexicographic order over the vertices 0..n-1, root
+    first and then each out-arc. Parallel arcs yield distinct forests. The
+    arcless forest (all vertices roots, weight 1) comes first. Raises
+    :class:`InstanceTooLargeError` before yielding anything when the choice
+    space exceeds ``cap``.
     """
     total_choices = choice_count(graph)
     if total_choices > cap:
         raise InstanceTooLargeError(
             f"{total_choices} choice vectors exceed the enumeration cap {cap}"
         )
+    n = graph.n
     exact = graph.has_rational_weights()
-    one = Fraction(1) if exact else 1.0
     heads = [arc.head for arc in graph.arcs]
     weights = [Fraction(a.weight) if exact else float(a.weight) for a in graph.arcs]
-    options = [(None,) + graph.out_arcs(v) for v in range(graph.n)]
-    for choice in product(*options):
-        root = _chain_roots(choice, heads, graph.n)
-        if root is None:
-            continue
-        weight = one
-        for arc in choice:
-            if arc is not None:
-                weight *= weights[arc]
-        yield InForest(arc_choice=choice, root_of=tuple(root), weight=weight)
+    options = [(None,) + graph.out_arcs(v) for v in range(n)]
+    choice: list[Optional[int]] = [None] * n
+    # prefix[v] is the weight of the arcs chosen at the vertices below v.
+    prefix: list[Scalar] = [Fraction(1) if exact else 1.0] * (n + 1)
+    tried = [0] * n
+    # Backtrack by index rather than by recursion, so a graph with more
+    # vertices than the recursion limit still enumerates.
+    v = 0
+    while v >= 0:
+        if v == n:
+            # A list gives tuple() the final size. From a generator it
+            # over-allocates and shrinks, and the freed tuples of this size
+            # then pile up unreused (about 200 KB at n=8).
+            roots = tuple([_follow(choice, heads, u, n) for u in range(n)])
+            yield InForest(arc_choice=tuple(choice), root_of=roots, weight=prefix[n])
+            v -= 1
+        elif tried[v] == len(options[v]):
+            tried[v] = 0
+            v -= 1
+        else:
+            arc = options[v][tried[v]]
+            tried[v] += 1
+            if arc is None or _follow(choice, heads, heads[arc], v) != v:
+                choice[v] = arc
+                prefix[v + 1] = prefix[v] if arc is None else prefix[v] * weights[arc]
+                v += 1
+
+
+def _follow(choice: list[Optional[int]], heads: list[int], u: int, limit: int) -> int:
+    """Follow the chosen arcs from u while below ``limit``; return where
+    the walk stops. The choices below ``limit`` must form a forest, so an
+    arc v -> h closes a cycle with them exactly when the walk from h with
+    limit v stops at v."""
+    while u < limit and choice[u] is not None:
+        u = heads[choice[u]]
+    return u
 
 
 def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -78,6 +79,39 @@ def undirected_separates(n, edges, i, j, k) -> bool:
                 seen.add(w)
                 queue.append(w)
     return k not in seen
+
+
+def reference_forests(graph: MultiDigraph):
+    """Every spanning converging forest as (arc_choice, root_of, weight),
+    by brute force in ``itertools.product`` order over the per-vertex
+    choices (root first, then each out-arc).
+
+    A choice vector is kept when the successor walk from every vertex
+    reaches a root within n steps; a walk still moving after n steps is on
+    a cycle. The weight is multiplied in vertex order from one.
+    """
+    n = graph.n
+    exact = graph.has_rational_weights()
+    scalar = Fraction if exact else float
+    forests = []
+    for choice in product(*[(None,) + graph.out_arcs(v) for v in range(n)]):
+        roots = []
+        for v in range(n):
+            u = v
+            for _ in range(n):
+                if choice[u] is None:
+                    break
+                u = graph.arcs[choice[u]].head
+            if choice[u] is not None:
+                break
+            roots.append(u)
+        else:
+            weight = scalar(1)
+            for arc in choice:
+                if arc is not None:
+                    weight *= scalar(graph.arcs[arc].weight)
+            forests.append((choice, tuple(roots), weight))
+    return forests
 
 
 def corpus(count=200, base_seed=CORPUS_SEED, **kwargs):

@@ -239,6 +239,19 @@ def test_unknown_flag_rejected(path_file, capsys):
     assert run(["forest", "--input", path_file, "--bogus"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "-i", "1", "-j", "2", "-k", "3", "--tol", "5"],
+        ["decompose", "-i", "1", "-j", "2", "-k", "3", "--max-terms", "1"],
+        ["enumerate", "--mode", "float"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(path_file, capsys, argv):
+    assert run([*argv, "--input", path_file]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected(capsys):
     assert run(["frobnicate"]) == 1
 

@@ -13,7 +13,29 @@ from inforest import (
     forest_matrices,
     oracle_matrices,
 )
-from tests.helpers import make_path, make_triangle, make_two_cycle, multidigraphs
+from tests.helpers import (
+    corpus,
+    make_path,
+    make_triangle,
+    make_two_cycle,
+    multidigraphs,
+    reference_forests,
+)
+
+
+def _as_floats(g):
+    return MultiDigraph(g.n, [(a.tail, a.head, float(a.weight)) for a in g.arcs])
+
+
+REFERENCE_GRAPHS = (
+    corpus(200)
+    + [_as_floats(g) for g in corpus(40)]
+    + [
+        MultiDigraph(3, []),
+        MultiDigraph(3, [(0, 1, 2), (0, 1, 3), (1, 0, Fraction(1, 2)), (2, 1, 5), (2, 1, 5)]),
+        MultiDigraph(3, [(0, 1, 0.1), (1, 2, 1 / 3), (2, 0, 0.7), (0, 2, 2.5), (1, 0, 1e-300)]),
+    ]
+)
 
 
 def test_empty_graph_has_single_arcless_forest():
@@ -80,6 +102,21 @@ def test_unit_weights_count_forests():
         for j in range(g.n):
             count = sum(1 for f in enumerate_in_forests(g) if f.root_of[i] == j)
             assert result.matrix[i, j] == count
+
+
+def test_enumeration_matches_the_brute_force_reference():
+    # In order, in values and in types: float weights must be bit-identical.
+    for g in REFERENCE_GRAPHS:
+        got = [(f.arc_choice, f.root_of, f.weight, type(f.weight)) for f in enumerate_in_forests(g)]
+        want = [(*forest, type(forest[2])) for forest in reference_forests(g)]
+        assert got == want
+
+
+def test_long_graph_enumerates_without_recursion():
+    g = MultiDigraph(2000, [(0, 1, 1), (1500, 1999, 2)])
+    forests = list(enumerate_in_forests(g))
+    assert [f.weight for f in forests] == [1, 2, 1, 2]
+    assert forests[-1].root_of[0] == 1 and forests[-1].root_of[1500] == 1999
 
 
 def test_instance_cap_enforced():
