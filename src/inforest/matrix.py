@@ -164,9 +164,15 @@ class Matrix:
     def __pow__(self, exponent: int) -> "Matrix":
         if exponent < 0:
             raise ValueError("negative matrix powers are not supported")
+        # Repeated squaring over the bits of the exponent.
         result = Matrix.identity(self.order, self.mode)
-        for _ in range(exponent):
-            result = result @ self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result @ square
+            exponent >>= 1
+            if exponent:
+                square = square @ square
         return result
 
     def scaled(self, factor) -> "Matrix":
@@ -284,33 +290,83 @@ class SeriesSum(NamedTuple):
 
 
 def geometric_series(matrix: Matrix, tolerance: float, max_terms: int = 100_000) -> SeriesSum:
-    """Sum powers of ``matrix`` until the current power drops below tolerance.
+    """Sum the powers ``A^0, A^1, ..., A^p`` of ``matrix``, where ``p`` is
+    the largest power whose max-abs norm is at least ``tolerance``.
 
-    Terms are accumulated one by one (the stopping rule inspects each term's
-    max-abs norm); the first term below ``tolerance`` is not added. Returns
-    the partial sum, the number of terms added, and the norm of the last
-    term that was added. Raises :class:`NotConvergedError` when ``max_terms``
-    terms were added and the next term is still at or above tolerance.
+    ``A`` must be nonnegative with every row sum at most 1; any other
+    matrix raises :class:`ValueError`. Then no entry of ``A^(k+1) = A A^k``
+    exceeds the largest entry of ``A^k``, so the norms never increase and
+    the powers at or above tolerance are exactly ``A^0..A^p``: the sum is
+    the one a loop adding term by term until the first term below
+    tolerance would return. Returns that sum, the number of terms added
+    (``p + 1``; 0 when even ``A^0`` is below tolerance) and the norm of
+    ``A^p``. Raises :class:`NotConvergedError` when ``A^max_terms`` is
+    still at or above tolerance, that is when more than ``max_terms``
+    terms would be needed.
+
+    The sum is formed by doubling, in about ``4 log2 p`` products. Square:
+    build ``A^(2^t)`` and ``S_(2^t) = sum of A^k for k < 2^t`` through
+    ``S_(2^(t+1)) = S_(2^t) + A^(2^t) S_(2^t)`` until a power drops below
+    tolerance at depth ``T``, so that ``2^(T-1) <= p < 2^T``. Descend: from
+    ``q = 2^(T-1)``, for t from ``T - 2`` down to 0, accept ``q + 2^t``
+    when ``A^q A^(2^t)`` is still at or above tolerance and add
+    ``A^q S_(2^t)`` to the sum; this ends at ``q = p``.
+
+    Float rounding: a product adds at most n roundings to each route
+    weight (product of entries) it forms and a sum adds one, so in the
+    result every route of length k carries at most ``n k + 2 T`` roundings
+    (``T = p.bit_length()``), as in a term-by-term loop apart from the
+    ``2 T``. Exact sums do not depend on order, so in exact mode the
+    result equals the term-by-term sum.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    total = Matrix.zeros(matrix.order, matrix.mode)
-    term = Matrix.identity(matrix.order, matrix.mode)
-    last_norm = zero_scalar(matrix.mode)
-    used = 0
-    while used < max_terms:
-        norm = term.max_abs()
-        if norm < tolerance:
-            return SeriesSum(total, used, last_norm)
-        total = total + term
+    if not (
+        all(value >= 0 for row in matrix._rows for value in row)
+        and all(total <= 1 for total in matrix.row_sums())
+    ):
+        raise ValueError("the series needs a nonnegative matrix with row sums at most 1")
+    identity = Matrix.identity(matrix.order, matrix.mode)
+    if identity.max_abs() < tolerance:
+        return SeriesSum(Matrix.zeros(matrix.order, matrix.mode), 0, zero_scalar(matrix.mode))
+    # levels[t] = (A^(2^t), S_(2^t)) for every power A^(2^t) at or above
+    # tolerance; last_norm is the norm of the highest.
+    levels = []
+    square, norm = matrix, matrix.max_abs()
+    while norm >= tolerance:
+        if 1 << len(levels) >= max_terms:
+            raise _not_converged(tolerance, max_terms, 1 << len(levels), norm)
+        if levels:
+            power, block = levels[-1]
+            block = block + power @ block
+        else:
+            block = identity
+        levels.append((square, block))
         last_norm = norm
-        used += 1
-        term = term @ matrix
-    if term.max_abs() < tolerance:
-        return SeriesSum(total, used, last_norm)
-    raise NotConvergedError(
+        square = square @ square
+        norm = square.max_abs()
+    if not levels:
+        return SeriesSum(identity, 1, identity.max_abs())
+    power, total = levels[-1]
+    p = 1 << (len(levels) - 1)
+    for t in range(len(levels) - 2, -1, -1):
+        square, block = levels[t]
+        if p + (1 << t) > max_terms:
+            continue
+        candidate = power @ square
+        norm = candidate.max_abs()
+        if norm >= tolerance:
+            total = total + power @ block
+            power, last_norm, p = candidate, norm, p + (1 << t)
+    if p == max_terms:
+        raise _not_converged(tolerance, max_terms, p, last_norm)
+    return SeriesSum(total + power, p + 1, last_norm)
+
+
+def _not_converged(tolerance, max_terms: int, term: int, norm: Scalar) -> NotConvergedError:
+    return NotConvergedError(
         f"series did not reach tolerance {tolerance} within {max_terms} terms "
-        f"(last term norm {float(term.max_abs()):.3e})"
+        f"(term {term} has norm {float(norm):.3e})"
     )

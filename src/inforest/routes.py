@@ -34,6 +34,7 @@ from .matrix import (
     FLOAT,
     Matrix,
     Scalar,
+    SeriesSum,
     format_for_message,
     geometric_series,
     one_scalar,
@@ -122,7 +123,13 @@ def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
     result = Matrix.identity(graph.n, mode) - graph.laplacian(mode).scaled(walk.scalar)
     if mode == EXACT:
         assert all(total == 1 for total in result.row_sums())
-    return result
+        return result
+    # 1 - eps d is positive, but rounds below zero when eps d is within a
+    # few roundings of 1; zero is the nearer value.
+    rows = result.to_lists()
+    for i, row in enumerate(rows):
+        row[i] = max(row[i], 0.0)
+    return Matrix(rows, mode)
 
 
 def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT) -> Matrix:
@@ -136,13 +143,14 @@ def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT)
 class RouteMatrices:
     """Truncated route-weight sum together with its convergence evidence.
 
-    ``tail_bound`` is a guaranteed upper bound on the max-abs truncation
-    error of ``route_weights``: the last added term decays at least
+    ``tail_bound`` is a guaranteed upper bound on the max-abs error of
+    ``route_weights`` against the exact route weights. In exact mode that
+    error is the truncation: the last added term decays at least
     geometrically with ratio ``r = 1 / (1 + eps)`` from there on (row sums
     of the step matrix shrink exactly by that ratio each step). When no
     term was added the whole series, at most ``1 / (1 - r) = 1 + 1/eps``,
-    is the remainder. In float mode a small rounding allowance is folded
-    in so the bound stays honest.
+    is the remainder. In float mode :func:`_float_tail_bound` adds the
+    rounding of the sum and of the step matrix.
     """
 
     epsilon: EpsilonValue
@@ -192,22 +200,91 @@ def route_matrix(
     """Sum the route-weight series of the loop-augmented graph.
 
     Raises :class:`NotConvergedError` before the first product when the
-    series provably needs more than ``max_terms`` terms.
+    series provably needs more than ``max_terms`` terms, or in float mode
+    when a row of the step matrix rounds to a sum above 1.
     """
     walk = _walk(graph, eps, mode)
     _refuse_unreachable_tolerance(graph.n, walk, tolerance, max_terms, mode)
     step = _stochastic(graph, walk, mode).scaled(walk.ratio)
+    if mode == FLOAT and not max(step.row_sums(), default=0.0) <= 1:
+        raise NotConvergedError(
+            f"at epsilon {format_for_message(walk.eps)} a row of the float step matrix "
+            "rounds to a sum above 1, so its series need not converge"
+        )
     series = geometric_series(step, tolerance, max_terms)
-    # The remainder after the last added term P^m is at most its norm times
-    # r + r^2 + ...; with no term added it is the whole series from I on.
-    head = series.last_term_norm * walk.ratio if series.terms_used else one_scalar(mode)
-    tail = head / (1 - walk.ratio)
     if mode == FLOAT:
-        # Accumulated rounding of terms_used float matrix additions; at
-        # least one unit covers the rounding of the bound itself.
-        terms = max(series.terms_used, 1)
-        tail += 2.0 * sys.float_info.epsilon * terms * (1.0 + series.total.max_abs())
+        tail = _float_tail_bound(graph, walk, series)
+    else:
+        # The remainder after the last added term P^m is at most its norm
+        # times r + r^2 + ...; with no term added it is the whole series.
+        head = series.last_term_norm * walk.ratio if series.terms_used else one_scalar(mode)
+        tail = head / (1 - walk.ratio)
     return RouteMatrices(walk.eps, step, series.total, series.terms_used, tail)
+
+
+def _float_tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum) -> float:
+    """Bound on ``max|R - S|``: ``R = (I - P)^-1`` holds the exact route
+    weights and ``S`` is ``series.total``, summed in floats from the float
+    step matrix ``P'``.
+
+    With ``u = 2^-53`` and ``g(k) = k u / (1 - k u)``, and ``a`` the
+    largest out-arc count:
+
+    - The step. An off-diagonal entry of ``P'`` carries at most ``a + 6``
+      roundings (the weights and their sum, eps, ``1/(1 + eps)`` and two
+      products). The diagonal ``r (1 - eps d)`` is off by at most
+      ``g(a + n + 8)`` in absolute terms, since ``eps d < 1``. So ``delta
+      = 2 g(a + n + 8)`` bounds ``||P' - P||_inf``, and ``rho = ratio + 2
+      delta`` every row sum of ``P'`` (the rounding of ``ratio`` itself
+      included). Let ``G = 1/(1 - rho)``.
+    - Truncation. With terms ``P'^0..P'^p`` added, the rest of ``P'``'s
+      series is at most ``||P'^p||_max rho G``; the computed norm is low
+      by at most a factor ``1 - g(n p)``. With no term added the whole
+      series, at most ``G``, is the rest.
+    - Summation. A route of length k reaches ``S`` through at most ``n k
+      + 2 T`` roundings, ``T = p.bit_length()`` doubling levels (see
+      :func:`geometric_series`), each of relative size at most ``u`` since
+      every product and sum is of nonnegative terms. With ``(P'^k)_ij <=
+      rho^k`` the float sum is within ``u' (n rho G^2 + 2 T G)`` of the
+      exact sum of ``P'^0..P'^p``, where ``u' = u / (1 - (n p + 2 T) u)``.
+      A charge per level alone would fall short: the relative error of
+      ``P'^(2^t)`` doubles with each squaring, and the series weights a
+      power of relative error ``n k u`` by ``rho^k``.
+    - The step's rounding, amplified. ``R - R' = R (P - P') R'`` with
+      ``R' = (I - P')^-1``, and ``||R||_inf = 1 + 1/eps``, so this part is
+      at most ``(1 + 1/eps) delta ||R'||_max``, where ``||R'||_max`` is at
+      most ``||S||_max`` plus the two parts above.
+
+    Underflow, at most ``2^-1074`` per operation, is left out: the bound
+    is never below ``delta``. The sum of the parts is evaluated exactly
+    and rounded up; it is infinite where ``rho`` reaches 1 or a rounding
+    count reaches ``1/u``.
+    """
+    u = Fraction(1, 2**53)  # unit roundoff of doubles, round to nearest
+    n = graph.n
+    p = series.terms_used - 1
+    depth = max(p, 0).bit_length()
+    step_roundings = max((graph.out_degree(v) for v in range(n)), default=0) + n + 8
+    if max(step_roundings, n * p + 2 * depth) * u >= Fraction(1, 2):
+        return math.inf
+
+    def gamma(k: int) -> Fraction:
+        return k * u / (1 - k * u)
+
+    delta = 2 * gamma(step_roundings)
+    rho = Fraction(walk.ratio) + 2 * delta
+    if rho >= 1:
+        return math.inf
+    geo = 1 / (1 - rho)
+    if p < 0:
+        head, rounding = geo, 0
+    else:
+        head = Fraction(series.last_term_norm) / (1 - gamma(n * p)) * rho * geo
+        rounding = u / (1 - (n * p + 2 * depth) * u) * (n * rho * geo**2 + 2 * depth * geo)
+    step_error = (1 + 1 / Fraction(walk.eps)) * delta * (
+        Fraction(series.total.max_abs()) + head + rounding
+    )
+    return math.nextafter(float(head + rounding + step_error), math.inf)
 
 
 def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix:

@@ -9,7 +9,15 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from inforest import MultiDigraph, complete_graph, cycle_graph, path_graph
+from inforest import (
+    Matrix,
+    MultiDigraph,
+    NotConvergedError,
+    SeriesSum,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 
 CORPUS_SEED = 20260809
 
@@ -112,6 +120,28 @@ def reference_forests(graph: MultiDigraph):
                     weight *= scalar(graph.arcs[arc].weight)
             forests.append((choice, tuple(roots), weight))
     return forests
+
+
+def reference_series(matrix: Matrix, tolerance, max_terms=100_000) -> SeriesSum:
+    """The route series term by term: add ``A^0, A^1, ...`` until the next
+    term's max-abs norm is below ``tolerance``, with one product per term.
+
+    Returns the sum, the number of terms added and the norm of the last
+    one; raises :class:`NotConvergedError` when ``max_terms`` terms were
+    added and the next is still at or above tolerance.
+    """
+    total = Matrix.zeros(matrix.order, matrix.mode)
+    term = Matrix.identity(matrix.order, matrix.mode)
+    last_norm = total.max_abs()  # zero in the matrix's mode
+    used = 0
+    while term.max_abs() >= tolerance:
+        if used == max_terms:
+            raise NotConvergedError(f"{max_terms} terms were not enough")
+        total = total + term
+        last_norm = term.max_abs()
+        used += 1
+        term = term @ matrix
+    return SeriesSum(total, used, last_norm)
 
 
 def corpus(count=200, base_seed=CORPUS_SEED, **kwargs):

@@ -150,6 +150,17 @@ def test_routes_refuses_a_series_that_cannot_converge_before_any_product(
     assert capsys.readouterr().err.startswith("error:not-converged:")
 
 
+def test_exact_routes_too_long_to_print_is_instance_too_large(tmp_path, capsys):
+    # At eps = 1/100 the series converges within 2,777 terms, but the
+    # exact sum has entries of more than 4300 digits.
+    source = tmp_path / "arc.graph"
+    source.write_text("digraph 2\n1 2 1\n")
+    assert run(["routes", "--input", str(source), "--epsilon", "1/100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:instance-too-large:")
+    assert captured.out == ""
+
+
 def test_routes_rejects_bad_epsilon(path_file, capsys):
     assert run(["routes", "--input", path_file, "--epsilon", "2"]) == 1
     assert capsys.readouterr().err.startswith("error:epsilon-out-of-range:")

@@ -13,9 +13,12 @@ from inforest import (
     NotConvergedError,
     SingularMatrixError,
     determinant,
+    choose_epsilon,
     geometric_series,
     invert,
+    stochastic_matrix,
 )
+from tests.helpers import corpus, reference_series
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
 # a = b = 1 the expansion gives 4 (cross-checked against the oracle's
@@ -149,6 +152,64 @@ def test_geometric_series_partial_sums_monotone():
 def test_geometric_series_not_converged():
     with pytest.raises(NotConvergedError):
         geometric_series(Matrix.identity(1), 1e-12, max_terms=5)
+
+
+def _step_matrices(count):
+    for g in corpus(count):
+        eps = choose_epsilon(g)
+        yield stochastic_matrix(g, eps).scaled(1 / (1 + Fraction(eps)))
+
+
+def _series_outcome(series, *args):
+    try:
+        return series(*args)
+    except NotConvergedError:
+        return NotConvergedError
+
+
+@pytest.mark.parametrize("tolerance", [2, 0.5, 1e-2, 1e-4])
+def test_geometric_series_equals_the_term_by_term_reference(tolerance):
+    # Exact sums do not depend on their order, so the doubling sum, its
+    # term count and its last term's norm are those of the reference.
+    for step in _step_matrices(40):
+        assert geometric_series(step, tolerance) == reference_series(step, tolerance)
+
+
+def test_geometric_series_raises_exactly_where_the_reference_raises():
+    # max_terms on both sides of the term count, and at powers of two.
+    for step in _step_matrices(12):
+        needed = reference_series(step, 1e-2).terms_used
+        for max_terms in sorted({1, 2, 3, 4, 8, needed - 1, needed, needed + 1, 2 * needed}):
+            if max_terms < 1:
+                continue
+            expected = _series_outcome(reference_series, step, 1e-2, max_terms)
+            assert _series_outcome(geometric_series, step, 1e-2, max_terms) == expected
+    stuck = Matrix.identity(2)
+    for max_terms in (1, 2, 5, 64):
+        assert _series_outcome(geometric_series, stuck, 1e-12, max_terms) is NotConvergedError
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        Matrix([[Fraction(1, 2), Fraction(-1, 4)], [0, 0]]),
+        Matrix([[Fraction(1, 2), Fraction(3, 4)], [0, 0]]),
+        Matrix([[float("nan"), 0.0], [0.0, 0.0]], FLOAT),
+    ],
+)
+def test_geometric_series_rejects_a_matrix_outside_its_precondition(matrix):
+    # Only a nonnegative matrix with row sums at most 1 has powers whose
+    # norms never increase, which the doubling search relies on.
+    with pytest.raises(ValueError):
+        geometric_series(matrix, 1e-3)
+
+
+def test_matrix_power_equals_repeated_products():
+    m = Matrix([[Fraction(1, 3), Fraction(2, 3), 0], [0, Fraction(1, 2), Fraction(1, 4)], [1, 0, 0]])
+    product = Matrix.identity(3)
+    for exponent in range(12):
+        assert m ** exponent == product
+        product = product @ m
 
 
 def test_geometric_series_rejects_bad_tolerance():

@@ -1,5 +1,6 @@
 """Walk parameter, stochastic matrix, route series, and decompositions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from inforest import (
     geometric_series,
     invert,
     path_graph,
+    random_graph,
     route_decomposition,
     route_matrix,
     route_weight_by_length,
@@ -304,6 +306,92 @@ def test_up_front_refusal_never_changes_the_outcome(mode, monkeypatch):
             outcome = NotConvergedError
         assert outcome is expected
         assert (products == []) == (max_terms <= 101)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_route_series_takes_logarithmically_many_products(mode, monkeypatch):
+    g, eps = make_path(), Fraction(1, 100)
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    result = route_matrix(g, eps, mode=mode)
+    assert result.terms_used >= 1000
+    assert len(products) <= 4 * math.ceil(math.log2(result.terms_used)) + 4
+
+
+def _float_gap_to_exact(graph, eps, tolerance, proximity):
+    """Float ``route_matrix`` against the exact ``(1 + 1/eps) Q``, the gap
+    taken in exact arithmetic."""
+    result = route_matrix(graph, eps, tolerance, mode=FLOAT)
+    factor = 1 + 1 / Fraction(eps)
+    gap = max(
+        abs(Fraction(value) - factor * exact)
+        for row, exact_row in zip(result.route_weights.to_lists(), proximity.to_lists())
+        for value, exact in zip(row, exact_row)
+    )
+    return result, gap
+
+
+@pytest.mark.parametrize("n, seed", [(40, 3), (60, 5)])
+def test_float_tail_bound_covers_long_series(n, seed):
+    # Up to about 76,000 terms; eps is a double, so the exact closed form
+    # is taken at the very value the float series uses.
+    g = random_graph(n, seed)
+    proximity = forest_matrices(g, EXACT).proximity
+    heaviest = float(g.max_out_weight())
+    for eps in (0.99 / heaviest, 0.5 / heaviest):
+        for tolerance in (1e-12, 1e-15, 1e-300):
+            result, gap = _float_gap_to_exact(g, eps, tolerance, proximity)
+            assert gap <= result.tail_bound
+            assert result.tail_bound <= 1e-9
+
+
+def test_float_tail_bound_covers_a_wide_matrix():
+    # n = 60 and the largest eps: the fewest terms for this graph, so the
+    # rounding of each n-term product weighs most against the truncation.
+    g = complete_graph(60)
+    proximity = forest_matrices(g, EXACT).proximity
+    eps = 0.999 / float(g.max_out_weight())
+    for tolerance in (1e-12, 1e-300):
+        result, gap = _float_gap_to_exact(g, eps, tolerance, proximity)
+        assert gap <= result.tail_bound
+        assert result.tail_bound <= 1e-9
+
+
+def test_float_step_rounding_to_a_negative_diagonal_is_clamped():
+    # At the largest double eps that passes validation, eps * d rounds to
+    # just above 1 at vertex 0, and 1 - eps * d to -2.2e-16.
+    g = MultiDigraph(
+        7,
+        [(0, 1, 0.3), (0, 6, 0.2), (0, 2, 0.1), (0, 3, 0.2), (0, 2, 1.1), (0, 1, 0.31619498421306813)],
+    )
+    eps = 0.4512238350521682
+    validate_epsilon(g, eps)
+    step = stochastic_matrix(g, eps, FLOAT)
+    assert step[0, 0] == 0.0
+    result = route_matrix(g, eps, mode=FLOAT)
+    expected = closed_route_matrix(g, eps, EXACT)
+    gap = max(
+        abs(Fraction(value) - exact)
+        for row, exact_row in zip(result.route_weights.to_lists(), expected.to_lists())
+        for value, exact in zip(row, exact_row)
+    )
+    assert gap <= result.tail_bound
+
+
+def test_float_step_with_a_row_sum_above_one_is_not_summed():
+    # At eps = 1e-16 the ratio 1/(1 + eps) rounds to 1 and a row of the
+    # step matrix to 1 + 2.2e-16; so many terms are allowed that the
+    # up-front refusal does not apply.
+    g = random_graph(8, 4)
+    assert max(stochastic_matrix(g, 1e-16, FLOAT).row_sums()) > 1
+    with pytest.raises(NotConvergedError):
+        route_matrix(g, 1e-16, mode=FLOAT, max_terms=10**20)
 
 
 def test_route_matrix_rejects_nan_tolerance():
