@@ -34,7 +34,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .forest import ForestMatrices, forest_matrices, proximity
+from .forest import ForestMatrices, forest_matrices
 from .generators import complete_graph, cycle_graph, path_graph, random_graph
 from .graph import Arc, MultiDigraph
 from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
@@ -66,7 +66,6 @@ from .routes import (
     expected_route_weights,
     route_decomposition,
     route_matrix,
-    route_weight_by_length,
     route_weights_by_length,
     stochastic_matrix,
     validate_epsilon,
@@ -126,11 +125,9 @@ __all__ = [
     "parse_graph",
     "parse_weight",
     "path_graph",
-    "proximity",
     "random_graph",
     "route_decomposition",
     "route_matrix",
-    "route_weight_by_length",
     "route_weights_by_length",
     "stochastic_matrix",
     "summarize",

@@ -20,7 +20,6 @@ stays a breadth-first search, the oracle the sweep is tested against.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -28,10 +27,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import InconsistentWithTheoremError, VertexOutOfRangeError
+from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, Scalar, format_for_message
+from .matrix import EXACT, Scalar, common_denominator, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -106,8 +105,7 @@ def _separates(
 def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
     """True when every directed path from i to k contains j."""
     for v in (i, j, k):
-        if not (0 <= v < graph.n):
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
+        graph.check_vertex(v)
     return _separates(i, j, graph.n, graph.reachable)[k]
 
 
@@ -128,27 +126,19 @@ def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
     return rows
 
 
-def _common_scale(values: Sequence[Scalar], mode: str) -> tuple[list[Scalar], int]:
-    """In exact mode, integers ``N`` and ``c**2`` for the least positive
-    ``c`` with every ``c * values[t]`` an integer ``N[t]``; in float mode
-    the values themselves and 1."""
-    if mode != EXACT:
-        return list(values), 1
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common * common
-
-
 def _report(
     mode: str, triple: tuple[int, int, int], lhs: Scalar, rhs: Scalar, separator: bool, square: int
 ) -> BottleneckReport:
     """Verdict for one triple from its two products.
 
-    In exact mode ``lhs`` and ``rhs`` are the integer products of the
-    matrix ``N = c F`` from :func:`_common_scale` and ``square`` is
-    ``c**2``: the law is homogeneous of degree 2, so comparing
-    ``N_ij N_jk`` with ``N_ik N_jj`` gives the verdict of the ``F``
-    products. Any violation raises :class:`InconsistentWithTheoremError`.
-    Float mode records a disagreement as ``consistent=False`` instead.
+    In exact mode ``lhs`` and ``rhs`` are the products of the matrix
+    ``N = c F`` and ``square`` is ``c**2``, for any positive ``c``: the law
+    is homogeneous of degree 2, so comparing ``N_ij N_jk`` with
+    ``N_ik N_jj`` gives the verdict of the ``F`` products. The sweep
+    passes the integers of :func:`inforest.matrix.common_denominator`,
+    :func:`check_triple` the entries of ``F`` and 1. Any violation raises
+    :class:`InconsistentWithTheoremError`. Float mode records a
+    disagreement as ``consistent=False`` instead.
     """
     verdict = relation(lhs, rhs, mode)
     equal = verdict == RELATION_EQUAL
@@ -189,10 +179,8 @@ def check_triple(
     """
     separator = is_bottleneck(graph, i, j, k)
     weights = forests.matrix
-    (ij, jk, ik, jj), square = _common_scale(
-        [weights[i, j], weights[j, k], weights[i, k], weights[j, j]], forests.mode
-    )
-    return _report(forests.mode, (i, j, k), ij * jk, ik * jj, separator, square)
+    lhs, rhs = weights[i, j] * weights[j, k], weights[i, k] * weights[j, j]
+    return _report(forests.mode, (i, j, k), lhs, rhs, separator, 1)
 
 
 class TripleReports(Sequence[BottleneckReport]):
@@ -239,13 +227,9 @@ class TripleReports(Sequence[BottleneckReport]):
         return self._n**3
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[t] for t in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("triple index out of range")
+        index = range(len(self))[index]
+        if isinstance(index, range):
+            return [self[t] for t in index]
         i, rest = divmod(index, self._n * self._n)
         return self._report(i, *divmod(rest, self._n))
 
@@ -277,8 +261,10 @@ def verify_all_triples(
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
-    flat, square = _common_scale([v for row in forests.matrix.to_lists() for v in row], mode)
-    values = [flat[r * n : (r + 1) * n] for r in range(n)]
+    values, square = forests.matrix.to_lists(), 1
+    if mode == EXACT:
+        flat, common = common_denominator([v for row in values for v in row])
+        values, square = [flat[r * n : (r + 1) * n] for r in range(n)], common * common
     separators = []
     equal = inconsistent = 0
     for i in range(n):

@@ -22,13 +22,12 @@ pivot product is the determinant, and scales ``Q`` by ``f`` to get ``F``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError, SingularMatrixError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, format_for_message, gauss_jordan
+from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message, gauss_jordan
 
 # The general reference solvers stay importable from here.
 from .matrix import determinant, invert  # noqa: F401
@@ -57,12 +56,9 @@ def _integer_forest_solve(shifted: Matrix) -> tuple[int, int, list[list[int]]]:
     which is the pivot of its step, is positive.
     """
     n = shifted.order
-    entries = shifted.to_lists()
-    common = math.lcm(*(v.denominator for row in entries for v in row))
+    flat, common = common_denominator([v for row in shifted.to_lists() for v in row])
     rows = [
-        [v.numerator * (common // v.denominator) for v in row]
-        + [common if c == r else 0 for c in range(n)]
-        for r, row in enumerate(entries)
+        flat[r * n : (r + 1) * n] + [common if c == r else 0 for c in range(n)] for r in range(n)
     ]
     previous = 1
     for k in range(n):
@@ -111,8 +107,3 @@ def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
         proximity=proximity,
         mode=mode,
     )
-
-
-def proximity(graph: MultiDigraph, mode: str = EXACT) -> Matrix:
-    """Row-stochastic proximity matrix (the normalized forest matrix)."""
-    return forest_matrices(graph, mode).proximity

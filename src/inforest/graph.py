@@ -20,7 +20,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, format_for_message, zero_scalar
+from .matrix import EXACT, Matrix, format_for_message, scalar, zero_scalar
 
 Weight = Union[Fraction, int, float]
 
@@ -52,7 +52,7 @@ class MultiDigraph:
     the vertex count and the arc list, so instances are safe to share.
     """
 
-    __slots__ = ("n", "arcs", "_out", "_in_degree")
+    __slots__ = ("n", "arcs", "_out")
 
     def __init__(self, n: int, arcs: Iterable = ()):
         if n < 2:
@@ -60,7 +60,6 @@ class MultiDigraph:
         self.n = n
         checked = []
         out: list[list[int]] = [[] for _ in range(n)]
-        in_degree = [0] * n
         for index, raw in enumerate(arcs):
             tail, head, weight = raw
             if not (0 <= tail < n):
@@ -71,10 +70,8 @@ class MultiDigraph:
                 raise LoopArcError(f"arc {tail}->{head} is a loop")
             checked.append(Arc(tail, head, _check_weight(weight)))
             out[tail].append(index)
-            in_degree[head] += 1
         self.arcs = tuple(checked)
         self._out = tuple(tuple(indices) for indices in out)
-        self._in_degree = tuple(in_degree)
 
     @classmethod
     def from_undirected(cls, n: int, edges: Iterable) -> "MultiDigraph":
@@ -85,20 +82,18 @@ class MultiDigraph:
             arcs.append((head, tail, weight))
         return cls(n, arcs)
 
-    def _check_vertex(self, v: int) -> int:
+    def check_vertex(self, v: int) -> int:
+        """``v``; raises :class:`VertexOutOfRangeError` unless ``0 <= v < n``."""
         if not (0 <= v < self.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
         return v
 
     def out_arcs(self, v: int) -> tuple[int, ...]:
         """Indices into ``arcs`` of the arcs leaving ``v``."""
-        return self._out[self._check_vertex(v)]
+        return self._out[self.check_vertex(v)]
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[self._check_vertex(v)])
-
-    def in_degree(self, v: int) -> int:
-        return self._in_degree[self._check_vertex(v)]
+        return len(self._out[self.check_vertex(v)])
 
     def has_rational_weights(self) -> bool:
         return all(isinstance(arc.weight, Rational) for arc in self.arcs)
@@ -107,9 +102,8 @@ class MultiDigraph:
         """Entry (i, j): sum of the weights of all arcs from i to j."""
         zero = zero_scalar(mode)
         rows = [[zero] * self.n for _ in range(self.n)]
-        convert = Fraction if mode == EXACT else float
         for arc in self.arcs:
-            rows[arc.tail][arc.head] += convert(arc.weight)
+            rows[arc.tail][arc.head] += scalar(arc.weight, mode)
         return Matrix(rows, mode)
 
     def laplacian(self, mode: str = EXACT) -> Matrix:
@@ -136,9 +130,9 @@ class MultiDigraph:
     def reachable(self, source: int, excluded: Optional[int] = None) -> frozenset[int]:
         """Vertices reachable from ``source`` along directed paths that never
         visit ``excluded``; the source itself is always included."""
-        self._check_vertex(source)
+        self.check_vertex(source)
         if excluded is not None:
-            self._check_vertex(excluded)
+            self.check_vertex(excluded)
             if excluded == source:
                 raise ValueError("source cannot be the excluded vertex")
         seen = {source}
@@ -164,7 +158,7 @@ class MultiDigraph:
         the set formulation in section 2 of Cooper, Harvey and Kennedy, "A
         Simple, Fast Dominance Algorithm" (2001).
         """
-        self._check_vertex(root)
+        self.check_vertex(root)
         heads = [[self.arcs[index].head for index in out] for out in self._out]
         postorder = []
         seen = [False] * self.n

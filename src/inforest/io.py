@@ -64,7 +64,7 @@ def _parsed_graph(n: int, entries: list[tuple[int, int, Fraction]], undirected: 
     return ParsedGraph(MultiDigraph(n, entries), False, None)
 
 
-def _parse_vertex(token: str, n: int, line_no: int) -> int:
+def _parse_vertex(token: str, line_no: int) -> int:
     try:
         vertex = int(token)
     except ValueError as exc:
@@ -96,8 +96,8 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
             raise GraphFormatError(f"line {line_no}: expected '<tail> <head> <weight>'")
         entries.append(
             (
-                _parse_vertex(tokens[0], n, line_no),
-                _parse_vertex(tokens[1], n, line_no),
+                _parse_vertex(tokens[0], line_no),
+                _parse_vertex(tokens[1], line_no),
                 parse_weight(tokens[2]),
             )
         )
@@ -107,9 +107,12 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
 
 
 def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
+    # Besides JSONDecodeError, a ValueError, json.loads raises a plain
+    # ValueError for an integer past Python's digit limit and RecursionError
+    # for deep nesting.
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "arcs" not in payload:
         raise GraphFormatError('JSON graphs need "n" and "arcs" keys')

@@ -29,6 +29,9 @@ Scalar = Union[Fraction, float]
 # as singular. Exact mode tests pivots against zero exactly.
 FLOAT_PIVOT_RTOL = 1e-12
 
+# Default term cap of :func:`geometric_series`, shared by the route series.
+DEFAULT_MAX_TERMS = 100_000
+
 
 # Python's default limit on the digits of an int converted to or from text
 # (``sys.int_info.default_max_str_digits``).
@@ -61,7 +64,8 @@ def format_for_message(value: Union[Scalar, int]) -> str:
         return f"{'-' if value < 0 else ''}~10^{magnitude:.2f}"
 
 
-def _coerce(value, mode: str) -> Scalar:
+def scalar(value, mode: str) -> Scalar:
+    """``value`` as a scalar of ``mode``: a ``Fraction`` or a float."""
     if mode == EXACT:
         return value if type(value) is Fraction else Fraction(value)
     return float(value)
@@ -75,6 +79,13 @@ def one_scalar(mode: str) -> Scalar:
     return Fraction(1) if mode == EXACT else 1.0
 
 
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``N`` and the least positive integer ``c`` such that
+    ``c * values[t] == N[t]`` for every t."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
 class Matrix:
     """Immutable square matrix whose entries all live in one scalar mode."""
 
@@ -83,7 +94,7 @@ class Matrix:
     def __init__(self, rows: Iterable[Sequence], mode: str = EXACT):
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        data = [[_coerce(value, mode) for value in row] for row in rows]
+        data = [[scalar(value, mode) for value in row] for row in rows]
         if any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square")
         self.order = len(data)
@@ -176,17 +187,12 @@ class Matrix:
         return result
 
     def scaled(self, factor) -> "Matrix":
-        factor = _coerce(factor, self.mode)
+        factor = scalar(factor, self.mode)
         rows = [[factor * v for v in row] for row in self._rows]
         return Matrix._wrap(rows, self.mode)
 
     def transpose(self) -> "Matrix":
         return Matrix._wrap([list(col) for col in zip(*self._rows)], self.mode)
-
-    def submatrix(self, keep: Sequence[int]) -> "Matrix":
-        """Principal submatrix on the given (ordered) index subset."""
-        rows = [[self._rows[i][j] for j in keep] for i in keep]
-        return Matrix._wrap(rows, self.mode)
 
     def with_mode(self, mode: str) -> "Matrix":
         if mode == self.mode:
@@ -201,13 +207,6 @@ class Matrix:
     def row_sums(self) -> list[Scalar]:
         zero = zero_scalar(self.mode)
         return [sum(row, zero) for row in self._rows]
-
-    def is_symmetric(self, tolerance=0) -> bool:
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                if abs(self._rows[i][j] - self._rows[j][i]) > tolerance:
-                    return False
-        return True
 
 
 def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
@@ -289,7 +288,9 @@ class SeriesSum(NamedTuple):
     last_term_norm: Scalar
 
 
-def geometric_series(matrix: Matrix, tolerance: float, max_terms: int = 100_000) -> SeriesSum:
+def geometric_series(
+    matrix: Matrix, tolerance: float, max_terms: int = DEFAULT_MAX_TERMS
+) -> SeriesSum:
     """Sum the powers ``A^0, A^1, ..., A^p`` of ``matrix``, where ``p`` is
     the largest power whose max-abs norm is at least ``tolerance``.
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Matrix, Scalar
+from .matrix import EXACT, FLOAT, Matrix, Scalar, one_scalar, scalar, zero_scalar
 
 DEFAULT_CHOICE_CAP = 10_000_000
 
@@ -76,13 +75,13 @@ def enumerate_in_forests(
             f"{total_choices} choice vectors exceed the enumeration cap {cap}"
         )
     n = graph.n
-    exact = graph.has_rational_weights()
+    mode = EXACT if graph.has_rational_weights() else FLOAT
     heads = [arc.head for arc in graph.arcs]
-    weights = [Fraction(a.weight) if exact else float(a.weight) for a in graph.arcs]
+    weights = [scalar(arc.weight, mode) for arc in graph.arcs]
     options = [(None,) + graph.out_arcs(v) for v in range(n)]
     choice: list[Optional[int]] = [None] * n
     # prefix[v] is the weight of the arcs chosen at the vertices below v.
-    prefix: list[Scalar] = [Fraction(1) if exact else 1.0] * (n + 1)
+    prefix: list[Scalar] = [one_scalar(mode)] * (n + 1)
     tried = [0] * n
     # Backtrack by index rather than by recursion, so a graph with more
     # vertices than the recursion limit still enumerates.
@@ -120,7 +119,7 @@ def _follow(choice: list[Optional[int]], heads: list[int], u: int, limit: int) -
 def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:
     """Total forest weight and forest-weight matrix by direct enumeration."""
     mode = EXACT if graph.has_rational_weights() else FLOAT
-    zero = Fraction(0) if mode == EXACT else 0.0
+    zero = zero_scalar(mode)
     total = zero
     count = 0
     rows = [[zero] * graph.n for _ in range(graph.n)]

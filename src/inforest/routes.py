@@ -21,15 +21,11 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    EpsilonOutOfRangeError,
-    InstanceTooLargeError,
-    NotConvergedError,
-    VertexOutOfRangeError,
-)
+from .errors import EpsilonOutOfRangeError, InstanceTooLargeError, NotConvergedError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
+    DEFAULT_MAX_TERMS,
     EXACT,
     FLOAT,
     Matrix,
@@ -38,6 +34,7 @@ from .matrix import (
     format_for_message,
     geometric_series,
     one_scalar,
+    scalar,
     zero_scalar,
 )
 
@@ -45,7 +42,6 @@ from .matrix import (
 from .matrix import invert  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-12
-DEFAULT_MAX_TERMS = 100_000
 DEFAULT_ROUTE_CAP = 1_000_000
 
 EpsilonValue = Union[Fraction, int, float]
@@ -115,8 +111,8 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
     if eps is None:
         eps = choose_epsilon(graph)
     validate_epsilon(graph, eps)
-    scalar = _epsilon_scalar(eps, mode)
-    return _Walk(eps, scalar, one_scalar(mode) / (1 + scalar))
+    value = _epsilon_scalar(eps, mode)
+    return _Walk(eps, value, one_scalar(mode) / (1 + value))
 
 
 def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
@@ -294,10 +290,6 @@ def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix
     return forests.proximity.scaled(factor)
 
 
-def _closed_routes(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    return expected_route_weights(forest_matrices(graph, mode), walk.scalar)
-
-
 def closed_route_matrix(
     graph: MultiDigraph, eps: Optional[EpsilonValue] = None, mode: str = EXACT
 ) -> Matrix:
@@ -306,7 +298,8 @@ def closed_route_matrix(
     That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
-    return _closed_routes(graph, _walk(graph, eps, mode), mode)
+    walk = _walk(graph, eps, mode)
+    return expected_route_weights(forest_matrices(graph, mode), walk.scalar)
 
 
 def _loop_adjacency(graph: MultiDigraph, walk: _Walk, mode: str):
@@ -318,8 +311,7 @@ def _loop_adjacency(graph: MultiDigraph, walk: _Walk, mode: str):
         entries = [(v, step[v, v])]
         for index in graph.out_arcs(v):
             arc = graph.arcs[index]
-            weight = Fraction(arc.weight) if mode == EXACT else float(arc.weight)
-            entries.append((arc.head, walk.ratio * walk.scalar * weight))
+            entries.append((arc.head, walk.ratio * walk.scalar * scalar(arc.weight, mode)))
         adjacency.append(entries)
     return adjacency
 
@@ -341,8 +333,7 @@ def route_weights_by_length(
     check. Raises :class:`InstanceTooLargeError` when more than ``cap``
     routes would be visited.
     """
-    if not (0 <= source < graph.n):
-        raise VertexOutOfRangeError(f"vertex {source} outside 0..{graph.n - 1}")
+    graph.check_vertex(source)
     if length < 0:
         raise ValueError("route length must be nonnegative")
     adjacency = _loop_adjacency(graph, _walk(graph, eps, mode), mode)
@@ -364,22 +355,6 @@ def route_weights_by_length(
         for head, weight in reversed(adjacency[vertex]):
             stack.append((head, remaining - 1, accumulated * weight))
     return totals
-
-
-def route_weight_by_length(
-    graph: MultiDigraph,
-    source: int,
-    target: int,
-    length: int,
-    eps: Optional[EpsilonValue] = None,
-    mode: str = EXACT,
-    cap: int = DEFAULT_ROUTE_CAP,
-) -> Scalar:
-    """Summed weight of the routes of exactly ``length`` arcs between two
-    vertices of the loop-augmented graph."""
-    if not (0 <= target < graph.n):
-        raise VertexOutOfRangeError(f"vertex {target} outside 0..{graph.n - 1}")
-    return route_weights_by_length(graph, source, length, eps=eps, mode=mode, cap=cap)[target]
 
 
 @dataclass(frozen=True)
@@ -425,16 +400,15 @@ def route_decomposition(
     other than ``via`` are exactly the original routes that avoid ``via``.
     """
     for v in (start, via, end):
-        if not (0 <= v < graph.n):
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{graph.n - 1}")
+        graph.check_vertex(v)
     walk = _walk(graph, eps, mode)
-    full = _closed_routes(graph, walk, mode)
+    full = expected_route_weights(forest_matrices(graph, mode), walk.scalar)
     degenerate = via in (start, end)
     if degenerate:
         avoiding = zero_scalar(mode)
     else:
         cut = MultiDigraph(graph.n, [arc for arc in graph.arcs if arc.tail != via])
-        avoiding = _closed_routes(cut, walk, mode)[start, end]
+        avoiding = expected_route_weights(forest_matrices(cut, mode), walk.scalar)[start, end]
     start_via = full[start, via]
     via_via = full[via, via]
     via_end = full[via, end]

@@ -1,12 +1,16 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inforest.bottleneck
 import inforest.cli
@@ -291,6 +295,25 @@ def test_json_arcs_that_are_no_list_is_format_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:format:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "arcs": [[1, 2, %s]]}' % ("7" * 5000), '{"n": %s, "arcs": []}' % ("7" * 5000)],
+    ids=["weight", "n"],
+)
+def test_json_integer_beyond_the_digit_limit_is_format_error(tmp_path, capsys, text):
+    source = tmp_path / "g.json"
+    source.write_text(text)
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")
+
+
+def test_json_nested_too_deep_is_format_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    source.write_text('{"n": 3, "arcs": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:format:")
+
+
 def test_closed_stdout_pipe_exits_quietly(path_file):
     process = subprocess.Popen(
         [sys.executable, "-m", "inforest", "forest", "--input", path_file],
@@ -513,3 +536,76 @@ def test_json_boolean_endpoint_is_format_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:format:")
+
+
+FLAG_VALUES = ["nan", "inf", "0", "-1", "1e-400", "1e400", "1e4300", "7" * 4400]
+FILE_WEIGHTS = ["1", "2/3", "0.25", "5/4"]
+REJECTED_WEIGHTS = ["0", "-1", "nan", "inf", "1e4301", "7" * 4400]
+GRAPH_COMMANDS = ["forest", "proximity", "enumerate", "routes", "decompose", "bottleneck", "verify"]
+
+
+@st.composite
+def cli_cases(draw):
+    """A graph file of at most 8 vertices, as text or JSON, and an argv
+    (without ``--input``) for any command.
+
+    Flags take the values of ``FLAG_VALUES``. File weights are small
+    rationals, now and then a token that every mode rejects; valid weights
+    beyond the range of doubles are left out, since float mode still ends
+    them in an OverflowError or a false exit 3 (ROADMAP item 3).
+    """
+
+    def flag(name, values):
+        return [f"{name}={draw(st.sampled_from(values))}"] * draw(st.booleans())
+
+    n = draw(st.integers(2, 8))
+    arcs = []
+    for _ in range(draw(st.integers(0, 12))):
+        tail, head = draw(st.integers(1, n)), draw(st.integers(1, n - 1))
+        if head >= tail:
+            head += 1
+        weights = REJECTED_WEIGHTS if draw(st.integers(0, 19)) == 0 else FILE_WEIGHTS
+        arcs.append((tail, head, draw(st.sampled_from(weights))))
+    directed = draw(st.booleans())
+    if draw(st.booleans()):
+        text = json.dumps({"n": n, "directed": directed, "arcs": [list(arc) for arc in arcs]})
+    else:
+        header = "digraph" if directed else "graph"
+        text = "\n".join([f"{header} {n}"] + [f"{t} {h} {w}" for t, h, w in arcs])
+    command = draw(st.sampled_from(GRAPH_COMMANDS + ["gen"]))
+    if command == "gen":
+        kind = draw(st.sampled_from(["path", "cycle", "complete", "random"]))
+        argv = ["gen", kind, str(draw(st.sampled_from([-1, 0, 1, 2, 5, 8])))]
+        argv += flag("--weights", FLAG_VALUES + ["2/3"]) + flag("--seed", ["0", "-1", "3"])
+        ranges = ["1:5", "5:1", "0:2", "x", "1e400:2", "1:" + "7" * 4400]
+        return text, argv + flag("--weight-range", ranges)
+    argv = [command, "--format", draw(st.sampled_from(["tsv", "json"]))]
+    if command != "enumerate":
+        argv += flag("--mode", ["exact", "float"])
+    argv += ["--undirected"] * draw(st.booleans())
+    if command in ("routes", "decompose"):
+        argv += flag("--epsilon", FLAG_VALUES)
+    if command == "routes":
+        argv += flag("--tol", FLAG_VALUES) + flag("--max-terms", ["0", "-1", "1", "3"])
+    if command in ("decompose", "bottleneck"):
+        for name in ("-i", "-j", "-k"):
+            argv += [name, str(draw(st.integers(-1, n + 1)))]
+    return text, argv
+
+
+@given(cli_cases())
+@settings(max_examples=300, deadline=None)
+def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
+    text, argv = case
+    source = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    source.write_text(text)
+    if argv[0] != "gen":
+        argv += ["--input", str(source)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err.getvalue())

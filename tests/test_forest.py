@@ -12,7 +12,6 @@ from inforest import (
     MultiDigraph,
     forest_matrices,
     oracle_matrices,
-    proximity,
 )
 from tests.helpers import make_path, multidigraphs
 
@@ -50,7 +49,7 @@ def test_unit_path_first_row():
 
 
 def test_proximity_single_unit_arc():
-    assert proximity(MultiDigraph(2, [(0, 1, 1)])).to_lists() == [
+    assert forest_matrices(MultiDigraph(2, [(0, 1, 1)])).proximity.to_lists() == [
         [Fraction(1, 2), Fraction(1, 2)],
         [0, 1],
     ]
@@ -75,14 +74,14 @@ def test_scaling_weights_scales_forest_weights_homogeneously():
 def test_undirected_forest_matrix_symmetric():
     g = MultiDigraph.from_undirected(4, [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 3, 3)])
     forests = forest_matrices(g)
-    assert forests.matrix.is_symmetric()
-    assert forests.proximity.is_symmetric()
+    assert forests.matrix == forests.matrix.transpose()
+    assert forests.proximity == forests.proximity.transpose()
 
 
 @given(multidigraphs())
 @settings(max_examples=60, deadline=None)
 def test_proximity_rows_sum_to_one(g):
-    assert all(total == 1 for total in proximity(g).row_sums())
+    assert all(total == 1 for total in forest_matrices(g).proximity.row_sums())
 
 
 @given(multidigraphs())

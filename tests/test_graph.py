@@ -85,15 +85,15 @@ def test_laplacian_triangle():
 
 def test_degrees_count_parallel_arcs():
     g = MultiDigraph(2, [(0, 1, 2), (0, 1, 3)])
-    assert g.out_degree(0) == 2 and g.in_degree(0) == 0
-    assert g.out_degree(1) == 0 and g.in_degree(1) == 2
+    assert g.out_degree(0) == 2
+    assert g.out_degree(1) == 0
 
 
 def test_degrees_path_and_empty():
     g = make_path()
-    assert g.out_degree(2) == 0 and g.in_degree(2) == 1
+    assert g.out_degree(2) == 0
     empty = MultiDigraph(3, [])
-    assert all(empty.out_degree(v) == empty.in_degree(v) == 0 for v in range(3))
+    assert all(empty.out_degree(v) == 0 for v in range(3))
 
 
 def test_degree_vertex_out_of_range():
@@ -116,7 +116,7 @@ def test_from_undirected_empty():
 def test_from_undirected_laplacian_symmetric():
     g = MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1)])
     assert len(g.arcs) == 4
-    assert g.laplacian().is_symmetric()
+    assert g.laplacian() == g.laplacian().transpose()
 
 
 def test_reachable_respects_exclusion():
@@ -176,7 +176,6 @@ def test_weight_matrix_is_negated_off_diagonal_laplacian(g):
 @given(multidigraphs())
 def test_degree_totals_match_arc_count(g):
     assert sum(g.out_degree(v) for v in range(g.n)) == len(g.arcs)
-    assert sum(g.in_degree(v) for v in range(g.n)) == len(g.arcs)
 
 
 @given(multidigraphs(max_n=4, max_arcs=4))

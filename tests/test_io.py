@@ -1,14 +1,19 @@
 """Graph text and JSON parsing, canonical emission, round trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inforest import (
     GraphFormatError,
+    InforestError,
     InstanceTooLargeError,
     MultiDigraph,
     NonPositiveWeightError,
+    ParsedGraph,
     VertexOutOfRangeError,
     format_graph,
     format_weight,
@@ -42,7 +47,7 @@ def test_parse_undirected_header_doubles_edges():
     assert parsed.undirected
     assert parsed.edges == ((0, 1, Fraction(2)), (1, 2, Fraction(1, 3)))
     assert len(parsed.graph.arcs) == 4
-    assert parsed.graph.laplacian().is_symmetric()
+    assert parsed.graph.laplacian() == parsed.graph.laplacian().transpose()
 
 
 def test_force_undirected_overrides_header():
@@ -163,3 +168,65 @@ def test_message_text_of_a_value_too_long_to_print_is_its_magnitude():
     assert format_for_message(0.5) == "0.5"
     assert format_for_message(Fraction(10**4300, 3)) == "~10^4299.52"
     assert format_for_message(-Fraction(1, 10**4300)) == "-~10^-4300.00"
+
+
+# Every strategy keeps the declared vertex count at most 32:
+# ``MultiDigraph`` allocates a list per vertex before it reads any arc.
+WEIGHTS = st.sampled_from(["1", "2/3", "0.25", "1e-3", "5"])
+JUNK = st.sampled_from(
+    ["0", "-1", "32", "x", "1.5", "1e1", "٣", "1_0", "nan", "inf", "1/0", "1/2/3", "1e-400",
+     "1e400", "1e4300", "1e4301", "7" * 4400, "1e" + "9" * 5000, ""]
+)
+JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=5), st.integers(-2, 32),
+    st.lists(st.integers(-2, 32), max_size=4), JUNK,
+)
+
+
+@st.composite
+def near_valid_text(draw):
+    """A valid text graph with up to two tokens replaced by junk."""
+    n = draw(st.integers(2, 30))
+    rows = [[draw(st.sampled_from(["digraph", "graph"])), str(n)]]
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append([str(draw(st.integers(1, n))), str(draw(st.integers(1, n))), draw(WEIGHTS)])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@st.composite
+def near_valid_json(draw):
+    """A valid JSON graph with up to two values replaced by junk, at
+    times cut short."""
+    n = draw(st.integers(2, 30))
+    weights = st.one_of(WEIGHTS, st.integers(1, 9))
+    arcs = [
+        [draw(st.integers(1, n)), draw(st.integers(1, n)), draw(weights)]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    payload = {"n": n, "directed": draw(st.booleans()), "arcs": arcs}
+    for _ in range(draw(st.integers(0, 2))):
+        place = draw(st.sampled_from([payload] + arcs))
+        key = draw(st.sampled_from(sorted(payload) if place is payload else range(3)))
+        place[key] = draw(JSON_JUNK)
+    text = json.dumps(payload)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+# Arbitrary text without these declares no vertex count: a text header
+# needs the word graph and a JSON key needs quotes.
+ARBITRARY_TEXT = st.text(max_size=200).filter(lambda text: "graph" not in text and '"' not in text)
+
+
+@given(st.one_of(ARBITRARY_TEXT, near_valid_text(), near_valid_json()), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_parse_graph_returns_a_graph_or_raises_an_inforest_error(text, undirected):
+    try:
+        parsed = parse_graph(text, undirected)
+    except InforestError:
+        return
+    assert isinstance(parsed, ParsedGraph)

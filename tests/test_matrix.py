@@ -217,10 +217,8 @@ def test_geometric_series_rejects_bad_tolerance():
         geometric_series(Matrix.zeros(2), 0.0)
 
 
-def test_submatrix_and_symmetry_helpers():
+def test_transpose_and_power_helpers():
     m = Matrix([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
-    assert m.is_symmetric()
-    assert m.submatrix([0, 2]).to_lists() == [[1, 3], [3, 6]]
     assert m.transpose() == m
     assert (m ** 0) == Matrix.identity(3)
     assert (m ** 2) == m @ m

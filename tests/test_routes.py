@@ -25,7 +25,6 @@ from inforest import (
     random_graph,
     route_decomposition,
     route_matrix,
-    route_weight_by_length,
     route_weights_by_length,
     stochastic_matrix,
     validate_epsilon,
@@ -128,8 +127,8 @@ def test_route_series_partial_sums_nondecreasing():
 
 def test_zero_length_routes():
     g = make_path()
-    assert route_weight_by_length(g, 0, 0, 0) == 1
-    assert route_weight_by_length(g, 0, 1, 0) == 0
+    assert route_weights_by_length(g, 0, 0)[0] == 1
+    assert route_weights_by_length(g, 0, 0)[1] == 0
 
 
 def test_length_two_routes_single_arc():
@@ -137,7 +136,7 @@ def test_length_two_routes_single_arc():
     # (1/3)(1/3) + (1/3)(2/3) = 1/3, the corresponding square-matrix entry.
     g = MultiDigraph(2, [(0, 1, 1)])
     eps = Fraction(1, 2)
-    assert route_weight_by_length(g, 0, 1, 2, eps=eps) == Fraction(1, 3)
+    assert route_weights_by_length(g, 0, 2, eps=eps)[1] == Fraction(1, 3)
     step = route_matrix(g, eps=eps, mode=EXACT).step_weights
     assert (step @ step)[0, 1] == Fraction(1, 3)
 
@@ -243,7 +242,8 @@ def test_avoiding_weight_matches_the_reduced_inverse(mode):
         step = stochastic_matrix(g, eps, mode).scaled(1 / (1 + Fraction(eps)))
         for via in range(g.n):
             keep = [v for v in range(g.n) if v != via]
-            reduced = invert(Matrix.identity(g.n - 1, mode) - step.submatrix(keep))
+            cut = Matrix([[step[u, w] for w in keep] for u in keep], mode)
+            reduced = invert(Matrix.identity(g.n - 1, mode) - cut)
             for a, start in enumerate(keep):
                 for b, end in enumerate(keep):
                     avoiding = route_decomposition(g, start, via, end, eps, mode).avoiding_via
