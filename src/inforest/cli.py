@@ -33,7 +33,7 @@ from .forest import forest_matrices
 from .generators import complete_graph, cycle_graph, path_graph, random_graph
 from .graph import MultiDigraph
 from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
-from .matrix import EXACT, FLOAT, Matrix
+from .matrix import EXACT, FLOAT, Matrix, scalar
 from .oracle import DEFAULT_CHOICE_CAP, choice_count, enumerate_in_forests, oracle_matrices
 from .routes import (
     DEFAULT_MAX_TERMS,
@@ -173,7 +173,7 @@ def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
     fields = {
         "epsilon": result.epsilon,
         "terms_used": result.terms_used,
-        "tail_bound": float(result.tail_bound),
+        "tail_bound": scalar(result.tail_bound, FLOAT),
         "R": result.route_weights,
     }
     _emit(args.fmt, fields)

@@ -68,7 +68,8 @@ class NotConvergedError(InforestError):
 
 
 class InstanceTooLargeError(InforestError):
-    """Brute-force enumeration would exceed the configured cap."""
+    """The instance exceeds a size or precision limit: an enumeration or
+    route cap, the digits Python prints, or the precision of float mode."""
 
     code = "instance-too-large"
     exit_code = 2

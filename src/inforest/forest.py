@@ -11,8 +11,9 @@ combinatorially and serves as the independent cross-check.
 Exact mode finds ``f = det(I + L)`` and ``F = adj(I + L)`` together in one
 fraction-free Gauss-Jordan elimination on Python ints (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968). With ``D`` the least common multiple of the entry
-denominators, eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the
+Comp. 22, 1968). With ``D`` the least common multiple of the denominators
+of ``L``, ``D(I + L)`` is the integer matrix ``DL`` with ``D`` added on the
+diagonal, and eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the
 left and ``D^n F`` on the right; every division in the loop is exact, so
 no ``Fraction`` is normalized until the final entries are built. Float
 mode takes ``Q = (I + L)^-1`` and ``f`` from one Gauss-Jordan elimination
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconsistentWithTheoremError, SingularMatrixError
+from .errors import InconsistentWithTheoremError, InstanceTooLargeError, SingularMatrixError
 from .graph import MultiDigraph
 from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message, gauss_jordan
 
@@ -48,18 +49,21 @@ class ForestMatrices:
     mode: str
 
 
-def _integer_forest_solve(shifted: Matrix) -> tuple[int, int, list[list[int]]]:
+def _integer_forest_solve(laplacian: Matrix) -> tuple[int, int, list[list[int]]]:
     """``(det, scale, R)`` with ``f = det / scale`` and ``F = R / scale``.
 
-    ``scale`` is ``D^n``. No pivot search: ``I + L`` is strictly row
-    diagonally dominant, so every leading principal minor of ``D(I + L)``,
-    which is the pivot of its step, is positive.
+    ``scale`` is ``D^n``, where ``D`` is the least common denominator of
+    ``L``, which is also that of ``I + L``; the identity is added on that
+    integer scale. No pivot search: ``I + L`` is strictly row diagonally
+    dominant, so every leading principal minor of ``D(I + L)``, which is
+    the pivot of its step, is positive.
     """
-    n = shifted.order
-    flat, common = common_denominator([v for row in shifted.to_lists() for v in row])
-    rows = [
-        flat[r * n : (r + 1) * n] + [common if c == r else 0 for c in range(n)] for r in range(n)
-    ]
+    n = laplacian.order
+    flat, common = common_denominator([v for i in range(n) for v in laplacian.row(i)])
+    rows = [flat[r * n : (r + 1) * n] + [0] * n for r in range(n)]
+    for r, row in enumerate(rows):
+        row[r] += common
+        row[n + r] = common
     previous = 1
     for k in range(n):
         pivot_row = rows[k]
@@ -84,22 +88,28 @@ def _integer_forest_solve(shifted: Matrix) -> tuple[int, int, list[list[int]]]:
 
 
 def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
-    """Compute the forest matrices from the graph's Laplacian."""
-    shifted = Matrix.identity(graph.n, mode) + graph.laplacian(mode)
+    """Compute the forest matrices from the graph's Laplacian.
+
+    Raises :class:`InstanceTooLargeError` where float elimination loses
+    too much precision to find a pivot, which happens when the weights
+    span too many orders of magnitude; exact mode solves those graphs.
+    """
+    laplacian = graph.laplacian(mode)
     if mode == EXACT:
-        det, scale, weights = _integer_forest_solve(shifted)
+        det, scale, weights = _integer_forest_solve(laplacian)
         return ForestMatrices(
             total_weight=Fraction(det, scale),
-            matrix=Matrix([[Fraction(v, scale) for v in row] for row in weights], EXACT),
-            proximity=Matrix([[Fraction(v, det) for v in row] for row in weights], EXACT),
+            matrix=Matrix._wrap([[Fraction(v, scale) for v in row] for row in weights], EXACT),
+            proximity=Matrix._wrap([[Fraction(v, det) for v in row] for row in weights], EXACT),
             mode=mode,
         )
     try:
-        proximity, total = gauss_jordan(shifted)
+        proximity, total = gauss_jordan(Matrix.identity(graph.n, mode) + laplacian)
     except SingularMatrixError as exc:
-        # Impossible for a valid graph; inversion failing means a bug.
-        raise InconsistentWithTheoremError(
-            "identity-plus-Laplacian reported singular; this must never happen"
+        # I + L is never singular: the pivot test failed on rounding error.
+        raise InstanceTooLargeError(
+            "identity-plus-Laplacian lost its pivots to rounding: the weights span too "
+            "many orders of magnitude for float mode; exact mode solves this graph"
         ) from exc
     return ForestMatrices(
         total_weight=total,

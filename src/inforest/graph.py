@@ -98,26 +98,31 @@ class MultiDigraph:
     def has_rational_weights(self) -> bool:
         return all(isinstance(arc.weight, Rational) for arc in self.arcs)
 
-    def total_weight_matrix(self, mode: str = EXACT) -> Matrix:
-        """Entry (i, j): sum of the weights of all arcs from i to j."""
+    def laplacian(self, mode: str = EXACT) -> Matrix:
+        """Row-sum-zero matrix: off-diagonal entry (i, j) is minus the total
+        weight of the arcs from i to j, and diagonal entry i is the total
+        out-weight of i.
+
+        This is the one place where an arc weight becomes a scalar of
+        ``mode``. A double cannot hold every positive rational, so in float
+        mode a weight that rounds to zero, or an out-weight total that
+        overflows, raises :class:`NonPositiveWeightError`, as a non-finite
+        float weight does when the graph is built.
+        """
         zero = zero_scalar(mode)
         rows = [[zero] * self.n for _ in range(self.n)]
-        for arc in self.arcs:
-            rows[arc.tail][arc.head] += scalar(arc.weight, mode)
-        return Matrix(rows, mode)
-
-    def laplacian(self, mode: str = EXACT) -> Matrix:
-        """Row-sum-zero matrix: diagonal holds total out-weights, off-diagonal
-        entries are negated total arc weights."""
-        weights = self.total_weight_matrix(mode).to_lists()
-        zero = zero_scalar(mode)
-        rows = []
-        for i in range(self.n):
-            diagonal = sum(weights[i], zero)
-            row = [-w for w in weights[i]]
-            row[i] = diagonal
-            rows.append(row)
-        return Matrix(rows, mode)
+        for tail, head, weight in self.arcs:
+            value = scalar(weight, mode)
+            if not value > 0:
+                raise NonPositiveWeightError(f"weight {format_for_message(weight)} rounds to 0.0")
+            rows[tail][head] -= value
+        for i, row in enumerate(rows):
+            # Minus the row sum in column order: the same double as the sum
+            # of the positive weights in that order.
+            row[i] = zero - sum(row, zero)
+            if not row[i] < math.inf:
+                raise NonPositiveWeightError(f"out-weight of vertex {i} overflows a double")
+        return Matrix._wrap(rows, mode)
 
     def max_out_weight(self) -> Weight:
         """Largest total out-weight over all vertices (the largest Laplacian

@@ -65,10 +65,15 @@ def format_for_message(value: Union[Scalar, int]) -> str:
 
 
 def scalar(value, mode: str) -> Scalar:
-    """``value`` as a scalar of ``mode``: a ``Fraction`` or a float."""
+    """``value`` as a scalar of ``mode``: a ``Fraction``, or the nearest
+    float, which is infinite with the sign of ``value`` beyond the range
+    of doubles."""
     if mode == EXACT:
         return value if type(value) is Fraction else Fraction(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def zero_scalar(mode: str) -> Scalar:

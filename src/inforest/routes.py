@@ -80,12 +80,7 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
 def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
     """``eps`` as a scalar of ``mode``; raises :class:`EpsilonOutOfRangeError`
     when a positive value rounds to zero or overflows as a double."""
-    if mode == EXACT:
-        return Fraction(eps)
-    try:
-        value = float(eps)
-    except OverflowError:
-        value = math.inf
+    value = scalar(eps, mode)
     if eps > 0 and not 0 < value < math.inf:
         raise EpsilonOutOfRangeError(
             f"epsilon {format_for_message(eps)} is not representable in float mode"
@@ -116,16 +111,18 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
 
 
 def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    result = Matrix.identity(graph.n, mode) - graph.laplacian(mode).scaled(walk.scalar)
-    if mode == EXACT:
-        assert all(total == 1 for total in result.row_sums())
-        return result
-    # 1 - eps d is positive, but rounds below zero when eps d is within a
-    # few roundings of 1; zero is the nearer value.
-    rows = result.to_lists()
-    for i, row in enumerate(rows):
-        row[i] = max(row[i], 0.0)
-    return Matrix(rows, mode)
+    zero, one, eps = zero_scalar(mode), one_scalar(mode), walk.scalar
+    rows = []
+    for i, values in enumerate(graph.laplacian(mode).to_lists()):
+        # 0 - eps L_ij, not -(eps L_ij), so that a zero entry stays +0.0.
+        row = [zero - eps * value for value in values]
+        # 1 - eps d is positive, but in float mode it rounds below zero
+        # when eps d is within a few roundings of 1; zero is the nearer value.
+        row[i] = max(one - eps * values[i], zero)
+        rows.append(row)
+    result = Matrix._wrap(rows, mode)
+    assert mode == FLOAT or all(total == 1 for total in result.row_sums())
+    return result
 
 
 def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT) -> Matrix:

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import inforest.bottleneck
@@ -529,6 +529,63 @@ def test_float_verify_is_consistent_on_small_weights(tmp_path, capsys):
     assert "inconsistent=0" in capsys.readouterr().out.split()
 
 
+def test_exact_routes_tail_bound_past_the_double_range_is_inf(tmp_path, capsys):
+    # No term reaches an infinite tolerance, so the bound is the whole
+    # series, 1 + 1/eps = 1 + 10^400, which no double holds.
+    source = tmp_path / "g.graph"
+    source.write_text("graph 2\n1 2 1\n1 2 1\n")
+    argv = ["routes", "--format", "tsv", "--epsilon=1e-400", "--tol=inf", "--input", str(source)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0].split()[2:] == ["terms_used=0", "tail_bound=inf"]
+
+
+_13_VERTICES = "digraph 13\n1 2 1e400\n" + "".join(f"{v} {v + 1} 1\n" for v in range(2, 13))
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("digraph 3\n1 2 1e400\n2 3 1\n", ["forest", "--mode", "float"]),
+        ("digraph 3\n1 2 1e400\n2 3 1\n", ["proximity", "--mode", "float"]),
+        ("digraph 3\n1 2 1e400\n2 3 1\n", ["verify", "--mode", "float"]),
+        ("digraph 3\n1 2 1e400\n2 3 1\n", ["bottleneck", "--mode", "float", *_TRIPLE]),
+        (_13_VERTICES, ["forest"]),
+        ("digraph 3\n1 2 1e-400\n2 3 1\n", ["verify", "--mode", "float"]),
+        ("digraph 3\n1 2 1e308\n1 2 1e308\n2 3 1\n", ["forest", "--mode", "float"]),
+    ],
+    ids=[
+        "forest-1e400",
+        "proximity-1e400",
+        "verify-1e400",
+        "bottleneck-1e400",
+        "default-forest-13-vertices-1e400",
+        "verify-1e-400",
+        "forest-two-parallel-1e308",
+    ],
+)
+def test_float_weight_a_double_cannot_hold_is_nonpositive_weight(tmp_path, capsys, text, argv):
+    source = tmp_path / "g.graph"
+    source.write_text(text)
+    assert run([*argv, "--input", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error:nonpositive-weight: [^\n]*\n", captured.err)
+
+
+@pytest.mark.parametrize("command", ["forest", "verify"])
+def test_float_weights_too_far_apart_are_instance_too_large(tmp_path, capsys, command):
+    # Float elimination of I + L loses its pivot to rounding here.
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 2 1e13\n2 1 1e13\n")
+    assert run([command, "--mode", "float", "--input", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:instance-too-large:")
+    assert run([command, "--mode", "exact", "--input", str(source)]) == 0
+
+
 def test_json_boolean_endpoint_is_format_error(tmp_path, capsys):
     source = tmp_path / "g.json"
     source.write_text('{"n": 3, "arcs": [[true, 2, "1"], [2, 3, "1"]]}')
@@ -539,7 +596,7 @@ def test_json_boolean_endpoint_is_format_error(tmp_path, capsys):
 
 
 FLAG_VALUES = ["nan", "inf", "0", "-1", "1e-400", "1e400", "1e4300", "7" * 4400]
-FILE_WEIGHTS = ["1", "2/3", "0.25", "5/4"]
+FILE_WEIGHTS = ["1", "2/3", "0.25", "5/4", "1e400", "1e-400"]
 REJECTED_WEIGHTS = ["0", "-1", "nan", "inf", "1e4301", "7" * 4400]
 GRAPH_COMMANDS = ["forest", "proximity", "enumerate", "routes", "decompose", "bottleneck", "verify"]
 
@@ -550,9 +607,10 @@ def cli_cases(draw):
     (without ``--input``) for any command.
 
     Flags take the values of ``FLAG_VALUES``. File weights are small
-    rationals, now and then a token that every mode rejects; valid weights
-    beyond the range of doubles are left out, since float mode still ends
-    them in an OverflowError or a false exit 3 (ROADMAP item 3).
+    rationals and valid weights beyond the range of doubles, which float
+    mode refuses, and now and then a token that every mode rejects. No
+    weight near the top of the double range is drawn: one arc of ``1e308``
+    still overflows the float ``F`` products (ROADMAP item 3).
     """
 
     def flag(name, values):
@@ -594,13 +652,19 @@ def cli_cases(draw):
 
 
 @given(cli_cases())
+@example(
+    (
+        "graph 2\n1 2 1\n1 2 1\n1 2 1\n1 2 1",
+        ["routes", "--format", "tsv", "--epsilon=1e-400", "--tol=inf"],
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
     text, argv = case
     source = tmp_path_factory.getbasetemp() / "fuzz.graph"
     source.write_text(text)
     if argv[0] != "gen":
-        argv += ["--input", str(source)]
+        argv = [*argv, "--input", str(source)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

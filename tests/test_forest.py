@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from inforest import (
     EXACT,
     FLOAT,
+    InstanceTooLargeError,
     Matrix,
     MultiDigraph,
     forest_matrices,
     oracle_matrices,
+    random_graph,
 )
 from tests.helpers import make_path, multidigraphs
 
@@ -109,6 +111,16 @@ def test_float_mode_rows_sum_near_one():
     assert forests.mode == FLOAT
     for total in forests.proximity.row_sums():
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float_solve_past_its_precision_is_instance_too_large(seed):
+    # I + L is never singular; at weights near 1e13 the float pivot test
+    # fails on rounding error, so this is a limit, not a theorem violation.
+    graph = random_graph(10, seed).scaled(10**13)
+    with pytest.raises(InstanceTooLargeError, match="exact mode solves"):
+        forest_matrices(graph, FLOAT)
+    assert forest_matrices(graph, EXACT).total_weight > 0
 
 
 def test_float_forest_matrices_run_one_elimination(monkeypatch):

@@ -50,19 +50,21 @@ def test_endpoints_out_of_range_rejected(arc):
         MultiDigraph(2, [arc])
 
 
-def test_total_weight_matrix_sums_parallel_arcs():
+def test_laplacian_sums_parallel_arcs():
     g = MultiDigraph(2, [(0, 1, 2), (0, 1, 3)])
-    assert g.total_weight_matrix().to_lists() == [[0, 5], [0, 0]]
+    assert g.laplacian().to_lists() == [[5, -5], [0, 0]]
 
 
-def test_total_weight_matrix_empty_graph():
-    assert MultiDigraph(3, []).total_weight_matrix() == Matrix.zeros(3)
+def test_laplacian_empty_graph_in_both_modes():
+    assert MultiDigraph(3, []).laplacian() == Matrix.zeros(3)
+    zeros = MultiDigraph(3, []).laplacian(FLOAT).to_lists()
+    assert all(str(v) == "0.0" for row in zeros for v in row)
 
 
-def test_total_weight_matrix_path():
+def test_laplacian_path():
     a, b = Fraction(2, 3), Fraction(5)
     g = make_path(a, b)
-    assert g.total_weight_matrix().to_lists() == [[0, a, 0], [0, 0, b], [0, 0, 0]]
+    assert g.laplacian().to_lists() == [[a, -a, 0], [0, b, -b], [0, 0, 0]]
 
 
 def test_laplacian_single_arc():
@@ -164,13 +166,17 @@ def test_laplacian_rows_sum_to_zero(g):
 
 @given(multidigraphs())
 def test_weight_matrix_is_negated_off_diagonal_laplacian(g):
-    weights = g.total_weight_matrix()
-    lap = g.laplacian()
-    for i in range(g.n):
-        assert weights[i, i] == 0
-        for j in range(g.n):
-            if i != j:
-                assert weights[i, j] == -lap[i, j]
+    for mode, convert in ((EXACT, Fraction), (FLOAT, float)):
+        weights = [[convert(0)] * g.n for _ in range(g.n)]
+        for arc in g.arcs:
+            weights[arc.tail][arc.head] += convert(arc.weight)
+        lap = g.laplacian(mode)
+        for i in range(g.n):
+            # The out-weight is summed in column order, bit for bit in floats.
+            assert lap[i, i] == sum(weights[i], convert(0))
+            for j in range(g.n):
+                if i != j:
+                    assert weights[i][j] == -lap[i, j]
 
 
 @given(multidigraphs())
@@ -185,6 +191,17 @@ def test_reachability_monotone_under_arc_addition(g):
     bigger = MultiDigraph(g.n, list(g.arcs) + [extra])
     for source in range(g.n):
         assert g.reachable(source) <= bigger.reachable(source)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[Fraction(1, 10**400)], [Fraction(10**400)], [Fraction(10**308), Fraction(10**308)]],
+)
+def test_float_laplacian_refuses_weights_a_double_cannot_hold(weights):
+    g = MultiDigraph(2, [(0, 1, w) for w in weights])
+    assert g.laplacian().row(0) == (sum(weights), -sum(weights))
+    with pytest.raises(NonPositiveWeightError):
+        g.laplacian(FLOAT)
 
 
 def test_float_laplacian_rows_near_zero():

@@ -18,6 +18,7 @@ from inforest import (
     invert,
     stochastic_matrix,
 )
+from inforest.matrix import scalar
 from tests.helpers import corpus, reference_series
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
@@ -250,3 +251,10 @@ def test_float_determinant_is_zero_exactly_where_invert_raises(m):
 def test_geometric_series_rejects_nan_tolerance():
     with pytest.raises(ValueError):
         geometric_series(Matrix([[Fraction(1, 2)]]), float("nan"))
+
+
+def test_float_scalar_rounds_to_nearest_and_overflows_to_infinity():
+    assert scalar(Fraction(1, 3), FLOAT) == 1 / 3
+    assert scalar(10**400 + 1, FLOAT) == float("inf")
+    assert scalar(-Fraction(10**400, 3), FLOAT) == float("-inf")
+    assert scalar(Fraction(1, 10**400), FLOAT) == 0.0

@@ -88,9 +88,9 @@ def test_solver_on_arcless_graph_and_smallest_graph():
 
 
 def test_solver_rejects_a_nonpositive_pivot():
-    # Not of the form I + L: its first leading principal minor is 0.
+    # Not a Laplacian: I plus this matrix has first leading principal minor 0.
     with pytest.raises(InconsistentWithTheoremError):
-        _integer_forest_solve(Matrix([[0, 1], [1, 0]]))
+        _integer_forest_solve(Matrix([[-1, 1], [1, -1]]))
 
 
 def test_report_products_are_the_forest_products():
