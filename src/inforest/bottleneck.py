@@ -23,7 +23,6 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -127,33 +126,30 @@ def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
 
 
 def _report(
-    mode: str, triple: tuple[int, int, int], lhs: Scalar, rhs: Scalar, separator: bool, square: int
+    mode: str, triple: tuple[int, int, int], lhs: Scalar, rhs: Scalar, separator: bool
 ) -> BottleneckReport:
-    """Verdict for one triple from its two products.
+    """Verdict for one triple from its two products ``F_ij F_jk`` and
+    ``F_ik F_jj``.
 
-    In exact mode ``lhs`` and ``rhs`` are the products of the matrix
-    ``N = c F`` and ``square`` is ``c**2``, for any positive ``c``: the law
-    is homogeneous of degree 2, so comparing ``N_ij N_jk`` with
-    ``N_ik N_jj`` gives the verdict of the ``F`` products. The sweep
-    passes the integers of :func:`inforest.matrix.common_denominator`,
-    :func:`check_triple` the entries of ``F`` and 1. Any violation raises
-    :class:`InconsistentWithTheoremError`. Float mode records a
-    disagreement as ``consistent=False`` instead.
+    In exact mode any violation raises
+    :class:`InconsistentWithTheoremError`, and an equal triple shares one
+    value object for both sides. Float mode records a disagreement as
+    ``consistent=False`` instead.
     """
     verdict = relation(lhs, rhs, mode)
     equal = verdict == RELATION_EQUAL
     if mode == EXACT:
         if lhs > rhs:
             raise InconsistentWithTheoremError(
-                f"triple {triple}: product {format_for_message(Fraction(lhs, square))} "
-                f"exceeds {format_for_message(Fraction(rhs, square))}"
+                f"triple {triple}: product {format_for_message(lhs)} "
+                f"exceeds {format_for_message(rhs)}"
             )
         if equal != separator:
             raise InconsistentWithTheoremError(
                 f"triple {triple}: relation {verdict} but separator is {separator}"
             )
-        lhs = Fraction(lhs, square)
-        rhs = lhs if equal else Fraction(rhs, square)
+        if equal:
+            rhs = lhs
     i, j, k = triple
     return BottleneckReport(
         triple=triple,
@@ -180,12 +176,12 @@ def check_triple(
     separator = is_bottleneck(graph, i, j, k)
     weights = forests.matrix
     lhs, rhs = weights[i, j] * weights[j, k], weights[i, k] * weights[j, j]
-    return _report(forests.mode, (i, j, k), lhs, rhs, separator, 1)
+    return _report(forests.mode, (i, j, k), lhs, rhs, separator)
 
 
 class TripleReports(Sequence[BottleneckReport]):
     """The reports of all ordered triples in lexicographic order, built on
-    access from the sweep's scaled ``F`` rows, scale and separator rows.
+    access from the rows of ``F`` and the sweep's separator rows.
 
     A read-only sequence: reports built here equal those of
     :func:`_report` called triple by triple, and ``summary`` holds the
@@ -197,14 +193,12 @@ class TripleReports(Sequence[BottleneckReport]):
         self,
         mode: str,
         values: list[list[Scalar]],
-        square: int,
         separators: list[list[bool]],
         summary: TripleSummary,
     ):
         self.mode = mode
         self.summary = summary
         self._values = values
-        self._square = square
         self._separators = separators
         self._n = len(values)
 
@@ -220,7 +214,6 @@ class TripleReports(Sequence[BottleneckReport]):
             row_i[j] * row_j[k],
             row_i[k] * row_j[j],
             self._separators[i * self._n + j][k],
-            self._square,
         )
 
     def __len__(self) -> int:
@@ -261,16 +254,18 @@ def verify_all_triples(
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
-    values, square = forests.matrix.to_lists(), 1
+    values = rows = forests.matrix.to_lists()
     if mode == EXACT:
-        flat, common = common_denominator([v for row in values for v in row])
-        values, square = [flat[r * n : (r + 1) * n] for r in range(n)], common * common
+        # The law is homogeneous of degree 2, so the integers c F give
+        # the verdicts of F and compare faster than fractions.
+        flat, _ = common_denominator([v for row in values for v in row])
+        rows = [flat[r * n : (r + 1) * n] for r in range(n)]
     separators = []
     equal = inconsistent = 0
     for i in range(n):
-        row_i = values[i]
+        row_i = rows[i]
         for j, row_sep in enumerate(_dominator_separators(graph, i)):
-            row_j = values[j]
+            row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
             lhs = [ij * v for v in row_j]
             rhs = [v * jj for v in row_i]
@@ -279,7 +274,8 @@ def verify_all_triples(
                 k = next(
                     k for k in range(n) if lhs[k] > rhs[k] or verdicts[k] != row_sep[k]
                 )
-                _report(mode, (i, j, k), lhs[k], rhs[k], row_sep[k], square)  # raises
+                f_i, f_j = values[i], values[j]
+                _report(mode, (i, j, k), f_i[j] * f_j[k], f_i[k] * f_j[j], row_sep[k])  # raises
             if verdicts != row_sep:
                 inconsistent += sum(map(operator.ne, verdicts, row_sep))
             equal += sum(verdicts)
@@ -288,7 +284,7 @@ def verify_all_triples(
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)
     summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
-    return TripleReports(mode, values, square, separators, summary)
+    return TripleReports(mode, values, separators, summary)
 
 
 def _edge_reach(neighbors: Sequence[set[int]], source: int, excluded: int) -> set[int]:

@@ -191,7 +191,9 @@ def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
         "r_ij_once": deco.start_via_once,
         "r_ijk": deco.through_via,
         "r_ik_avoid_j": deco.avoiding_via,
-        "relation": relation(deco.start_via * deco.via_end, deco.start_end * deco.via_via, mode),
+        # The law r_ij r_jk <= r_ik r_jj divided by r_jj > 0: the left side
+        # never exceeds r_jk, so it cannot overflow where r_ij r_jk would.
+        "relation": relation(deco.start_via_once * deco.via_end, deco.start_end, mode),
         "degenerate": deco.degenerate,
     }
     _emit(args.fmt, fields)
@@ -210,7 +212,7 @@ def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
     }
     # The bare leading relation token is what scripts split on.
     _emit(args.fmt, fields, "{relation} separator={separator} lhs={lhs} rhs={rhs}")
-    return 0
+    return 0 if report.consistent else 3
 
 
 def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:

@@ -217,27 +217,36 @@ class Matrix:
 def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
     """Inverse and determinant from one Gauss-Jordan elimination.
 
+    Both modes pick pivots by scaled partial pivoting: the pivot of a
+    column is the first candidate row with the largest magnitude relative
+    to the row's scale, its largest original magnitude (1 for a zero row).
     The determinant is the product of the pivots, negated once per row
     swap. Raises :class:`SingularMatrixError` when no acceptable pivot
-    exists (exactly zero in exact mode, below ``FLOAT_PIVOT_RTOL`` times the
-    row scale in float mode).
+    exists: no candidate is nonzero, or in float mode the best relative
+    magnitude is below ``FLOAT_PIVOT_RTOL``. Exact inverses and
+    determinants do not depend on the pivot order, nor does the column
+    where a singular matrix is found: the first that depends on the
+    columns before it.
     """
     n = matrix.order
     mode = matrix.mode
     a = matrix.to_lists()
     inv = Matrix.identity(n, mode).to_lists()
     det = one_scalar(mode)
-    if mode == FLOAT:
-        scales = [max((abs(v) for v in row), default=0.0) or 1.0 for row in a]
+    floor = FLOAT_PIVOT_RTOL if mode == FLOAT else 0
+    scales = [max((abs(v) for v in row), default=0) or 1 for row in a]
     for col in range(n):
-        pivot_row = _select_pivot(a, col, n, mode, scales if mode == FLOAT else None)
-        if pivot_row is None:
+        # An explicit loop, not max(key=): a NaN entry is never chosen.
+        pivot_row, best = None, 0
+        for r in range(col, n):
+            size = abs(a[r][col]) / scales[r]
+            if size > best:
+                pivot_row, best = r, size
+        if pivot_row is None or best < floor:
             raise SingularMatrixError(f"matrix of order {n} is singular at column {col}")
         if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            if mode == FLOAT:
-                scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
+            for rows in (a, inv, scales):
+                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
         pivot = a[col][col]
         det *= pivot
@@ -269,22 +278,6 @@ def determinant(matrix: Matrix) -> Scalar:
         return gauss_jordan(matrix)[1]
     except SingularMatrixError:
         return zero_scalar(matrix.mode)
-
-
-def _select_pivot(a, col, n, mode, scales):
-    if mode == EXACT:
-        for r in range(col, n):
-            if a[r][col] != 0:
-                return r
-        return None
-    best, best_size = None, 0.0
-    for r in range(col, n):
-        size = abs(a[r][col]) / scales[r]
-        if size > best_size:
-            best, best_size = r, size
-    if best is None or best_size < FLOAT_PIVOT_RTOL:
-        return None
-    return best
 
 
 class SeriesSum(NamedTuple):

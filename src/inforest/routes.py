@@ -79,11 +79,12 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
 
 def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
     """``eps`` as a scalar of ``mode``; raises :class:`EpsilonOutOfRangeError`
-    when a positive value rounds to zero or overflows as a double."""
+    when a positive value rounds to zero or overflows as a double, or its
+    reciprocal, which the route weights ``1 + 1/eps`` hold, overflows."""
     value = scalar(eps, mode)
-    if eps > 0 and not 0 < value < math.inf:
+    if eps > 0 and not (0 < value < math.inf and 1 / value < math.inf):
         raise EpsilonOutOfRangeError(
-            f"epsilon {format_for_message(eps)} is not representable in float mode"
+            f"epsilon {format_for_message(eps)} or its reciprocal is not a finite double"
         )
     return value
 
@@ -137,13 +138,12 @@ class RouteMatrices:
     """Truncated route-weight sum together with its convergence evidence.
 
     ``tail_bound`` is a guaranteed upper bound on the max-abs error of
-    ``route_weights`` against the exact route weights. In exact mode that
-    error is the truncation: the last added term decays at least
-    geometrically with ratio ``r = 1 / (1 + eps)`` from there on (row sums
-    of the step matrix shrink exactly by that ratio each step). When no
-    term was added the whole series, at most ``1 / (1 - r) = 1 + 1/eps``,
-    is the remainder. In float mode :func:`_float_tail_bound` adds the
-    rounding of the sum and of the step matrix.
+    ``route_weights`` against the exact route weights, from
+    :func:`_tail_bound`: the truncation, since the last added term decays
+    at least geometrically with ratio ``r = 1 / (1 + eps)`` from there on
+    (row sums of the step matrix shrink exactly by that ratio each step),
+    plus in float mode the rounding of the sum and of the step matrix. An
+    exact ``Fraction`` in exact mode, a double rounded up in float mode.
     """
 
     epsilon: EpsilonValue
@@ -205,23 +205,17 @@ def route_matrix(
             "rounds to a sum above 1, so its series need not converge"
         )
     series = geometric_series(step, tolerance, max_terms)
-    if mode == FLOAT:
-        tail = _float_tail_bound(graph, walk, series)
-    else:
-        # The remainder after the last added term P^m is at most its norm
-        # times r + r^2 + ...; with no term added it is the whole series.
-        head = series.last_term_norm * walk.ratio if series.terms_used else one_scalar(mode)
-        tail = head / (1 - walk.ratio)
+    tail = _tail_bound(graph, walk, series, mode)
     return RouteMatrices(walk.eps, step, series.total, series.terms_used, tail)
 
 
-def _float_tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum) -> float:
+def _tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum, mode: str) -> Scalar:
     """Bound on ``max|R - S|``: ``R = (I - P)^-1`` holds the exact route
-    weights and ``S`` is ``series.total``, summed in floats from the float
-    step matrix ``P'``.
+    weights and ``S`` is ``series.total``, summed from the step matrix
+    ``P'`` of the mode.
 
-    With ``u = 2^-53`` and ``g(k) = k u / (1 - k u)``, and ``a`` the
-    largest out-arc count:
+    With ``u`` the unit roundoff, ``2^-53`` for doubles and 0 in exact
+    mode, ``g(k) = k u / (1 - k u)``, and ``a`` the largest out-arc count:
 
     - The step. An off-diagonal entry of ``P'`` carries at most ``a + 6``
       roundings (the weights and their sum, eps, ``1/(1 + eps)`` and two
@@ -249,11 +243,16 @@ def _float_tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum) -> fl
       most ``||S||_max`` plus the two parts above.
 
     Underflow, at most ``2^-1074`` per operation, is left out: the bound
-    is never below ``delta``. The sum of the parts is evaluated exactly
-    and rounded up; it is infinite where ``rho`` reaches 1 or a rounding
-    count reaches ``1/u``.
+    is never below ``delta``. The sum of the parts is evaluated exactly;
+    in float mode it is rounded up to a double, infinite where ``rho``
+    reaches 1 or a rounding count reaches ``1/u``. In exact mode every
+    rounding part is zero, ``P' = P`` and ``rho = r = 1/(1 + eps)``, so
+    the bound is the exact truncation ``||P^p||_max r / (1 - r)``, or the
+    whole series ``1 / (1 - r) = 1 + 1/eps`` with no term added.
     """
-    u = Fraction(1, 2**53)  # unit roundoff of doubles, round to nearest
+    # Unit roundoff of doubles, round to nearest; a Fraction zero, not
+    # the int 0, keeps the exact arithmetic in fractions.
+    u = Fraction(1, 2**53) if mode == FLOAT else Fraction(0)
     n = graph.n
     p = series.terms_used - 1
     depth = max(p, 0).bit_length()
@@ -277,7 +276,8 @@ def _float_tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum) -> fl
     step_error = (1 + 1 / Fraction(walk.eps)) * delta * (
         Fraction(series.total.max_abs()) + head + rounding
     )
-    return math.nextafter(float(head + rounding + step_error), math.inf)
+    bound = head + rounding + step_error
+    return bound if mode == EXACT else math.nextafter(float(bound), math.inf)
 
 
 def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix:

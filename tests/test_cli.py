@@ -76,6 +76,46 @@ def test_bottleneck_strict_line(triangle_file, capsys):
     assert capsys.readouterr().out.strip() == "strict separator=false lhs=3 rhs=9"
 
 
+OVERFLOW_FILE = "digraph 3\n1 2 1e308\n2 3 1\n"
+
+
+def test_float_bottleneck_that_contradicts_its_separator_exits_3(tmp_path, capsys):
+    # F overflows to inf, so the products compare strict while vertex 2
+    # separates; verify --mode float counts the same triple inconsistent.
+    source = tmp_path / "g.graph"
+    source.write_text(OVERFLOW_FILE)
+    argv = ["bottleneck", "--mode", "float", "--input", str(source), *_TRIPLE]
+    assert run(argv) == 3
+    assert capsys.readouterr().out == "strict separator=true lhs=inf rhs=inf\n"
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [(OVERFLOW_FILE, []), (PATH_FILE, ["--epsilon", "1e-309"])],
+    ids=["default-epsilon", "given-epsilon"],
+)
+def test_float_decompose_at_an_epsilon_whose_reciprocal_overflows_is_out_of_range(
+    tmp_path, capsys, text, extra
+):
+    source = tmp_path / "g.graph"
+    source.write_text(text)
+    argv = ["decompose", "--mode", "float", "--input", str(source), *_TRIPLE, *extra]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:epsilon-out-of-range:")
+
+
+def test_float_decompose_verdict_survives_route_products_past_the_double_range(
+    path_file, capsys
+):
+    # At eps = 1e-300 the route weights are near 1e299 and both products of
+    # the law near 1e599; vertex 2 separates, so the verdict is equal.
+    argv = ["decompose", "--mode", "float", "--input", path_file, *_TRIPLE, "--epsilon", "1e-300"]
+    assert run(argv) == 0
+    assert "relation=equal" in capsys.readouterr().out.split()
+
+
 def test_bottleneck_vertex_out_of_range(path_file, capsys):
     assert run(["bottleneck", "--input", path_file, "-i", "1", "-j", "2", "-k", "9"]) == 1
     assert capsys.readouterr().err.startswith("error:vertex-out-of-range:")

@@ -429,3 +429,30 @@ def test_infinite_epsilon_on_an_arcless_graph_is_out_of_range():
         validate_epsilon(arcless, float("inf"))
     with pytest.raises(EpsilonOutOfRangeError):
         closed_route_matrix(arcless, float("inf"))
+
+
+@pytest.mark.parametrize("g", [make_path(), make_triangle(), random_graph(4, 3)])
+def test_exact_tail_bound_is_the_exact_truncation(g):
+    # The float bound's no-rounding case: the last term's norm times
+    # r / (1 - r), r = 1 / (1 + eps), kept as an exact Fraction.
+    eps = choose_epsilon(g)
+    result = route_matrix(g, eps=eps, tolerance=1e-6, mode=EXACT)
+    ratio = 1 / (1 + eps)
+    series = geometric_series(stochastic_matrix(g, eps).scaled(ratio), 1e-6)
+    assert result.terms_used == series.terms_used > 0
+    assert type(result.tail_bound) is Fraction
+    assert result.tail_bound == series.last_term_norm * ratio / (1 - ratio)
+    # With no term added the bound is the whole series, 1 + 1/eps.
+    empty = route_matrix(g, eps=eps, tolerance=2, mode=EXACT)
+    assert type(empty.tail_bound) is Fraction
+    assert empty.tail_bound == 1 + 1 / eps
+
+
+def test_float_epsilon_whose_reciprocal_overflows_is_out_of_range():
+    # The default eps, 1/(2 10^308), is a subnormal double: 1 + 1/eps
+    # would be inf and the route weights inf and nan.
+    g = MultiDigraph(3, [(0, 1, Fraction(10**308)), (1, 2, 1)])
+    with pytest.raises(EpsilonOutOfRangeError):
+        closed_route_matrix(g, mode=FLOAT)
+    with pytest.raises(EpsilonOutOfRangeError):
+        route_decomposition(g, 0, 1, 2, mode=FLOAT)

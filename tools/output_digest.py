@@ -1,0 +1,159 @@
+"""Hash the library's outputs on a fixed corpus, one line per section.
+
+Prints one ``<section> <sha256>`` line per section, each hashing the
+values, types and error texts of a group of library calls on a seeded
+corpus of random and generator graphs with at most 8 vertices:
+
+- ``forest``: ``f``, ``F`` and ``Q`` of :func:`forest_matrices`, both modes;
+- ``solve``: :func:`invert` and :func:`determinant` of ``I + L`` and of
+  fixed small general matrices, singular ones with their error text;
+- ``verify``: every report of :func:`verify_all_triples`, with the types of
+  ``lhs`` and ``rhs`` and whether they are one object, and the summary;
+- ``triple``: :func:`check_triple` on every triple;
+- ``routes``: :func:`route_matrix`, both modes: weights, terms, tail
+  bound and its type, or the error;
+- ``decompose``: :func:`route_decomposition` on every triple;
+- ``oracle``: :func:`oracle_matrices`.
+
+A change that keeps every output prints the same lines as its parent. The
+tool imports ``inforest`` from the ``src`` directory of the checkout it
+lies in, so to compare two checkouts, copy it into the other one and run
+it in both.
+
+Usage: ``python tools/output_digest.py``
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from inforest import (  # noqa: E402
+    EXACT,
+    FLOAT,
+    InforestError,
+    Matrix,
+    check_triple,
+    complete_graph,
+    cycle_graph,
+    determinant,
+    forest_matrices,
+    invert,
+    oracle_matrices,
+    path_graph,
+    random_graph,
+    route_decomposition,
+    route_matrix,
+    summarize,
+    verify_all_triples,
+)
+
+MODES = (EXACT, FLOAT)
+# Exact route series, the enumeration oracle and the per-triple route
+# decompositions grow fastest in cost, so they run on the smaller graphs.
+EXACT_ROUTES_MAX_N = 4
+SMALL_N = 5
+ROUTE_ARGUMENTS = (
+    {}, {"eps": Fraction(1, 9)}, {"tolerance": 1e-4}, {"tolerance": 2}, {"max_terms": 3}
+)
+SECTIONS = ("forest", "solve", "verify", "triple", "routes", "decompose", "oracle")
+
+
+def corpus() -> list:
+    """The fixed graphs: seeded random graphs and the three generators."""
+    graphs = [random_graph(n, seed) for n in range(2, 9) for seed in (1, 2, 3)]
+    graphs.append(random_graph(5, 3, (1, 40)))
+    for make in (path_graph, cycle_graph, complete_graph):
+        graphs += [make(3), make(6, Fraction(3, 7))]
+    return graphs
+
+
+def general_matrices() -> list[list[list[int]]]:
+    """Fixed small matrices, singular ones among them."""
+    rng = random.Random(12)
+    matrices = [[[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [1, 0]]]
+    matrices.append([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    for n in range(1, 7):
+        for _ in range(12):
+            matrices.append([[rng.choice((-2, 0, 0, 1, 3)) for _ in range(n)] for _ in range(n)])
+    return matrices
+
+
+def _attempt(call) -> str:
+    """The repr of ``call()``, or the error's class and text."""
+    try:
+        return repr(call())
+    except InforestError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _sections(graphs) -> dict:
+    out = {name: [] for name in SECTIONS}
+    for graph in graphs:
+        n = graph.n
+        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        for mode in MODES:
+            forests = forest_matrices(graph, mode)
+            matrices = (forests.matrix.to_lists(), forests.proximity.to_lists())
+            out["forest"].append(repr((mode, forests.total_weight, *matrices)))
+            shifted = Matrix.identity(n, mode) + graph.laplacian(mode)
+            out["solve"].append(_attempt(lambda: invert(shifted).to_lists()))
+            out["solve"].append(_attempt(lambda: determinant(shifted)))
+            reports = verify_all_triples(graph, forests, mode)
+            for r in reports:
+                out["verify"].append(
+                    repr((r, type(r.lhs).__name__, type(r.rhs).__name__, r.lhs is r.rhs))
+                )
+            out["verify"].append(repr(summarize(reports)))
+            for triple in triples:
+                out["triple"].append(_attempt(lambda: check_triple(forests, graph, *triple)))
+            if mode == FLOAT or n <= EXACT_ROUTES_MAX_N:
+                for kwargs in ROUTE_ARGUMENTS:
+                    out["routes"].append(_attempt(lambda: _routes(graph, mode, **kwargs)))
+            if n <= SMALL_N:
+                for triple in triples:
+                    out["decompose"].append(
+                        _attempt(lambda: route_decomposition(graph, *triple, mode=mode))
+                    )
+        if n <= SMALL_N:
+            result = oracle_matrices(graph)
+            rows = result.matrix.to_lists()
+            out["oracle"].append(repr((result.total_weight, rows, result.forest_count)))
+    for rows in general_matrices():
+        for mode in MODES:
+            matrix = Matrix(rows, mode)
+            out["solve"].append(_attempt(lambda: invert(matrix).to_lists()))
+            out["solve"].append(_attempt(lambda: determinant(matrix)))
+    return out
+
+
+def _routes(graph, mode: str, **kwargs) -> tuple:
+    result = route_matrix(graph, mode=mode, **kwargs)
+    bound = result.tail_bound
+    weights = result.route_weights.to_lists()
+    return (result.epsilon, weights, result.terms_used, bound, type(bound).__name__)
+
+
+def digest(graphs) -> list[str]:
+    """One ``<section> <sha256 hex>`` line per section for ``graphs``."""
+    lines = []
+    for name, records in _sections(graphs).items():
+        h = hashlib.sha256()
+        for record in records:
+            h.update(record.encode("utf-8") + b"\n")
+        lines.append(f"{name} {h.hexdigest()}")
+    return lines
+
+
+def main() -> int:
+    print("\n".join(digest(corpus())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
