@@ -68,8 +68,8 @@ class NotConvergedError(InforestError):
 
 
 class InstanceTooLargeError(InforestError):
-    """The instance exceeds a size or precision limit: an enumeration or
-    route cap, the digits Python prints, or the precision of float mode."""
+    """The instance exceeds a size limit: an enumeration or route cap, or
+    the digits Python prints."""
 
     code = "instance-too-large"
     exit_code = 2

@@ -8,27 +8,32 @@ determinant of ``I + L``) yields the matrix of raw forest weights. The
 brute-force enumeration in :mod:`inforest.oracle` realizes the same values
 combinatorially and serves as the independent cross-check.
 
-Exact mode finds ``f = det(I + L)`` and ``F = adj(I + L)`` together in one
-fraction-free Gauss-Jordan elimination on Python ints (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968). With ``D`` the least common multiple of the denominators
-of ``L``, ``D(I + L)`` is the integer matrix ``DL`` with ``D`` added on the
-diagonal, and eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the
-left and ``D^n F`` on the right; every division in the loop is exact, so
-no ``Fraction`` is normalized until the final entries are built. Float
-mode takes ``Q = (I + L)^-1`` and ``f`` from one Gauss-Jordan elimination
-with scaled partial pivoting (:func:`inforest.matrix.gauss_jordan`), whose
-pivot product is the determinant, and scales ``Q`` by ``f`` to get ``F``.
+Both modes find ``f = det(I + L)`` and ``F = adj(I + L)`` in one
+Gauss-Jordan elimination of ``I + L`` with no pivot search. The
+off-diagonal entries of ``I + L`` are at most 0 and its rows sum to 1, so
+off the diagonal every update adds terms of one sign, and the pivot is
+taken, as in the GTH rule (Grassmann, Taksar & Heyman, Oper. Res. 33,
+1985), as the row's running sum plus the magnitudes of the entries right
+of the diagonal: a sum of positive terms, never a difference. Exact mode
+runs it fraction-free on Python ints (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
+with ``D`` the least common multiple of the denominators of ``L``,
+eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the left and
+``D^n F`` on the right; every division is exact, so no ``Fraction`` is
+normalized until the final entries are built. Float mode divides each
+row of the right block by its pivot to get ``Q = (I + L)^-1``; ``f`` is
+the product of the pivots and ``F`` is ``f Q``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconsistentWithTheoremError, InstanceTooLargeError, SingularMatrixError
+from .errors import InconsistentWithTheoremError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message, gauss_jordan
+from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message
 
 # The general reference solvers stay importable from here.
 from .matrix import determinant, invert  # noqa: F401
@@ -49,71 +54,63 @@ class ForestMatrices:
     mode: str
 
 
-def _integer_forest_solve(laplacian: Matrix) -> tuple[int, int, list[list[int]]]:
-    """``(det, scale, R)`` with ``f = det / scale`` and ``F = R / scale``.
+def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[float]]]:
+    """``(pivots, c, R)`` from eliminating ``[c(I + L) | c I | s]``.
 
-    ``scale`` is ``D^n``, where ``D`` is the least common denominator of
-    ``L``, which is also that of ``I + L``; the identity is added on that
-    integer scale. No pivot search: ``I + L`` is strictly row diagonally
-    dominant, so every leading principal minor of ``D(I + L)``, which is
-    the pivot of its step, is positive.
+    ``c`` is ``D`` in exact mode and 1.0 in float mode, and ``s`` holds the
+    row sums of the left block, ``c`` at the start. No pivot search: the
+    pivot of step k is ``s_k`` plus the magnitudes right of the diagonal
+    (GTH), positive by construction. In exact mode, where every update is
+    Bareiss's exact division, it must equal the eliminated diagonal, else
+    the matrix is no ``I + L``; the last pivot is then ``D^n f`` and ``R``
+    is ``D^n F``. In float mode ``R_k / pivot_k`` is row k of ``Q``.
     """
     n = laplacian.order
-    flat, common = common_denominator([v for i in range(n) for v in laplacian.row(i)])
-    rows = [flat[r * n : (r + 1) * n] + [0] * n for r in range(n)]
+    exact = laplacian.mode == EXACT
+    if exact:
+        flat, c = common_denominator([v for i in range(n) for v in laplacian.row(i)])
+        left = [flat[r * n : (r + 1) * n] for r in range(n)]
+    else:
+        c, left = 1.0, laplacian.to_lists()
+    rows = [row + [0 * c] * n + [c] for row in left]
     for r, row in enumerate(rows):
-        row[r] += common
-        row[n + r] = common
-    previous = 1
+        row[r] += c
+        row[n + r] = c
+    pivots, previous = [], 1
     for k in range(n):
         pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot <= 0:
+        pivot = pivot_row[-1] - sum(pivot_row[k + 1 : n])
+        if exact and not 0 < pivot == pivot_row[k]:
             raise InconsistentWithTheoremError(
-                f"leading principal minor {k + 1} of the scaled identity-plus-Laplacian "
-                f"is {format_for_message(pivot)}; it must be positive"
+                f"pivot {k + 1} of the scaled identity-plus-Laplacian is "
+                f"{format_for_message(pivot_row[k])} eliminated and {format_for_message(pivot)} "
+                "from its row sum; it must be one positive value"
             )
         # Columns up to k are settled: the left block there is diagonal.
+        # Off the diagonal every update adds terms of one sign.
         tail = pivot_row[k + 1 :]
-        for r in range(n):
-            if r == k:
-                continue
-            row = rows[r]
+        for row in rows[:k] + rows[k + 1 :]:
             factor = row[k]
-            row[k + 1 :] = [
-                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-            ]
+            if exact:
+                row[k + 1 :] = [
+                    (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+                ]
+            else:
+                factor /= pivot
+                row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
+        pivots.append(pivot)
         previous = pivot
-    return previous, common**n, [row[n:] for row in rows]
+    return pivots, c, [row[n : 2 * n] for row in rows]
 
 
 def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
-    """Compute the forest matrices from the graph's Laplacian.
-
-    Raises :class:`InstanceTooLargeError` where float elimination loses
-    too much precision to find a pivot, which happens when the weights
-    span too many orders of magnitude; exact mode solves those graphs.
-    """
-    laplacian = graph.laplacian(mode)
+    """Compute the forest matrices from the graph's Laplacian."""
+    pivots, c, weights = _forest_solve(graph.laplacian(mode))
     if mode == EXACT:
-        det, scale, weights = _integer_forest_solve(laplacian)
-        return ForestMatrices(
-            total_weight=Fraction(det, scale),
-            matrix=Matrix._wrap([[Fraction(v, scale) for v in row] for row in weights], EXACT),
-            proximity=Matrix._wrap([[Fraction(v, det) for v in row] for row in weights], EXACT),
-            mode=mode,
-        )
-    try:
-        proximity, total = gauss_jordan(Matrix.identity(graph.n, mode) + laplacian)
-    except SingularMatrixError as exc:
-        # I + L is never singular: the pivot test failed on rounding error.
-        raise InstanceTooLargeError(
-            "identity-plus-Laplacian lost its pivots to rounding: the weights span too "
-            "many orders of magnitude for float mode; exact mode solves this graph"
-        ) from exc
-    return ForestMatrices(
-        total_weight=total,
-        matrix=proximity.scaled(total),
-        proximity=proximity,
-        mode=mode,
-    )
+        det, scale = pivots[-1], c**graph.n
+        matrix = Matrix._wrap([[Fraction(v, scale) for v in row] for row in weights], mode)
+        proximity = Matrix._wrap([[Fraction(v, det) for v in row] for row in weights], mode)
+        return ForestMatrices(Fraction(det, scale), matrix, proximity, mode)
+    proximity = Matrix._wrap([[v / d for v in row] for row, d in zip(weights, pivots)], mode)
+    total = math.prod(pivots)
+    return ForestMatrices(total, proximity.scaled(total), proximity, mode)

@@ -1,5 +1,7 @@
 """Forest matrices from the Laplacian: closed forms and invariants."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,14 @@ from hypothesis import given, settings
 from inforest import (
     EXACT,
     FLOAT,
-    InstanceTooLargeError,
     Matrix,
     MultiDigraph,
+    cycle_graph,
     forest_matrices,
     oracle_matrices,
     random_graph,
 )
-from tests.helpers import make_path, multidigraphs
+from tests.helpers import corpus, make_path, multidigraphs
 
 
 def test_empty_graph_identity():
@@ -113,18 +115,79 @@ def test_float_mode_rows_sum_near_one():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _log(value):
+    value = Fraction(value)
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def _assert_float_agrees_with_exact(graph):
+    """Every nonzero entry of float ``Q`` within 1e-13 relative of exact,
+    every zero entry exactly 0.0, and ``log f`` within 1e-12 wherever the
+    float ``f`` is finite."""
+    exact = forest_matrices(graph, EXACT)
+    approx = forest_matrices(graph, FLOAT)
+    for i in range(graph.n):
+        for j in range(graph.n):
+            want, got = exact.proximity[i, j], approx.proximity[i, j]
+            if want:
+                assert abs(got - want) <= 1e-13 * want, (i, j)
+            else:
+                assert got == 0.0, (i, j)
+    if math.isfinite(approx.total_weight):
+        assert abs(math.log(approx.total_weight) - _log(exact.total_weight)) <= 1e-12
+
+
+def _heavy_graphs():
+    path = [(v, v + 1, Fraction(1, 1000)) for v in range(59)]
+    yield random_graph(40, 3).scaled(10**12)
+    yield random_graph(30, 3).scaled(10**8)
+    yield cycle_graph(40, 10**6)
+    yield MultiDigraph(60, path + [(0, 59, Fraction(1, 10**6))])
+    yield MultiDigraph(2, [(0, 1, 10**13), (1, 0, 10**13)])
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_float_forest_matrices_match_exact_on_heavy_graphs(index):
+    # Weights up to 1e13, spans of 9 orders of magnitude and Q entries
+    # near 1e-180: an elimination with subtractions loses digits on these,
+    # the subtraction-free one keeps full precision.
+    _assert_float_agrees_with_exact(list(_heavy_graphs())[index])
+
+
+def _spread_multigraph(seed):
+    """Seeded multidigraph with parallel arcs and float weights spread
+    log-uniformly from 1e-3 to 7e5."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    arcs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        tail, head = rng.sample(range(n), 2)
+        arcs.append((tail, head, 10 ** rng.uniform(-3, math.log10(7e5))))
+    return MultiDigraph(n, arcs)
+
+
+def test_float_proximity_is_zero_exactly_off_the_reachable_set():
+    graphs = corpus(200, max_n=12, max_arcs=14) + [_spread_multigraph(s) for s in range(300)]
+    for graph in graphs:
+        proximity = forest_matrices(graph, FLOAT).proximity
+        for i in range(graph.n):
+            reachable = graph.reachable(i)
+            for j in range(graph.n):
+                value = proximity[i, j]
+                assert value > 0.0 if j in reachable else value == 0.0, (graph, i, j)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_float_solve_past_its_precision_is_instance_too_large(seed):
-    # I + L is never singular; at weights near 1e13 the float pivot test
-    # fails on rounding error, so this is a limit, not a theorem violation.
-    graph = random_graph(10, seed).scaled(10**13)
-    with pytest.raises(InstanceTooLargeError, match="exact mode solves"):
-        forest_matrices(graph, FLOAT)
-    assert forest_matrices(graph, EXACT).total_weight > 0
+    # Weights near 1e13 once exceeded float mode's precision, and float
+    # mode gave up with instance-too-large; they now solve as in exact mode.
+    _assert_float_agrees_with_exact(random_graph(10, seed).scaled(10**13))
 
 
 def test_float_forest_matrices_run_one_elimination(monkeypatch):
+    # One elimination of its own: no call into the general reference solvers.
     import inforest.forest
+    import inforest.matrix
 
     calls = []
 
@@ -135,10 +198,11 @@ def test_float_forest_matrices_run_one_elimination(monkeypatch):
 
         return wrapper
 
-    for name in ("gauss_jordan", "invert", "determinant"):
-        monkeypatch.setattr(
-            inforest.forest, name, counted(name, getattr(inforest.forest, name))
-        )
+    for module in (inforest.matrix, inforest.forest):
+        for name in ("gauss_jordan", "invert", "determinant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     forests = forest_matrices(make_path(), FLOAT)
-    assert calls == ["gauss_jordan"]
+    assert calls == []
     assert forests.total_weight == pytest.approx(4.0)
+    assert forests.matrix.row(0) == pytest.approx([2.0, 1.0, 1.0])

@@ -4,7 +4,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from inforest import path_graph, random_graph
+from inforest import MultiDigraph, path_graph, random_graph
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -16,5 +16,9 @@ def test_digest_lines_are_stable_and_well_formed():
     graphs = [path_graph(3), random_graph(4, 1)]
     lines = module.digest(graphs)
     assert lines == module.digest(graphs)
-    assert [line.split()[0] for line in lines] == list(module.SECTIONS)
-    assert all(re.fullmatch(r"[a-z]+ [0-9a-f]{64}", line) for line in lines)
+    # The oracle runs in the mode of the weights: exact for these graphs.
+    names = [f"{name}.{mode}" for name in module.SECTIONS for mode in module.MODES]
+    assert [line.split()[0] for line in lines] == names[:-1]
+    assert all(re.fullmatch(r"[a-z]+\.(exact|float) [0-9a-f]{64}", line) for line in lines)
+    mixed = module.digest(graphs + [MultiDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)])])
+    assert [line.split()[0] for line in mixed] == names

@@ -1,4 +1,4 @@
-"""The one-pass integer forest solver against the reference oracles.
+"""The one-pass forest solver against the reference oracles.
 
 Exact ``forest_matrices`` runs one fraction-free elimination on ints; the
 general ``invert``/``determinant`` and the brute-force enumeration stay as
@@ -22,7 +22,7 @@ from inforest import (
     verify_all_triples,
     verify_undirected,
 )
-from inforest.forest import _integer_forest_solve
+from inforest.forest import _forest_solve
 from tests.helpers import CORPUS_SEED, corpus, random_undirected
 
 
@@ -90,7 +90,14 @@ def test_solver_on_arcless_graph_and_smallest_graph():
 def test_solver_rejects_a_nonpositive_pivot():
     # Not a Laplacian: I plus this matrix has first leading principal minor 0.
     with pytest.raises(InconsistentWithTheoremError):
-        _integer_forest_solve(Matrix([[-1, 1], [1, -1]]))
+        _forest_solve(Matrix([[-1, 1], [1, -1]]))
+
+
+def test_solver_rejects_rows_that_do_not_sum_to_zero():
+    # Nonpositive off the diagonal and every pivot positive, but the first
+    # row sums to 1: the pivot from the row sum is not the eliminated one.
+    with pytest.raises(InconsistentWithTheoremError, match="row sum"):
+        _forest_solve(Matrix([[2, -1], [-1, 1]]))
 
 
 def test_report_products_are_the_forest_products():

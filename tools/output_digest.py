@@ -1,21 +1,24 @@
-"""Hash the library's outputs on a fixed corpus, one line per section.
+"""Hash the library's outputs on a fixed corpus, one line per section and mode.
 
-Prints one ``<section> <sha256>`` line per section, each hashing the
-values, types and error texts of a group of library calls on a seeded
-corpus of random and generator graphs with at most 8 vertices:
+Prints one ``<section>.<mode> <sha256>`` line per section and scalar mode
+(``exact`` or ``float``), each hashing the values, types and error texts
+of a group of library calls in that mode on a seeded corpus of random and
+generator graphs with at most 8 vertices:
 
-- ``forest``: ``f``, ``F`` and ``Q`` of :func:`forest_matrices`, both modes;
+- ``forest``: ``f``, ``F`` and ``Q`` of :func:`forest_matrices`;
 - ``solve``: :func:`invert` and :func:`determinant` of ``I + L`` and of
   fixed small general matrices, singular ones with their error text;
 - ``verify``: every report of :func:`verify_all_triples`, with the types of
   ``lhs`` and ``rhs`` and whether they are one object, and the summary;
 - ``triple``: :func:`check_triple` on every triple;
-- ``routes``: :func:`route_matrix`, both modes: weights, terms, tail
-  bound and its type, or the error;
+- ``routes``: :func:`route_matrix`: weights, terms, tail bound and its
+  type, or the error;
 - ``decompose``: :func:`route_decomposition` on every triple;
-- ``oracle``: :func:`oracle_matrices`.
+- ``oracle``: :func:`oracle_matrices`, under the mode its weights give
+  it (``exact`` for rational weights); a mode with no record prints no line.
 
-A change that keeps every output prints the same lines as its parent. The
+A change that keeps every output prints the same lines as its parent, and
+a change to float arithmetic alone leaves every ``.exact`` line as it was. The
 tool imports ``inforest`` from the ``src`` directory of the checkout it
 lies in, so to compare two checkouts, copy it into the other one and run
 it in both.
@@ -93,42 +96,44 @@ def _attempt(call) -> str:
 
 
 def _sections(graphs) -> dict:
-    out = {name: [] for name in SECTIONS}
+    """The records of every ``(section, mode)`` pair, in line order."""
+    out = {(name, mode): [] for name in SECTIONS for mode in MODES}
     for graph in graphs:
         n = graph.n
         triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
         for mode in MODES:
             forests = forest_matrices(graph, mode)
             matrices = (forests.matrix.to_lists(), forests.proximity.to_lists())
-            out["forest"].append(repr((mode, forests.total_weight, *matrices)))
+            out["forest", mode].append(repr((mode, forests.total_weight, *matrices)))
             shifted = Matrix.identity(n, mode) + graph.laplacian(mode)
-            out["solve"].append(_attempt(lambda: invert(shifted).to_lists()))
-            out["solve"].append(_attempt(lambda: determinant(shifted)))
+            out["solve", mode].append(_attempt(lambda: invert(shifted).to_lists()))
+            out["solve", mode].append(_attempt(lambda: determinant(shifted)))
             reports = verify_all_triples(graph, forests, mode)
             for r in reports:
-                out["verify"].append(
+                out["verify", mode].append(
                     repr((r, type(r.lhs).__name__, type(r.rhs).__name__, r.lhs is r.rhs))
                 )
-            out["verify"].append(repr(summarize(reports)))
+            out["verify", mode].append(repr(summarize(reports)))
             for triple in triples:
-                out["triple"].append(_attempt(lambda: check_triple(forests, graph, *triple)))
+                out["triple", mode].append(_attempt(lambda: check_triple(forests, graph, *triple)))
             if mode == FLOAT or n <= EXACT_ROUTES_MAX_N:
                 for kwargs in ROUTE_ARGUMENTS:
-                    out["routes"].append(_attempt(lambda: _routes(graph, mode, **kwargs)))
+                    out["routes", mode].append(_attempt(lambda: _routes(graph, mode, **kwargs)))
             if n <= SMALL_N:
                 for triple in triples:
-                    out["decompose"].append(
+                    out["decompose", mode].append(
                         _attempt(lambda: route_decomposition(graph, *triple, mode=mode))
                     )
         if n <= SMALL_N:
             result = oracle_matrices(graph)
             rows = result.matrix.to_lists()
-            out["oracle"].append(repr((result.total_weight, rows, result.forest_count)))
+            record = repr((result.total_weight, rows, result.forest_count))
+            out["oracle", result.matrix.mode].append(record)
     for rows in general_matrices():
         for mode in MODES:
             matrix = Matrix(rows, mode)
-            out["solve"].append(_attempt(lambda: invert(matrix).to_lists()))
-            out["solve"].append(_attempt(lambda: determinant(matrix)))
+            out["solve", mode].append(_attempt(lambda: invert(matrix).to_lists()))
+            out["solve", mode].append(_attempt(lambda: determinant(matrix)))
     return out
 
 
@@ -140,13 +145,16 @@ def _routes(graph, mode: str, **kwargs) -> tuple:
 
 
 def digest(graphs) -> list[str]:
-    """One ``<section> <sha256 hex>`` line per section for ``graphs``."""
+    """One ``<section>.<mode> <sha256 hex>`` line per section and mode
+    with records for ``graphs``."""
     lines = []
-    for name, records in _sections(graphs).items():
+    for (name, mode), records in _sections(graphs).items():
+        if not records:
+            continue
         h = hashlib.sha256()
         for record in records:
             h.update(record.encode("utf-8") + b"\n")
-        lines.append(f"{name} {h.hexdigest()}")
+        lines.append(f"{name}.{mode} {h.hexdigest()}")
     return lines
 
 
