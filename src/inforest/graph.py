@@ -52,7 +52,7 @@ class MultiDigraph:
     the vertex count and the arc list, so instances are safe to share.
     """
 
-    __slots__ = ("n", "arcs", "_out")
+    __slots__ = ("n", "arcs", "_out", "_successors", "_predecessors")
 
     def __init__(self, n: int, arcs: Iterable = ()):
         if n < 2:
@@ -60,6 +60,10 @@ class MultiDigraph:
         self.n = n
         checked = []
         out: list[list[int]] = [[] for _ in range(n)]
+        # Per vertex, the heads of its out-arcs and the tails of its in-arcs,
+        # one entry per arc: the dominator search reads them for every root.
+        successors: list[list[int]] = [[] for _ in range(n)]
+        predecessors: list[list[int]] = [[] for _ in range(n)]
         for index, raw in enumerate(arcs):
             tail, head, weight = raw
             if not (0 <= tail < n):
@@ -70,8 +74,12 @@ class MultiDigraph:
                 raise LoopArcError(f"arc {tail}->{head} is a loop")
             checked.append(Arc(tail, head, _check_weight(weight)))
             out[tail].append(index)
+            successors[tail].append(head)
+            predecessors[head].append(tail)
         self.arcs = tuple(checked)
         self._out = tuple(tuple(indices) for indices in out)
+        self._successors = tuple(map(tuple, successors))
+        self._predecessors = tuple(map(tuple, predecessors))
 
     @classmethod
     def from_undirected(cls, n: int, edges: Iterable) -> "MultiDigraph":
@@ -164,7 +172,7 @@ class MultiDigraph:
         Simple, Fast Dominance Algorithm" (2001).
         """
         self.check_vertex(root)
-        heads = [[self.arcs[index].head for index in out] for out in self._out]
+        heads, predecessors = self._successors, self._predecessors
         postorder = []
         seen = [False] * self.n
         seen[root] = True
@@ -179,9 +187,6 @@ class MultiDigraph:
             else:
                 stack.pop()
                 postorder.append(v)
-        predecessors: list[list[int]] = [[] for _ in range(self.n)]
-        for arc in self.arcs:
-            predecessors[arc.head].append(arc.tail)
         every = (1 << self.n) - 1
         dominators = [every] * self.n
         dominators[root] = 1 << root

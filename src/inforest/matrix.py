@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InstanceTooLargeError, NotConvergedError, SingularMatrixError
@@ -171,10 +172,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         cols = list(zip(*other._rows))
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self._rows
-        ]
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
         return Matrix._wrap(rows, self.mode)
 
     def __pow__(self, exponent: int) -> "Matrix":
@@ -207,7 +205,7 @@ class Matrix:
     def max_abs(self) -> Scalar:
         if self.order == 0:
             return zero_scalar(self.mode)
-        return max(abs(v) for row in self._rows for v in row)
+        return max([max(map(abs, row)) for row in self._rows])
 
     def row_sums(self) -> list[Scalar]:
         zero = zero_scalar(self.mode)
@@ -317,6 +315,14 @@ def geometric_series(
     (``T = p.bit_length()``), as in a term-by-term loop apart from the
     ``2 T``. Exact sums do not depend on order, so in exact mode the
     result equals the term-by-term sum.
+
+    Exact mode runs the same steps on integers. With ``d`` the common
+    denominator of A's entries, each power and partial sum is held as an
+    integer matrix ``X`` at an exponent ``e``, standing for ``X / d^e``:
+    a product adds the exponents, a sum first scales the lower one up, and
+    a norm is compared with ``tolerance * d^e`` exactly. No product or sum
+    normalises a fraction; the result is divided by ``d^p`` once at the
+    end. In float mode ``d`` is 1 and every scaling is skipped.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -327,27 +333,41 @@ def geometric_series(
         and all(total <= 1 for total in matrix.row_sums())
     ):
         raise ValueError("the series needs a nonnegative matrix with row sums at most 1")
-    identity = Matrix.identity(matrix.order, matrix.mode)
+    n, mode = matrix.order, matrix.mode
+    identity = Matrix.identity(n, mode)
     if identity.max_abs() < tolerance:
-        return SeriesSum(Matrix.zeros(matrix.order, matrix.mode), 0, zero_scalar(matrix.mode))
-    # levels[t] = (A^(2^t), S_(2^t)) for every power A^(2^t) at or above
-    # tolerance; last_norm is the norm of the highest.
+        return SeriesSum(Matrix.zeros(n, mode), 0, zero_scalar(mode))
+    if mode == EXACT:
+        values, d = common_denominator([value for row in matrix._rows for value in row])
+        base = Matrix._wrap([values[i * n : (i + 1) * n] for i in range(n)], mode)
+        unit = Matrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], mode)
+        threshold = Fraction(tolerance)
+    else:
+        base, d, unit, threshold = matrix, 1, identity, tolerance
+
+    def value(norm, exponent: int) -> Scalar:
+        return Fraction(norm, d**exponent) if mode == EXACT else norm
+
+    # levels[t] = (A^(2^t), S_(2^t)) at exponents 2^t and 2^t - 1, for every
+    # power A^(2^t) at or above tolerance; last_norm is the norm of the highest.
     levels = []
-    square, norm = matrix, matrix.max_abs()
-    while norm >= tolerance:
-        if 1 << len(levels) >= max_terms:
-            raise _not_converged(tolerance, max_terms, 1 << len(levels), norm)
+    square, norm = base, base.max_abs()
+    while norm >= threshold * d ** (1 << len(levels)):
+        size = 1 << len(levels)
+        if size >= max_terms:
+            raise _not_converged(tolerance, max_terms, size, value(norm, size))
         if levels:
             power, block = levels[-1]
-            block = block + power @ block
+            block = _times(block, d ** (size >> 1)) + power @ block
         else:
-            block = identity
+            block = unit
         levels.append((square, block))
         last_norm = norm
         square = square @ square
         norm = square.max_abs()
     if not levels:
         return SeriesSum(identity, 1, identity.max_abs())
+    # total = S_p at exponent p - 1 and power = A^p at exponent p.
     power, total = levels[-1]
     p = 1 << (len(levels) - 1)
     for t in range(len(levels) - 2, -1, -1):
@@ -356,12 +376,25 @@ def geometric_series(
             continue
         candidate = power @ square
         norm = candidate.max_abs()
-        if norm >= tolerance:
-            total = total + power @ block
+        if norm >= threshold * d ** (p + (1 << t)):
+            total = _times(total, d ** (1 << t)) + power @ block
             power, last_norm, p = candidate, norm, p + (1 << t)
     if p == max_terms:
-        raise _not_converged(tolerance, max_terms, p, last_norm)
-    return SeriesSum(total + power, p + 1, last_norm)
+        raise _not_converged(tolerance, max_terms, p, value(last_norm, p))
+    total = _times(total, d) + power
+    if mode == EXACT:
+        divisor = d**p
+        total = Matrix._wrap(
+            [[Fraction(entry, divisor) for entry in row] for row in total._rows], mode
+        )
+    return SeriesSum(total, p + 1, value(last_norm, p))
+
+
+def _times(matrix: Matrix, factor: int) -> Matrix:
+    """``matrix`` with every entry multiplied by the integer ``factor``."""
+    if factor == 1:
+        return matrix
+    return Matrix._wrap([[factor * v for v in row] for row in matrix._rows], matrix.mode)
 
 
 def _not_converged(tolerance, max_terms: int, term: int, norm: Scalar) -> NotConvergedError:

@@ -4,20 +4,22 @@ A spanning converging forest assigns each vertex either the role of a root
 or exactly one of its outgoing arcs, such that following chosen arcs never
 cycles. One depth-first pass chooses for the vertices in order and drops an
 arc as soon as it closes a cycle with the choices made so far, so only
-acyclic prefixes are visited. It touches no Laplacian and no elimination:
-this module is the ground truth the algebraic computation is tested
-against, so transparency beats speed.
+acyclic prefixes are visited. Rational weights are carried as integers
+over their common denominator, so the pass never normalises a fraction.
+It touches no Laplacian and no elimination: this module is the ground
+truth the algebraic computation is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from fractions import Fraction
+from typing import Iterator, Optional, Union
 
 from .errors import InstanceTooLargeError
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Matrix, Scalar, one_scalar, scalar, zero_scalar
+from .matrix import EXACT, FLOAT, Matrix, Scalar, common_denominator, scalar
 
 DEFAULT_CHOICE_CAP = 10_000_000
 
@@ -69,19 +71,75 @@ def enumerate_in_forests(
     :class:`InstanceTooLargeError` before yielding anything when the choice
     space exceeds ``cap``.
     """
+    mode, factors, unit, divisor = _factors(graph)
+    for choice, roots, weight in _forests(graph, cap, factors, unit):
+        if mode == EXACT:
+            weight = Fraction(weight, divisor)
+        yield InForest(arc_choice=tuple(choice), root_of=roots, weight=weight)
+
+
+def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:
+    """Total forest weight and forest-weight matrix by direct enumeration.
+
+    Forests with the same root map (``root_of``) add to the same entries,
+    so the weights are summed per root map and spread over the rows of the
+    matrix only at the end. In exact mode they are summed as integers over
+    the common denominator ``D**n`` and divided by it once per entry.
+    """
+    mode, factors, unit, divisor = _factors(graph)
+    by_roots: dict[tuple[int, ...], Union[int, float]] = {}
+    count = 0
+    for count, (_, roots, weight) in enumerate(_forests(graph, cap, factors, unit), 1):
+        by_roots[roots] = by_roots.get(roots, 0) + weight
+    n = graph.n
+    rows = [[0] * n for _ in range(n)]
+    for roots, weight in by_roots.items():
+        for v, root in enumerate(roots):
+            rows[v][root] += weight
+    total = sum(by_roots.values())
+    if mode == EXACT:
+        total = Fraction(total, divisor)
+        rows = [[Fraction(value, divisor) for value in row] for row in rows]
+    return OracleResult(total_weight=total, matrix=Matrix(rows, mode), forest_count=count)
+
+
+def _factors(graph: MultiDigraph) -> tuple[str, list, Union[int, float], int]:
+    """The mode, the factor of each arc and of a root, and the divisor that
+    turns a product of ``n`` factors into a forest weight.
+
+    Rational weights become integers ``N_a`` over their common denominator
+    ``D``, and a root contributes ``D``, so every forest's product is its
+    weight times ``D**n``. Other weights are doubles, a root contributes
+    1.0 and the product is the weight itself, bit for bit.
+    """
+    if graph.has_rational_weights():
+        numerators, common = common_denominator([scalar(arc.weight, EXACT) for arc in graph.arcs])
+        return EXACT, numerators, common, common**graph.n
+    return FLOAT, [scalar(arc.weight, FLOAT) for arc in graph.arcs], 1.0, 1
+
+
+def _forests(
+    graph: MultiDigraph, cap: int, factors: list, unit: Union[int, float]
+) -> Iterator[tuple[list[Optional[int]], tuple[int, ...], Union[int, float]]]:
+    """The one depth-first pass: yield ``(choice, root_of, product)`` for
+    every spanning converging forest, in :func:`enumerate_in_forests`'s
+    order. ``choice`` is the pass's own list, valid until the next item;
+    ``product`` multiplies, in vertex order, ``unit`` for each root and
+    ``factors[a]`` for each chosen arc a."""
     total_choices = choice_count(graph)
     if total_choices > cap:
         raise InstanceTooLargeError(
             f"{total_choices} choice vectors exceed the enumeration cap {cap}"
         )
     n = graph.n
-    mode = EXACT if graph.has_rational_weights() else FLOAT
     heads = [arc.head for arc in graph.arcs]
-    weights = [scalar(arc.weight, mode) for arc in graph.arcs]
-    options = [(None,) + graph.out_arcs(v) for v in range(n)]
+    options = [
+        [(None, unit)] + [(arc, factors[arc]) for arc in graph.out_arcs(v)] for v in range(n)
+    ]
     choice: list[Optional[int]] = [None] * n
-    # prefix[v] is the weight of the arcs chosen at the vertices below v.
-    prefix: list[Scalar] = [one_scalar(mode)] * (n + 1)
+    # prefix[v] is the product of the factors chosen at the vertices below v,
+    # starting from the one of unit's type.
+    prefix = [unit**0] * (n + 1)
     tried = [0] * n
     # Backtrack by index rather than by recursion, so a graph with more
     # vertices than the recursion limit still enumerates.
@@ -91,18 +149,17 @@ def enumerate_in_forests(
             # A list gives tuple() the final size. From a generator it
             # over-allocates and shrinks, and the freed tuples of this size
             # then pile up unreused (about 200 KB at n=8).
-            roots = tuple([_follow(choice, heads, u, n) for u in range(n)])
-            yield InForest(arc_choice=tuple(choice), root_of=roots, weight=prefix[n])
+            yield choice, tuple([_follow(choice, heads, u, n) for u in range(n)]), prefix[n]
             v -= 1
         elif tried[v] == len(options[v]):
             tried[v] = 0
             v -= 1
         else:
-            arc = options[v][tried[v]]
+            arc, factor = options[v][tried[v]]
             tried[v] += 1
             if arc is None or _follow(choice, heads, heads[arc], v) != v:
                 choice[v] = arc
-                prefix[v + 1] = prefix[v] if arc is None else prefix[v] * weights[arc]
+                prefix[v + 1] = prefix[v] * factor
                 v += 1
 
 
@@ -114,18 +171,3 @@ def _follow(choice: list[Optional[int]], heads: list[int], u: int, limit: int) -
     while u < limit and choice[u] is not None:
         u = heads[choice[u]]
     return u
-
-
-def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:
-    """Total forest weight and forest-weight matrix by direct enumeration."""
-    mode = EXACT if graph.has_rational_weights() else FLOAT
-    zero = zero_scalar(mode)
-    total = zero
-    count = 0
-    rows = [[zero] * graph.n for _ in range(graph.n)]
-    for forest in enumerate_in_forests(graph, cap=cap):
-        total += forest.weight
-        count += 1
-        for v in range(graph.n):
-            rows[v][forest.root_of[v]] += forest.weight
-    return OracleResult(total_weight=total, matrix=Matrix(rows, mode), forest_count=count)

@@ -10,6 +10,7 @@ from inforest import (
     EXACT,
     FLOAT,
     Matrix,
+    MultiDigraph,
     NotConvergedError,
     SingularMatrixError,
     determinant,
@@ -156,7 +157,12 @@ def test_geometric_series_not_converged():
 
 
 def _step_matrices(count):
-    for g in corpus(count):
+    # The corpus, then a graph with a weight of 1e-40, whose powers carry
+    # denominators of thousands of bits.
+    tiny = MultiDigraph(
+        4, [(0, 1, Fraction(1, 10**40)), (1, 2, 1), (2, 3, Fraction(2, 3)), (1, 0, Fraction(5, 4))]
+    )
+    for g in corpus(count) + [tiny]:
         eps = choose_epsilon(g)
         yield stochastic_matrix(g, eps).scaled(1 / (1 + Fraction(eps)))
 
@@ -173,7 +179,10 @@ def test_geometric_series_equals_the_term_by_term_reference(tolerance):
     # Exact sums do not depend on their order, so the doubling sum, its
     # term count and its last term's norm are those of the reference.
     for step in _step_matrices(40):
-        assert geometric_series(step, tolerance) == reference_series(step, tolerance)
+        series = geometric_series(step, tolerance)
+        assert series == reference_series(step, tolerance)
+        assert all(type(v) is Fraction for row in series.total.to_lists() for v in row)
+        assert type(series.last_term_norm) is Fraction
 
 
 def test_geometric_series_raises_exactly_where_the_reference_raises():

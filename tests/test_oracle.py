@@ -1,5 +1,6 @@
 """Brute-force forest enumeration and its agreement with the algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,29 @@ def test_enumeration_matches_the_brute_force_reference():
         got = [(f.arc_choice, f.root_of, f.weight, type(f.weight)) for f in enumerate_in_forests(g)]
         want = [(*forest, type(forest[2])) for forest in reference_forests(g)]
         assert got == want
+
+
+def test_oracle_matrices_equal_the_sums_over_the_reference_forests():
+    # Exact weights exactly and as fractions. Float weights within rounding:
+    # each side forms m forest products of at most n factors and adds them
+    # in its own order, so each is within (m + n) u of the exact sum.
+    for g in REFERENCE_GRAPHS:
+        forests = reference_forests(g)
+        total = sum(weight for _, _, weight in forests)
+        rows = [[0] * g.n for _ in range(g.n)]
+        for _, roots, weight in forests:
+            for v, root in enumerate(roots):
+                rows[v][root] += weight
+        result = oracle_matrices(g)
+        assert result.forest_count == len(forests)
+        got = [result.total_weight] + [v for row in result.matrix.to_lists() for v in row]
+        want = [total] + [v for row in rows for v in row]
+        assert {type(v) for v in got} == {type(total)}
+        if isinstance(total, Fraction):
+            assert got == want
+        else:
+            rounding = (len(forests) + g.n) * 2.0**-52
+            assert all(math.isclose(a, b, rel_tol=rounding, abs_tol=0) for a, b in zip(got, want))
 
 
 def test_long_graph_enumerates_without_recursion():
