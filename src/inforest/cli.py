@@ -163,10 +163,6 @@ def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
 
 def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
     eps = _epsilon_arg(args)
-    if not args.tol > 0:
-        raise BadParametersError(f"--tol must be positive, got {args.tol}")
-    if args.max_terms < 1:
-        raise BadParametersError(f"--max-terms must be at least 1, got {args.max_terms}")
     result = route_matrix(
         parsed.graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode
     )

@@ -42,8 +42,8 @@ class GraphFormatError(InforestError):
     code = "format"
 
 
-class BadParametersError(InforestError):
-    """Invalid generator or command parameters."""
+class BadParametersError(InforestError, ValueError):
+    """Invalid generator, series or command parameters."""
 
     code = "bad-parameters"
 

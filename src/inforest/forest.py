@@ -22,7 +22,8 @@ eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the left and
 ``D^n F`` on the right; every division is exact, so no ``Fraction`` is
 normalized until the final entries are built. Float mode divides each
 row of the right block by its pivot to get ``Q = (I + L)^-1``; ``f`` is
-the product of the pivots and ``F`` is ``f Q``.
+the product of the pivots and ``F`` is ``f Q``, with every zero of ``Q``
+kept as a zero of ``F``.
 """
 
 from __future__ import annotations
@@ -113,4 +114,6 @@ def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
         return ForestMatrices(Fraction(det, scale), matrix, proximity, mode)
     proximity = Matrix._wrap([[v / d for v in row] for row, d in zip(weights, pivots)], mode)
     total = math.prod(pivots)
-    return ForestMatrices(total, proximity.scaled(total), proximity, mode)
+    # F = f Q only where Q is nonzero: an overflowed f times 0.0 is nan, not 0.
+    matrix = Matrix._wrap([[total * v if v else v for v in row] for row in proximity._rows], mode)
+    return ForestMatrices(total, matrix, proximity, mode)

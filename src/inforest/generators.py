@@ -9,21 +9,13 @@ from .errors import BadParametersError
 from .graph import MultiDigraph, Weight
 
 
-def _check_size(n: int) -> int:
-    if n < 2:
-        raise BadParametersError(f"generators need n >= 2, got {n}")
-    return n
-
-
 def path_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """Directed path 0 -> 1 -> ... -> n-1 with a uniform arc weight."""
-    _check_size(n)
     return MultiDigraph(n, [(v, v + 1, weight) for v in range(n - 1)])
 
 
 def cycle_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """Directed cycle through all vertices with a uniform arc weight."""
-    _check_size(n)
     arcs = [(v, v + 1, weight) for v in range(n - 1)]
     arcs.append((n - 1, 0, weight))
     return MultiDigraph(n, arcs)
@@ -31,7 +23,6 @@ def cycle_graph(n: int, weight: Weight = 1) -> MultiDigraph:
 
 def complete_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """All ordered pairs as arcs with a uniform weight."""
-    _check_size(n)
     arcs = [(i, j, weight) for i in range(n) for j in range(n) if i != j]
     return MultiDigraph(n, arcs)
 
@@ -40,7 +31,6 @@ def random_graph(n: int, seed: int, weight_range: tuple[int, int] = (1, 5)) -> M
     """Seeded random digraph: each ordered pair becomes an arc with
     probability 1/2, weighted by a random fraction with numerator and
     denominator drawn uniformly from ``weight_range``."""
-    _check_size(n)
     lo, hi = weight_range
     if not (1 <= lo <= hi):
         raise BadParametersError(f"weight range must satisfy 1 <= lo <= hi, got {lo}:{hi}")

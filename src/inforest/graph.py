@@ -20,7 +20,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, format_for_message, scalar, zero_scalar
+from .matrix import EXACT, Matrix, format_for_message, scalar
 
 Weight = Union[Fraction, int, float]
 
@@ -61,15 +61,13 @@ class MultiDigraph:
         checked = []
         out: list[list[int]] = [[] for _ in range(n)]
         # Per vertex, the heads of its out-arcs and the tails of its in-arcs,
-        # one entry per arc: the dominator search reads them for every root.
+        # one entry per arc: the searches of reachable and dominators read them.
         successors: list[list[int]] = [[] for _ in range(n)]
         predecessors: list[list[int]] = [[] for _ in range(n)]
         for index, raw in enumerate(arcs):
             tail, head, weight = raw
-            if not (0 <= tail < n):
-                raise VertexOutOfRangeError(f"arc tail {tail} outside 0..{n - 1}")
-            if not (0 <= head < n):
-                raise VertexOutOfRangeError(f"arc head {head} outside 0..{n - 1}")
+            self.check_vertex(tail)
+            self.check_vertex(head)
             if tail == head:
                 raise LoopArcError(f"arc {tail}->{head} is a loop")
             checked.append(Arc(tail, head, _check_weight(weight)))
@@ -117,7 +115,7 @@ class MultiDigraph:
         overflows, raises :class:`NonPositiveWeightError`, as a non-finite
         float weight does when the graph is built.
         """
-        zero = zero_scalar(mode)
+        zero = scalar(0, mode)
         rows = [[zero] * self.n for _ in range(self.n)]
         for tail, head, weight in self.arcs:
             value = scalar(weight, mode)
@@ -152,8 +150,7 @@ class MultiDigraph:
         queue = deque([source])
         while queue:
             v = queue.popleft()
-            for index in self._out[v]:
-                head = self.arcs[index].head
+            for head in self._successors[v]:
                 if head == excluded or head in seen:
                     continue
                 seen.add(head)

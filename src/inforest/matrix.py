@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InstanceTooLargeError, NotConvergedError, SingularMatrixError
+from .errors import BadParametersError, InstanceTooLargeError, NotConvergedError, SingularMatrixError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -77,14 +77,6 @@ def scalar(value, mode: str) -> Scalar:
         return math.inf if value > 0 else -math.inf
 
 
-def zero_scalar(mode: str) -> Scalar:
-    return Fraction(0) if mode == EXACT else 0.0
-
-
-def one_scalar(mode: str) -> Scalar:
-    return Fraction(1) if mode == EXACT else 1.0
-
-
 def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers ``N`` and the least positive integer ``c`` such that
     ``c * values[t] == N[t]`` for every t."""
@@ -118,12 +110,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, order: int, mode: str = EXACT) -> "Matrix":
-        zero = zero_scalar(mode)
+        zero = scalar(0, mode)
         return cls._wrap([[zero] * order for _ in range(order)], mode)
 
     @classmethod
     def identity(cls, order: int, mode: str = EXACT) -> "Matrix":
-        zero, one = zero_scalar(mode), one_scalar(mode)
+        zero, one = scalar(0, mode), scalar(1, mode)
         rows = [[one if i == j else zero for j in range(order)] for i in range(order)]
         return cls._wrap(rows, mode)
 
@@ -175,27 +167,10 @@ class Matrix:
         rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
         return Matrix._wrap(rows, self.mode)
 
-    def __pow__(self, exponent: int) -> "Matrix":
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not supported")
-        # Repeated squaring over the bits of the exponent.
-        result = Matrix.identity(self.order, self.mode)
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result @ square
-            exponent >>= 1
-            if exponent:
-                square = square @ square
-        return result
-
     def scaled(self, factor) -> "Matrix":
         factor = scalar(factor, self.mode)
         rows = [[factor * v for v in row] for row in self._rows]
         return Matrix._wrap(rows, self.mode)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._wrap([list(col) for col in zip(*self._rows)], self.mode)
 
     def with_mode(self, mode: str) -> "Matrix":
         if mode == self.mode:
@@ -204,11 +179,11 @@ class Matrix:
 
     def max_abs(self) -> Scalar:
         if self.order == 0:
-            return zero_scalar(self.mode)
+            return scalar(0, self.mode)
         return max([max(map(abs, row)) for row in self._rows])
 
     def row_sums(self) -> list[Scalar]:
-        zero = zero_scalar(self.mode)
+        zero = scalar(0, self.mode)
         return [sum(row, zero) for row in self._rows]
 
 
@@ -230,7 +205,7 @@ def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
     mode = matrix.mode
     a = matrix.to_lists()
     inv = Matrix.identity(n, mode).to_lists()
-    det = one_scalar(mode)
+    det = scalar(1, mode)
     floor = FLOAT_PIVOT_RTOL if mode == FLOAT else 0
     scales = [max((abs(v) for v in row), default=0) or 1 for row in a]
     for col in range(n):
@@ -275,7 +250,7 @@ def determinant(matrix: Matrix) -> Scalar:
     try:
         return gauss_jordan(matrix)[1]
     except SingularMatrixError:
-        return zero_scalar(matrix.mode)
+        return scalar(0, matrix.mode)
 
 
 class SeriesSum(NamedTuple):
@@ -297,9 +272,10 @@ def geometric_series(
     the one a loop adding term by term until the first term below
     tolerance would return. Returns that sum, the number of terms added
     (``p + 1``; 0 when even ``A^0`` is below tolerance) and the norm of
-    ``A^p``. Raises :class:`NotConvergedError` when ``A^max_terms`` is
-    still at or above tolerance, that is when more than ``max_terms``
-    terms would be needed.
+    ``A^p``. Raises :class:`BadParametersError` unless ``tolerance > 0``
+    and ``max_terms >= 1``, and :class:`NotConvergedError` when
+    ``A^max_terms`` is still at or above tolerance, that is when more than
+    ``max_terms`` terms would be needed.
 
     The sum is formed by doubling, in about ``4 log2 p`` products. Square:
     build ``A^(2^t)`` and ``S_(2^t) = sum of A^k for k < 2^t`` through
@@ -325,9 +301,9 @@ def geometric_series(
     end. In float mode ``d`` is 1 and every scaling is skipped.
     """
     if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+        raise BadParametersError(f"tolerance must be positive, got {tolerance}")
     if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
+        raise BadParametersError(f"max_terms must be at least 1, got {max_terms}")
     if not (
         all(value >= 0 for row in matrix._rows for value in row)
         and all(total <= 1 for total in matrix.row_sums())
@@ -336,7 +312,7 @@ def geometric_series(
     n, mode = matrix.order, matrix.mode
     identity = Matrix.identity(n, mode)
     if identity.max_abs() < tolerance:
-        return SeriesSum(Matrix.zeros(n, mode), 0, zero_scalar(mode))
+        return SeriesSum(Matrix.zeros(n, mode), 0, scalar(0, mode))
     if mode == EXACT:
         values, d = common_denominator([value for row in matrix._rows for value in row])
         base = Matrix._wrap([values[i * n : (i + 1) * n] for i in range(n)], mode)

@@ -33,9 +33,7 @@ from .matrix import (
     SeriesSum,
     format_for_message,
     geometric_series,
-    one_scalar,
     scalar,
-    zero_scalar,
 )
 
 # The general reference inverse stays importable from here.
@@ -108,11 +106,11 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
         eps = choose_epsilon(graph)
     validate_epsilon(graph, eps)
     value = _epsilon_scalar(eps, mode)
-    return _Walk(eps, value, one_scalar(mode) / (1 + value))
+    return _Walk(eps, value, scalar(1, mode) / (1 + value))
 
 
 def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    zero, one, eps = zero_scalar(mode), one_scalar(mode), walk.scalar
+    zero, one, eps = scalar(0, mode), scalar(1, mode), walk.scalar
     rows = []
     for i, values in enumerate(graph.laplacian(mode).to_lists()):
         # 0 - eps L_ij, not -(eps L_ij), so that a zero entry stays +0.0.
@@ -334,11 +332,11 @@ def route_weights_by_length(
     if length < 0:
         raise ValueError("route length must be nonnegative")
     adjacency = _loop_adjacency(graph, _walk(graph, eps, mode), mode)
-    totals = [zero_scalar(mode)] * graph.n
+    totals = [scalar(0, mode)] * graph.n
     visited = 0
     # Depth-first with an explicit stack, so long routes cannot exhaust the
     # recursion limit; children are pushed in reverse to pop in order.
-    stack = [(source, length, one_scalar(mode))]
+    stack = [(source, length, scalar(1, mode))]
     while stack:
         vertex, remaining, accumulated = stack.pop()
         if remaining == 0:
@@ -402,7 +400,7 @@ def route_decomposition(
     full = expected_route_weights(forest_matrices(graph, mode), walk.scalar)
     degenerate = via in (start, end)
     if degenerate:
-        avoiding = zero_scalar(mode)
+        avoiding = scalar(0, mode)
     else:
         cut = MultiDigraph(graph.n, [arc for arc in graph.arcs if arc.tail != via])
         avoiding = expected_route_weights(forest_matrices(cut, mode), walk.scalar)[start, end]

@@ -144,6 +144,18 @@ def reference_series(matrix: Matrix, tolerance, max_terms=100_000) -> SeriesSum:
     return SeriesSum(total, used, last_norm)
 
 
+def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
+    """``matrix`` to a nonnegative power by repeated products, one per factor."""
+    result = Matrix.identity(matrix.order, matrix.mode)
+    for _ in range(exponent):
+        result = result @ matrix
+    return result
+
+
+def transpose(matrix: Matrix) -> Matrix:
+    return Matrix(zip(*matrix.to_lists()), matrix.mode)
+
+
 def corpus(count=200, base_seed=CORPUS_SEED, **kwargs):
     return [random_multidigraph(base_seed + i, **kwargs) for i in range(count)]
 

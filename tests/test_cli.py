@@ -106,6 +106,13 @@ def test_float_decompose_at_an_epsilon_whose_reciprocal_overflows_is_out_of_rang
     assert captured.err.startswith("error:epsilon-out-of-range:")
 
 
+def test_float_forest_with_an_overflowed_total_weight_prints_no_nan(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_text(OVERFLOW_FILE)
+    assert run(["forest", "--mode", "float", "--input", str(source)]) == 0
+    assert capsys.readouterr().out == "# f=inf\ninf\tinf\tinf\n0.0\tinf\tinf\n0.0\t0.0\tinf\n"
+
+
 def test_float_decompose_verdict_survives_route_products_past_the_double_range(
     path_file, capsys
 ):
@@ -271,6 +278,12 @@ def test_gen_random_requires_seed(capsys):
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
 
 
+@pytest.mark.parametrize("argv", [["gen", "path", "1"], ["gen", "random", "1", "--seed", "1"]])
+def test_gen_with_fewer_than_two_vertices_is_too_few_vertices(capsys, argv):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error:too-few-vertices:")
+
+
 def test_gen_roundtrip_through_parser(capsys, monkeypatch):
     assert run(["gen", "random", "5", "--seed", "3"]) == 0
     emitted = capsys.readouterr().out
@@ -281,6 +294,13 @@ def test_gen_roundtrip_through_parser(capsys, monkeypatch):
 def test_missing_file_is_input_error(capsys):
     assert run(["forest", "--input", "/nonexistent/g.graph"]) == 1
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_arc_endpoint_out_of_range_is_vertex_out_of_range(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 3 1\n")
+    assert run(["forest", "--input", str(source)]) == 1
+    assert capsys.readouterr().err.startswith("error:vertex-out-of-range: vertex ")
 
 
 def test_loop_arc_file_is_input_error(tmp_path, capsys):
@@ -404,8 +424,13 @@ def test_non_utf8_stdin_is_format_error(monkeypatch, capsys, errors):
     assert capsys.readouterr().err.startswith("error:format:")
 
 
-def test_routes_nan_tolerance_is_bad_parameters(path_file, capsys):
-    assert run(["routes", "--input", path_file, "--tol", "nan", "--max-terms", "5"]) == 1
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "0"], ["--tol", "nan", "--max-terms", "5"], ["--max-terms", "0"]],
+    ids=["tol-0", "tol-nan", "max-terms-0"],
+)
+def test_routes_series_parameters_out_of_range_are_bad_parameters(path_file, capsys, flags):
+    assert run(["routes", "--input", path_file, *flags]) == 1
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
 
 
@@ -663,7 +688,8 @@ def cli_cases(draw):
     rationals and valid weights beyond the range of doubles, which float
     mode refuses, and now and then a token that every mode rejects. No
     weight near the top of the double range is drawn: one arc of ``1e308``
-    still overflows the float ``F`` products (ROADMAP item 3).
+    overflows ``f``, and float ``verify`` and ``bottleneck`` then exit 3
+    (ROADMAP item 3).
     """
 
     def flag(name, values):

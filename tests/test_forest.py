@@ -17,7 +17,7 @@ from inforest import (
     oracle_matrices,
     random_graph,
 )
-from tests.helpers import corpus, make_path, multidigraphs
+from tests.helpers import corpus, make_path, multidigraphs, transpose
 
 
 def test_empty_graph_identity():
@@ -78,8 +78,8 @@ def test_scaling_weights_scales_forest_weights_homogeneously():
 def test_undirected_forest_matrix_symmetric():
     g = MultiDigraph.from_undirected(4, [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 3, 3)])
     forests = forest_matrices(g)
-    assert forests.matrix == forests.matrix.transpose()
-    assert forests.proximity == forests.proximity.transpose()
+    assert forests.matrix == transpose(forests.matrix)
+    assert forests.proximity == transpose(forests.proximity)
 
 
 @given(multidigraphs())
@@ -135,6 +135,15 @@ def _assert_float_agrees_with_exact(graph):
                 assert got == 0.0, (i, j)
     if math.isfinite(approx.total_weight):
         assert abs(math.log(approx.total_weight) - _log(exact.total_weight)) <= 1e-12
+
+
+def test_float_forest_matrix_keeps_its_zeros_when_the_total_weight_overflows():
+    # f = det(I + L) is about 2e308, past the largest double; inf * 0.0
+    # would be nan, but an entry of F that no forest carries stays 0.0.
+    forests = forest_matrices(MultiDigraph(3, [(0, 1, 1e308), (1, 2, 1.0)]), FLOAT)
+    assert forests.total_weight == math.inf
+    inf = math.inf
+    assert forests.matrix.to_lists() == [[inf, inf, inf], [0.0, inf, inf], [0.0, 0.0, inf]]
 
 
 def _heavy_graphs():

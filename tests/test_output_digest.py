@@ -1,4 +1,5 @@
-"""The output digest tool hashes the same outputs to the same lines."""
+"""The output digest tool hashes the same outputs to the same lines, and
+the library's outputs on the tool's corpus hash to the committed lines."""
 
 import importlib.util
 import re
@@ -7,12 +8,20 @@ from pathlib import Path
 from inforest import MultiDigraph, path_graph, random_graph
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+# The lines ``python tools/output_digest.py`` prints. A change that alters
+# an output on purpose regenerates this file and says why.
+EXPECTED = Path(__file__).resolve().parent / "output_digest.txt"
 
 
-def test_digest_lines_are_stable_and_well_formed():
+def _tool():
     spec = importlib.util.spec_from_file_location("output_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_lines_are_stable_and_well_formed():
+    module = _tool()
     graphs = [path_graph(3), random_graph(4, 1)]
     lines = module.digest(graphs)
     assert lines == module.digest(graphs)
@@ -22,3 +31,8 @@ def test_digest_lines_are_stable_and_well_formed():
     assert all(re.fullmatch(r"[a-z]+\.(exact|float) [0-9a-f]{64}", line) for line in lines)
     mixed = module.digest(graphs + [MultiDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)])])
     assert [line.split()[0] for line in mixed] == names
+
+
+def test_corpus_outputs_match_the_committed_digest():
+    module = _tool()
+    assert module.digest(module.corpus()) == EXPECTED.read_text().splitlines()
