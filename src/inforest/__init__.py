@@ -63,11 +63,10 @@ from .routes import (
     RouteMatrices,
     choose_epsilon,
     closed_route_matrix,
-    expected_route_weights,
     route_decomposition,
     route_matrix,
     route_weights_by_length,
-    stochastic_matrix,
+    step_matrix,
     validate_epsilon,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "cycle_graph",
     "determinant",
     "enumerate_in_forests",
-    "expected_route_weights",
     "forest_matrices",
     "format_graph",
     "format_weight",
@@ -129,7 +127,7 @@ __all__ = [
     "route_decomposition",
     "route_matrix",
     "route_weights_by_length",
-    "stochastic_matrix",
+    "step_matrix",
     "summarize",
     "validate_epsilon",
     "verify_all_triples",

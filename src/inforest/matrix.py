@@ -265,8 +265,9 @@ def geometric_series(
     """Sum the powers ``A^0, A^1, ..., A^p`` of ``matrix``, where ``p`` is
     the largest power whose max-abs norm is at least ``tolerance``.
 
-    ``A`` must be nonnegative with every row sum at most 1; any other
-    matrix raises :class:`ValueError`. Then no entry of ``A^(k+1) = A A^k``
+    ``A`` must be nonnegative, or :class:`ValueError` is raised, with
+    every row sum at most 1, or :class:`NotConvergedError` is raised, as
+    its series need not converge. Then no entry of ``A^(k+1) = A A^k``
     exceeds the largest entry of ``A^k``, so the norms never increase and
     the powers at or above tolerance are exactly ``A^0..A^p``: the sum is
     the one a loop adding term by term until the first term below
@@ -304,11 +305,10 @@ def geometric_series(
         raise BadParametersError(f"tolerance must be positive, got {tolerance}")
     if max_terms < 1:
         raise BadParametersError(f"max_terms must be at least 1, got {max_terms}")
-    if not (
-        all(value >= 0 for row in matrix._rows for value in row)
-        and all(total <= 1 for total in matrix.row_sums())
-    ):
-        raise ValueError("the series needs a nonnegative matrix with row sums at most 1")
+    if not all(value >= 0 for row in matrix._rows for value in row):
+        raise ValueError("the series needs a nonnegative matrix")
+    if not all(total <= 1 for total in matrix.row_sums()):
+        raise NotConvergedError("a row sums to more than 1, so its series need not converge")
     n, mode = matrix.order, matrix.mode
     identity = Matrix.identity(n, mode)
     if identity.max_abs() < tolerance:

@@ -22,7 +22,7 @@ from numbers import Rational
 from typing import NamedTuple, Optional, Union
 
 from .errors import EpsilonOutOfRangeError, InstanceTooLargeError, NotConvergedError
-from .forest import ForestMatrices, forest_matrices
+from .forest import forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
     DEFAULT_MAX_TERMS,
@@ -75,18 +75,6 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
     return eps
 
 
-def _epsilon_scalar(eps: EpsilonValue, mode: str) -> Scalar:
-    """``eps`` as a scalar of ``mode``; raises :class:`EpsilonOutOfRangeError`
-    when a positive value rounds to zero or overflows as a double, or its
-    reciprocal, which the route weights ``1 + 1/eps`` hold, overflows."""
-    value = scalar(eps, mode)
-    if eps > 0 and not (0 < value < math.inf and 1 / value < math.inf):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {format_for_message(eps)} or its reciprocal is not a finite double"
-        )
-    return value
-
-
 class _Walk(NamedTuple):
     """A checked walk parameter: ``eps`` as given, the same value as a
     scalar of the mode, and the per-step contraction ratio ``1 / (1 + eps)``."""
@@ -100,35 +88,45 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
     """The walk parameter, :func:`choose_epsilon` when ``eps`` is None.
 
     It is range-checked first and then converted, so an eps no double
-    holds is out of range rather than an overflow inside a scaling.
+    holds is out of range rather than an overflow inside a scaling:
+    :class:`EpsilonOutOfRangeError` when it rounds to zero or overflows as
+    a double, or its reciprocal, which the route weights ``1 + 1/eps``
+    hold, overflows.
     """
     if eps is None:
         eps = choose_epsilon(graph)
     validate_epsilon(graph, eps)
-    value = _epsilon_scalar(eps, mode)
+    value = scalar(eps, mode)
+    if not (0 < value < math.inf and 1 / value < math.inf):
+        raise EpsilonOutOfRangeError(
+            f"epsilon {format_for_message(eps)} or its reciprocal is not a finite double"
+        )
     return _Walk(eps, value, scalar(1, mode) / (1 + value))
 
 
-def _stochastic(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    zero, one, eps = scalar(0, mode), scalar(1, mode), walk.scalar
+def _step(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
+    """``P = (I - eps L) / (1 + eps)`` in one pass over the rows of ``L``."""
+    zero, one, eps, ratio = scalar(0, mode), scalar(1, mode), walk.scalar, walk.ratio
     rows = []
     for i, values in enumerate(graph.laplacian(mode).to_lists()):
         # 0 - eps L_ij, not -(eps L_ij), so that a zero entry stays +0.0.
-        row = [zero - eps * value for value in values]
+        row = [ratio * (zero - eps * value) for value in values]
         # 1 - eps d is positive, but in float mode it rounds below zero
         # when eps d is within a few roundings of 1; zero is the nearer value.
-        row[i] = max(one - eps * values[i], zero)
+        row[i] = ratio * max(one - eps * values[i], zero)
         rows.append(row)
     result = Matrix._wrap(rows, mode)
-    assert mode == FLOAT or all(total == 1 for total in result.row_sums())
+    assert mode == FLOAT or all(total == ratio for total in result.row_sums())
     return result
 
 
-def stochastic_matrix(graph: MultiDigraph, eps: EpsilonValue, mode: str = EXACT) -> Matrix:
-    """The row-stochastic matrix ``I - eps * L``. The total-arc-weight
-    matrix of the loop-augmented graph, the step matrix, is this matrix
-    times ``1 / (1 + eps)``."""
-    return _stochastic(graph, _walk(graph, eps, mode), mode)
+def step_matrix(
+    graph: MultiDigraph, eps: Optional[EpsilonValue] = None, mode: str = EXACT
+) -> Matrix:
+    """The step matrix ``(I - eps * L) / (1 + eps)``, the total-arc-weight
+    matrix of the loop-augmented graph, whose powers the route series
+    sums; eps is :func:`choose_epsilon` when None."""
+    return _step(graph, _walk(graph, eps, mode), mode)
 
 
 @dataclass(frozen=True)
@@ -191,17 +189,13 @@ def route_matrix(
     """Sum the route-weight series of the loop-augmented graph.
 
     Raises :class:`NotConvergedError` before the first product when the
-    series provably needs more than ``max_terms`` terms, or in float mode
-    when a row of the step matrix rounds to a sum above 1.
+    series provably needs more than ``max_terms`` terms, or, from
+    :func:`geometric_series`, in float mode when a row of the step matrix
+    rounds to a sum above 1.
     """
     walk = _walk(graph, eps, mode)
     _refuse_unreachable_tolerance(graph.n, walk, tolerance, max_terms, mode)
-    step = _stochastic(graph, walk, mode).scaled(walk.ratio)
-    if mode == FLOAT and not max(step.row_sums(), default=0.0) <= 1:
-        raise NotConvergedError(
-            f"at epsilon {format_for_message(walk.eps)} a row of the float step matrix "
-            "rounds to a sum above 1, so its series need not converge"
-        )
+    step = _step(graph, walk, mode)
     series = geometric_series(step, tolerance, max_terms)
     tail = _tail_bound(graph, walk, series, mode)
     return RouteMatrices(walk.eps, step, series.total, series.terms_used, tail)
@@ -278,11 +272,9 @@ def _tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum, mode: str) 
     return bound if mode == EXACT else math.nextafter(float(bound), math.inf)
 
 
-def expected_route_weights(forests: ForestMatrices, eps: EpsilonValue) -> Matrix:
-    """Closed-form route weights from forest matrices: (1 + 1/eps) times
-    the proximity matrix."""
-    factor = 1 + 1 / _epsilon_scalar(eps, forests.mode)
-    return forests.proximity.scaled(factor)
+def _closed(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
+    """Route weights in closed form, ``(1 + 1/eps) Q``, for a checked walk."""
+    return forest_matrices(graph, mode).proximity.scaled(1 + 1 / walk.scalar)
 
 
 def closed_route_matrix(
@@ -293,14 +285,13 @@ def closed_route_matrix(
     That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
-    walk = _walk(graph, eps, mode)
-    return expected_route_weights(forest_matrices(graph, mode), walk.scalar)
+    return _closed(graph, _walk(graph, eps, mode), mode)
 
 
 def _loop_adjacency(graph: MultiDigraph, walk: _Walk, mode: str):
     """Per-vertex outgoing (head, weight) pairs of the loop-augmented graph,
     keeping parallel arcs distinct; the loop comes first."""
-    step = _stochastic(graph, walk, mode).scaled(walk.ratio)
+    step = _step(graph, walk, mode)
     adjacency = []
     for v in range(graph.n):
         entries = [(v, step[v, v])]
@@ -397,13 +388,13 @@ def route_decomposition(
     for v in (start, via, end):
         graph.check_vertex(v)
     walk = _walk(graph, eps, mode)
-    full = expected_route_weights(forest_matrices(graph, mode), walk.scalar)
+    full = _closed(graph, walk, mode)
     degenerate = via in (start, end)
     if degenerate:
         avoiding = scalar(0, mode)
     else:
         cut = MultiDigraph(graph.n, [arc for arc in graph.arcs if arc.tail != via])
-        avoiding = expected_route_weights(forest_matrices(cut, mode), walk.scalar)[start, end]
+        avoiding = _closed(cut, walk, mode)[start, end]
     start_via = full[start, via]
     via_via = full[via, via]
     via_end = full[via, end]

@@ -17,14 +17,14 @@ from inforest import (
     RELATION_EQUAL,
     check_triple,
     choose_epsilon,
+    closed_route_matrix,
     determinant,
-    expected_route_weights,
     forest_matrices,
     oracle_matrices,
     route_decomposition,
     route_matrix,
     route_weights_by_length,
-    stochastic_matrix,
+    step_matrix,
     summarize,
     verify_all_triples,
     verify_undirected,
@@ -95,11 +95,10 @@ def test_criterion_3_closed_form_fixtures():
 def test_criterion_4_route_series_proportionality():
     with criterion("criterion-4 route series within reported tail bound, two epsilons"):
         for g in corpus(200):
-            forests = forest_matrices(g, EXACT)
             default = choose_epsilon(g)
             for eps in (default, default / 2):
                 result = route_matrix(g, eps=eps, tolerance=1e-12, mode=FLOAT)
-                expected = expected_route_weights(forests, eps).with_mode(FLOAT)
+                expected = closed_route_matrix(g, eps, EXACT).with_mode(FLOAT)
                 gap = (result.route_weights - expected).max_abs()
                 assert gap <= result.tail_bound
                 assert result.tail_bound <= 1e-9
@@ -110,7 +109,7 @@ def test_criterion_5_route_length_oracle():
         for index in range(50):
             g = random_multidigraph(CORPUS_SEED + 10_000 + index, max_n=4)
             eps = choose_epsilon(g)
-            step = stochastic_matrix(g, eps).scaled(Fraction(1) / (1 + Fraction(eps)))
+            step = step_matrix(g, eps)
             power = Matrix.identity(g.n)
             for _length in range(7):
                 for source in range(g.n):
@@ -153,8 +152,9 @@ def test_criterion_8_invariant_suite():
     with criterion("criterion-8 exact invariants across the corpus"):
         for g in corpus(200):
             forests = forest_matrices(g, EXACT)
-            p = stochastic_matrix(g, choose_epsilon(g))
-            assert all(total == 1 for total in p.row_sums())
+            eps = choose_epsilon(g)
+            p = step_matrix(g, eps)
+            assert all(total == 1 / (1 + eps) for total in p.row_sums())
             assert all(0 <= p[i, j] <= 1 for i in range(g.n) for j in range(g.n))
             assert all(total == 1 for total in forests.proximity.row_sums())
             assert all(

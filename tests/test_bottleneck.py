@@ -210,7 +210,7 @@ def test_sweep_separators_match_is_bottleneck_on_sparse_corpus():
         reports = verify_all_triples(g)
         for report in reports:
             i, j, k = report.triple
-            assert reports.separators(i, j)[k] == is_bottleneck(g, i, j, k)
+            assert report.separator == is_bottleneck(g, i, j, k)
             reached = k in g.reachable(i)
             unreachable += not reached
             genuine_equal += reached and len({i, j, k}) == 3 and report.relation == RELATION_EQUAL
@@ -275,28 +275,25 @@ def test_float_sweep_counts_the_bad_triples_of_corrupted_forests():
 
 
 def test_undirected_separators_match_reference_bfs():
-    for seed in range(60):
-        n, edges = random_undirected(CORPUS_SEED + seed, max_n=6, max_edges=8)
-        for report in verify_undirected(n, edges, mode=FLOAT):
-            assert report.separator == undirected_separates(n, edges, *report.triple)
-
-
-def test_undirected_cross_check_catches_a_wrong_directed_search(monkeypatch):
-    # Float mode records the sweep's own disagreement, so only the
-    # edge-based cross-check can raise here. The directed sweep reads its
-    # separators off dominator sets; giving the last vertex every bit, as
-    # if unreachable, makes every directed search miss it.
-    original = MultiDigraph.dominators
-
-    def hides_last_vertex(self, root):
-        dominators = original(self, root)
-        if root != self.n - 1:
-            dominators[-1] = (1 << self.n) - 1
-        return dominators
-
-    monkeypatch.setattr(MultiDigraph, "dominators", hides_last_vertex)
-    with pytest.raises(InconsistentWithTheoremError, match="undirected and directed"):
-        verify_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], mode=FLOAT)
+    # The sweep's separators, read off the doubled digraph, against a
+    # search over the edge list in both modes: small graphs with up to 8
+    # edges, then sparse ones up to n=12 whose cut vertices separate
+    # connected pairs.
+    graphs = [random_undirected(CORPUS_SEED + seed, max_n=6, max_edges=8) for seed in range(60)]
+    graphs += [
+        random_undirected(CORPUS_SEED + 100 + seed, min_n=7, max_n=12, max_edges=12)
+        for seed in range(15)
+    ]
+    for mode in (EXACT, FLOAT):
+        genuine = 0
+        for n, edges in graphs:
+            doubled = MultiDigraph.from_undirected(n, edges)
+            reached = [doubled.reachable(i) for i in range(n)]
+            for report in verify_undirected(n, edges, mode=mode):
+                i, j, k = report.triple
+                assert report.separator == undirected_separates(n, edges, i, j, k)
+                genuine += report.separator and len({i, j, k}) == 3 and k in reached[i]
+        assert genuine
 
 
 @pytest.mark.parametrize(

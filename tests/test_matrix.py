@@ -18,7 +18,7 @@ from inforest import (
     choose_epsilon,
     geometric_series,
     invert,
-    stochastic_matrix,
+    step_matrix,
 )
 from inforest.matrix import scalar
 from tests.helpers import corpus, reference_series
@@ -164,8 +164,7 @@ def _step_matrices(count):
         4, [(0, 1, Fraction(1, 10**40)), (1, 2, 1), (2, 3, Fraction(2, 3)), (1, 0, Fraction(5, 4))]
     )
     for g in corpus(count) + [tiny]:
-        eps = choose_epsilon(g)
-        yield stochastic_matrix(g, eps).scaled(1 / (1 + Fraction(eps)))
+        yield step_matrix(g, choose_epsilon(g))
 
 
 def _series_outcome(series, *args):
@@ -204,15 +203,22 @@ def test_geometric_series_raises_exactly_where_the_reference_raises():
     "matrix",
     [
         Matrix([[Fraction(1, 2), Fraction(-1, 4)], [0, 0]]),
-        Matrix([[Fraction(1, 2), Fraction(3, 4)], [0, 0]]),
         Matrix([[float("nan"), 0.0], [0.0, 0.0]], FLOAT),
+        Matrix([[0.25, 0.0], [-1e-300, 0.5]], FLOAT),
     ],
 )
 def test_geometric_series_rejects_a_matrix_outside_its_precondition(matrix):
     # Only a nonnegative matrix with row sums at most 1 has powers whose
     # norms never increase, which the doubling search relies on.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         geometric_series(matrix, 1e-3)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_geometric_series_of_a_row_sum_above_one_is_not_converged(mode):
+    # The row sums 5/4: a nonnegative matrix whose series need not converge.
+    with pytest.raises(NotConvergedError, match="need not converge"):
+        geometric_series(Matrix([[Fraction(1, 2), Fraction(3, 4)], [0, 0]], mode), 1e-3)
 
 
 def test_geometric_series_rejects_bad_tolerance():

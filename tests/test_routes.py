@@ -1,4 +1,4 @@
-"""Walk parameter, stochastic matrix, route series, and decompositions."""
+"""Walk parameter, step matrix, route series, and decompositions."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,6 @@ from inforest import (
     choose_epsilon,
     closed_route_matrix,
     complete_graph,
-    expected_route_weights,
     forest_matrices,
     geometric_series,
     invert,
@@ -26,7 +25,7 @@ from inforest import (
     route_decomposition,
     route_matrix,
     route_weights_by_length,
-    stochastic_matrix,
+    step_matrix,
     validate_epsilon,
 )
 from tests.helpers import (
@@ -58,27 +57,30 @@ def test_validate_epsilon_bounds():
         validate_epsilon(g, -1)
 
 
-def test_stochastic_matrix_examples():
-    assert stochastic_matrix(MultiDigraph(2, []), 1) == Matrix.identity(2)
-    single = stochastic_matrix(MultiDigraph(2, [(0, 1, 1)]), Fraction(1, 2))
-    assert single.to_lists() == [[Fraction(1, 2), Fraction(1, 2)], [0, 1]]
-    path = stochastic_matrix(make_path(), Fraction(1, 2))
+def test_step_matrix_examples():
+    assert step_matrix(MultiDigraph(2, []), 1) == Matrix.identity(2).scaled(Fraction(1, 2))
+    single = step_matrix(MultiDigraph(2, [(0, 1, 1)]), Fraction(1, 2))
+    assert single.to_lists() == [[Fraction(1, 3), Fraction(1, 3)], [0, Fraction(2, 3)]]
+    path = step_matrix(make_path(), Fraction(1, 2))
     assert path.to_lists() == [
-        [Fraction(1, 2), Fraction(1, 2), 0],
-        [0, Fraction(1, 2), Fraction(1, 2)],
-        [0, 0, 1],
+        [Fraction(1, 3), Fraction(1, 3), 0],
+        [0, Fraction(1, 3), Fraction(1, 3)],
+        [0, 0, Fraction(2, 3)],
     ]
 
 
 @given(multidigraphs())
 @settings(max_examples=60, deadline=None)
-def test_stochastic_matrix_is_row_stochastic(g):
-    p = stochastic_matrix(g, choose_epsilon(g))
+def test_step_matrix_rows_sum_to_the_contraction_ratio(g):
+    eps = choose_epsilon(g)
+    p = step_matrix(g, eps)
     for total in p.row_sums():
-        assert total == 1
+        assert total == 1 / (1 + eps)
     for i in range(g.n):
         for j in range(g.n):
             assert 0 <= p[i, j] <= 1
+    # The route series sums the powers of this very matrix.
+    assert p == step_matrix(g) == route_matrix(g, eps, tolerance=2, mode=EXACT).step_weights
 
 
 def test_route_series_empty_graph():
@@ -100,17 +102,16 @@ def test_closed_form_equals_proportional_forest_matrix():
     g = make_triangle()
     eps = choose_epsilon(g)
     closed = closed_route_matrix(g, eps=eps)
-    assert closed == expected_route_weights(forest_matrices(g), eps)
+    assert closed == forest_matrices(g).proximity.scaled(1 + 1 / eps)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_route_series_proportional_to_forest_matrix(mode):
     for g in (make_path(), make_triangle(), MultiDigraph(2, [(0, 1, Fraction(5, 2))])):
-        forests = forest_matrices(g, mode)
         default = choose_epsilon(g)
         for eps in (default, default / 2):
             result = route_matrix(g, eps=eps, mode=mode)
-            expected = expected_route_weights(forests, eps)
+            expected = closed_route_matrix(g, eps, mode)
             gap = (result.route_weights - expected).max_abs()
             assert gap <= result.tail_bound
             assert float(result.tail_bound) <= 1e-9
@@ -220,8 +221,7 @@ def test_closed_route_matrix_matches_reference_inverse(mode):
     for g in graphs:
         default = choose_epsilon(g)
         for eps in (default, default / 3):
-            ratio = 1 / (1 + Fraction(eps))
-            step = stochastic_matrix(g, eps, mode).scaled(ratio)
+            step = step_matrix(g, eps, mode)
             reference = invert(Matrix.identity(g.n, mode) - step)
             closed = closed_route_matrix(g, eps, mode)
             assert closed.mode == mode
@@ -240,7 +240,7 @@ def test_avoiding_weight_matches_the_reduced_inverse(mode):
     # I minus the step matrix and invert what is left.
     for g in corpus(20, base_seed=CORPUS_SEED + 700, min_n=3, max_n=6, max_arcs=12):
         eps = choose_epsilon(g)
-        step = stochastic_matrix(g, eps, mode).scaled(1 / (1 + Fraction(eps)))
+        step = step_matrix(g, eps, mode)
         for via in range(g.n):
             keep = [v for v in range(g.n) if v != via]
             cut = Matrix([[step[u, w] for w in keep] for u in keep], mode)
@@ -259,7 +259,7 @@ def test_route_enumeration_survives_long_routes():
     # 3001 routes of 3000 arcs each: deeper than the recursion limit.
     g = path_graph(2)
     eps = Fraction(1, 1000)
-    step = stochastic_matrix(g, eps, FLOAT).scaled(1.0 / (1.0 + float(eps)))
+    step = step_matrix(g, eps, FLOAT)
     expected = list(matrix_power(step, 3000).row(0))
     assert route_weights_by_length(g, 0, 3000, eps=eps, mode=FLOAT) == pytest.approx(
         expected, rel=1e-9
@@ -272,8 +272,8 @@ def test_tail_bound_covers_a_series_that_adds_no_term(mode):
     eps = choose_epsilon(g)
     result = route_matrix(g, eps=eps, tolerance=2, mode=mode)
     assert result.terms_used == 0
-    for reference in (forest_matrices(g, mode), forest_matrices(g, EXACT)):
-        expected = expected_route_weights(reference, eps).with_mode(mode)
+    for reference in (mode, EXACT):
+        expected = closed_route_matrix(g, eps, reference).with_mode(mode)
         assert (result.route_weights - expected).max_abs() <= result.tail_bound
 
 
@@ -373,7 +373,7 @@ def test_float_step_rounding_to_a_negative_diagonal_is_clamped():
     )
     eps = 0.4512238350521682
     validate_epsilon(g, eps)
-    step = stochastic_matrix(g, eps, FLOAT)
+    step = step_matrix(g, eps, FLOAT)
     assert step[0, 0] == 0.0
     result = route_matrix(g, eps, mode=FLOAT)
     expected = closed_route_matrix(g, eps, EXACT)
@@ -390,8 +390,8 @@ def test_float_step_with_a_row_sum_above_one_is_not_summed():
     # step matrix to 1 + 2.2e-16; so many terms are allowed that the
     # up-front refusal does not apply.
     g = random_graph(8, 4)
-    assert max(stochastic_matrix(g, 1e-16, FLOAT).row_sums()) > 1
-    with pytest.raises(NotConvergedError):
+    assert max(step_matrix(g, 1e-16, FLOAT).row_sums()) > 1
+    with pytest.raises(NotConvergedError, match="need not converge"):
         route_matrix(g, 1e-16, mode=FLOAT, max_terms=10**20)
 
 
@@ -439,7 +439,7 @@ def test_exact_tail_bound_is_the_exact_truncation(g):
     eps = choose_epsilon(g)
     result = route_matrix(g, eps=eps, tolerance=1e-6, mode=EXACT)
     ratio = 1 / (1 + eps)
-    series = geometric_series(stochastic_matrix(g, eps).scaled(ratio), 1e-6)
+    series = geometric_series(step_matrix(g, eps), 1e-6)
     assert result.terms_used == series.terms_used > 0
     assert type(result.tail_bound) is Fraction
     assert result.tail_bound == series.last_term_norm * ratio / (1 - ratio)

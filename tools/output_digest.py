@@ -15,7 +15,10 @@ generator graphs with at most 8 vertices:
   type, or the error;
 - ``decompose``: :func:`route_decomposition` on every triple;
 - ``oracle``: :func:`oracle_matrices`, under the mode its weights give
-  it (``exact`` for rational weights); a mode with no record prints no line.
+  it (``exact`` for rational weights); a mode with no record prints no line;
+- ``undirected``: every report of :func:`verify_undirected`, recorded as
+  in ``verify``, and the summary, on a seeded corpus of sparse undirected
+  multigraphs with at most 8 vertices, where cut vertices occur.
 
 A change that keeps every output prints the same lines as its parent, and
 a change to float arithmetic alone leaves every ``.exact`` line as it was. The
@@ -54,6 +57,7 @@ from inforest import (  # noqa: E402
     route_matrix,
     summarize,
     verify_all_triples,
+    verify_undirected,
 )
 
 MODES = (EXACT, FLOAT)
@@ -64,7 +68,7 @@ SMALL_N = 5
 ROUTE_ARGUMENTS = (
     {}, {"eps": Fraction(1, 9)}, {"tolerance": 1e-4}, {"tolerance": 2}, {"max_terms": 3}
 )
-SECTIONS = ("forest", "solve", "verify", "triple", "routes", "decompose", "oracle")
+SECTIONS = ("forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected")
 
 
 def corpus() -> list:
@@ -73,6 +77,22 @@ def corpus() -> list:
     graphs.append(random_graph(5, 3, (1, 40)))
     for make in (path_graph, cycle_graph, complete_graph):
         graphs += [make(3), make(6, Fraction(3, 7))]
+    return graphs
+
+
+def undirected_corpus() -> list:
+    """Fixed undirected multigraphs as ``(n, edges)``: seeded random ones
+    with ``n - 1`` or ``n + 2`` edges, and a weighted path."""
+    rng = random.Random(16)
+    graphs = []
+    for n in range(2, 9):
+        for count in (n - 1, n + 2):
+            edges = []
+            for _ in range(count):
+                u, v = rng.sample(range(n), 2)
+                edges.append((u, v, Fraction(rng.randint(1, 5), rng.randint(1, 5))))
+            graphs.append((n, edges))
+    graphs.append((6, [(v, v + 1, Fraction(v + 1, 3)) for v in range(5)]))
     return graphs
 
 
@@ -95,7 +115,16 @@ def _attempt(call) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _sections(graphs) -> dict:
+def _reports(reports) -> list[str]:
+    """Every report with the types of its sides and whether they are one
+    object, then the summary."""
+    records = [
+        repr((r, type(r.lhs).__name__, type(r.rhs).__name__, r.lhs is r.rhs)) for r in reports
+    ]
+    return records + [repr(summarize(reports))]
+
+
+def _sections(graphs, undirected) -> dict:
     """The records of every ``(section, mode)`` pair, in line order."""
     out = {(name, mode): [] for name in SECTIONS for mode in MODES}
     for graph in graphs:
@@ -108,12 +137,7 @@ def _sections(graphs) -> dict:
             shifted = Matrix.identity(n, mode) + graph.laplacian(mode)
             out["solve", mode].append(_attempt(lambda: invert(shifted).to_lists()))
             out["solve", mode].append(_attempt(lambda: determinant(shifted)))
-            reports = verify_all_triples(graph, forests, mode)
-            for r in reports:
-                out["verify", mode].append(
-                    repr((r, type(r.lhs).__name__, type(r.rhs).__name__, r.lhs is r.rhs))
-                )
-            out["verify", mode].append(repr(summarize(reports)))
+            out["verify", mode] += _reports(verify_all_triples(graph, forests, mode))
             for triple in triples:
                 out["triple", mode].append(_attempt(lambda: check_triple(forests, graph, *triple)))
             if mode == FLOAT or n <= EXACT_ROUTES_MAX_N:
@@ -134,6 +158,9 @@ def _sections(graphs) -> dict:
             matrix = Matrix(rows, mode)
             out["solve", mode].append(_attempt(lambda: invert(matrix).to_lists()))
             out["solve", mode].append(_attempt(lambda: determinant(matrix)))
+    for n, edges in undirected:
+        for mode in MODES:
+            out["undirected", mode] += _reports(verify_undirected(n, edges, mode))
     return out
 
 
@@ -144,11 +171,12 @@ def _routes(graph, mode: str, **kwargs) -> tuple:
     return (result.epsilon, weights, result.terms_used, bound, type(bound).__name__)
 
 
-def digest(graphs) -> list[str]:
+def digest(graphs, undirected=()) -> list[str]:
     """One ``<section>.<mode> <sha256 hex>`` line per section and mode
-    with records for ``graphs``."""
+    with records for the digraphs ``graphs`` and the undirected
+    ``(n, edges)`` pairs ``undirected``."""
     lines = []
-    for (name, mode), records in _sections(graphs).items():
+    for (name, mode), records in _sections(graphs, undirected).items():
         if not records:
             continue
         h = hashlib.sha256()
@@ -159,7 +187,7 @@ def digest(graphs) -> list[str]:
 
 
 def main() -> int:
-    print("\n".join(digest(corpus())))
+    print("\n".join(digest(corpus(), undirected_corpus())))
     return 0
 
 
