@@ -240,8 +240,7 @@ def verify_all_triples(
     if mode == EXACT:
         # The law is homogeneous of degree 2, so the integers c F give
         # the verdicts of F and compare faster than fractions.
-        flat, _ = common_denominator([v for row in values for v in row])
-        rows = [flat[r * n : (r + 1) * n] for r in range(n)]
+        rows, _ = common_denominator(values)
     separators = []
     equal = inconsistent = 0
     for i in range(n):
@@ -270,22 +269,19 @@ def verify_all_triples(
 
 
 def verify_undirected(
-    n: int,
-    edges: Iterable,
-    mode: str = EXACT,
+    graph: MultiDigraph,
     forests: Optional[ForestMatrices] = None,
+    mode: str = EXACT,
 ) -> TripleReports:
-    """Verify all triples of an undirected multigraph.
+    """Verify all triples of an undirected multigraph, given as the doubled
+    digraph of :meth:`MultiDigraph.from_undirected`.
 
-    The graph is converted by replacing each edge with two opposite arcs.
-    The directed paths of that doubled digraph are exactly the undirected
-    paths, so the triple sweep's separators are the undirected ones. On
-    top of the sweep this checks that the forest matrix is symmetric, each
-    row equal to its column by the rule of :func:`_equal`. ``forests``,
-    when given, must be the forest matrices of that doubled digraph; their
-    mode then wins.
+    The directed paths of that digraph are exactly the undirected paths,
+    so the triple sweep's separators are the undirected ones. On top of
+    the sweep this checks that the forest matrix is symmetric, each row
+    equal to its column by the rule of :func:`_equal`. ``forests``, when
+    given, must be the forest matrices of ``graph``; their mode then wins.
     """
-    graph = MultiDigraph.from_undirected(n, edges)
     if forests is None:
         forests = forest_matrices(graph, mode)
     mode = forests.mode

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -75,7 +76,8 @@ def _oracle_cap() -> int:
 def _json_value(value):
     if isinstance(value, Matrix):
         return [[_json_value(v) for v in value.row(i)] for i in range(value.order)]
-    if isinstance(value, (float, int, str)):
+    # A non-finite float goes out as its text, which strict JSON can hold.
+    if isinstance(value, (int, str)) or isinstance(value, float) and math.isfinite(value):
         return value
     return format_weight(value)
 
@@ -214,11 +216,8 @@ def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
 def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:
     graph = parsed.graph
     forests = forest_matrices(graph, mode)
-    if parsed.undirected:
-        reports = verify_undirected(graph.n, parsed.edges, forests=forests)
-    else:
-        reports = verify_all_triples(graph, forests)
-    counts = summarize(reports)
+    verify = verify_undirected if parsed.undirected else verify_all_triples
+    counts = summarize(verify(graph, forests))
     oracle_state = "skipped"
     cap = _oracle_cap()
     if mode == EXACT and choice_count(graph) <= cap:

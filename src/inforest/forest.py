@@ -68,11 +68,7 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
-    if exact:
-        flat, c = common_denominator([v for i in range(n) for v in laplacian.row(i)])
-        left = [flat[r * n : (r + 1) * n] for r in range(n)]
-    else:
-        c, left = 1.0, laplacian.to_lists()
+    left, c = common_denominator(laplacian._rows) if exact else (laplacian._rows, 1.0)
     rows = [row + [0 * c] * n + [c] for row in left]
     for r, row in enumerate(rows):
         row[r] += c

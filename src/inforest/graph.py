@@ -3,7 +3,9 @@
 Vertices are dense 0-based indices (file formats and the CLI are 1-based).
 Parallel arcs are stored individually; total weights are summed only where
 a matrix view needs them, so enumeration over individual arcs and algebra
-over summed weights can be cross-checked against each other.
+over summed weights can be cross-checked against each other. Every arc
+weight is stored as the exact rational it denotes, a float weight as its
+double's own value; only the float Laplacian rounds it back to a double.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ class Arc(NamedTuple):
 
     tail: int
     head: int
-    weight: Weight
+    weight: Fraction
 
 
-def _check_weight(weight: Weight) -> Weight:
+def _check_weight(weight: Weight) -> Fraction:
     if isinstance(weight, float) and not math.isfinite(weight):
         raise NonPositiveWeightError(f"arc weight must be finite, got {weight!r}")
     if not isinstance(weight, (int, float, Rational)):
@@ -42,7 +44,7 @@ def _check_weight(weight: Weight) -> Weight:
         raise NonPositiveWeightError(
             f"arc weight must be positive, got {format_for_message(weight)}"
         )
-    return weight
+    return scalar(weight, EXACT)
 
 
 class MultiDigraph:
@@ -101,19 +103,18 @@ class MultiDigraph:
     def out_degree(self, v: int) -> int:
         return len(self._out[self.check_vertex(v)])
 
-    def has_rational_weights(self) -> bool:
-        return all(isinstance(arc.weight, Rational) for arc in self.arcs)
-
     def laplacian(self, mode: str = EXACT) -> Matrix:
         """Row-sum-zero matrix: off-diagonal entry (i, j) is minus the total
         weight of the arcs from i to j, and diagonal entry i is the total
         out-weight of i.
 
-        This is the one place where an arc weight becomes a scalar of
-        ``mode``. A double cannot hold every positive rational, so in float
-        mode a weight that rounds to zero, or an out-weight total that
-        overflows, raises :class:`NonPositiveWeightError`, as a non-finite
-        float weight does when the graph is built.
+        This is the one place where an arc weight becomes a double: float
+        mode rounds each stored weight to the nearest one, which for a
+        float-typed weight is the given double itself. A double cannot hold
+        every positive rational, so a weight that rounds to zero, or an
+        out-weight total that overflows, raises
+        :class:`NonPositiveWeightError`, as a non-finite float weight does
+        when the graph is built.
         """
         zero = scalar(0, mode)
         rows = [[zero] * self.n for _ in range(self.n)]
@@ -130,10 +131,10 @@ class MultiDigraph:
                 raise NonPositiveWeightError(f"out-weight of vertex {i} overflows a double")
         return Matrix._wrap(rows, mode)
 
-    def max_out_weight(self) -> Weight:
+    def max_out_weight(self) -> Fraction:
         """Largest total out-weight over all vertices (the largest Laplacian
-        diagonal entry); exact whenever the arc weights are rational."""
-        totals = [0] * self.n
+        diagonal entry), exact."""
+        totals = [Fraction(0)] * self.n
         for arc in self.arcs:
             totals[arc.tail] = totals[arc.tail] + arc.weight
         return max(totals)
@@ -202,7 +203,7 @@ class MultiDigraph:
 
     def scaled(self, factor: Weight) -> "MultiDigraph":
         """Copy of the graph with every arc weight multiplied by ``factor``."""
-        _check_weight(factor)
+        factor = _check_weight(factor)
         return MultiDigraph(
             self.n, [(a.tail, a.head, a.weight * factor) for a in self.arcs]
         )

@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import GraphFormatError
-from .graph import MultiDigraph, Weight
+from .graph import MultiDigraph
 from .matrix import MAX_DIGITS, format_weight
 
 
@@ -30,14 +29,12 @@ from .matrix import MAX_DIGITS, format_weight
 class ParsedGraph:
     """A parsed graph plus how it was declared.
 
-    For undirected inputs ``graph`` is the doubled digraph and ``edges``
-    holds the original 0-based edge list; for directed inputs ``edges`` is
-    None.
+    For undirected inputs ``graph`` is the doubled digraph of
+    :meth:`MultiDigraph.from_undirected`, the only form they travel in.
     """
 
     graph: MultiDigraph
     undirected: bool
-    edges: Optional[tuple[tuple[int, int, Weight], ...]]
 
 
 def parse_weight(token: str) -> Fraction:
@@ -59,9 +56,8 @@ def _is_int(value) -> bool:
 
 
 def _parsed_graph(n: int, entries: list[tuple[int, int, Fraction]], undirected: bool) -> ParsedGraph:
-    if undirected:
-        return ParsedGraph(MultiDigraph.from_undirected(n, entries), True, tuple(entries))
-    return ParsedGraph(MultiDigraph(n, entries), False, None)
+    build = MultiDigraph.from_undirected if undirected else MultiDigraph
+    return ParsedGraph(build(n, entries), undirected)
 
 
 def _parse_vertex(token: str, line_no: int) -> int:

@@ -77,11 +77,11 @@ def scalar(value, mode: str) -> Scalar:
         return math.inf if value > 0 else -math.inf
 
 
-def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers ``N`` and the least positive integer ``c`` such that
-    ``c * values[t] == N[t]`` for every t."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
+def common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer rows ``N`` and the least positive integer ``c`` such that
+    ``c * rows[r][t] == N[r][t]`` for every r and t."""
+    common = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (common // v.denominator) for v in row] for row in rows], common
 
 
 class Matrix:
@@ -314,8 +314,8 @@ def geometric_series(
     if identity.max_abs() < tolerance:
         return SeriesSum(Matrix.zeros(n, mode), 0, scalar(0, mode))
     if mode == EXACT:
-        values, d = common_denominator([value for row in matrix._rows for value in row])
-        base = Matrix._wrap([values[i * n : (i + 1) * n] for i in range(n)], mode)
+        values, d = common_denominator(matrix._rows)
+        base = Matrix._wrap(values, mode)
         unit = Matrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], mode)
         threshold = Fraction(tolerance)
     else:

@@ -4,8 +4,9 @@ A spanning converging forest assigns each vertex either the role of a root
 or exactly one of its outgoing arcs, such that following chosen arcs never
 cycles. One depth-first pass chooses for the vertices in order and drops an
 arc as soon as it closes a cycle with the choices made so far, so only
-acyclic prefixes are visited. Rational weights are carried as integers
-over their common denominator, so the pass never normalises a fraction.
+acyclic prefixes are visited. The weights, exact rationals, are carried
+as integers over their common denominator, so the pass never normalises a
+fraction and the totals are exact for every input.
 It touches no Laplacian and no elimination: this module is the ground
 truth the algebraic computation is tested against.
 """
@@ -15,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Matrix, Scalar, common_denominator, scalar
+from .matrix import EXACT, Matrix, common_denominator
 
 DEFAULT_CHOICE_CAP = 10_000_000
 
@@ -35,7 +36,7 @@ class InForest:
 
     arc_choice: tuple[Optional[int], ...]
     root_of: tuple[int, ...]
-    weight: Scalar
+    weight: Fraction
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -46,7 +47,7 @@ class InForest:
 class OracleResult:
     """Totals assembled from an exhaustive forest enumeration."""
 
-    total_weight: Scalar
+    total_weight: Fraction
     matrix: Matrix
     forest_count: int
 
@@ -71,11 +72,9 @@ def enumerate_in_forests(
     :class:`InstanceTooLargeError` before yielding anything when the choice
     space exceeds ``cap``.
     """
-    mode, factors, unit, divisor = _factors(graph)
+    factors, unit, divisor = _factors(graph)
     for choice, roots, weight in _forests(graph, cap, factors, unit):
-        if mode == EXACT:
-            weight = Fraction(weight, divisor)
-        yield InForest(arc_choice=tuple(choice), root_of=roots, weight=weight)
+        yield InForest(arc_choice=tuple(choice), root_of=roots, weight=Fraction(weight, divisor))
 
 
 def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:
@@ -83,11 +82,11 @@ def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> Oracl
 
     Forests with the same root map (``root_of``) add to the same entries,
     so the weights are summed per root map and spread over the rows of the
-    matrix only at the end. In exact mode they are summed as integers over
-    the common denominator ``D**n`` and divided by it once per entry.
+    matrix only at the end. They are summed as integers over the common
+    denominator ``D**n`` and divided by it once per entry.
     """
-    mode, factors, unit, divisor = _factors(graph)
-    by_roots: dict[tuple[int, ...], Union[int, float]] = {}
+    factors, unit, divisor = _factors(graph)
+    by_roots: dict[tuple[int, ...], int] = {}
     count = 0
     for count, (_, roots, weight) in enumerate(_forests(graph, cap, factors, unit), 1):
         by_roots[roots] = by_roots.get(roots, 0) + weight
@@ -96,31 +95,23 @@ def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> Oracl
     for roots, weight in by_roots.items():
         for v, root in enumerate(roots):
             rows[v][root] += weight
-    total = sum(by_roots.values())
-    if mode == EXACT:
-        total = Fraction(total, divisor)
-        rows = [[Fraction(value, divisor) for value in row] for row in rows]
-    return OracleResult(total_weight=total, matrix=Matrix(rows, mode), forest_count=count)
+    total = Fraction(sum(by_roots.values()), divisor)
+    rows = [[Fraction(value, divisor) for value in row] for row in rows]
+    return OracleResult(total_weight=total, matrix=Matrix._wrap(rows, EXACT), forest_count=count)
 
 
-def _factors(graph: MultiDigraph) -> tuple[str, list, Union[int, float], int]:
-    """The mode, the factor of each arc and of a root, and the divisor that
-    turns a product of ``n`` factors into a forest weight.
-
-    Rational weights become integers ``N_a`` over their common denominator
-    ``D``, and a root contributes ``D``, so every forest's product is its
-    weight times ``D**n``. Other weights are doubles, a root contributes
-    1.0 and the product is the weight itself, bit for bit.
-    """
-    if graph.has_rational_weights():
-        numerators, common = common_denominator([scalar(arc.weight, EXACT) for arc in graph.arcs])
-        return EXACT, numerators, common, common**graph.n
-    return FLOAT, [scalar(arc.weight, FLOAT) for arc in graph.arcs], 1.0, 1
+def _factors(graph: MultiDigraph) -> tuple[list[int], int, int]:
+    """The factor of each arc and of a root, and the divisor that turns a
+    product of ``n`` factors into a forest weight: the arc weights as
+    integers ``N_a`` over their common denominator ``D``, ``D`` for a root,
+    and ``D**n``, since every forest's product is its weight times that."""
+    (numerators,), common = common_denominator([[arc.weight for arc in graph.arcs]])
+    return numerators, common, common**graph.n
 
 
 def _forests(
-    graph: MultiDigraph, cap: int, factors: list, unit: Union[int, float]
-) -> Iterator[tuple[list[Optional[int]], tuple[int, ...], Union[int, float]]]:
+    graph: MultiDigraph, cap: int, factors: list[int], unit: int
+) -> Iterator[tuple[list[Optional[int]], tuple[int, ...], int]]:
     """The one depth-first pass: yield ``(choice, root_of, product)`` for
     every spanning converging forest, in :func:`enumerate_in_forests`'s
     order. ``choice`` is the pass's own list, valid until the next item;
@@ -137,9 +128,8 @@ def _forests(
         [(None, unit)] + [(arc, factors[arc]) for arc in graph.out_arcs(v)] for v in range(n)
     ]
     choice: list[Optional[int]] = [None] * n
-    # prefix[v] is the product of the factors chosen at the vertices below v,
-    # starting from the one of unit's type.
-    prefix = [unit**0] * (n + 1)
+    # prefix[v] is the product of the factors chosen at the vertices below v.
+    prefix = [1] * (n + 1)
     tried = [0] * n
     # Backtrack by index rather than by recursion, so a graph with more
     # vertices than the recursion limit still enumerates.

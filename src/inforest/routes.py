@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple, Optional, Union
 
 from .errors import EpsilonOutOfRangeError, InstanceTooLargeError, NotConvergedError
@@ -45,29 +44,27 @@ DEFAULT_ROUTE_CAP = 1_000_000
 EpsilonValue = Union[Fraction, int, float]
 
 
-def choose_epsilon(graph: MultiDigraph) -> EpsilonValue:
+def choose_epsilon(graph: MultiDigraph) -> Fraction:
     """Default walk parameter: the midpoint 1/(2 * max out-weight).
 
     Any value with ``eps * max_out_weight < 1`` works; the midpoint keeps
-    both series convergence and loop weights moderate. Arcless graphs put
-    no constraint on eps, so 1 is returned by convention.
+    both series convergence and loop weights moderate, and it is exact,
+    as the weights are. Arcless graphs put no constraint on eps, so 1 is
+    returned by convention.
     """
     heaviest = graph.max_out_weight()
-    if heaviest == 0:
-        return Fraction(1)
-    if isinstance(heaviest, Rational):
-        return Fraction(1, 2) / Fraction(heaviest)
-    return 0.5 / heaviest
+    return Fraction(1, 2) / heaviest if heaviest else Fraction(1)
 
 
 def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
     """Check ``0 < eps`` and ``eps * max out-weight < 1`` (strictly).
 
-    Both tests are written so that NaN fails them."""
+    Both tests are exact, as the weights are, and written so that NaN and
+    infinity fail them."""
     if not eps > 0:
         raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
     heaviest = graph.max_out_weight()
-    if not eps * heaviest < 1:
+    if not (eps < math.inf and scalar(eps, EXACT) * heaviest < 1):
         raise EpsilonOutOfRangeError(
             f"epsilon {format_for_message(eps)} times max out-weight "
             f"{format_for_message(heaviest)} must stay below 1"

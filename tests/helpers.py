@@ -96,11 +96,10 @@ def reference_forests(graph: MultiDigraph):
 
     A choice vector is kept when the successor walk from every vertex
     reaches a root within n steps; a walk still moving after n steps is on
-    a cycle. The weight is multiplied in vertex order from one.
+    a cycle. The weight is the product of the stored exact arc weights,
+    multiplied in vertex order from one.
     """
     n = graph.n
-    exact = graph.has_rational_weights()
-    scalar = Fraction if exact else float
     forests = []
     for choice in product(*[(None,) + graph.out_arcs(v) for v in range(n)]):
         roots = []
@@ -114,10 +113,10 @@ def reference_forests(graph: MultiDigraph):
                 break
             roots.append(u)
         else:
-            weight = scalar(1)
+            weight = Fraction(1)
             for arc in choice:
                 if arc is not None:
-                    weight *= scalar(graph.arcs[arc].weight)
+                    weight *= graph.arcs[arc].weight
             forests.append((choice, tuple(roots), weight))
     return forests
 

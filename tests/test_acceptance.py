@@ -141,11 +141,12 @@ def test_criterion_7_undirected_graphs():
     with criterion("criterion-7 undirected graphs: symmetry and doubled-digraph match"):
         for index in range(50):
             n, edges = random_undirected(CORPUS_SEED + 20_000 + index)
-            reports = verify_undirected(n, edges)
+            doubled = MultiDigraph.from_undirected(n, edges)
+            reports = verify_undirected(doubled)
             assert summarize(reports).inconsistent == 0
-            forests = forest_matrices(MultiDigraph.from_undirected(n, edges))
+            forests = forest_matrices(doubled)
             assert forests.matrix == transpose(forests.matrix)
-            assert reports == verify_all_triples(MultiDigraph.from_undirected(n, edges))
+            assert reports == verify_all_triples(doubled)
 
 
 def test_criterion_8_invariant_suite():

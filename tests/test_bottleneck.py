@@ -134,13 +134,14 @@ def test_undirected_symmetry_check_is_relative_to_each_entry():
     # 1; one of them off by 1e-3 relative is caught, whatever the scale of
     # the largest entry.
     edges = [(0, 1, 1e-6), (1, 2, 1e-6)]
-    forests = forest_matrices(MultiDigraph.from_undirected(3, edges), FLOAT)
-    assert verify_undirected(3, edges, forests=forests).summary.inconsistent == 0
+    doubled = MultiDigraph.from_undirected(3, edges)
+    forests = forest_matrices(doubled, FLOAT)
+    assert verify_undirected(doubled, forests).summary.inconsistent == 0
     rows = forests.matrix.to_lists()
     rows[0][1] *= 1.001
     doctored = replace(forests, matrix=Matrix(rows, FLOAT))
     with pytest.raises(InconsistentWithTheoremError, match="symmetric"):
-        verify_undirected(3, edges, forests=doctored)
+        verify_undirected(doubled, doctored)
 
 
 def test_verdicts_invariant_under_weight_scaling():
@@ -160,23 +161,24 @@ def test_float_mode_matches_exact_on_triangle():
 
 
 def test_verify_undirected_path_and_triangle():
-    path_reports = verify_undirected(3, [(0, 1, 1), (1, 2, 1)])
+    path_reports = verify_undirected(MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1)]))
     by_triple = {r.triple: r for r in path_reports}
     assert by_triple[(0, 1, 2)].relation == RELATION_EQUAL
-    tri_reports = verify_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    triangle = MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    tri_reports = verify_undirected(triangle)
     by_triple = {r.triple: r for r in tri_reports}
     assert by_triple[(0, 1, 2)].relation == RELATION_STRICT
 
 
 def test_verify_undirected_single_edge_consistent():
-    reports = verify_undirected(2, [(0, 1, Fraction(2, 7))])
+    reports = verify_undirected(MultiDigraph.from_undirected(2, [(0, 1, Fraction(2, 7))]))
     assert all(r.consistent for r in reports)
 
 
 def test_verify_undirected_matches_doubled_digraph():
     edges = [(0, 1, 1), (1, 2, Fraction(1, 2)), (0, 2, 3)]
     doubled = MultiDigraph.from_undirected(3, edges)
-    assert verify_undirected(3, edges) == verify_all_triples(doubled)
+    assert verify_undirected(doubled) == verify_all_triples(doubled)
 
 
 def test_route_products_agree_with_forest_products():
@@ -289,7 +291,7 @@ def test_undirected_separators_match_reference_bfs():
         for n, edges in graphs:
             doubled = MultiDigraph.from_undirected(n, edges)
             reached = [doubled.reachable(i) for i in range(n)]
-            for report in verify_undirected(n, edges, mode=mode):
+            for report in verify_undirected(doubled, mode=mode):
                 i, j, k = report.triple
                 assert report.separator == undirected_separates(n, edges, i, j, k)
                 genuine += report.separator and len({i, j, k}) == 3 and k in reached[i]

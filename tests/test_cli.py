@@ -53,6 +53,28 @@ def test_forest_json_reparses_to_same_values(path_file, capsys):
     ]
 
 
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_prints_non_finite_floats_as_text(tmp_path, capsys):
+    source = tmp_path / "g.graph"
+    source.write_text("digraph 2\n1 2 1\n")
+    argv = ["routes", "--format", "json", "--epsilon", "1e-400", "--tol", "2"]
+    assert run([*argv, "--input", str(source)]) == 0
+    assert _strict_json(capsys.readouterr().out)["tail_bound"] == "inf"
+    source.write_text("digraph 2\n1 2 1e308\n2 1 1e308\n")
+    assert run(["forest", "--mode", "float", "--format", "json", "--input", str(source)]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["f"] == "inf" and payload["F"] == [["inf", "inf"], ["inf", "inf"]]
+    assert payload["Q"] == [[0.5, 0.5], [0.5, 0.5]]
+
+
 def test_forest_keeps_exact_rationals(tmp_path, capsys):
     source = tmp_path / "g.graph"
     source.write_text("digraph 2\n1 2 1/3\n")
@@ -737,6 +759,7 @@ def cli_cases(draw):
         ["routes", "--format", "tsv", "--epsilon=1e-400", "--tol=inf"],
     )
 )
+@example(("digraph 2\n1 2 1", ["routes", "--format", "json", "--epsilon=1e-400", "--tol=2"]))
 @settings(max_examples=300, deadline=None)
 def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
     text, argv = case
@@ -750,5 +773,7 @@ def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, c
     assert code in (0, 1, 2)
     if code == 0:
         assert err.getvalue() == ""
+        if argv[1:3] == ["--format", "json"]:
+            _strict_json(out.getvalue())
     else:
         assert re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err.getvalue())

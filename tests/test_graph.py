@@ -159,6 +159,18 @@ def test_scaled_multiplies_weights():
         g.scaled(0)
 
 
+def test_float_weights_are_stored_as_the_exact_values_of_their_doubles():
+    weights = [0.1, 1 / 3, 0.7, 1e-300]
+    g = MultiDigraph(3, [(0, 1, 0.1), (0, 2, 1 / 3), (1, 2, 0.7), (2, 0, 1e-300)])
+    assert [a.weight for a in g.arcs] == [Fraction(w) for w in weights]
+    assert all(type(a.weight) is Fraction for a in g.arcs)
+    assert g.scaled(0.1).arcs[0].weight == Fraction(0.1) ** 2
+    # The float Laplacian rounds them back to the given doubles, bit for bit.
+    lap = g.laplacian(FLOAT)
+    assert [-lap[0, 1], -lap[0, 2], -lap[1, 2], -lap[2, 0]] == weights
+    assert [lap[v, v] for v in range(3)] == [0.1 + 1 / 3, 0.7, 1e-300]
+
+
 @given(multidigraphs())
 def test_laplacian_rows_sum_to_zero(g):
     assert all(total == 0 for total in g.laplacian().row_sums())

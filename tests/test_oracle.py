@@ -1,12 +1,12 @@
 """Brute-force forest enumeration and its agreement with the algebra."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from inforest import (
+    EXACT,
     InstanceTooLargeError,
     MultiDigraph,
     choice_count,
@@ -106,7 +106,7 @@ def test_unit_weights_count_forests():
 
 
 def test_enumeration_matches_the_brute_force_reference():
-    # In order, in values and in types: float weights must be bit-identical.
+    # In order, in values and in types: every weight is an exact Fraction.
     for g in REFERENCE_GRAPHS:
         got = [(f.arc_choice, f.root_of, f.weight, type(f.weight)) for f in enumerate_in_forests(g)]
         want = [(*forest, type(forest[2])) for forest in reference_forests(g)]
@@ -114,9 +114,8 @@ def test_enumeration_matches_the_brute_force_reference():
 
 
 def test_oracle_matrices_equal_the_sums_over_the_reference_forests():
-    # Exact weights exactly and as fractions. Float weights within rounding:
-    # each side forms m forest products of at most n factors and adds them
-    # in its own order, so each is within (m + n) u of the exact sum.
+    # Exactly and as fractions, float-typed weights too: they are stored
+    # as the exact values of their doubles.
     for g in REFERENCE_GRAPHS:
         forests = reference_forests(g)
         total = sum(weight for _, _, weight in forests)
@@ -128,12 +127,16 @@ def test_oracle_matrices_equal_the_sums_over_the_reference_forests():
         assert result.forest_count == len(forests)
         got = [result.total_weight] + [v for row in result.matrix.to_lists() for v in row]
         want = [total] + [v for row in rows for v in row]
-        assert {type(v) for v in got} == {type(total)}
-        if isinstance(total, Fraction):
-            assert got == want
-        else:
-            rounding = (len(forests) + g.n) * 2.0**-52
-            assert all(math.isclose(a, b, rel_tol=rounding, abs_tol=0) for a, b in zip(got, want))
+        assert {type(v) for v in got} == {Fraction}
+        assert got == want
+
+
+def test_oracle_on_float_weights_equals_the_exact_forest_matrices():
+    for g in [_as_floats(g) for g in corpus(40)] + [REFERENCE_GRAPHS[-1]]:
+        result = oracle_matrices(g)
+        forests = forest_matrices(g, EXACT)
+        assert result.total_weight == forests.total_weight
+        assert result.matrix == forests.matrix
 
 
 def test_long_graph_enumerates_without_recursion():

@@ -25,13 +25,13 @@ def test_digest_lines_are_stable_and_well_formed():
     graphs = [path_graph(3), random_graph(4, 1)]
     lines = module.digest(graphs)
     assert lines == module.digest(graphs)
-    # The oracle runs in the mode of the weights: exact for these graphs,
-    # and with no undirected input the last section prints no line.
+    # The oracle is exact for every graph, so it prints no float line, and
+    # with no undirected input the last section prints no line.
     names = [f"{name}.{mode}" for name in module.SECTIONS for mode in module.MODES]
     assert [line.split()[0] for line in lines] == names[:-3]
     assert all(re.fullmatch(r"[a-z]+\.(exact|float) [0-9a-f]{64}", line) for line in lines)
     mixed = module.digest(graphs + [MultiDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)])])
-    assert [line.split()[0] for line in mixed] == names[:-2]
+    assert [line.split()[0] for line in mixed] == names[:-3]
     both = module.digest(graphs, [(3, [(0, 1, 1), (1, 2, 2)])])
     assert [line.split()[0] for line in both] == names[:-3] + names[-2:]
 

@@ -57,6 +57,21 @@ def test_validate_epsilon_bounds():
         validate_epsilon(g, -1)
 
 
+def test_epsilon_range_is_checked_against_the_exact_weights():
+    # 0.1 + 0.7 is 0.7999999999999999 in floats, below the exact sum of the
+    # two doubles, so this eps passes a range check on the float sum.
+    g = MultiDigraph(2, [(0, 1, 0.1), (0, 1, 0.7)])
+    eps = 2 / (Fraction(0.1) + Fraction(0.7) + Fraction(0.1 + 0.7))
+    # A float eps is compared by its exact value too: this one times the
+    # float sum 0.6 + 0.7 rounds below 1.
+    heavy = MultiDigraph(2, [(0, 1, 0.6), (0, 1, 0.7)])
+    for graph, value in ((g, eps), (heavy, 0.7692307692307693)):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(EpsilonOutOfRangeError):
+                route_matrix(graph, value, mode=mode)
+    assert choose_epsilon(g) == 1 / (2 * (Fraction(0.1) + Fraction(0.7)))
+
+
 def test_step_matrix_examples():
     assert step_matrix(MultiDigraph(2, []), 1) == Matrix.identity(2).scaled(Fraction(1, 2))
     single = step_matrix(MultiDigraph(2, [(0, 1, 1)]), Fraction(1, 2))

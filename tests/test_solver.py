@@ -116,6 +116,6 @@ def test_verify_undirected_reuses_given_forests():
         n, edges = random_undirected(CORPUS_SEED + index)
         doubled = MultiDigraph.from_undirected(n, edges)
         forests = _assert_matches_reference(doubled)
-        given = verify_undirected(n, edges, forests=forests)
-        assert given == verify_undirected(n, edges)
+        given = verify_undirected(doubled, forests)
+        assert given == verify_undirected(doubled)
         assert given == verify_all_triples(doubled, forests)

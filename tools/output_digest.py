@@ -14,11 +14,14 @@ generator graphs with at most 8 vertices:
 - ``routes``: :func:`route_matrix`: weights, terms, tail bound and its
   type, or the error;
 - ``decompose``: :func:`route_decomposition` on every triple;
-- ``oracle``: :func:`oracle_matrices`, under the mode its weights give
-  it (``exact`` for rational weights); a mode with no record prints no line;
-- ``undirected``: every report of :func:`verify_undirected`, recorded as
-  in ``verify``, and the summary, on a seeded corpus of sparse undirected
-  multigraphs with at most 8 vertices, where cut vertices occur.
+- ``oracle``: :func:`oracle_matrices`, which is exact for every graph,
+  under ``exact``;
+- ``undirected``: every report of :func:`verify_undirected` on the doubled
+  digraph, recorded as in ``verify``, and the summary, on a seeded corpus
+  of sparse undirected multigraphs with at most 8 vertices, where cut
+  vertices occur.
+
+A section and mode with no record print no line.
 
 A change that keeps every output prints the same lines as its parent, and
 a change to float arithmetic alone leaves every ``.exact`` line as it was. The
@@ -44,6 +47,7 @@ from inforest import (  # noqa: E402
     FLOAT,
     InforestError,
     Matrix,
+    MultiDigraph,
     check_triple,
     complete_graph,
     cycle_graph,
@@ -152,15 +156,16 @@ def _sections(graphs, undirected) -> dict:
             result = oracle_matrices(graph)
             rows = result.matrix.to_lists()
             record = repr((result.total_weight, rows, result.forest_count))
-            out["oracle", result.matrix.mode].append(record)
+            out["oracle", EXACT].append(record)
     for rows in general_matrices():
         for mode in MODES:
             matrix = Matrix(rows, mode)
             out["solve", mode].append(_attempt(lambda: invert(matrix).to_lists()))
             out["solve", mode].append(_attempt(lambda: determinant(matrix)))
     for n, edges in undirected:
+        doubled = MultiDigraph.from_undirected(n, edges)
         for mode in MODES:
-            out["undirected", mode] += _reports(verify_undirected(n, edges, mode))
+            out["undirected", mode] += _reports(verify_undirected(doubled, mode=mode))
     return out
 
 
