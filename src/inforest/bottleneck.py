@@ -12,9 +12,11 @@ start vertex i: every path from i to k contains j exactly when j dominates
 k in the flow graph rooted at i, vacuously so when k is unreachable from i
 (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
 It compares the products a whole (i, j) row at a time and counts the
-verdicts as it goes; the report objects of :func:`verify_all_triples` are
-built only when they are read, and :func:`summarize` returns the sweep's
-counts without building any. The single-triple :func:`is_bottleneck`
+verdicts as it goes. It keeps the dominator masks, n integers per start
+vertex, as the one stored form of the separators; the report objects of
+:func:`verify_all_triples` are built from them and the rows of ``F`` only
+when they are read, and :func:`summarize` returns the sweep's counts
+without building any. The single-triple :func:`is_bottleneck`
 stays a breadth-first search, the oracle the sweep is tested against.
 """
 
@@ -93,17 +95,17 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
     return i != k and k not in graph.reachable(i, j)
 
 
-def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
+def _dominator_separators(masks: list[int]) -> list[list[bool]]:
     """``is_bottleneck(graph, i, j, k)`` for every j (row) and k (entry),
-    from the dominator sets of i.
+    from the dominator masks ``graph.dominators(i)``.
 
-    Row j, entry k, is True exactly when j lies in the dominator set of k.
-    An unreachable k has every vertex there, and i has only itself, which
-    are the conventions of :func:`is_bottleneck`.
+    Row j, entry k, is True exactly when bit j of ``masks[k]`` is set. An
+    unreachable k has every bit set, and i only its own, which are the
+    conventions of :func:`is_bottleneck`.
     """
-    n = graph.n
+    n = len(masks)
     rows = [[False] * n for _ in range(n)]
-    for k, mask in enumerate(graph.dominators(i)):
+    for k, mask in enumerate(masks):
         while mask:
             j = mask.bit_length() - 1
             rows[j][k] = True
@@ -112,16 +114,22 @@ def _dominator_separators(graph: MultiDigraph, i: int) -> list[list[bool]]:
 
 
 def _report(
-    mode: str, triple: tuple[int, int, int], lhs: Scalar, rhs: Scalar, separator: bool
+    mode: str,
+    triple: tuple[int, int, int],
+    row_i: Sequence[Scalar],
+    row_j: Sequence[Scalar],
+    separator: bool,
 ) -> BottleneckReport:
-    """Verdict for one triple from its two products ``F_ij F_jk`` and
-    ``F_ik F_jj``.
+    """Verdict for one triple (i, j, k) from rows i and j of ``F``, whose
+    two products ``F_ij F_jk`` and ``F_ik F_jj`` are formed here alone.
 
     In exact mode any violation raises
     :class:`InconsistentWithTheoremError`, and an equal triple shares one
     value object for both sides. Float mode records a disagreement as
     ``consistent=False`` instead.
     """
+    i, j, k = triple
+    lhs, rhs = row_i[j] * row_j[k], row_i[k] * row_j[j]
     verdict = relation(lhs, rhs, mode)
     equal = verdict == RELATION_EQUAL
     if mode == EXACT:
@@ -136,7 +144,6 @@ def _report(
             )
         if equal:
             rhs = lhs
-    i, j, k = triple
     return BottleneckReport(
         triple=triple,
         lhs=lhs,
@@ -161,13 +168,12 @@ def check_triple(
     """
     separator = is_bottleneck(graph, i, j, k)
     weights = forests.matrix
-    lhs, rhs = weights[i, j] * weights[j, k], weights[i, k] * weights[j, j]
-    return _report(forests.mode, (i, j, k), lhs, rhs, separator)
+    return _report(forests.mode, (i, j, k), weights.row(i), weights.row(j), separator)
 
 
 class TripleReports(Sequence[BottleneckReport]):
     """The reports of all ordered triples in lexicographic order, built on
-    access from the rows of ``F`` and the sweep's separator rows.
+    access from the rows of ``F`` and the sweep's dominator masks.
 
     A read-only sequence: reports built here equal those of
     :func:`_report` called triple by triple, and ``summary`` holds the
@@ -179,24 +185,20 @@ class TripleReports(Sequence[BottleneckReport]):
         self,
         mode: str,
         values: list[list[Scalar]],
-        separators: list[list[bool]],
+        masks: list[list[int]],
         summary: TripleSummary,
     ):
         self.mode = mode
         self.summary = summary
         self._values = values
-        self._separators = separators
+        # masks[i] is graph.dominators(i): j separates i from k exactly
+        # when bit j of masks[i][k] is set.
+        self._masks = masks
         self._n = len(values)
 
     def _report(self, i: int, j: int, k: int) -> BottleneckReport:
-        row_i, row_j = self._values[i], self._values[j]
-        return _report(
-            self.mode,
-            (i, j, k),
-            row_i[j] * row_j[k],
-            row_i[k] * row_j[j],
-            self._separators[i * self._n + j][k],
-        )
+        separator = bool(self._masks[i][k] >> j & 1)
+        return _report(self.mode, (i, j, k), self._values[i], self._values[j], separator)
 
     def __len__(self) -> int:
         return self._n**3
@@ -241,11 +243,11 @@ def verify_all_triples(
         # The law is homogeneous of degree 2, so the integers c F give
         # the verdicts of F and compare faster than fractions.
         rows, _ = common_denominator(values)
-    separators = []
+    masks = [graph.dominators(i) for i in range(n)]
     equal = inconsistent = 0
     for i in range(n):
         row_i = rows[i]
-        for j, row_sep in enumerate(_dominator_separators(graph, i)):
+        for j, row_sep in enumerate(_dominator_separators(masks[i])):
             row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
             lhs = [ij * v for v in row_j]
@@ -255,17 +257,15 @@ def verify_all_triples(
                 k = next(
                     k for k in range(n) if lhs[k] > rhs[k] or verdicts[k] != row_sep[k]
                 )
-                f_i, f_j = values[i], values[j]
-                _report(mode, (i, j, k), f_i[j] * f_j[k], f_i[k] * f_j[j], row_sep[k])  # raises
+                _report(mode, (i, j, k), values[i], values[j], row_sep[k])  # raises
             if verdicts != row_sep:
                 inconsistent += sum(map(operator.ne, verdicts, row_sep))
             equal += sum(verdicts)
-            separators.append(row_sep)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)
     summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
-    return TripleReports(mode, values, separators, summary)
+    return TripleReports(mode, values, masks, summary)
 
 
 def verify_undirected(

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, VertexOutOfRangeError
 from .graph import MultiDigraph
 from .matrix import MAX_DIGITS, format_weight
 
@@ -55,9 +55,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parsed_graph(n: int, entries: list[tuple[int, int, Fraction]], undirected: bool) -> ParsedGraph:
+def _parsed_graph(
+    n: int, entries: list[tuple[int, int, Fraction]], places: list[str], undirected: bool
+) -> ParsedGraph:
+    """The graph of the 0-based ``entries``. An endpoint out of range is
+    reported in the file's 1-based numbering, with the place (line or arc)
+    of the first entry that holds one, as ``places`` names them."""
     build = MultiDigraph.from_undirected if undirected else MultiDigraph
-    return ParsedGraph(build(n, entries), undirected)
+    try:
+        return ParsedGraph(build(n, entries), undirected)
+    except VertexOutOfRangeError:
+        for (tail, head, _), place in zip(entries, places):
+            for v in (tail, head):
+                if not 0 <= v < n:
+                    raise VertexOutOfRangeError(f"vertex {v + 1} outside 1..{n} ({place})") from None
+        raise
 
 
 def _parse_vertex(token: str, line_no: int) -> int:
@@ -72,6 +84,7 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
     header = None
     n = 0
     entries: list[tuple[int, int, Fraction]] = []
+    places = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -97,9 +110,10 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
                 parse_weight(tokens[2]),
             )
         )
+        places.append(f"line {line_no}")
     if header is None:
         raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
-    return _parsed_graph(n, entries, header == "graph" or force_undirected)
+    return _parsed_graph(n, entries, places, header == "graph" or force_undirected)
 
 
 def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
@@ -128,7 +142,8 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
         if not (_is_int(tail) and _is_int(head)):
             raise GraphFormatError(f"bad arc endpoints in {item!r}")
         entries.append((tail - 1, head - 1, parse_weight(str(weight))))
-    return _parsed_graph(n, entries, not directed or force_undirected)
+    places = [f"arc {number}" for number in range(1, len(entries) + 1)]
+    return _parsed_graph(n, entries, places, not directed or force_undirected)
 
 
 def parse_graph(text: str, force_undirected: bool = False) -> ParsedGraph:

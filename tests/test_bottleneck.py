@@ -1,5 +1,6 @@
 """Triple classification against the separator test."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from inforest import (
     closed_route_matrix,
     forest_matrices,
     is_bottleneck,
+    random_graph,
     summarize,
     verify_all_triples,
     verify_undirected,
@@ -106,6 +108,38 @@ def test_doctored_forest_matrix_raises():
     doctored = replace(forests, matrix=Matrix(rows))
     with pytest.raises(InconsistentWithTheoremError):
         check_triple(doctored, g, 0, 1, 2)
+
+
+def test_exact_equality_without_a_separator_is_rejected():
+    # F_02 set to F_01 F_12 / F_11 makes the triple (0, 1, 2) equal, while
+    # the arc 0->2 bypasses 1.
+    g = MultiDigraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    rows[0][2] = rows[0][1] * rows[1][2] / rows[1][1]
+    doctored = replace(forests, matrix=Matrix(rows))
+    message = "triple (0, 1, 2): relation equal but separator is False"
+    with pytest.raises(InconsistentWithTheoremError) as single:
+        check_triple(doctored, g, 0, 1, 2)
+    assert str(single.value) == message
+    with pytest.raises(InconsistentWithTheoremError) as sweep:
+        verify_all_triples(g, doctored)
+    assert str(sweep.value) == message
+
+
+def test_float_sweep_result_holds_no_entry_per_triple():
+    # The result keeps the rows of F and n dominator masks per start
+    # vertex, so it grows as n^2; a flag per triple would take 8 n^3 bytes.
+    g = random_graph(60, 3)
+    forests = forest_matrices(g, FLOAT)
+    tracemalloc.start()
+    try:
+        reports = verify_all_triples(g, forests, FLOAT)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports.summary.total == g.n**3
+    assert held < 100 * g.n**2
 
 
 def test_gap_is_the_forest_weight_of_the_cut_graph():

@@ -14,6 +14,7 @@ from inforest import (
     MultiDigraph,
     NonPositiveWeightError,
     ParsedGraph,
+    TooFewVerticesError,
     VertexOutOfRangeError,
     format_graph,
     format_weight,
@@ -81,6 +82,29 @@ def test_semantic_errors_surface_from_construction():
         parse_graph("digraph 2\n0 2 1\n")
     with pytest.raises(VertexOutOfRangeError):
         parse_graph("digraph 2\n1 3 1\n")
+    # The vertex count is checked before any endpoint.
+    with pytest.raises(TooFewVerticesError):
+        parse_graph("digraph 1\n1 3 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("digraph 2\n1 3 1\n", "vertex 3 outside 1..2 (line 2)"),
+        ("digraph 2\n0 1 1\n", "vertex 0 outside 1..2 (line 2)"),
+        ("# arcs\ngraph 3\n1 2 1\n\n2 4 1\n", "vertex 4 outside 1..3 (line 5)"),
+        ('{"n": 2, "arcs": [[1, 3, "1"]]}', "vertex 3 outside 1..2 (arc 1)"),
+        (
+            '{"n": 3, "directed": false, "arcs": [[1, 2, "1"], [0, 3, "1"]]}',
+            "vertex 0 outside 1..3 (arc 2)",
+        ),
+    ],
+    ids=["text-past-n", "text-zero", "text-undirected", "json-past-n", "json-undirected"],
+)
+def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
+    with pytest.raises(VertexOutOfRangeError) as raised:
+        parse_graph(text)
+    assert str(raised.value) == message
 
 
 def test_round_trip_is_byte_identical():

@@ -26,17 +26,23 @@ def test_digest_lines_are_stable_and_well_formed():
     lines = module.digest(graphs)
     assert lines == module.digest(graphs)
     # The oracle is exact for every graph, so it prints no float line, and
-    # with no undirected input the last section prints no line.
+    # with no undirected input or CLI run the last two sections print none.
     names = [f"{name}.{mode}" for name in module.SECTIONS for mode in module.MODES]
-    assert [line.split()[0] for line in lines] == names[:-3]
+    assert [line.split()[0] for line in lines] == names[:-5]
     assert all(re.fullmatch(r"[a-z]+\.(exact|float) [0-9a-f]{64}", line) for line in lines)
     mixed = module.digest(graphs + [MultiDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)])])
-    assert [line.split()[0] for line in mixed] == names[:-3]
+    assert [line.split()[0] for line in mixed] == names[:-5]
     both = module.digest(graphs, [(3, [(0, 1, 1), (1, 2, 2)])])
-    assert [line.split()[0] for line in both] == names[:-3] + names[-2:]
+    assert [line.split()[0] for line in both] == names[:-5] + names[-4:-2]
+    # The fixed matrices of the solve section are hashed whatever the input.
+    runs = [("exact", ["gen", "path", "3"], ""), ("float", ["forest", "--mode", "float"], "x")]
+    cli = module.digest([], (), runs)
+    assert [line.split()[0] for line in cli] == names[2:4] + names[-2:]
+    assert cli == module.digest([], (), runs)
 
 
 def test_corpus_outputs_match_the_committed_digest():
     module = _tool()
-    lines = module.digest(module.corpus(), module.undirected_corpus())
+    graphs, undirected = module.corpus(), module.undirected_corpus()
+    lines = module.digest(graphs, undirected, module.cli_corpus(graphs, undirected))
     assert lines == EXPECTED.read_text().splitlines()

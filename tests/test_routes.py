@@ -410,6 +410,22 @@ def test_float_step_with_a_row_sum_above_one_is_not_summed():
         route_matrix(g, 1e-16, mode=FLOAT, max_terms=10**20)
 
 
+@pytest.mark.parametrize(
+    "eps, terms, too_many_roundings",
+    [(3e-16, 3_121_657_360_854_750, True), (1e-15, 624_331_474_027_967, False)],
+    ids=["rounding-count", "rho-at-one"],
+)
+def test_float_tail_bound_is_infinite_past_its_precision(eps, terms, too_many_roundings):
+    # The series stops at its tolerance after about 1/eps terms. With n p
+    # roundings at unit roundoff u, the bound gives up once n p u >= 1/2;
+    # short of that, the step's rounding lifts rho = 1/(1 + eps) + 2 delta
+    # to 1 or above.
+    result = route_matrix(path_graph(2), eps, tolerance=0.5, max_terms=10**17, mode=FLOAT)
+    assert result.terms_used == terms
+    assert (2 * (terms - 1) * Fraction(1, 2**53) >= Fraction(1, 2)) == too_many_roundings
+    assert result.tail_bound == math.inf
+
+
 def test_route_matrix_rejects_nan_tolerance():
     with pytest.raises(ValueError):
         route_matrix(make_path(), tolerance=float("nan"), max_terms=5)

@@ -19,7 +19,15 @@ generator graphs with at most 8 vertices:
 - ``undirected``: every report of :func:`verify_undirected` on the doubled
   digraph, recorded as in ``verify``, and the summary, on a seeded corpus
   of sparse undirected multigraphs with at most 8 vertices, where cut
-  vertices occur.
+  vertices occur;
+- ``cli``: :func:`inforest.cli.run` in-process, with ``FOREST_ORACLE_CAP``
+  unset: the input text, argv, exit code, stdout and stderr of every graph
+  command in both output formats on the corpus graphs with at most 5
+  vertices as text files, the undirected corpus as ``graph <n>`` files, a
+  few graphs as JSON and a few malformed files, and of ``gen`` for each
+  kind. Runs with no ``--mode`` (exact at these sizes) and with
+  ``--mode exact`` go under ``exact``, runs with ``--mode float`` under
+  ``float``.
 
 A section and mode with no record print no line.
 
@@ -34,11 +42,16 @@ Usage: ``python tools/output_digest.py``
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -53,6 +66,8 @@ from inforest import (  # noqa: E402
     cycle_graph,
     determinant,
     forest_matrices,
+    format_graph,
+    format_weight,
     invert,
     oracle_matrices,
     path_graph,
@@ -63,6 +78,7 @@ from inforest import (  # noqa: E402
     verify_all_triples,
     verify_undirected,
 )
+from inforest import cli  # noqa: E402
 
 MODES = (EXACT, FLOAT)
 # Exact route series, the enumeration oracle and the per-triple route
@@ -72,7 +88,35 @@ SMALL_N = 5
 ROUTE_ARGUMENTS = (
     {}, {"eps": Fraction(1, 9)}, {"tolerance": 1e-4}, {"tolerance": 2}, {"max_terms": 3}
 )
-SECTIONS = ("forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected")
+SECTIONS = (
+    "forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected", "cli"
+)
+# The graph commands, whether each takes ``--mode`` and whether it takes a
+# triple.
+COMMANDS = (
+    ("forest", True, False),
+    ("proximity", True, False),
+    ("enumerate", False, False),
+    ("routes", True, False),
+    ("decompose", True, True),
+    ("bottleneck", True, True),
+    ("verify", True, False),
+)
+TRIPLE = ["-i", "1", "-j", "2", "-k", "3"]
+# A bad header, a bad weight, a loop arc, a zero weight and truncated JSON.
+MALFORMED = (
+    "digraf 3\n1 2 1\n",
+    "digraph 3\n1 2 1/x\n",
+    "digraph 3\n1 2 1\n2 2 1\n",
+    "graph 3\n1 2 0\n",
+    '{"n": 3, "arcs": [[1, 2, "1"]',
+)
+GEN_ARGUMENTS = (
+    ["path", "4"],
+    ["cycle", "5", "--weights", "3/7"],
+    ["complete", "3", "--weights", "0.5"],
+    ["random", "5", "--seed", "3", "--weight-range", "1:9"],
+)
 
 
 def corpus() -> list:
@@ -98,6 +142,51 @@ def undirected_corpus() -> list:
             graphs.append((n, edges))
     graphs.append((6, [(v, v + 1, Fraction(v + 1, 3)) for v in range(5)]))
     return graphs
+
+
+def _edge_text(n: int, edges) -> str:
+    lines = [f"graph {n}"]
+    lines += [f"{u + 1} {v + 1} {format_weight(Fraction(w))}" for u, v, w in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(n: int, edges, directed: bool) -> str:
+    arcs = [[u + 1, v + 1, format_weight(Fraction(w))] for u, v, w in edges]
+    return json.dumps({"n": n, "directed": directed, "arcs": arcs})
+
+
+def cli_corpus(graphs, undirected) -> list[tuple[str, list[str], str]]:
+    """``(mode, argv, input text)`` runs of the CLI: every graph command
+    on the digraphs ``graphs`` with at most ``SMALL_N`` vertices as text,
+    on the undirected ``(n, edges)`` pairs ``undirected`` as ``graph <n>``
+    files, on the first two of each as JSON and on the ``MALFORMED`` files,
+    then ``gen`` for each kind."""
+    small = [g for g in graphs if g.n <= SMALL_N]
+    files = [format_graph(g) for g in small]
+    files += [_edge_text(n, edges) for n, edges in undirected]
+    files += [_json_text(g.n, g.arcs, True) for g in small[:2]]
+    files += [_json_text(n, edges, False) for n, edges in undirected[:2]]
+    files += MALFORMED
+    runs = []
+    for text in files:
+        for name, with_mode, with_triple in COMMANDS:
+            for fmt in ("tsv", "json"):
+                argv = [name, "--format", fmt] + (TRIPLE if with_triple else [])
+                runs.append((EXACT, argv, text))
+                if with_mode:
+                    runs += [(mode, argv + ["--mode", mode], text) for mode in MODES]
+    runs += [(EXACT, ["gen", *arguments], "") for arguments in GEN_ARGUMENTS]
+    return runs
+
+
+def _cli(argv: list[str], text: str) -> str:
+    """The input, argv, exit code, stdout and stderr of ``cli.run(argv)``
+    with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    return repr((text, argv, code, out.getvalue(), err.getvalue()))
 
 
 def general_matrices() -> list[list[list[int]]]:
@@ -128,7 +217,7 @@ def _reports(reports) -> list[str]:
     return records + [repr(summarize(reports))]
 
 
-def _sections(graphs, undirected) -> dict:
+def _sections(graphs, undirected, runs) -> dict:
     """The records of every ``(section, mode)`` pair, in line order."""
     out = {(name, mode): [] for name in SECTIONS for mode in MODES}
     for graph in graphs:
@@ -166,6 +255,13 @@ def _sections(graphs, undirected) -> dict:
         doubled = MultiDigraph.from_undirected(n, edges)
         for mode in MODES:
             out["undirected", mode] += _reports(verify_undirected(doubled, mode=mode))
+    # Building the argument parser takes most of a small run's time, and a
+    # parser keeps no state between calls, so the runs share one.
+    parser = cli.build_parser()
+    with mock.patch.dict(os.environ), mock.patch.object(cli, "build_parser", lambda: parser):
+        os.environ.pop("FOREST_ORACLE_CAP", None)
+        for mode, argv, text in runs:
+            out["cli", mode].append(_cli(argv, text))
     return out
 
 
@@ -176,12 +272,13 @@ def _routes(graph, mode: str, **kwargs) -> tuple:
     return (result.epsilon, weights, result.terms_used, bound, type(bound).__name__)
 
 
-def digest(graphs, undirected=()) -> list[str]:
+def digest(graphs, undirected=(), runs=()) -> list[str]:
     """One ``<section>.<mode> <sha256 hex>`` line per section and mode
-    with records for the digraphs ``graphs`` and the undirected
-    ``(n, edges)`` pairs ``undirected``."""
+    with records for the digraphs ``graphs``, the undirected
+    ``(n, edges)`` pairs ``undirected`` and the CLI runs ``runs`` of
+    :func:`cli_corpus`."""
     lines = []
-    for (name, mode), records in _sections(graphs, undirected).items():
+    for (name, mode), records in _sections(graphs, undirected, runs).items():
         if not records:
             continue
         h = hashlib.sha256()
@@ -192,7 +289,8 @@ def digest(graphs, undirected=()) -> list[str]:
 
 
 def main() -> int:
-    print("\n".join(digest(corpus(), undirected_corpus())))
+    graphs, undirected = corpus(), undirected_corpus()
+    print("\n".join(digest(graphs, undirected, cli_corpus(graphs, undirected))))
     return 0
 
 
