@@ -22,6 +22,7 @@ stays a breadth-first search, the oracle the sweep is tested against.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -72,9 +73,18 @@ def _equal(lhs: Sequence[Scalar], rhs: Sequence[Scalar], mode: str) -> list[bool
     """The one equal-vs-strict rule, entry by entry: exact equality in
     exact mode; in float mode a difference of at most
     ``FLOAT_EQUALITY_RTOL`` times the larger magnitude, so the verdict
-    does not depend on the scale of the weights."""
+    does not depend on the scale of the weights.
+
+    When every product is finite, the float rule runs as
+    :func:`math.isclose` with its defaults (``rel_tol`` 1e-9, ``abs_tol``
+    0), which tests the difference against each magnitude in turn and
+    rounds to the same verdicts. The two forms part only on inf and nan,
+    and any of those makes the sums below non-finite.
+    """
     if mode == EXACT:
         return list(map(operator.eq, lhs, rhs))
+    if math.isfinite(sum(lhs) + sum(rhs)):
+        return list(map(math.isclose, lhs, rhs))
     return [abs(a - b) <= FLOAT_EQUALITY_RTOL * max(abs(a), abs(b)) for a, b in zip(lhs, rhs)]
 
 

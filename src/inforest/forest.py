@@ -23,7 +23,10 @@ eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the left and
 normalized until the final entries are built. Float mode divides each
 row of the right block by its pivot to get ``Q = (I + L)^-1``; ``f`` is
 the product of the pivots and ``F`` is ``f Q``, with every zero of ``Q``
-kept as a zero of ``F``.
+kept as a zero of ``F``. In both modes column k of the identity block
+joins the elimination at step k, the first step that changes it; before
+that it is a multiple of the k-th unit vector, which no step needs to
+update.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class ForestMatrices:
 
 
 def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[float]]]:
-    """``(pivots, c, R)`` from eliminating ``[c(I + L) | c I | s]``.
+    """``(pivots, c, R)`` from eliminating ``[c(I + L) | s | c I]``.
 
     ``c`` is ``D`` in exact mode and 1.0 in float mode, and ``s`` holds the
     row sums of the left block, ``c`` at the start. No pivot search: the
@@ -65,18 +68,26 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     Bareiss's exact division, it must equal the eliminated diagonal, else
     the matrix is no ``I + L``; the last pivot is then ``D^n f`` and ``R``
     is ``D^n F``. In float mode ``R_k / pivot_k`` is row k of ``Q``.
+
+    Column k of ``c I`` is a multiple of the unit vector until step k
+    reads it: ``c`` times the previous pivot on row k in exact mode, ``c``
+    in float mode, and 0 on every other row. So it joins the right block
+    only at step k, with that value, and no earlier step updates it.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
     left, c = common_denominator(laplacian._rows) if exact else (laplacian._rows, 1.0)
-    rows = [row + [0 * c] * n + [c] for row in left]
+    zero = 0 * c
+    rows = [row + [c] for row in left]
     for r, row in enumerate(rows):
         row[r] += c
-        row[n + r] = c
     pivots, previous = [], 1
     for k in range(n):
+        for row in rows:
+            row.append(zero)
         pivot_row = rows[k]
-        pivot = pivot_row[-1] - sum(pivot_row[k + 1 : n])
+        pivot_row[-1] = c * previous
+        pivot = pivot_row[n] - sum(pivot_row[k + 1 : n])
         if exact and not 0 < pivot == pivot_row[k]:
             raise InconsistentWithTheoremError(
                 f"pivot {k + 1} of the scaled identity-plus-Laplacian is "
@@ -96,8 +107,9 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                 factor /= pivot
                 row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
         pivots.append(pivot)
-        previous = pivot
-    return pivots, c, [row[n : 2 * n] for row in rows]
+        if exact:
+            previous = pivot
+    return pivots, c, [row[n + 1 :] for row in rows]
 
 
 def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:

@@ -167,7 +167,9 @@ class MultiDigraph:
         flow ``D[v] = {v} | meet of D[p] over the predecessors p``, started
         from every bit and run in reverse postorder of a depth-first search:
         the set formulation in section 2 of Cooper, Harvey and Kennedy, "A
-        Simple, Fast Dominance Algorithm" (2001).
+        Simple, Fast Dominance Algorithm" (2001). Every set holds the
+        root's bit, so a meet that has shrunk to the root alone can shrink
+        no further, and the remaining predecessors are skipped.
         """
         self.check_vertex(root)
         heads, predecessors = self._successors, self._predecessors
@@ -186,8 +188,9 @@ class MultiDigraph:
                 stack.pop()
                 postorder.append(v)
         every = (1 << self.n) - 1
+        floor = 1 << root
         dominators = [every] * self.n
-        dominators[root] = 1 << root
+        dominators[root] = floor
         changed = True
         while changed:
             changed = False
@@ -195,6 +198,8 @@ class MultiDigraph:
                 meet = every
                 for p in predecessors[v]:
                     meet &= dominators[p]
+                    if meet == floor:
+                        break
                 meet |= 1 << v
                 if dominators[v] != meet:
                     dominators[v] = meet

@@ -1,5 +1,7 @@
 """Triple classification against the separator test."""
 
+import inspect
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -25,6 +27,7 @@ from inforest import (
     verify_undirected,
     VertexOutOfRangeError,
 )
+from inforest.bottleneck import FLOAT_EQUALITY_RTOL, _equal
 from inforest.cli import run
 from tests.helpers import (
     CORPUS_SEED,
@@ -346,3 +349,75 @@ def test_decompose_and_check_triple_share_the_float_verdict(tmp_path, capsys, ch
     argv = ["decompose", "--input", str(source), "--mode", "float", "-i", "1", "-j", "2", "-k", "3"]
     assert run(argv) == 0
     assert f"relation={expected}" in capsys.readouterr().out.split()
+
+
+def _reference_equal(a: float, b: float) -> bool:
+    """The float rule as first written: the difference against the larger
+    magnitude."""
+    return abs(a - b) <= FLOAT_EQUALITY_RTOL * max(abs(a), abs(b))
+
+
+def _rule_pairs():
+    """Finite pairs at, just inside and just outside the relative gap
+    FLOAT_EQUALITY_RTOL, at several scales, and signed zeros, subnormals
+    and values near the top of the double range."""
+    pairs = []
+    for scale in (1e-300, 2.5e-7, 1.0, 3e5, 1e300):
+        b = scale * (1 + FLOAT_EQUALITY_RTOL)
+        for near in (b, math.nextafter(b, 0), math.nextafter(b, math.inf)):
+            pairs += [(scale, near), (near, scale)]
+        # The gap measured against the smaller side: the rule uses the larger.
+        a = scale / (1 - FLOAT_EQUALITY_RTOL)
+        pairs += [(scale, a), (scale, math.nextafter(a, 0)), (scale, math.nextafter(a, math.inf))]
+    top = 1.7976931348623157e308
+    tiny = 5e-324
+    pairs += [
+        (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, tiny), (tiny, tiny), (tiny, 2 * tiny),
+        (1e-310, 1e-310 * (1 + 1e-9)), (2.2250738585072014e-308, 2.225073858507201e-308),
+        (top, top), (top, math.nextafter(top, 0)), (top, top * (1 - FLOAT_EQUALITY_RTOL)),
+        (top, top * (1 - 2 * FLOAT_EQUALITY_RTOL)), (-1.0, -1.0 - 1e-9), (-1.0, 1.0),
+    ]
+    return pairs
+
+
+def test_float_rule_runs_as_isclose_with_the_same_verdicts():
+    assert inspect.signature(math.isclose).parameters["rel_tol"].default == FLOAT_EQUALITY_RTOL
+    assert inspect.signature(math.isclose).parameters["abs_tol"].default == 0
+    pairs = _rule_pairs()
+    expected = [_reference_equal(a, b) for a, b in pairs]
+    # Both verdicts occur, and the C form agrees pair by pair.
+    assert any(expected) and not all(expected)
+    assert [math.isclose(a, b) for a, b in pairs] == expected
+    # A finite row, whole and pair by pair (the sum of (top, top) is inf,
+    # so that pair alone takes the written-out form).
+    lhs, rhs = [a for a, _ in pairs], [b for _, b in pairs]
+    assert _equal(lhs, rhs, FLOAT) == expected
+    assert [_equal((a,), (b,), FLOAT)[0] for a, b in pairs] == expected
+
+
+@pytest.mark.parametrize(
+    "a, b, isclose_agrees",
+    [
+        (math.inf, math.inf, False),
+        (math.inf, 1.0, False),
+        (1.0, math.inf, False),
+        (math.nan, 1.0, True),
+    ],
+)
+def test_float_rule_on_non_finite_products_keeps_the_written_out_form(a, b, isclose_agrees):
+    # The written-out rule calls (inf, inf) strict and (inf, 1.0) equal,
+    # math.isclose the other way round; the overflowed verdicts pinned
+    # elsewhere are the written-out ones.
+    expected = _reference_equal(a, b)
+    assert (math.isclose(a, b) == expected) == isclose_agrees
+    assert _equal((a,), (b,), FLOAT) == [expected]
+    # One non-finite product sends the whole row to the written-out form.
+    assert _equal((1.0, a, 2.0), (1.0, b, 3.0), FLOAT) == [True, expected, False]
+
+
+def test_float_sweep_with_overflowing_products_matches_triple_by_triple():
+    g = MultiDigraph(3, [(0, 1, 1e308), (1, 2, 1)])
+    forests = forest_matrices(g, FLOAT)
+    rows = forests.matrix.to_lists()
+    assert not all(math.isfinite(a * b) for a in rows[0] for b in rows[1])
+    assert summarize(verify_all_triples(g, mode=FLOAT)) == summarize(_reports_one_by_one(g, forests))

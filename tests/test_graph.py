@@ -14,6 +14,8 @@ from inforest import (
     NonPositiveWeightError,
     TooFewVerticesError,
     VertexOutOfRangeError,
+    is_bottleneck,
+    random_graph,
 )
 from tests.helpers import make_path, make_triangle, multidigraphs, transpose
 
@@ -150,6 +152,21 @@ def test_dominators_cases():
     assert sets(4) == [{4, 0}, {4, 0, 1}, {4, 0, 1, 2}, {4, 0, 1, 3}, {4}]
     with pytest.raises(VertexOutOfRangeError):
         g.dominators(5)
+
+
+@pytest.mark.parametrize("n", [15, 20, 25])
+def test_dominators_match_is_bottleneck_on_dense_graphs(n):
+    # In dense graphs most meets fall to the root's bit after a few
+    # predecessors, and the rest are skipped. Vertex n is added with
+    # in-arcs and no out-arcs: as a root it reaches nothing else.
+    dense = random_graph(n, n)
+    g = MultiDigraph(n + 1, list(dense.arcs) + [(v, n, 1) for v in range(0, n, 4)])
+    for i in range(g.n):
+        masks = g.dominators(i)
+        for j in range(g.n):
+            for k in range(g.n):
+                assert bool(masks[k] >> j & 1) == is_bottleneck(g, i, j, k)
+    assert g.dominators(n) == [(1 << g.n) - 1] * n + [1 << n]
 
 
 def test_scaled_multiplies_weights():

@@ -11,6 +11,7 @@ import pytest
 
 from inforest import (
     EXACT,
+    FLOAT,
     InconsistentWithTheoremError,
     Matrix,
     MultiDigraph,
@@ -23,6 +24,7 @@ from inforest import (
     verify_undirected,
 )
 from inforest.forest import _forest_solve
+from inforest.matrix import common_denominator
 from tests.helpers import CORPUS_SEED, corpus, random_undirected
 
 
@@ -85,6 +87,62 @@ def test_solver_on_arcless_graph_and_smallest_graph():
     assert forests.total_weight == 1 and forests.matrix == Matrix.identity(2)
     forests = _assert_matches_reference(MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, 5)]))
     assert forests.total_weight == 1 + Fraction(2, 3) + 5
+
+
+def _full_block_solve(laplacian):
+    """The elimination of ``[c(I + L) | c I | s]`` with every column of
+    ``c I`` updated at every step, as in the solver before it skipped
+    the columns a step cannot change."""
+    n = laplacian.order
+    exact = laplacian.mode == EXACT
+    left, c = common_denominator(laplacian.to_lists()) if exact else (laplacian.to_lists(), 1.0)
+    rows = [row + [0 * c] * n + [c] for row in left]
+    for r, row in enumerate(rows):
+        row[r] += c
+        row[n + r] = c
+    pivots, previous = [], 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[-1] - sum(pivot_row[k + 1 : n])
+        tail = pivot_row[k + 1 :]
+        for row in rows[:k] + rows[k + 1 :]:
+            factor = row[k]
+            if exact:
+                row[k + 1 :] = [
+                    (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+                ]
+            else:
+                factor /= pivot
+                row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
+        pivots.append(pivot)
+        previous = pivot
+    return pivots, c, [row[n : 2 * n] for row in rows]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
+    graphs = [MultiDigraph(2, []), MultiDigraph(5, []), random_graph(2, 1), random_graph(30, 3)]
+    graphs += corpus(60)
+    graphs += [MultiDigraph(3, [(0, 1, 1e308), (1, 2, 1)]), MultiDigraph(3, [(0, 1, 1e-300)])]
+    for graph in graphs:
+        laplacian = graph.laplacian(mode)
+        solved, expected = _forest_solve(laplacian), _full_block_solve(laplacian)
+        # repr tells 0.0 from -0.0 and compares nan with nan.
+        assert repr(solved) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, Fraction(5, 4))]), MultiDigraph(4, [])],
+    ids=["n2", "arcless"],
+)
+def test_exact_solve_is_the_scaled_determinant_and_adjugate(graph):
+    pivots, c, weights = _forest_solve(graph.laplacian(EXACT))
+    shifted = Matrix.identity(graph.n) + graph.laplacian()
+    total = determinant(shifted)
+    scale = c**graph.n
+    assert pivots[-1] == scale * total
+    assert Matrix(weights) == invert(shifted).scaled(scale * total)
 
 
 def test_solver_rejects_a_nonpositive_pivot():
