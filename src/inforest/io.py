@@ -16,6 +16,7 @@ preserved among parallels) so parse-emit round trips are byte identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +86,10 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
     n = 0
     entries: list[tuple[int, int, Fraction]] = []
     places = []
+    # Files repeat a few weight tokens over many arcs, and Fraction(str)
+    # runs a regular expression, so each distinct token is parsed once per
+    # file. A bad token is never stored, so it raises where it first occurs.
+    read_weight = functools.cache(parse_weight)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -107,7 +112,7 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
             (
                 _parse_vertex(tokens[0], line_no),
                 _parse_vertex(tokens[1], line_no),
-                parse_weight(tokens[2]),
+                read_weight(tokens[2]),
             )
         )
         places.append(f"line {line_no}")
@@ -135,13 +140,14 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
     if not isinstance(directed, bool):
         raise GraphFormatError('"directed" must be true or false')
     entries = []
+    read_weight = functools.cache(parse_weight)  # as in parse_graph_text
     for item in payload["arcs"]:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise GraphFormatError(f"bad arc entry {item!r}")
         tail, head, weight = item
         if not (_is_int(tail) and _is_int(head)):
             raise GraphFormatError(f"bad arc endpoints in {item!r}")
-        entries.append((tail - 1, head - 1, parse_weight(str(weight))))
+        entries.append((tail - 1, head - 1, read_weight(str(weight))))
     places = [f"arc {number}" for number in range(1, len(entries) + 1)]
     return _parsed_graph(n, entries, places, not directed or force_undirected)
 

@@ -107,6 +107,20 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
     assert str(raised.value) == message
 
 
+def test_repeated_weight_tokens_parse_to_their_values():
+    # Each distinct token is parsed once per file; every arc still gets
+    # the value its own token denotes.
+    lines = [f"{v + 1} {(v + 1) % 6 + 1} {('1/3', '2', '1/3', '0.5')[v % 4]}" for v in range(6)]
+    graph = parse_graph("digraph 6\n" + "\n".join(lines) + "\n").graph
+    expected = [Fraction(1, 3), 2, Fraction(1, 3), Fraction(1, 2)] * 2
+    assert [arc.weight for arc in graph.arcs] == expected[:6]
+    arcs = [[1, 2, "1/3"], [2, 3, 0.5], [3, 1, "1/3"], [1, 3, 0.5]]
+    graph = parse_graph(json.dumps({"n": 3, "arcs": arcs})).graph
+    assert [arc.weight for arc in graph.arcs] == [Fraction(1, 3), Fraction(1, 2)] * 2
+    with pytest.raises(GraphFormatError, match="bad weight '1/x'"):
+        parse_graph("digraph 3\n1 2 1\n2 3 1/x\n3 1 1/x\n")
+
+
 def test_round_trip_is_byte_identical():
     emitted = format_graph(parse_graph(PATH_TEXT).graph)
     assert format_graph(parse_graph(emitted).graph) == emitted
