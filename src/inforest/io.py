@@ -21,7 +21,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphFormatError, VertexOutOfRangeError
+from .errors import (
+    GraphFormatError,
+    LoopArcError,
+    NonPositiveWeightError,
+    VertexOutOfRangeError,
+)
 from .graph import MultiDigraph
 from .matrix import MAX_DIGITS, format_weight
 
@@ -59,17 +64,24 @@ def _is_int(value) -> bool:
 def _parsed_graph(
     n: int, entries: list[tuple[int, int, Fraction]], places: list[str], undirected: bool
 ) -> ParsedGraph:
-    """The graph of the 0-based ``entries``. An endpoint out of range is
-    reported in the file's 1-based numbering, with the place (line or arc)
-    of the first entry that holds one, as ``places`` names them."""
+    """The graph of the 0-based ``entries``. An endpoint out of range, a
+    loop or a weight that is not positive is reported in the file's
+    1-based numbering, with the place (line or arc) of the first entry
+    that holds one, as ``places`` names them."""
     build = MultiDigraph.from_undirected if undirected else MultiDigraph
     try:
         return ParsedGraph(build(n, entries), undirected)
-    except VertexOutOfRangeError:
-        for (tail, head, _), place in zip(entries, places):
+    except (VertexOutOfRangeError, LoopArcError, NonPositiveWeightError) as exc:
+        # The graph checks its arcs in file order, each as this loop does,
+        # so the first entry that fails here is the one it stopped at.
+        for (tail, head, weight), place in zip(entries, places):
             for v in (tail, head):
                 if not 0 <= v < n:
                     raise VertexOutOfRangeError(f"vertex {v + 1} outside 1..{n} ({place})") from None
+            if tail == head:
+                raise LoopArcError(f"arc {tail + 1}->{head + 1} is a loop ({place})") from None
+            if weight <= 0:
+                raise NonPositiveWeightError(f"{exc} ({place})") from None
         raise
 
 

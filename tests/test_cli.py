@@ -332,6 +332,27 @@ def test_loop_arc_file_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:loop-arc:")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("digraph 3\n1 2 1\n3 3 1\n", "error:loop-arc: arc 3->3 is a loop (line 3)\n"),
+        ('{"n": 3, "arcs": [[2, 2, "1"]]}', "error:loop-arc: arc 2->2 is a loop (arc 1)\n"),
+        (
+            "digraph 3\n1 2 1\n2 3 0\n",
+            "error:nonpositive-weight: arc weight must be positive, got 0 (line 3)\n",
+        ),
+    ],
+    ids=["text-loop", "json-loop", "zero-weight"],
+)
+def test_arc_errors_name_the_file_vertex_and_place(tmp_path, capsys, text, error):
+    source = tmp_path / "bad.graph"
+    source.write_text(text)
+    assert run(["forest", "--input", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error
+
+
 def test_unknown_flag_rejected(path_file, capsys):
     assert run(["forest", "--input", path_file, "--bogus"]) == 1
 

@@ -11,6 +11,7 @@ from inforest import (
     GraphFormatError,
     InforestError,
     InstanceTooLargeError,
+    LoopArcError,
     MultiDigraph,
     NonPositiveWeightError,
     ParsedGraph,
@@ -105,6 +106,31 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
     with pytest.raises(VertexOutOfRangeError) as raised:
         parse_graph(text)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("digraph 3\n1 2 1/3\n2 1 1/3\n3 3 1/3\n", LoopArcError, "arc 3->3 is a loop (line 4)"),
+        (
+            "graph 3\n1 2 0\n2 3 0\n",
+            NonPositiveWeightError,
+            "arc weight must be positive, got 0 (line 2)",
+        ),
+        (
+            '{"n": 3, "arcs": [[1, 2, "2"], [2, 3, "-2"], [3, 1, "-2"]]}',
+            NonPositiveWeightError,
+            "arc weight must be positive, got -2 (arc 2)",
+        ),
+        # The graph checks an arc's endpoints before its weight.
+        ("digraph 2\n1 3 0\n", VertexOutOfRangeError, "vertex 3 outside 1..2 (line 2)"),
+    ],
+    ids=["text-loop", "undirected-zero", "json-negative", "endpoint-first"],
+)
+def test_arc_errors_are_named_as_in_the_file(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_graph(text)
+    assert str(raised.value).endswith(message)
 
 
 def test_repeated_weight_tokens_parse_to_their_values():
