@@ -27,7 +27,8 @@ def test_digest_lines_are_stable_and_well_formed():
     assert lines == module.digest(graphs)
     # The oracle is exact for every graph, so it prints no float line, and
     # with no undirected input or CLI run the last two sections print none.
-    names = [f"{name}.{mode}" for name in module.SECTIONS for mode in module.MODES]
+    # verify_large, the last section, has records only for larger graphs.
+    names = [f"{name}.{mode}" for name in module.SECTIONS[:-1] for mode in module.MODES]
     assert [line.split()[0] for line in lines] == names[:-5]
     assert all(re.fullmatch(r"[a-z]+\.(exact|float) [0-9a-f]{64}", line) for line in lines)
     mixed = module.digest(graphs + [MultiDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)])])
@@ -39,10 +40,13 @@ def test_digest_lines_are_stable_and_well_formed():
     cli = module.digest([], (), runs)
     assert [line.split()[0] for line in cli] == names[2:4] + names[-2:]
     assert cli == module.digest([], (), runs)
+    large = module.digest([], large=[random_graph(4, 1)])
+    assert [line.split()[0] for line in large] == names[2:4] + ["verify_large.float"]
 
 
 def test_corpus_outputs_match_the_committed_digest():
     module = _tool()
     graphs, undirected = module.corpus(), module.undirected_corpus()
-    lines = module.digest(graphs, undirected, module.cli_corpus(graphs, undirected))
+    runs = module.cli_corpus(graphs, undirected)
+    lines = module.digest(graphs, undirected, runs, module.large_corpus())
     assert lines == EXPECTED.read_text().splitlines()

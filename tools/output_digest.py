@@ -27,7 +27,11 @@ generator graphs with at most 8 vertices:
   few graphs as JSON and a few malformed files, and of ``gen`` for each
   kind. Runs with no ``--mode`` (exact at these sizes) and with
   ``--mode exact`` go under ``exact``, runs with ``--mode float`` under
-  ``float``.
+  ``float``;
+- ``verify_large``: float :func:`verify_all_triples` on the larger graphs
+  of :func:`large_corpus`, where products overflow at n=90: ``f``, ``F``,
+  ``Q``, the summary, and the reports of the first and the last start
+  vertex recorded as in ``verify``. It has a ``float`` line only.
 
 A section and mode with no record print no line.
 
@@ -89,8 +93,11 @@ ROUTE_ARGUMENTS = (
     {}, {"eps": Fraction(1, 9)}, {"tolerance": 1e-4}, {"tolerance": 2}, {"max_terms": 3}
 )
 SECTIONS = (
-    "forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected", "cli"
+    "forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected", "cli",
+    "verify_large",
 )
+# (n, seed) of the random graphs of the verify_large section.
+LARGE = ((40, 1), (50, 1), (90, 1))
 # The graph commands, whether each takes ``--mode`` and whether it takes a
 # triple.
 COMMANDS = (
@@ -126,6 +133,11 @@ def corpus() -> list:
     for make in (path_graph, cycle_graph, complete_graph):
         graphs += [make(3), make(6, Fraction(3, 7))]
     return graphs
+
+
+def large_corpus() -> list:
+    """The graphs of the ``verify_large`` section."""
+    return [random_graph(n, seed) for n, seed in LARGE]
 
 
 def undirected_corpus() -> list:
@@ -217,7 +229,7 @@ def _reports(reports) -> list[str]:
     return records + [repr(summarize(reports))]
 
 
-def _sections(graphs, undirected, runs) -> dict:
+def _sections(graphs, undirected, runs, large) -> dict:
     """The records of every ``(section, mode)`` pair, in line order."""
     out = {(name, mode): [] for name in SECTIONS for mode in MODES}
     for graph in graphs:
@@ -255,6 +267,14 @@ def _sections(graphs, undirected, runs) -> dict:
         doubled = MultiDigraph.from_undirected(n, edges)
         for mode in MODES:
             out["undirected", mode] += _reports(verify_undirected(doubled, mode=mode))
+    for graph in large:
+        forests = forest_matrices(graph, FLOAT)
+        matrices = (forests.matrix.to_lists(), forests.proximity.to_lists())
+        out["verify_large", FLOAT].append(repr((forests.total_weight, *matrices)))
+        reports = verify_all_triples(graph, forests, FLOAT)
+        out["verify_large", FLOAT].append(repr(summarize(reports)))
+        square = graph.n**2
+        out["verify_large", FLOAT] += _reports(reports[:square] + reports[-square:])
     # Building the argument parser takes most of a small run's time, and a
     # parser keeps no state between calls, so the runs share one.
     parser = cli.build_parser()
@@ -272,13 +292,13 @@ def _routes(graph, mode: str, **kwargs) -> tuple:
     return (result.epsilon, weights, result.terms_used, bound, type(bound).__name__)
 
 
-def digest(graphs, undirected=(), runs=()) -> list[str]:
+def digest(graphs, undirected=(), runs=(), large=()) -> list[str]:
     """One ``<section>.<mode> <sha256 hex>`` line per section and mode
     with records for the digraphs ``graphs``, the undirected
-    ``(n, edges)`` pairs ``undirected`` and the CLI runs ``runs`` of
-    :func:`cli_corpus`."""
+    ``(n, edges)`` pairs ``undirected``, the CLI runs ``runs`` of
+    :func:`cli_corpus` and the larger digraphs ``large``."""
     lines = []
-    for (name, mode), records in _sections(graphs, undirected, runs).items():
+    for (name, mode), records in _sections(graphs, undirected, runs, large).items():
         if not records:
             continue
         h = hashlib.sha256()
@@ -290,7 +310,8 @@ def digest(graphs, undirected=(), runs=()) -> list[str]:
 
 def main() -> int:
     graphs, undirected = corpus(), undirected_corpus()
-    print("\n".join(digest(graphs, undirected, cli_corpus(graphs, undirected))))
+    runs = cli_corpus(graphs, undirected)
+    print("\n".join(digest(graphs, undirected, runs, large_corpus())))
     return 0
 
 
