@@ -21,12 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GraphFormatError,
-    LoopArcError,
-    NonPositiveWeightError,
-    VertexOutOfRangeError,
-)
+from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
 from .matrix import MAX_DIGITS, format_weight
 
