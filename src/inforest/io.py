@@ -20,6 +20,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
@@ -57,19 +58,24 @@ def _is_int(value) -> bool:
 
 
 def _parsed_graph(
-    n: int, entries: list[tuple[int, int, Fraction]], places: list[str], undirected: bool
+    n: int,
+    entries: list[tuple[int, int, Fraction]],
+    unit: str,
+    numbers: Sequence[int],
+    undirected: bool,
 ) -> ParsedGraph:
     """The graph of the 0-based ``entries``. An endpoint out of range, a
     loop or a weight that is not positive is reported in the file's
-    1-based numbering, with the place (line or arc) of the first entry
-    that holds one, as ``places`` names them."""
+    1-based numbering, with the place of the first entry that holds one:
+    ``unit`` (line or arc) and that entry's number in ``numbers``."""
     build = MultiDigraph.from_undirected if undirected else MultiDigraph
     try:
         return ParsedGraph(build(n, entries), undirected)
     except (VertexOutOfRangeError, LoopArcError, NonPositiveWeightError) as exc:
         # The graph checks its arcs in file order, each as this loop does,
         # so the first entry that fails here is the one it stopped at.
-        for (tail, head, weight), place in zip(entries, places):
+        for (tail, head, weight), number in zip(entries, numbers):
+            place = f"{unit} {number}"
             for v in (tail, head):
                 if not 0 <= v < n:
                     raise VertexOutOfRangeError(f"vertex {v + 1} outside 1..{n} ({place})") from None
@@ -92,7 +98,7 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
     header = None
     n = 0
     entries: list[tuple[int, int, Fraction]] = []
-    places = []
+    line_numbers = []
     # Files repeat a few weight tokens over many arcs, and Fraction(str)
     # runs a regular expression, so each distinct token is parsed once per
     # file. A bad token is never stored, so it raises where it first occurs.
@@ -115,17 +121,17 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
             continue
         if len(tokens) != 3:
             raise GraphFormatError(f"line {line_no}: expected '<tail> <head> <weight>'")
-        entries.append(
-            (
-                _parse_vertex(tokens[0], line_no),
-                _parse_vertex(tokens[1], line_no),
-                read_weight(tokens[2]),
-            )
-        )
-        places.append(f"line {line_no}")
+        tail = _parse_vertex(tokens[0], line_no)
+        head = _parse_vertex(tokens[1], line_no)
+        try:
+            weight = read_weight(tokens[2])
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {line_no}: {exc}") from exc
+        entries.append((tail, head, weight))
+        line_numbers.append(line_no)
     if header is None:
         raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
-    return _parsed_graph(n, entries, places, header == "graph" or force_undirected)
+    return _parsed_graph(n, entries, "line", line_numbers, header == "graph" or force_undirected)
 
 
 def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
@@ -148,15 +154,19 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
         raise GraphFormatError('"directed" must be true or false')
     entries = []
     read_weight = functools.cache(parse_weight)  # as in parse_graph_text
-    for item in payload["arcs"]:
+    for number, item in enumerate(payload["arcs"], start=1):
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise GraphFormatError(f"bad arc entry {item!r}")
         tail, head, weight = item
         if not (_is_int(tail) and _is_int(head)):
             raise GraphFormatError(f"bad arc endpoints in {item!r}")
-        entries.append((tail - 1, head - 1, read_weight(str(weight))))
-    places = [f"arc {number}" for number in range(1, len(entries) + 1)]
-    return _parsed_graph(n, entries, places, not directed or force_undirected)
+        try:
+            weight = read_weight(str(weight))
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{exc} (arc {number})") from exc
+        entries.append((tail - 1, head - 1, weight))
+    numbers = range(1, len(entries) + 1)
+    return _parsed_graph(n, entries, "arc", numbers, not directed or force_undirected)
 
 
 def parse_graph(text: str, force_undirected: bool = False) -> ParsedGraph:

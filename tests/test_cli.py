@@ -341,8 +341,13 @@ def test_loop_arc_file_is_input_error(tmp_path, capsys):
             "digraph 3\n1 2 1\n2 3 0\n",
             "error:nonpositive-weight: arc weight must be positive, got 0 (line 3)\n",
         ),
+        ("digraph 3\n1 2 1\n2 3 1/x\n", "error:format: line 3: bad weight '1/x'\n"),
+        (
+            '{"n": 3, "arcs": [[1, 2, "1"], [2, 3, "x"]]}',
+            "error:format: bad weight 'x' (arc 2)\n",
+        ),
     ],
-    ids=["text-loop", "json-loop", "zero-weight"],
+    ids=["text-loop", "json-loop", "zero-weight", "text-weight", "json-weight"],
 )
 def test_arc_errors_name_the_file_vertex_and_place(tmp_path, capsys, text, error):
     source = tmp_path / "bad.graph"

@@ -124,8 +124,14 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
         ),
         # The graph checks an arc's endpoints before its weight.
         ("digraph 2\n1 3 0\n", VertexOutOfRangeError, "vertex 3 outside 1..2 (line 2)"),
+        ("digraph 3\n1 2 1\n2 3 1/x\n", GraphFormatError, "line 3: bad weight '1/x'"),
+        (
+            '{"n": 3, "arcs": [[1, 2, "1"], [2, 3, "x"]]}',
+            GraphFormatError,
+            "bad weight 'x' (arc 2)",
+        ),
     ],
-    ids=["text-loop", "undirected-zero", "json-negative", "endpoint-first"],
+    ids=["text-loop", "undirected-zero", "json-negative", "endpoint-first", "text-weight", "json-weight"],
 )
 def test_arc_errors_are_named_as_in_the_file(text, error, message):
     with pytest.raises(error) as raised:
