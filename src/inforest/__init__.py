@@ -7,129 +7,93 @@ weights of the loop-augmented walk graph, and verifies the bottleneck
 product inequality (with its separator equality condition) over vertex
 triples. Exact rational arithmetic is the default so every identity can
 be checked without tolerances.
+
+The public names are loaded on first access (PEP 562): ``import inforest``
+imports none of the submodules, and each name imports only the module that
+defines it, so a command-line run compiles only the modules it uses.
 """
 
-from .bottleneck import (
-    RELATION_EQUAL,
-    RELATION_STRICT,
-    BottleneckReport,
-    TripleSummary,
-    check_triple,
-    is_bottleneck,
-    summarize,
-    verify_all_triples,
-    verify_undirected,
-)
-from .errors import (
-    BadParametersError,
-    EpsilonOutOfRangeError,
-    GraphFormatError,
-    InconsistentWithTheoremError,
-    InforestError,
-    InstanceTooLargeError,
-    LoopArcError,
-    NonPositiveWeightError,
-    NotConvergedError,
-    SingularMatrixError,
-    TooFewVerticesError,
-    VertexOutOfRangeError,
-)
-from .forest import ForestMatrices, forest_matrices
-from .generators import complete_graph, cycle_graph, path_graph, random_graph
-from .graph import Arc, MultiDigraph
-from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
-from .matrix import (
-    EXACT,
-    FLOAT,
-    Matrix,
-    SeriesSum,
-    determinant,
-    geometric_series,
-    invert,
-)
-from .oracle import (
-    DEFAULT_CHOICE_CAP,
-    InForest,
-    OracleResult,
-    choice_count,
-    enumerate_in_forests,
-    oracle_matrices,
-)
-from .routes import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_ROUTE_CAP,
-    DEFAULT_TOLERANCE,
-    RouteDecomposition,
-    RouteMatrices,
-    choose_epsilon,
-    closed_route_matrix,
-    route_decomposition,
-    route_matrix,
-    route_weights_by_length,
-    step_matrix,
-    validate_epsilon,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "BadParametersError",
-    "BottleneckReport",
-    "DEFAULT_CHOICE_CAP",
-    "DEFAULT_MAX_TERMS",
-    "DEFAULT_ROUTE_CAP",
-    "DEFAULT_TOLERANCE",
-    "EXACT",
-    "EpsilonOutOfRangeError",
-    "FLOAT",
-    "ForestMatrices",
-    "GraphFormatError",
-    "InForest",
-    "InconsistentWithTheoremError",
-    "InforestError",
-    "InstanceTooLargeError",
-    "LoopArcError",
-    "Matrix",
-    "MultiDigraph",
-    "NonPositiveWeightError",
-    "NotConvergedError",
-    "OracleResult",
-    "ParsedGraph",
-    "RELATION_EQUAL",
-    "RELATION_STRICT",
-    "RouteDecomposition",
-    "RouteMatrices",
-    "SeriesSum",
-    "SingularMatrixError",
-    "TooFewVerticesError",
-    "TripleSummary",
-    "VertexOutOfRangeError",
-    "check_triple",
-    "choice_count",
-    "choose_epsilon",
-    "closed_route_matrix",
-    "complete_graph",
-    "cycle_graph",
-    "determinant",
-    "enumerate_in_forests",
-    "forest_matrices",
-    "format_graph",
-    "format_weight",
-    "geometric_series",
-    "invert",
-    "is_bottleneck",
-    "oracle_matrices",
-    "parse_graph",
-    "parse_weight",
-    "path_graph",
-    "random_graph",
-    "route_decomposition",
-    "route_matrix",
-    "route_weights_by_length",
-    "step_matrix",
-    "summarize",
-    "validate_epsilon",
-    "verify_all_triples",
-    "verify_undirected",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "bottleneck": (
+        "RELATION_EQUAL",
+        "RELATION_STRICT",
+        "BottleneckReport",
+        "TripleSummary",
+        "check_triple",
+        "is_bottleneck",
+        "summarize",
+        "verify_all_triples",
+        "verify_undirected",
+    ),
+    "errors": (
+        "BadParametersError",
+        "EpsilonOutOfRangeError",
+        "GraphFormatError",
+        "InconsistentWithTheoremError",
+        "InforestError",
+        "InstanceTooLargeError",
+        "LoopArcError",
+        "NonPositiveWeightError",
+        "NotConvergedError",
+        "SingularMatrixError",
+        "TooFewVerticesError",
+        "VertexOutOfRangeError",
+    ),
+    "forest": ("ForestMatrices", "forest_matrices"),
+    "generators": ("complete_graph", "cycle_graph", "path_graph", "random_graph"),
+    "graph": ("Arc", "MultiDigraph"),
+    "io": ("ParsedGraph", "format_graph", "parse_graph", "parse_weight"),
+    "matrix": (
+        "DEFAULT_MAX_TERMS",
+        "DEFAULT_TOLERANCE",
+        "EXACT",
+        "FLOAT",
+        "Matrix",
+        "SeriesSum",
+        "determinant",
+        "format_weight",
+        "geometric_series",
+        "invert",
+    ),
+    "oracle": (
+        "DEFAULT_CHOICE_CAP",
+        "InForest",
+        "OracleResult",
+        "choice_count",
+        "enumerate_in_forests",
+        "oracle_matrices",
+    ),
+    "routes": (
+        "DEFAULT_ROUTE_CAP",
+        "RouteDecomposition",
+        "RouteMatrices",
+        "choose_epsilon",
+        "closed_route_matrix",
+        "route_decomposition",
+        "route_matrix",
+        "route_weights_by_length",
+        "step_matrix",
+        "validate_epsilon",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

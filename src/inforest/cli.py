@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 input error, 2 enumeration/series limits exceeded,
 3 theory-consistency failure (an implementation bug, surfaced distinctly).
 Errors print to stderr as ``error:<code>: <message>``.
+
+Each run is a new process that compiles the modules it imports, so only
+what every graph command needs is imported here. A command imports the
+rest of the library, and ``json``, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -16,13 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .bottleneck import (
-    check_triple,
-    relation,
-    summarize,
-    verify_all_triples,
-    verify_undirected,
-)
 from .errors import (
     BadParametersError,
     GraphFormatError,
@@ -31,19 +27,23 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .forest import forest_matrices
-from .generators import complete_graph, cycle_graph, path_graph, random_graph
 from .graph import MultiDigraph
 from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
-from .matrix import EXACT, FLOAT, Matrix, scalar
-from .oracle import DEFAULT_CHOICE_CAP, choice_count, enumerate_in_forests, oracle_matrices
-from .routes import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_TOLERANCE,
-    route_decomposition,
-    route_matrix,
-)
+from .matrix import DEFAULT_MAX_TERMS, DEFAULT_TOLERANCE, EXACT, FLOAT, Matrix, scalar
 
 EXACT_MODE_MAX_VERTICES = 12
+
+# perfbench/spans.py wraps these on this module as well as on their own.
+# They resolve through the package on first access. The commands import
+# them from their own modules when they run, and so call what is there.
+_TRACED_NAMES = ("verify_all_triples", "route_matrix", "enumerate_in_forests")
+
+
+def __getattr__(name):
+    if name not in _TRACED_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _read_input(path: str) -> str:
@@ -66,6 +66,8 @@ def _read_input(path: str) -> str:
 def _oracle_cap() -> int:
     raw = os.environ.get("FOREST_ORACLE_CAP")
     if raw is None:
+        from .oracle import DEFAULT_CHOICE_CAP
+
         return DEFAULT_CHOICE_CAP
     try:
         return int(raw)
@@ -99,6 +101,8 @@ def _emit(fmt: str, fields: dict, line: Optional[str] = None) -> None:
     printed, so a value too long to print leaves stdout empty.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps({name: _json_value(value) for name, value in fields.items()}))
         return
     texts = {name: _text(value) for name, value in fields.items() if not isinstance(value, Matrix)}
@@ -145,8 +149,12 @@ def _cmd_proximity(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
+    from .oracle import enumerate_in_forests
+
     forests = enumerate_in_forests(parsed.graph, cap=_oracle_cap())
     if args.fmt == "json":
+        import json
+
         payload = [
             {
                 "choices": ["root" if c is None else c + 1 for c in forest.arc_choice],
@@ -164,6 +172,8 @@ def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
+    from .routes import route_matrix
+
     eps = _epsilon_arg(args)
     result = route_matrix(
         parsed.graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode
@@ -179,6 +189,9 @@ def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
+    from .bottleneck import relation
+    from .routes import route_decomposition
+
     eps = _epsilon_arg(args)
     deco = route_decomposition(parsed.graph, *_triple_args(args, parsed.graph), eps=eps, mode=mode)
     fields = {
@@ -199,6 +212,8 @@ def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
+    from .bottleneck import check_triple
+
     forests = forest_matrices(parsed.graph, mode)
     report = check_triple(forests, parsed.graph, *_triple_args(args, parsed.graph))
     fields = {
@@ -214,6 +229,9 @@ def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
 
 
 def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:
+    from .bottleneck import summarize, verify_all_triples, verify_undirected
+    from .oracle import choice_count, oracle_matrices
+
     graph = parsed.graph
     forests = forest_matrices(graph, mode)
     verify = verify_undirected if parsed.undirected else verify_all_triples
@@ -253,6 +271,8 @@ def _parse_weight_range(raw: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import complete_graph, cycle_graph, path_graph, random_graph
+
     weight = _rational_arg(args.weights, "--weights")
     if args.kind == "random":
         if args.seed is None:

@@ -17,7 +17,6 @@ preserved among parallels) so parse-emit round trips are byte identical.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -135,6 +134,8 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
 
 
 def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
+    import json
+
     # Besides JSONDecodeError, a ValueError, json.loads raises a plain
     # ValueError for an integer past Python's digit limit and RecursionError
     # for deep nesting.

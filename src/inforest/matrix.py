@@ -30,7 +30,10 @@ Scalar = Union[Fraction, float]
 # as singular. Exact mode tests pivots against zero exactly.
 FLOAT_PIVOT_RTOL = 1e-12
 
-# Default term cap of :func:`geometric_series`, shared by the route series.
+# Defaults of the route series' parameters, which :func:`geometric_series`
+# checks: the norm below which a power of the step matrix ends the sum, and
+# the term cap.
+DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_TERMS = 100_000
 
 

@@ -25,6 +25,7 @@ from .forest import forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
     DEFAULT_MAX_TERMS,
+    DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
     Matrix,
@@ -38,7 +39,6 @@ from .matrix import (
 # The general reference inverse stays importable from here.
 from .matrix import invert  # noqa: F401
 
-DEFAULT_TOLERANCE = 1e-12
 DEFAULT_ROUTE_CAP = 1_000_000
 
 EpsilonValue = Union[Fraction, int, float]

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -433,6 +434,49 @@ def test_closed_stdout_pipe_exits_quietly(path_file):
     stderr = process.stderr.read().decode()
     assert process.wait(timeout=60) == 1
     assert stderr == ""
+
+
+# Run in a fresh interpreter: prints, after each step, the inforest modules
+# loaded and whether json is.
+MODULE_PROBE = """
+import sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("inforest.")), "json" in sys.modules
+
+steps = {}
+import inforest
+steps["import"] = loaded()
+from inforest.cli import run
+run(["--version"])
+steps["version"] = loaded()
+assert run(["forest", "--input", sys.argv[1]]) == 0
+steps["forest"] = loaded()
+print(repr(steps))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(path_file):
+    result = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, path_file], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    steps = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert steps["import"] == ([], False)
+    # What the CLI imports before it reads its arguments: what every graph
+    # command needs.
+    common = [
+        "inforest.cli",
+        "inforest.errors",
+        "inforest.forest",
+        "inforest.graph",
+        "inforest.io",
+        "inforest.matrix",
+    ]
+    assert steps["version"] == (common, False)
+    # A TSV forest run needs nothing more: no bottleneck, oracle, routes,
+    # generators or json.
+    assert steps["forest"] == (common, False)
 
 
 @pytest.mark.parametrize("text", [TRIANGLE_FILE, "graph 3\n1 2 1\n2 3 1/2\n"])
