@@ -125,8 +125,10 @@ class MultiDigraph:
             rows[tail][head] -= value
         for i, row in enumerate(rows):
             # Minus the row sum in column order: the same double as the sum
-            # of the positive weights in that order.
-            row[i] = zero - sum(row, zero)
+            # of the positive weights in that order. Zero entries are left
+            # out: the others are negative, so adding +0.0 never changes
+            # a partial sum.
+            row[i] = zero - sum(filter(None, row), zero)
             if not row[i] < math.inf:
                 raise NonPositiveWeightError(f"out-weight of vertex {i} overflows a double")
         return Matrix._wrap(rows, mode)

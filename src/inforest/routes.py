@@ -52,7 +52,10 @@ def choose_epsilon(graph: MultiDigraph) -> Fraction:
     as the weights are. Arcless graphs put no constraint on eps, so 1 is
     returned by convention.
     """
-    heaviest = graph.max_out_weight()
+    return _midpoint(graph.max_out_weight())
+
+
+def _midpoint(heaviest: Fraction) -> Fraction:
     return Fraction(1, 2) / heaviest if heaviest else Fraction(1)
 
 
@@ -61,9 +64,13 @@ def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
 
     Both tests are exact, as the weights are, and written so that NaN and
     infinity fail them."""
+    return _validate(eps, graph.max_out_weight())
+
+
+def _validate(eps: EpsilonValue, heaviest: Fraction) -> EpsilonValue:
+    """:func:`validate_epsilon` given the max out-weight ``heaviest``."""
     if not eps > 0:
         raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
-    heaviest = graph.max_out_weight()
     if not (eps < math.inf and scalar(eps, EXACT) * heaviest < 1):
         raise EpsilonOutOfRangeError(
             f"epsilon {format_for_message(eps)} times max out-weight "
@@ -90,9 +97,10 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
     a double, or its reciprocal, which the route weights ``1 + 1/eps``
     hold, overflows.
     """
+    heaviest = graph.max_out_weight()
     if eps is None:
-        eps = choose_epsilon(graph)
-    validate_epsilon(graph, eps)
+        eps = _midpoint(heaviest)
+    _validate(eps, heaviest)
     value = scalar(eps, mode)
     if not (0 < value < math.inf and 1 / value < math.inf):
         raise EpsilonOutOfRangeError(

@@ -17,7 +17,7 @@ from inforest import (
     is_bottleneck,
     random_graph,
 )
-from tests.helpers import make_path, make_triangle, multidigraphs, transpose
+from tests.helpers import corpus, make_path, make_triangle, multidigraphs, transpose
 
 
 def test_isolated_vertices_are_legal():
@@ -206,6 +206,32 @@ def test_weight_matrix_is_negated_off_diagonal_laplacian(g):
             for j in range(g.n):
                 if i != j:
                     assert weights[i][j] == -lap[i, j]
+
+
+def _laplacian_summing_whole_rows(graph, mode):
+    """The Laplacian with each out-weight summed over all n entries of its
+    row, zeros included: the reference for the one that skips them."""
+    zero = 0.0 if mode == FLOAT else Fraction(0)
+    convert = float if mode == FLOAT else Fraction
+    rows = [[zero] * graph.n for _ in range(graph.n)]
+    for tail, head, weight in graph.arcs:
+        rows[tail][head] -= convert(weight)
+    for i, row in enumerate(rows):
+        row[i] = zero - sum(row, zero)
+    return rows
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_laplacian_skipping_zero_entries_changes_no_value(mode):
+    graphs = [MultiDigraph(2, []), random_graph(2, 1), random_graph(30, 3)] + corpus(60)
+    graphs += [
+        MultiDigraph(3, [(0, 1, 1e308), (0, 2, 7e307), (1, 2, 1)]),
+        MultiDigraph(3, [(0, 1, 5e-324), (0, 2, 5e-324), (2, 0, 1e-300)]),
+    ]
+    for graph in graphs:
+        # repr tells 0.0 from -0.0.
+        expected = repr(_laplacian_summing_whole_rows(graph, mode))
+        assert repr(graph.laplacian(mode).to_lists()) == expected
 
 
 @given(multidigraphs())

@@ -57,6 +57,25 @@ def test_validate_epsilon_bounds():
         validate_epsilon(g, -1)
 
 
+def test_a_route_walk_sums_the_max_out_weight_once(monkeypatch):
+    g = make_triangle()
+    calls = []
+    original = MultiDigraph.max_out_weight
+
+    def counted(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(MultiDigraph, "max_out_weight", counted)
+    for eps in (None, Fraction(1, 4)):
+        calls.clear()
+        route_matrix(g, eps)
+        assert len(calls) == 1
+    calls.clear()
+    assert validate_epsilon(g, choose_epsilon(g)) == Fraction(1, 4)
+    assert len(calls) == 2
+
+
 def test_epsilon_range_is_checked_against_the_exact_weights():
     # 0.1 + 0.7 is 0.7999999999999999 in floats, below the exact sum of the
     # two doubles, so this eps passes a range check on the float sum.
