@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 input error, 2 enumeration/series limits exceeded,
 3 theory-consistency failure (an implementation bug, surfaced distinctly).
 Errors print to stderr as ``error:<code>: <message>``.
 
-Each run is a new process that compiles the modules it imports, so only
-what every graph command needs is imported here. A command imports the
-rest of the library, and ``json``, when it runs.
+Each command runs in a process of its own, which loads (and, without
+cached bytecode, compiles) every module it imports. So this module imports
+only what every graph command needs, and a command imports the rest of the
+library, and ``json``, when it runs.
 """
 
 from __future__ import annotations

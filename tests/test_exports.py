@@ -8,7 +8,7 @@ import pytest
 import inforest
 
 
-def test_all_lists_exactly_the_exported_names():
+def test_all_lists_exactly_the_imported_public_names():
     exported = [name for names in inforest._EXPORTS.values() for name in names]
     # No name is listed under two modules.
     assert len(exported) == len(set(exported))
