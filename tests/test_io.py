@@ -131,7 +131,14 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
             "bad weight 'x' (arc 2)",
         ),
     ],
-    ids=["text-loop", "undirected-zero", "json-negative", "endpoint-first", "text-weight", "json-weight"],
+    ids=[
+        "text-loop",
+        "undirected-zero",
+        "json-negative",
+        "endpoint-first",
+        "text-weight",
+        "json-weight",
+    ],
 )
 def test_arc_errors_are_named_as_in_the_file(text, error, message):
     with pytest.raises(error) as raised:
