@@ -69,16 +69,13 @@ _EXPORTS = {
         "oracle_matrices",
     ),
     "routes": (
-        "DEFAULT_ROUTE_CAP",
         "RouteDecomposition",
         "RouteMatrices",
         "choose_epsilon",
         "closed_route_matrix",
         "route_decomposition",
         "route_matrix",
-        "route_weights_by_length",
         "step_matrix",
-        "validate_epsilon",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

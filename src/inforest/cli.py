@@ -166,9 +166,12 @@ def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
         ]
         print(json.dumps(payload))
         return 0
+    # Every line is built before any is printed, as in _emit.
+    lines = []
     for forest in forests:
         tokens = ["root" if c is None else str(c + 1) for c in forest.arc_choice]
-        print(" ".join(tokens) + "\t" + format_weight(forest.weight))
+        lines.append(" ".join(tokens) + "\t" + format_weight(forest.weight))
+    print("\n".join(lines))
     return 0
 
 

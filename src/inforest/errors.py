@@ -68,8 +68,8 @@ class NotConvergedError(InforestError):
 
 
 class InstanceTooLargeError(InforestError):
-    """The instance exceeds a size limit: an enumeration or route cap, or
-    the digits Python prints."""
+    """The instance exceeds a size limit: the vertex limit of a graph, the
+    enumeration cap, or the digits Python prints."""
 
     code = "instance-too-large"
     exit_code = 2

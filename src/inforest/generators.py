@@ -1,4 +1,7 @@
-"""Deterministic graph generators for fixtures and test corpora."""
+"""Deterministic graph generators for fixtures and test corpora.
+
+Each passes its arcs to :class:`MultiDigraph` lazily, so a vertex count
+beyond the graph's limit is refused before any arc is built."""
 
 from __future__ import annotations
 
@@ -11,20 +14,17 @@ from .graph import MultiDigraph, Weight
 
 def path_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """Directed path 0 -> 1 -> ... -> n-1 with a uniform arc weight."""
-    return MultiDigraph(n, [(v, v + 1, weight) for v in range(n - 1)])
+    return MultiDigraph(n, ((v, v + 1, weight) for v in range(n - 1)))
 
 
 def cycle_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """Directed cycle through all vertices with a uniform arc weight."""
-    arcs = [(v, v + 1, weight) for v in range(n - 1)]
-    arcs.append((n - 1, 0, weight))
-    return MultiDigraph(n, arcs)
+    return MultiDigraph(n, ((v, (v + 1) % n, weight) for v in range(n)))
 
 
 def complete_graph(n: int, weight: Weight = 1) -> MultiDigraph:
     """All ordered pairs as arcs with a uniform weight."""
-    arcs = [(i, j, weight) for i in range(n) for j in range(n) if i != j]
-    return MultiDigraph(n, arcs)
+    return MultiDigraph(n, ((i, j, weight) for i in range(n) for j in range(n) if i != j))
 
 
 def random_graph(n: int, seed: int, weight_range: tuple[int, int] = (1, 5)) -> MultiDigraph:
@@ -35,11 +35,10 @@ def random_graph(n: int, seed: int, weight_range: tuple[int, int] = (1, 5)) -> M
     if not (1 <= lo <= hi):
         raise BadParametersError(f"weight range must satisfy 1 <= lo <= hi, got {lo}:{hi}")
     rng = random.Random(seed)
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rng.random() < 0.5:
-                arcs.append((i, j, Fraction(rng.randint(lo, hi), rng.randint(lo, hi))))
+    arcs = (
+        (i, j, Fraction(rng.randint(lo, hi), rng.randint(lo, hi)))
+        for i in range(n)
+        for j in range(n)
+        if i != j and rng.random() < 0.5
+    )
     return MultiDigraph(n, arcs)

@@ -17,6 +17,7 @@ from numbers import Rational
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
+    InstanceTooLargeError,
     LoopArcError,
     NonPositiveWeightError,
     TooFewVerticesError,
@@ -25,6 +26,12 @@ from .errors import (
 from .matrix import EXACT, Matrix, format_for_message, scalar
 
 Weight = Union[Fraction, int, float]
+
+# The most vertices a graph may have. One n x n list of references then
+# takes 128 MiB and a float solve hours, so no instance the library can
+# finish is refused; a count no dense matrix holds is, before any
+# per-vertex list is allocated.
+MAX_VERTICES = 4096
 
 
 class Arc(NamedTuple):
@@ -59,6 +66,10 @@ class MultiDigraph:
     def __init__(self, n: int, arcs: Iterable = ()):
         if n < 2:
             raise TooFewVerticesError(f"graphs need at least 2 vertices, got {n}")
+        if n > MAX_VERTICES:
+            raise InstanceTooLargeError(
+                f"graphs have at most {MAX_VERTICES} vertices, got {format_for_message(n)}"
+            )
         self.n = n
         checked = []
         out: list[list[int]] = [[] for _ in range(n)]

@@ -71,9 +71,12 @@ def format_for_message(value: Union[Scalar, int]) -> str:
 def scalar(value, mode: str) -> Scalar:
     """``value`` as a scalar of ``mode``: a ``Fraction``, or the nearest
     float, which is infinite with the sign of ``value`` beyond the range
-    of doubles."""
+    of doubles. Raises :class:`ValueError` for any mode but ``EXACT`` and
+    ``FLOAT``."""
     if mode == EXACT:
         return value if type(value) is Fraction else Fraction(value)
+    if mode != FLOAT:
+        raise ValueError(f"unknown scalar mode {mode!r}")
     try:
         return float(value)
     except OverflowError:
@@ -93,8 +96,7 @@ class Matrix:
     __slots__ = ("order", "mode", "_rows")
 
     def __init__(self, rows: Iterable[Sequence], mode: str = EXACT):
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
+        scalar(0, mode)  # checks the mode, also of a matrix with no rows
         data = [[scalar(value, mode) for value in row] for row in rows]
         if any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .errors import EpsilonOutOfRangeError, InstanceTooLargeError, NotConvergedError
+from .errors import EpsilonOutOfRangeError, NotConvergedError
 from .forest import forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
@@ -38,8 +38,6 @@ from .matrix import (
 
 # The general reference inverse stays importable from here.
 from .matrix import invert  # noqa: F401
-
-DEFAULT_ROUTE_CAP = 1_000_000
 
 EpsilonValue = Union[Fraction, int, float]
 
@@ -59,26 +57,6 @@ def _midpoint(heaviest: Fraction) -> Fraction:
     return Fraction(1, 2) / heaviest if heaviest else Fraction(1)
 
 
-def validate_epsilon(graph: MultiDigraph, eps: EpsilonValue) -> EpsilonValue:
-    """Check ``0 < eps`` and ``eps * max out-weight < 1`` (strictly).
-
-    Both tests are exact, as the weights are, and written so that NaN and
-    infinity fail them."""
-    return _validate(eps, graph.max_out_weight())
-
-
-def _validate(eps: EpsilonValue, heaviest: Fraction) -> EpsilonValue:
-    """:func:`validate_epsilon` given the max out-weight ``heaviest``."""
-    if not eps > 0:
-        raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
-    if not (eps < math.inf and scalar(eps, EXACT) * heaviest < 1):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {format_for_message(eps)} times max out-weight "
-            f"{format_for_message(heaviest)} must stay below 1"
-        )
-    return eps
-
-
 class _Walk(NamedTuple):
     """A checked walk parameter: ``eps`` as given, the same value as a
     scalar of the mode, and the per-step contraction ratio ``1 / (1 + eps)``."""
@@ -89,10 +67,13 @@ class _Walk(NamedTuple):
 
 
 def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
-    """The walk parameter, :func:`choose_epsilon` when ``eps`` is None.
+    """The walk parameter, :func:`choose_epsilon` when ``eps`` is None,
+    checked and converted to a scalar of ``mode``.
 
-    It is range-checked first and then converted, so an eps no double
-    holds is out of range rather than an overflow inside a scaling:
+    The range ``0 < eps`` and ``eps * max out-weight < 1`` (strictly) is
+    tested first, exactly, as the weights are, and so that NaN and infinity
+    fail it. Only then is eps converted, so an eps no double holds is out
+    of range rather than an overflow inside a scaling:
     :class:`EpsilonOutOfRangeError` when it rounds to zero or overflows as
     a double, or its reciprocal, which the route weights ``1 + 1/eps``
     hold, overflows.
@@ -100,7 +81,13 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
     heaviest = graph.max_out_weight()
     if eps is None:
         eps = _midpoint(heaviest)
-    _validate(eps, heaviest)
+    if not eps > 0:
+        raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
+    if not (eps < math.inf and scalar(eps, EXACT) * heaviest < 1):
+        raise EpsilonOutOfRangeError(
+            f"epsilon {format_for_message(eps)} times max out-weight "
+            f"{format_for_message(heaviest)} must stay below 1"
+        )
     value = scalar(eps, mode)
     if not (0 < value < math.inf and 1 / value < math.inf):
         raise EpsilonOutOfRangeError(
@@ -291,61 +278,6 @@ def closed_route_matrix(
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
     return _closed(graph, _walk(graph, eps, mode), mode)
-
-
-def _loop_adjacency(graph: MultiDigraph, walk: _Walk, mode: str):
-    """Per-vertex outgoing (head, weight) pairs of the loop-augmented graph,
-    keeping parallel arcs distinct; the loop comes first."""
-    step = _step(graph, walk, mode)
-    adjacency = []
-    for v in range(graph.n):
-        entries = [(v, step[v, v])]
-        for index in graph.out_arcs(v):
-            arc = graph.arcs[index]
-            entries.append((arc.head, walk.ratio * walk.scalar * scalar(arc.weight, mode)))
-        adjacency.append(entries)
-    return adjacency
-
-
-def route_weights_by_length(
-    graph: MultiDigraph,
-    source: int,
-    length: int,
-    eps: Optional[EpsilonValue] = None,
-    mode: str = EXACT,
-    cap: int = DEFAULT_ROUTE_CAP,
-) -> list[Scalar]:
-    """Explicitly enumerate all routes of exactly ``length`` arcs from
-    ``source`` in the loop-augmented graph; return summed weights per
-    endpoint.
-
-    Must agree exactly (in exact mode) with the corresponding row of the
-    step matrix raised to ``length``; that equality is what the tests
-    check. Raises :class:`InstanceTooLargeError` when more than ``cap``
-    routes would be visited.
-    """
-    graph.check_vertex(source)
-    if length < 0:
-        raise ValueError("route length must be nonnegative")
-    adjacency = _loop_adjacency(graph, _walk(graph, eps, mode), mode)
-    totals = [scalar(0, mode)] * graph.n
-    visited = 0
-    # Depth-first with an explicit stack, so long routes cannot exhaust the
-    # recursion limit; children are pushed in reverse to pop in order.
-    stack = [(source, length, scalar(1, mode))]
-    while stack:
-        vertex, remaining, accumulated = stack.pop()
-        if remaining == 0:
-            visited += 1
-            if visited > cap:
-                raise InstanceTooLargeError(
-                    f"more than {cap} routes of length {length} from vertex {source}"
-                )
-            totals[vertex] += accumulated
-            continue
-        for head, weight in reversed(adjacency[vertex]):
-            stack.append((head, remaining - 1, accumulated * weight))
-    return totals
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,18 @@ from itertools import product
 from hypothesis import strategies as st
 
 from inforest import (
+    EXACT,
     Matrix,
     MultiDigraph,
     NotConvergedError,
     SeriesSum,
+    choose_epsilon,
     complete_graph,
     cycle_graph,
     path_graph,
+    step_matrix,
 )
+from inforest.matrix import scalar
 
 CORPUS_SEED = 20260809
 
@@ -141,6 +145,37 @@ def reference_series(matrix: Matrix, tolerance, max_terms=100_000) -> SeriesSum:
         used += 1
         term = term @ matrix
     return SeriesSum(total, used, last_norm)
+
+
+def route_weights_by_length(graph: MultiDigraph, source, length, eps=None, mode=EXACT) -> list:
+    """Reference route weights: walk every route of exactly ``length`` arcs
+    from ``source`` in the loop-augmented graph and sum the weights of the
+    routes per endpoint; eps is :func:`choose_epsilon` when None.
+
+    The loop at v weighs the diagonal entry ``(v, v)`` of the public step
+    matrix, and an arc of weight w weighs ``eps / (1 + eps) * w``, parallel
+    arcs apart. In exact mode the sums equal row ``source`` of the step
+    matrix to the power ``length``; that equality is what the tests check.
+    """
+    step = step_matrix(graph, eps, mode)  # checks eps
+    value = scalar(choose_epsilon(graph) if eps is None else eps, mode)
+    factor = value / (1 + value)
+    adjacency = [
+        [(v, step[v, v])]
+        + [(graph.arcs[a].head, factor * scalar(graph.arcs[a].weight, mode)) for a in graph.out_arcs(v)]
+        for v in range(graph.n)
+    ]
+    totals = [scalar(0, mode)] * graph.n
+    # Depth first with an explicit stack, so long routes cannot exhaust the
+    # recursion limit.
+    stack = [(source, length, scalar(1, mode))]
+    while stack:
+        vertex, remaining, weight = stack.pop()
+        if remaining == 0:
+            totals[vertex] += weight
+        else:
+            stack += [(head, remaining - 1, weight * w) for head, w in adjacency[vertex]]
+    return totals
 
 
 def matrix_power(matrix: Matrix, exponent: int) -> Matrix:

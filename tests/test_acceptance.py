@@ -23,7 +23,6 @@ from inforest import (
     oracle_matrices,
     route_decomposition,
     route_matrix,
-    route_weights_by_length,
     step_matrix,
     summarize,
     verify_all_triples,
@@ -37,6 +36,7 @@ from tests.helpers import (
     make_triangle,
     random_multidigraph,
     random_undirected,
+    route_weights_by_length,
     transpose,
 )
 

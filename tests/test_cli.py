@@ -196,6 +196,38 @@ def test_enumerate_respects_cap_env(triangle_file, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:instance-too-large:")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_enumerate_prints_nothing_before_a_weight_too_long_to_print(tmp_path, capsys, fmt):
+    # The arcless forest, weight 1, comes first; the forest of the arc
+    # weighs 10^-4300, whose denominator has more digits than Python prints.
+    source = tmp_path / "tiny.graph"
+    source.write_text("digraph 2\n1 2 1e-4300\n")
+    assert run(["enumerate", "--format", fmt, "--input", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:instance-too-large:")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["forest"], "digraph 1000000000\n"),
+        (["forest"], json.dumps({"n": 10**12, "arcs": [[1, 2, "1"]]})),
+        (["gen", "random", "1000000000", "--seed", "1"], ""),
+    ],
+    ids=["text", "json", "gen"],
+)
+def test_a_vertex_count_beyond_the_limit_is_instance_too_large(tmp_path, capsys, argv, text):
+    if argv[0] != "gen":
+        source = tmp_path / "huge.graph"
+        source.write_text(text)
+        argv = [*argv, "--input", str(source)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:instance-too-large: graphs have at most 4096 vertices")
+
+
 def test_routes_header_and_matrix(path_file, capsys):
     assert run(["routes", "--input", path_file, "--mode", "float"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -804,7 +836,7 @@ def cli_cases(draw):
     command = draw(st.sampled_from(GRAPH_COMMANDS + ["gen"]))
     if command == "gen":
         kind = draw(st.sampled_from(["path", "cycle", "complete", "random"]))
-        argv = ["gen", kind, str(draw(st.sampled_from([-1, 0, 1, 2, 5, 8])))]
+        argv = ["gen", kind, str(draw(st.sampled_from([-1, 0, 1, 2, 5, 8, 4097, 10**9, 10**18])))]
         argv += flag("--weights", FLAG_VALUES + ["2/3"]) + flag("--seed", ["0", "-1", "3"])
         ranges = ["1:5", "5:1", "0:2", "x", "1e400:2", "1:" + "7" * 4400]
         return text, argv + flag("--weight-range", ranges)
@@ -847,3 +879,4 @@ def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, c
             _strict_json(out.getvalue())
     else:
         assert re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err.getvalue())
+        assert out.getvalue() == ""

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from inforest import (
     EXACT,
     FLOAT,
+    InstanceTooLargeError,
     LoopArcError,
     Matrix,
     MultiDigraph,
     NonPositiveWeightError,
     TooFewVerticesError,
     VertexOutOfRangeError,
+    complete_graph,
+    cycle_graph,
     is_bottleneck,
+    path_graph,
     random_graph,
 )
+from inforest.graph import MAX_VERTICES
 from tests.helpers import corpus, make_path, make_triangle, multidigraphs, transpose
 
 
@@ -38,6 +43,23 @@ def test_loop_arc_rejected():
 def test_too_few_vertices_rejected():
     with pytest.raises(TooFewVerticesError):
         MultiDigraph(1, [])
+
+
+def test_too_many_vertices_rejected_before_any_arc_is_read():
+    assert MAX_VERTICES == 4096
+    assert MultiDigraph(MAX_VERTICES).n == MAX_VERTICES
+
+    def arcs():
+        raise AssertionError("an arc was read")
+        yield
+
+    for n in (MAX_VERTICES + 1, 10**9, 10**5000):
+        with pytest.raises(InstanceTooLargeError, match="at most 4096 vertices"):
+            MultiDigraph(n, arcs())
+    # The generators pass their arcs lazily, so none is built either.
+    for make in (path_graph, cycle_graph, complete_graph, lambda n: random_graph(n, 1)):
+        with pytest.raises(InstanceTooLargeError):
+            make(10**9)
 
 
 @pytest.mark.parametrize("weight", [0, -1, Fraction(0), float("inf"), float("nan")])

@@ -86,6 +86,9 @@ def test_semantic_errors_surface_from_construction():
     # The vertex count is checked before any endpoint.
     with pytest.raises(TooFewVerticesError):
         parse_graph("digraph 1\n1 3 1\n")
+    for text in ("digraph 4097\n", "graph 4097\n1 4098 1\n", '{"n": 4097, "arcs": []}'):
+        with pytest.raises(InstanceTooLargeError, match="^graphs have at most 4096 vertices, got 4097$"):
+            parse_graph(text)
 
 
 @pytest.mark.parametrize(
@@ -248,8 +251,9 @@ def test_message_text_of_a_value_too_long_to_print_is_its_magnitude():
     assert format_for_message(-Fraction(1, 10**4300)) == "-~10^-4300.00"
 
 
-# Every strategy keeps the declared vertex count at most 32:
-# ``MultiDigraph`` allocates a list per vertex before it reads any arc.
+# Declared vertex counts: small ones, and counts beyond the graph's vertex
+# limit, which ``MultiDigraph`` refuses before it allocates per vertex.
+VERTEX_COUNTS = st.one_of(st.integers(2, 30), st.sampled_from([4097, 10**9, 10**18]))
 WEIGHTS = st.sampled_from(["1", "2/3", "0.25", "1e-3", "5"])
 JUNK = st.sampled_from(
     ["0", "-1", "32", "x", "1.5", "1e1", "٣", "1_0", "nan", "inf", "1/0", "1/2/3", "1e-400",
@@ -264,7 +268,7 @@ JSON_JUNK = st.one_of(
 @st.composite
 def near_valid_text(draw):
     """A valid text graph with up to two tokens replaced by junk."""
-    n = draw(st.integers(2, 30))
+    n = draw(VERTEX_COUNTS)
     rows = [[draw(st.sampled_from(["digraph", "graph"])), str(n)]]
     for _ in range(draw(st.integers(0, 8))):
         rows.append([str(draw(st.integers(1, n))), str(draw(st.integers(1, n))), draw(WEIGHTS)])
@@ -278,7 +282,7 @@ def near_valid_text(draw):
 def near_valid_json(draw):
     """A valid JSON graph with up to two values replaced by junk, at
     times cut short."""
-    n = draw(st.integers(2, 30))
+    n = draw(VERTEX_COUNTS)
     weights = st.one_of(WEIGHTS, st.integers(1, 9))
     arcs = [
         [draw(st.integers(1, n)), draw(st.integers(1, n)), draw(weights)]

@@ -1,5 +1,6 @@
 """Matrix kernel: determinant, inversion, and geometric series."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,18 @@ from inforest import (
     SingularMatrixError,
     determinant,
     choose_epsilon,
+    closed_route_matrix,
+    forest_matrices,
     geometric_series,
     invert,
+    route_decomposition,
+    route_matrix,
     step_matrix,
+    verify_all_triples,
+    verify_undirected,
 )
 from inforest.matrix import scalar
-from tests.helpers import corpus, reference_series
+from tests.helpers import corpus, make_path, reference_series
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
 # a = b = 1 the expansion gives 4 (cross-checked against the oracle's
@@ -262,3 +269,28 @@ def test_float_scalar_rounds_to_nearest_and_overflows_to_infinity():
     assert scalar(10**400 + 1, FLOAT) == float("inf")
     assert scalar(-Fraction(10**400, 3), FLOAT) == float("-inf")
     assert scalar(Fraction(1, 10**400), FLOAT) == 0.0
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["EXACT", "fraction", "exact ", "Float"],
+    ids=["upper-case", "other-word", "trailing-space", "capitalised"],
+)
+def test_an_unknown_mode_is_refused_by_every_solve(mode):
+    # Each solve turns values into scalars of its mode through scalar,
+    # which names the mode it does not know instead of computing in floats.
+    calls = [lambda: scalar(1, mode), lambda: Matrix([], mode), lambda: Matrix([[1]], mode)]
+    for g in (make_path(), MultiDigraph(3, [])):
+        undirected = MultiDigraph.from_undirected(g.n, g.arcs)
+        calls += [
+            lambda g=g: forest_matrices(g, mode),
+            lambda g=g: verify_all_triples(g, mode=mode),
+            lambda g=undirected: verify_undirected(g, mode=mode),
+            lambda g=g: route_matrix(g, mode=mode),
+            lambda g=g: step_matrix(g, mode=mode),
+            lambda g=g: closed_route_matrix(g, mode=mode),
+            lambda g=g: route_decomposition(g, 0, 1, 2, mode=mode),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^unknown scalar mode {re.escape(repr(mode))}$"):
+            call()

@@ -10,7 +10,6 @@ from inforest import (
     EXACT,
     FLOAT,
     EpsilonOutOfRangeError,
-    InstanceTooLargeError,
     Matrix,
     NotConvergedError,
     MultiDigraph,
@@ -24,9 +23,7 @@ from inforest import (
     random_graph,
     route_decomposition,
     route_matrix,
-    route_weights_by_length,
     step_matrix,
-    validate_epsilon,
 )
 from tests.helpers import (
     CORPUS_SEED,
@@ -36,6 +33,7 @@ from tests.helpers import (
     matrix_power,
     multidigraphs,
     random_multidigraph,
+    route_weights_by_length,
 )
 
 
@@ -48,13 +46,13 @@ def test_choose_epsilon_rules():
 
 def test_validate_epsilon_bounds():
     g = make_triangle()  # max out-weight 2
-    validate_epsilon(g, Fraction(1, 4))
-    with pytest.raises(EpsilonOutOfRangeError):
-        validate_epsilon(g, Fraction(1, 2))
-    with pytest.raises(EpsilonOutOfRangeError):
-        validate_epsilon(g, 0)
-    with pytest.raises(EpsilonOutOfRangeError):
-        validate_epsilon(g, -1)
+    step_matrix(g, Fraction(1, 4))
+    with pytest.raises(EpsilonOutOfRangeError, match="^epsilon 1/2 times max out-weight 2 must stay below 1$"):
+        step_matrix(g, Fraction(1, 2))
+    with pytest.raises(EpsilonOutOfRangeError, match="^epsilon must be positive, got 0$"):
+        step_matrix(g, 0)
+    with pytest.raises(EpsilonOutOfRangeError, match="^epsilon must be positive, got -1$"):
+        step_matrix(g, -1)
 
 
 def test_a_route_walk_sums_the_max_out_weight_once(monkeypatch):
@@ -72,7 +70,7 @@ def test_a_route_walk_sums_the_max_out_weight_once(monkeypatch):
         route_matrix(g, eps)
         assert len(calls) == 1
     calls.clear()
-    assert validate_epsilon(g, choose_epsilon(g)) == Fraction(1, 4)
+    step_matrix(g, choose_epsilon(g))
     assert len(calls) == 2
 
 
@@ -200,11 +198,6 @@ def test_route_enumeration_matches_powers_random(g):
         assert route_weights_by_length(g, source, length, eps=eps) == list(
             expected.row(source)
         )
-
-
-def test_route_enumeration_cap():
-    with pytest.raises(InstanceTooLargeError):
-        route_weights_by_length(complete_graph(3), 0, 6, cap=10)
 
 
 def test_decomposition_path_triple_is_equality():
@@ -406,7 +399,7 @@ def test_float_step_rounding_to_a_negative_diagonal_is_clamped():
         [(0, 1, 0.3), (0, 6, 0.2), (0, 2, 0.1), (0, 3, 0.2), (0, 2, 1.1), (0, 1, 0.31619498421306813)],
     )
     eps = 0.4512238350521682
-    validate_epsilon(g, eps)
+    step_matrix(g, eps)  # in range
     step = step_matrix(g, eps, FLOAT)
     assert step[0, 0] == 0.0
     result = route_matrix(g, eps, mode=FLOAT)
@@ -453,7 +446,7 @@ def test_route_matrix_rejects_nan_tolerance():
 @pytest.mark.parametrize("eps", [Fraction(1, 10**400), Fraction(10**400)])
 def test_float_epsilon_that_is_no_double_is_out_of_range(eps):
     g = MultiDigraph(2, []) if eps > 1 else make_path()
-    validate_epsilon(g, eps)
+    step_matrix(g, eps)  # in range, as an exact value
     for call in (
         lambda: route_matrix(g, eps=eps, mode=FLOAT),
         lambda: closed_route_matrix(g, eps=eps, mode=FLOAT),
@@ -464,8 +457,8 @@ def test_float_epsilon_that_is_no_double_is_out_of_range(eps):
 
 
 def test_validate_epsilon_rejects_nan():
-    with pytest.raises(EpsilonOutOfRangeError):
-        validate_epsilon(path_graph(3), float("nan"))
+    with pytest.raises(EpsilonOutOfRangeError, match="^epsilon must be positive, got nan$"):
+        step_matrix(path_graph(3), float("nan"))
 
 
 def test_float_route_series_with_nan_epsilon_is_out_of_range():
@@ -476,8 +469,8 @@ def test_float_route_series_with_nan_epsilon_is_out_of_range():
 def test_infinite_epsilon_on_an_arcless_graph_is_out_of_range():
     # inf * 0 is NaN, which an ``eps * heaviest >= 1`` test lets through.
     arcless = MultiDigraph(2, [])
-    with pytest.raises(EpsilonOutOfRangeError):
-        validate_epsilon(arcless, float("inf"))
+    with pytest.raises(EpsilonOutOfRangeError, match="^epsilon inf times max out-weight 0 must"):
+        step_matrix(arcless, float("inf"))
     with pytest.raises(EpsilonOutOfRangeError):
         closed_route_matrix(arcless, float("inf"))
 
