@@ -110,13 +110,15 @@ COMMANDS = (
     ("verify", True, False),
 )
 TRIPLE = ["-i", "1", "-j", "2", "-k", "3"]
-# A bad header, a bad weight, a loop arc, a zero weight and truncated JSON.
+# A bad header, a bad weight, a loop arc, a zero weight, truncated JSON and
+# a weight whose forest weights have more digits than Python prints.
 MALFORMED = (
     "digraf 3\n1 2 1\n",
     "digraph 3\n1 2 1/x\n",
     "digraph 3\n1 2 1\n2 2 1\n",
     "graph 3\n1 2 0\n",
     '{"n": 3, "arcs": [[1, 2, "1"]',
+    "digraph 2\n1 2 1e-4300\n",
 )
 GEN_ARGUMENTS = (
     ["path", "4"],
