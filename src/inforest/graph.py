@@ -27,10 +27,10 @@ from .matrix import EXACT, Matrix, format_for_message, scalar
 
 Weight = Union[Fraction, int, float]
 
-# The most vertices a graph may have. One n x n list of references then
-# takes 128 MiB and a float solve hours, so no instance the library can
-# finish is refused; a count no dense matrix holds is, before any
-# per-vertex list is allocated.
+# The most vertices a graph may have. At 4096 one n x n list of references
+# takes 128 MiB and a float solve takes hours, so the limit refuses nothing
+# the library could finish; it is checked before any per-vertex list is
+# allocated.
 MAX_VERTICES = 4096
 
 

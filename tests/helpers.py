@@ -160,9 +160,10 @@ def route_weights_by_length(graph: MultiDigraph, source, length, eps=None, mode=
     step = step_matrix(graph, eps, mode)  # checks eps
     value = scalar(choose_epsilon(graph) if eps is None else eps, mode)
     factor = value / (1 + value)
+    arcs = graph.arcs
     adjacency = [
         [(v, step[v, v])]
-        + [(graph.arcs[a].head, factor * scalar(graph.arcs[a].weight, mode)) for a in graph.out_arcs(v)]
+        + [(arcs[a].head, factor * scalar(arcs[a].weight, mode)) for a in graph.out_arcs(v)]
         for v in range(graph.n)
     ]
     totals = [scalar(0, mode)] * graph.n
