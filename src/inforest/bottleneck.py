@@ -16,8 +16,10 @@ verdicts as it goes. It keeps the dominator masks, n integers per start
 vertex, as the one stored form of the separators; the report objects of
 :func:`verify_all_triples` are built from them and the rows of ``F`` only
 when they are read, and :func:`summarize` returns the sweep's counts
-without building any. The single-triple :func:`is_bottleneck`
-stays a breadth-first search, the oracle the sweep is tested against.
+without building any. The single-triple :func:`is_bottleneck`, behind
+:func:`check_triple`, reads the same bit of the same masks, so the
+dominator sets are the one separator solver; the tests check them
+against a breadth-first search of their own.
 """
 
 from __future__ import annotations
@@ -94,24 +96,23 @@ def relation(lhs: Scalar, rhs: Scalar, mode: str) -> str:
 
 
 def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
-    """True when every directed path from i to k contains j, by a
-    breadth-first search from i that never enters j."""
+    """True when every directed path from i to k contains j: bit j of
+    ``graph.dominators(i)[k]``, the bit the sweep reads.
+
+    Endpoints lie on every path, the zero-length path from i to i
+    contains only i, and an unreachable k is separated vacuously; the
+    dominator masks encode all three.
+    """
     for v in (i, j, k):
         graph.check_vertex(v)
-    # Endpoints lie on every path; the zero-length path from i to i
-    # contains only i, so no other vertex can separate i from itself.
-    if j in (i, k):
-        return True
-    return i != k and k not in graph.reachable(i, j)
+    return bool(graph.dominators(i)[k] >> j & 1)
 
 
 def _dominator_separators(masks: list[int]) -> list[list[bool]]:
     """``is_bottleneck(graph, i, j, k)`` for every j (row) and k (entry),
     from the dominator masks ``graph.dominators(i)``.
 
-    Row j, entry k, is True exactly when bit j of ``masks[k]`` is set. An
-    unreachable k has every bit set, and i only its own, which are the
-    conventions of :func:`is_bottleneck`.
+    Row j, entry k, is True exactly when bit j of ``masks[k]`` is set.
     """
     n = len(masks)
     rows = [[False] * n for _ in range(n)]
@@ -289,13 +290,16 @@ def verify_undirected(
     The directed paths of that digraph are exactly the undirected paths,
     so the triple sweep's separators are the undirected ones. On top of
     the sweep this checks that the forest matrix is symmetric, each row
-    equal to its column by the rule of :func:`_equal`. ``forests``, when
-    given, must be the forest matrices of ``graph``; their mode then wins.
+    equal to its column by the rule of :func:`_equal`. It checks the
+    proximity matrix ``Q = F / f``, whose entries are at most 1, so a
+    float ``F`` that overflows cannot fail the check; ``f > 0``, so ``F``
+    is symmetric exactly when ``Q`` is. ``forests``, when given, must be
+    the forest matrices of ``graph``; their mode then wins.
     """
     if forests is None:
         forests = forest_matrices(graph, mode)
     mode = forests.mode
-    rows = forests.matrix.to_lists()
+    rows = forests.proximity.to_lists()
     if not all(all(_equal(row, column, mode)) for row, column in zip(rows, zip(*rows))):
         raise InconsistentWithTheoremError(
             "forest matrix of a doubled undirected graph must be symmetric"

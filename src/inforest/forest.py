@@ -39,7 +39,9 @@ from .errors import InconsistentWithTheoremError
 from .graph import MultiDigraph
 from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message
 
-# The general reference solvers stay importable from here.
+# Re-exported for the benchmark's tracer, which patches invert and
+# determinant here (PATCH_POINTS in perfbench/spans.py, checked by
+# tests/test_trace_points.py); no code of this module calls them.
 from .matrix import determinant, invert  # noqa: F401
 
 

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     InstanceTooLargeError,
@@ -152,23 +152,20 @@ class MultiDigraph:
             totals[arc.tail] = totals[arc.tail] + arc.weight
         return max(totals)
 
-    def reachable(self, source: int, excluded: Optional[int] = None) -> frozenset[int]:
-        """Vertices reachable from ``source`` along directed paths that never
-        visit ``excluded``; the source itself is always included."""
+    # No library path calls this search; it stays because the benchmark's
+    # tracer patches it (PATCH_POINTS in perfbench/spans.py, which
+    # tests/test_trace_points.py checks).
+    def reachable(self, source: int) -> frozenset[int]:
+        """Vertices reachable from ``source`` along directed paths; the
+        source itself is always included."""
         self.check_vertex(source)
-        if excluded is not None:
-            self.check_vertex(excluded)
-            if excluded == source:
-                raise ValueError("source cannot be the excluded vertex")
         seen = {source}
         queue = deque([source])
         while queue:
-            v = queue.popleft()
-            for head in self._successors[v]:
-                if head == excluded or head in seen:
-                    continue
-                seen.add(head)
-                queue.append(head)
+            for head in self._successors[queue.popleft()]:
+                if head not in seen:
+                    seen.add(head)
+                    queue.append(head)
         return frozenset(seen)
 
     def dominators(self, root: int) -> list[int]:

@@ -36,7 +36,9 @@ from .matrix import (
     scalar,
 )
 
-# The general reference inverse stays importable from here.
+# Re-exported for the benchmark's tracer, which patches invert here
+# (PATCH_POINTS in perfbench/spans.py, checked by
+# tests/test_trace_points.py); no code of this module calls it.
 from .matrix import invert  # noqa: F401
 
 EpsilonValue = Union[Fraction, int, float]

@@ -71,26 +71,36 @@ def random_undirected(seed, min_n=2, max_n=5, max_edges=6, weight_limit=5):
     return n, edges
 
 
-def undirected_separates(n, edges, i, j, k) -> bool:
-    """Reference separator test for one triple of an undirected multigraph:
-    a breadth-first search over the edge list from i that never enters j."""
-    if j == i or j == k:
-        return True
-    if i == k:
-        return False
+def reference_separators(n, arcs, i, undirected=False) -> list[list[bool]]:
+    """Reference separator table of start vertex i: row j, entry k, is True
+    when every directed path from i to k contains j.
+
+    ``arcs`` are ``(tail, head, weight)`` triples, read both ways when
+    ``undirected``; the adjacency is built from them once, not from the
+    graph's own successor lists. Row i and entry j of row j are True (the
+    endpoints lie on every path), entry i of any other row is False (the
+    zero-length path from i to i contains only i), and the rest come from
+    one breadth-first search from i that never enters j.
+    """
     neighbors = [set() for _ in range(n)]
-    for u, v, _ in edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen = {i}
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        for w in neighbors[v]:
-            if w != j and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return k not in seen
+    for tail, head, _ in arcs:
+        neighbors[tail].add(head)
+        if undirected:
+            neighbors[head].add(tail)
+    table = []
+    for j in range(n):
+        if j == i:
+            table.append([True] * n)
+            continue
+        seen = {i}
+        queue = deque([i])
+        while queue:
+            for w in neighbors[queue.popleft()]:
+                if w != j and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        table.append([k == j or (k != i and k not in seen) for k in range(n)])
+    return table
 
 
 def reference_forests(graph: MultiDigraph):

@@ -37,7 +37,7 @@ from tests.helpers import (
     multidigraphs,
     random_multidigraph,
     random_undirected,
-    undirected_separates,
+    reference_separators,
 )
 
 
@@ -174,11 +174,21 @@ def test_undirected_symmetry_check_is_relative_to_each_entry():
     doubled = MultiDigraph.from_undirected(3, edges)
     forests = forest_matrices(doubled, FLOAT)
     assert verify_undirected(doubled, forests).summary.inconsistent == 0
-    rows = forests.matrix.to_lists()
+    rows = forests.proximity.to_lists()
     rows[0][1] *= 1.001
-    doctored = replace(forests, matrix=Matrix(rows, FLOAT))
+    doctored = replace(forests, proximity=Matrix(rows, FLOAT))
     with pytest.raises(InconsistentWithTheoremError, match="symmetric"):
         verify_undirected(doubled, doctored)
+
+
+def test_undirected_symmetry_check_survives_an_overflowing_forest_matrix():
+    # On the complete graph with 12 vertices and edge weight 1e30, f and
+    # most of F overflow to inf, while Q stays symmetric.
+    n = 12
+    edges = [(u, v, 1e30) for u in range(n) for v in range(u + 1, n)]
+    doubled = MultiDigraph.from_undirected(n, edges)
+    assert not math.isfinite(forest_matrices(doubled, FLOAT).total_weight)
+    assert verify_undirected(doubled, mode=FLOAT).summary.total == n**3
 
 
 def test_verdicts_invariant_under_weight_scaling():
@@ -237,19 +247,28 @@ def test_sweep_never_inconsistent(g):
     assert counts.total == g.n ** 3
 
 
+def _separators(reports, n):
+    """The sweep's separator flags as one table per start vertex, in the
+    layout of :func:`reference_separators`."""
+    flags = [report.separator for report in reports]
+    return [[flags[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+
+
 def test_sweep_separators_match_is_bottleneck_on_corpus():
     for g in corpus():
-        for report in verify_all_triples(g, mode=FLOAT):
-            assert report.separator == is_bottleneck(g, *report.triple)
+        separators = _separators(verify_all_triples(g, mode=FLOAT), g.n)
+        assert separators == [reference_separators(g.n, g.arcs, i) for i in range(g.n)]
 
 
 def test_sweep_separators_match_is_bottleneck_on_sparse_corpus():
     unreachable = genuine_equal = 0
     for g in corpus(count=40, min_n=4, max_n=12, max_arcs=14):
         reports = verify_all_triples(g)
+        assert _separators(reports, g.n) == [
+            reference_separators(g.n, g.arcs, i) for i in range(g.n)
+        ]
         for report in reports:
             i, j, k = report.triple
-            assert report.separator == is_bottleneck(g, i, j, k)
             reached = k in g.reachable(i)
             unreachable += not reached
             genuine_equal += reached and len({i, j, k}) == 3 and report.relation == RELATION_EQUAL
@@ -258,7 +277,7 @@ def test_sweep_separators_match_is_bottleneck_on_sparse_corpus():
 
 
 def _reports_one_by_one(g, forests):
-    """Reports triple by triple, with separators from breadth-first search."""
+    """Reports triple by triple, through :func:`check_triple`."""
     n = g.n
     return [check_triple(forests, g, i, j, k) for i in range(n) for j in range(n) for k in range(n)]
 
@@ -328,9 +347,12 @@ def test_undirected_separators_match_reference_bfs():
         for n, edges in graphs:
             doubled = MultiDigraph.from_undirected(n, edges)
             reached = [doubled.reachable(i) for i in range(n)]
-            for report in verify_undirected(doubled, mode=mode):
+            reports = verify_undirected(doubled, mode=mode)
+            assert _separators(reports, n) == [
+                reference_separators(n, edges, i, undirected=True) for i in range(n)
+            ]
+            for report in reports:
                 i, j, k = report.triple
-                assert report.separator == undirected_separates(n, edges, i, j, k)
                 genuine += report.separator and len({i, j, k}) == 3 and k in reached[i]
         assert genuine
 

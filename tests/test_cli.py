@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import inforest.bottleneck
 import inforest.cli
+import inforest.oracle
 from inforest import Matrix, format_graph, random_graph
 from inforest.cli import run
 
@@ -190,6 +192,24 @@ def test_enumerate_triangle(triangle_file, capsys):
     assert lines[0] == "root root root\t1"
 
 
+def test_verify_refuses_an_oracle_cap_that_is_no_integer(triangle_file, capsys, monkeypatch):
+    monkeypatch.setenv("FOREST_ORACLE_CAP", "abc")
+    assert run(["verify", "--input", triangle_file]) == 1
+    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_verify_exits_3_when_the_oracle_disagrees(triangle_file, capsys, monkeypatch):
+    real = inforest.oracle.oracle_matrices
+
+    def wrong_total(graph, cap):
+        result = real(graph, cap=cap)
+        return replace(result, total_weight=result.total_weight + 1)
+
+    monkeypatch.setattr(inforest.oracle, "oracle_matrices", wrong_total)
+    assert run(["verify", "--input", triangle_file]) == 3
+    assert capsys.readouterr().err.startswith("error:inconsistent-with-theorem:")
+
+
 def test_enumerate_respects_cap_env(triangle_file, capsys, monkeypatch):
     monkeypatch.setenv("FOREST_ORACLE_CAP", "2")
     assert run(["enumerate", "--input", triangle_file]) == 2
@@ -330,6 +350,11 @@ def test_gen_random_deterministic(capsys):
 
 def test_gen_random_requires_seed(capsys):
     assert run(["gen", "random", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+
+
+def test_gen_random_refuses_a_weight_range_without_colon(capsys):
+    assert run(["gen", "random", "5", "--seed", "1", "--weight-range", "5"]) == 1
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
 
 

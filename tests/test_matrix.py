@@ -106,6 +106,13 @@ def test_mode_mixing_rejected():
         Matrix.identity(2, EXACT) + Matrix.identity(2, FLOAT)
 
 
+def test_malformed_matrices_are_refused():
+    with pytest.raises(ValueError, match="must be square"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="orders differ"):
+        Matrix.identity(2) + Matrix.identity(3)
+
+
 @given(square_matrices(3))
 @settings(max_examples=60)
 def test_invert_roundtrip(m):
