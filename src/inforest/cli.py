@@ -297,7 +297,6 @@ def _add_io_options(parser: argparse.ArgumentParser, with_mode: bool) -> None:
     if with_mode:
         parser.add_argument("--mode", choices=[EXACT, FLOAT], help="scalar mode (default: exact up to 12 vertices)")
     parser.add_argument("--format", dest="fmt", choices=["tsv", "json"], default="tsv")
-    parser.add_argument("--undirected", action="store_true", help="treat input lines as undirected edges")
 
 
 def _add_series_options(parser: argparse.ArgumentParser) -> None:
@@ -358,7 +357,7 @@ def run(argv=None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        parsed = parse_graph(_read_input(args.input), force_undirected=args.undirected)
+        parsed = parse_graph(_read_input(args.input))
         mode = args.mode or (EXACT if parsed.graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT)
         return args.handler(args, parsed, mode)
     except InforestError as exc:

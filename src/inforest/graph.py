@@ -61,7 +61,7 @@ class MultiDigraph:
     the vertex count and the arc list, so instances are safe to share.
     """
 
-    __slots__ = ("n", "arcs", "_out", "_successors", "_predecessors")
+    __slots__ = ("n", "arcs", "_successors", "_predecessors")
 
     def __init__(self, n: int, arcs: Iterable = ()):
         if n < 2:
@@ -72,23 +72,20 @@ class MultiDigraph:
             )
         self.n = n
         checked = []
-        out: list[list[int]] = [[] for _ in range(n)]
         # Per vertex, the heads of its out-arcs and the tails of its in-arcs,
-        # one entry per arc: the searches of reachable and dominators read them.
+        # one entry per arc: the searches of reachable and dominators read
+        # them, and out_degree counts the heads.
         successors: list[list[int]] = [[] for _ in range(n)]
         predecessors: list[list[int]] = [[] for _ in range(n)]
-        for index, raw in enumerate(arcs):
-            tail, head, weight = raw
+        for tail, head, weight in arcs:
             self.check_vertex(tail)
             self.check_vertex(head)
             if tail == head:
                 raise LoopArcError(f"arc {tail}->{head} is a loop")
             checked.append(Arc(tail, head, _check_weight(weight)))
-            out[tail].append(index)
             successors[tail].append(head)
             predecessors[head].append(tail)
         self.arcs = tuple(checked)
-        self._out = tuple(tuple(indices) for indices in out)
         self._successors = tuple(map(tuple, successors))
         self._predecessors = tuple(map(tuple, predecessors))
 
@@ -107,12 +104,8 @@ class MultiDigraph:
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
         return v
 
-    def out_arcs(self, v: int) -> tuple[int, ...]:
-        """Indices into ``arcs`` of the arcs leaving ``v``."""
-        return self._out[self.check_vertex(v)]
-
     def out_degree(self, v: int) -> int:
-        return len(self._out[self.check_vertex(v)])
+        return len(self._successors[self.check_vertex(v)])
 
     def laplacian(self, mode: str = EXACT) -> Matrix:
         """Row-sum-zero matrix: off-diagonal entry (i, j) is minus the total

@@ -30,7 +30,9 @@ from .matrix import MAX_DIGITS, format_weight
 class ParsedGraph:
     """A parsed graph plus how it was declared.
 
-    For undirected inputs ``graph`` is the doubled digraph of
+    ``undirected`` is what the input itself declares, a ``graph <n>``
+    header or ``"directed": false``; nothing else sets it. For undirected
+    inputs ``graph`` is the doubled digraph of
     :meth:`MultiDigraph.from_undirected`, the only form they travel in.
     """
 
@@ -93,7 +95,7 @@ def _parse_vertex(token: str, line_no: int) -> int:
     return vertex - 1  # range checks happen at graph construction
 
 
-def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
+def parse_graph_text(text: str) -> ParsedGraph:
     header = None
     n = 0
     entries: list[tuple[int, int, Fraction]] = []
@@ -130,10 +132,10 @@ def parse_graph_text(text: str, force_undirected: bool = False) -> ParsedGraph:
         line_numbers.append(line_no)
     if header is None:
         raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
-    return _parsed_graph(n, entries, "line", line_numbers, header == "graph" or force_undirected)
+    return _parsed_graph(n, entries, "line", line_numbers, header == "graph")
 
 
-def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
+def parse_graph_json(text: str) -> ParsedGraph:
     import json
 
     # Besides JSONDecodeError, a ValueError, json.loads raises a plain
@@ -167,14 +169,14 @@ def parse_graph_json(text: str, force_undirected: bool = False) -> ParsedGraph:
             raise GraphFormatError(f"{exc} (arc {number})") from exc
         entries.append((tail - 1, head - 1, weight))
     numbers = range(1, len(entries) + 1)
-    return _parsed_graph(n, entries, "arc", numbers, not directed or force_undirected)
+    return _parsed_graph(n, entries, "arc", numbers, not directed)
 
 
-def parse_graph(text: str, force_undirected: bool = False) -> ParsedGraph:
+def parse_graph(text: str) -> ParsedGraph:
     """Parse either format, sniffing JSON by its leading brace."""
     if text.lstrip().startswith("{"):
-        return parse_graph_json(text, force_undirected)
-    return parse_graph_text(text, force_undirected)
+        return parse_graph_json(text)
+    return parse_graph_text(text)
 
 
 def format_graph(graph: MultiDigraph) -> str:

@@ -304,7 +304,9 @@ def geometric_series(
     a product adds the exponents, a sum first scales the lower one up, and
     a norm is compared with ``tolerance * d^e`` exactly. No product or sum
     normalises a fraction; the result is divided by ``d^p`` once at the
-    end. In float mode ``d`` is 1 and every scaling is skipped.
+    end. In float mode ``d`` is 1 and every scaling is skipped; the
+    integer identity's 0 and 1 then combine with doubles into exactly the
+    doubles a float identity gives.
     """
     if not tolerance > 0:
         raise BadParametersError(f"tolerance must be positive, got {tolerance}")
@@ -318,13 +320,9 @@ def geometric_series(
     identity = Matrix.identity(n, mode)
     if identity.max_abs() < tolerance:
         return SeriesSum(Matrix.zeros(n, mode), 0, scalar(0, mode))
-    if mode == EXACT:
-        values, d = common_denominator(matrix._rows)
-        base = Matrix._wrap(values, mode)
-        unit = Matrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], mode)
-        threshold = Fraction(tolerance)
-    else:
-        base, d, unit, threshold = matrix, 1, identity, tolerance
+    values, d = common_denominator(matrix._rows) if mode == EXACT else (matrix._rows, 1)
+    base = Matrix._wrap(values, mode)
+    threshold = scalar(tolerance, mode)
 
     def value(norm, exponent: int) -> Scalar:
         return Fraction(norm, d**exponent) if mode == EXACT else norm
@@ -341,7 +339,7 @@ def geometric_series(
             power, block = levels[-1]
             block = _times(block, d ** (size >> 1)) + power @ block
         else:
-            block = unit
+            block = Matrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], mode)
         levels.append((square, block))
         last_norm = norm
         square = square @ square

@@ -116,7 +116,10 @@ def _forests(
     every spanning converging forest, in :func:`enumerate_in_forests`'s
     order. ``choice`` is the pass's own list, valid until the next item;
     ``product`` multiplies, in vertex order, ``unit`` for each root and
-    ``factors[a]`` for each chosen arc a."""
+    ``factors[a]`` for each chosen arc a.
+
+    The options of a vertex are its root, then the indices of its out-arcs
+    in ``graph.arcs`` order, grouped by tail in one pass over the arcs."""
     total_choices = choice_count(graph)
     if total_choices > cap:
         raise InstanceTooLargeError(
@@ -124,9 +127,9 @@ def _forests(
         )
     n = graph.n
     heads = [arc.head for arc in graph.arcs]
-    options = [
-        [(None, unit)] + [(arc, factors[arc]) for arc in graph.out_arcs(v)] for v in range(n)
-    ]
+    options = [[(None, unit)] for _ in range(n)]
+    for index, arc in enumerate(graph.arcs):
+        options[arc.tail].append((index, factors[index]))
     choice: list[Optional[int]] = [None] * n
     # prefix[v] is the product of the factors chosen at the vertices below v.
     prefix = [1] * (n + 1)

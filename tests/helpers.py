@@ -103,6 +103,16 @@ def reference_separators(n, arcs, i, undirected=False) -> list[list[bool]]:
     return table
 
 
+def out_arc_indices(graph: MultiDigraph) -> list[list[int]]:
+    """Per vertex, the indices into ``graph.arcs`` of its out-arcs in arc
+    order, grouped from the arc list, not from an adjacency the library
+    built."""
+    grouped = [[] for _ in range(graph.n)]
+    for index, arc in enumerate(graph.arcs):
+        grouped[arc.tail].append(index)
+    return grouped
+
+
 def reference_forests(graph: MultiDigraph):
     """Every spanning converging forest as (arc_choice, root_of, weight),
     by brute force in ``itertools.product`` order over the per-vertex
@@ -115,7 +125,7 @@ def reference_forests(graph: MultiDigraph):
     """
     n = graph.n
     forests = []
-    for choice in product(*[(None,) + graph.out_arcs(v) for v in range(n)]):
+    for choice in product(*[(None, *indices) for indices in out_arc_indices(graph)]):
         roots = []
         for v in range(n):
             u = v
@@ -173,8 +183,8 @@ def route_weights_by_length(graph: MultiDigraph, source, length, eps=None, mode=
     arcs = graph.arcs
     adjacency = [
         [(v, step[v, v])]
-        + [(arcs[a].head, factor * scalar(arcs[a].weight, mode)) for a in graph.out_arcs(v)]
-        for v in range(graph.n)
+        + [(arcs[a].head, factor * scalar(arcs[a].weight, mode)) for a in indices]
+        for v, indices in enumerate(out_arc_indices(graph))
     ]
     totals = [scalar(0, mode)] * graph.n
     # Depth first with an explicit stack, so long routes cannot exhaust the

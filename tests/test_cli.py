@@ -358,6 +358,12 @@ def test_gen_random_refuses_a_weight_range_without_colon(capsys):
     assert capsys.readouterr().err.startswith("error:bad-parameters:")
 
 
+def test_gen_random_refuses_a_weight_range_that_is_no_integers(capsys):
+    assert run(["gen", "random", "5", "--seed", "1", "--weight-range", "1:x"]) == 1
+    expected = "error:bad-parameters: --weight-range must be integers, got '1:x'\n"
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("argv", [["gen", "path", "1"], ["gen", "random", "1", "--seed", "1"]])
 def test_gen_with_fewer_than_two_vertices_is_too_few_vertices(capsys, argv):
     assert run(argv) == 1
@@ -868,7 +874,6 @@ def cli_cases(draw):
     argv = [command, "--format", draw(st.sampled_from(["tsv", "json"]))]
     if command != "enumerate":
         argv += flag("--mode", ["exact", "float"])
-    argv += ["--undirected"] * draw(st.booleans())
     if command in ("routes", "decompose"):
         argv += flag("--epsilon", FLAG_VALUES)
     if command == "routes":

@@ -53,11 +53,6 @@ def test_parse_undirected_header_doubles_edges():
     assert parsed.graph.laplacian() == transpose(parsed.graph.laplacian())
 
 
-def test_force_undirected_overrides_header():
-    parsed = parse_graph("digraph 2\n1 2 1\n", force_undirected=True)
-    assert parsed.undirected and len(parsed.graph.arcs) == 2
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -304,11 +299,11 @@ def near_valid_json(draw):
 ARBITRARY_TEXT = st.text(max_size=200).filter(lambda text: "graph" not in text and '"' not in text)
 
 
-@given(st.one_of(ARBITRARY_TEXT, near_valid_text(), near_valid_json()), st.booleans())
+@given(st.one_of(ARBITRARY_TEXT, near_valid_text(), near_valid_json()))
 @settings(max_examples=400, deadline=None)
-def test_parse_graph_returns_a_graph_or_raises_an_inforest_error(text, undirected):
+def test_parse_graph_returns_a_graph_or_raises_an_inforest_error(text):
     try:
-        parsed = parse_graph(text, undirected)
+        parsed = parse_graph(text)
     except InforestError:
         return
     assert isinstance(parsed, ParsedGraph)

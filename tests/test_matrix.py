@@ -113,6 +113,12 @@ def test_malformed_matrices_are_refused():
         Matrix.identity(2) + Matrix.identity(3)
 
 
+@pytest.mark.parametrize("mode, zero", [(EXACT, Fraction(0)), (FLOAT, 0.0)])
+def test_max_abs_of_a_matrix_without_rows_is_the_zero_of_its_mode(mode, zero):
+    norm = Matrix([], mode).max_abs()
+    assert norm == zero and type(norm) is type(zero)
+
+
 @given(square_matrices(3))
 @settings(max_examples=60)
 def test_invert_roundtrip(m):
