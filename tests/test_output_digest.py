@@ -40,8 +40,10 @@ def test_digest_lines_are_stable_and_well_formed():
     cli = module.digest([], (), runs)
     assert [line.split()[0] for line in cli] == names[2:4] + names[-2:]
     assert cli == module.digest([], (), runs)
-    large = module.digest([], large=[random_graph(4, 1)])
-    assert [line.split()[0] for line in large] == names[2:4] + ["verify_large.float"]
+    large = module.digest([], large=[(mode, random_graph(4, 1)) for mode in module.MODES])
+    assert [line.split()[0] for line in large] == names[2:4] + [
+        "verify_large.exact", "verify_large.float"
+    ]
 
 
 def test_corpus_outputs_match_the_committed_digest():

@@ -28,10 +28,13 @@ generator graphs with at most 8 vertices:
   kind. Runs with no ``--mode`` (exact at these sizes) and with
   ``--mode exact`` go under ``exact``, runs with ``--mode float`` under
   ``float``;
-- ``verify_large``: float :func:`verify_all_triples` on the larger graphs
-  of :func:`large_corpus`, where products overflow at n=90: ``f``, ``F``,
-  ``Q``, the summary, and the reports of the first and the last start
-  vertex recorded as in ``verify``. It has a ``float`` line only.
+- ``verify_large``: :func:`verify_all_triples` on the larger graphs of
+  :func:`large_corpus`: the summary and the reports of the first and the
+  last start vertex, recorded as in ``verify``. Under ``float``, where
+  products overflow at n=90, ``f``, ``F`` and ``Q`` come first. Under
+  ``exact`` the graphs are of 20 and 30 vertices, whose triples are
+  nearly all strict by a wide margin, and a 2-cycle of weight 1e10, whose
+  strict triples are close to equality.
 
 A section and mode with no record print no line.
 
@@ -96,8 +99,8 @@ SECTIONS = (
     "forest", "solve", "verify", "triple", "routes", "decompose", "oracle", "undirected", "cli",
     "verify_large",
 )
-# (n, seed) of the random graphs of the verify_large section.
-LARGE = ((40, 1), (50, 1), (90, 1))
+# (n, seed) of the random graphs of the verify_large section, per mode.
+LARGE = {EXACT: ((20, 1), (30, 1)), FLOAT: ((40, 1), (50, 1), (90, 1))}
 # The graph commands, whether each takes ``--mode`` and whether it takes a
 # triple.
 COMMANDS = (
@@ -138,8 +141,10 @@ def corpus() -> list:
 
 
 def large_corpus() -> list:
-    """The graphs of the ``verify_large`` section."""
-    return [random_graph(n, seed) for n, seed in LARGE]
+    """``(mode, graph)`` pairs of the ``verify_large`` section."""
+    pairs = [(mode, random_graph(n, seed)) for mode in MODES for n, seed in LARGE[mode]]
+    pairs.append((EXACT, MultiDigraph(2, [(0, 1, 10**10), (1, 0, 10**10)])))
+    return pairs
 
 
 def undirected_corpus() -> list:
@@ -269,14 +274,15 @@ def _sections(graphs, undirected, runs, large) -> dict:
         doubled = MultiDigraph.from_undirected(n, edges)
         for mode in MODES:
             out["undirected", mode] += _reports(verify_undirected(doubled, mode=mode))
-    for graph in large:
-        forests = forest_matrices(graph, FLOAT)
-        matrices = (forests.matrix.to_lists(), forests.proximity.to_lists())
-        out["verify_large", FLOAT].append(repr((forests.total_weight, *matrices)))
-        reports = verify_all_triples(graph, forests, FLOAT)
-        out["verify_large", FLOAT].append(repr(summarize(reports)))
+    for mode, graph in large:
+        forests = forest_matrices(graph, mode)
+        if mode == FLOAT:
+            matrices = (forests.matrix.to_lists(), forests.proximity.to_lists())
+            out["verify_large", mode].append(repr((forests.total_weight, *matrices)))
+        reports = verify_all_triples(graph, forests, mode)
+        out["verify_large", mode].append(repr(summarize(reports)))
         square = graph.n**2
-        out["verify_large", FLOAT] += _reports(reports[:square] + reports[-square:])
+        out["verify_large", mode] += _reports(reports[:square] + reports[-square:])
     # Building the argument parser takes most of a small run's time, and a
     # parser keeps no state between calls, so the runs share one.
     parser = cli.build_parser()
@@ -298,7 +304,8 @@ def digest(graphs, undirected=(), runs=(), large=()) -> list[str]:
     """One ``<section>.<mode> <sha256 hex>`` line per section and mode
     with records for the digraphs ``graphs``, the undirected
     ``(n, edges)`` pairs ``undirected``, the CLI runs ``runs`` of
-    :func:`cli_corpus` and the larger digraphs ``large``."""
+    :func:`cli_corpus` and the ``(mode, graph)`` pairs ``large`` of
+    larger digraphs."""
     lines = []
     for (name, mode), records in _sections(graphs, undirected, runs, large).items():
         if not records:
