@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, Scalar, common_denominator, format_for_message
+from .matrix import EXACT, FLOAT, Scalar, common_denominator, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -40,6 +41,12 @@ RELATION_STRICT = "strict"
 # Relative tolerance for classifying equality in float mode; exact mode
 # compares exactly and is authoritative.
 FLOAT_EQUALITY_RTOL = 1e-9
+
+# The exact sweep's float filter (see _unsettled): a triple is certified
+# strict when one product exceeds the other times 1 + 16u, u = 2^-53, and
+# the smaller is at least 2^-1000.
+_FILTER_SLACK = 1 + 16 * 2.0**-53
+_FILTER_FLOOR = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,105 @@ class TripleReports(Sequence[BottleneckReport]):
         return f"TripleReports(n={self._n}, mode={self.mode!r}, summary={self.summary})"
 
 
+def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
+    """The doubles ``q_xy = N_xy / T`` of the integer rows ``N``, with
+    ``T`` the largest ``|N_xy|`` (1 when every entry is 0).
+
+    Each is one correctly rounded ``int / int`` division, so ``|q_xy| <=
+    1``, no division overflows whatever the rows hold, and
+    ``q_xy = (N_xy / T)(1 + d)`` with ``|d| <= u = 2^-53`` whenever
+    ``q_xy`` is normal.
+    """
+    scale = max((abs(v) for row in rows for v in row), default=0) or 1
+    return [[v / scale for v in row] for row in rows]
+
+
+def _unsettled(ratio_i: list[float], ratio_j: list[float], j: int) -> list[int]:
+    """The k of row (i, j) that the float filter leaves to the integer
+    products, from rows i and j of :func:`_filter_ratios`.
+
+    Every other k is certified strict: in doubles, ``r = q_ik q_jj`` and
+    ``s = (q_ij q_jk)(1 + 16u)`` satisfy ``r > s >= 2^-1000``. Then ``r``
+    and ``s`` are positive, and so, by the signs of rounding, are the
+    exact products. ``s`` is normal and every ratio is at most 1 in
+    magnitude, so each of the four ratios is at least about ``2^-1001``:
+    all are normal, and so are the three products. Each rounding thus adds
+    one factor ``(1 + d)``, and ``1 + 16u`` is a double, so
+    ``r = (N_ik N_jj / T^2)(1 + d)^3`` and
+    ``s = (N_ij N_jk / T^2)(1 + d)^4 (1 + 16u)``. So ``r > s`` gives
+    ``N_ik N_jj / (N_ij N_jk) > (1 - u)^4 (1 + 16u) / (1 + u)^3``, about
+    ``1 + 9u`` and above 1; any slack above ``7u`` would do. A certified
+    triple therefore has ``N_ij N_jk < N_ik N_jj``. The filter leaves
+    every equal triple, and every near-equal, zero or tiny one, to the
+    integer products.
+    """
+    q_ij, q_jj = ratio_i[j], ratio_j[j]
+    return [
+        k
+        for k in range(len(ratio_i))
+        if not ratio_i[k] * q_jj > q_ij * ratio_j[k] * _FILTER_SLACK >= _FILTER_FLOOR
+    ]
+
+
+def _exact_sweep(values: list[list[Fraction]], masks: list[list[int]]) -> int:
+    """The number of equal triples of the exact ``F`` rows ``values``,
+    with separators from the dominator masks ``masks``; raises
+    :class:`InconsistentWithTheoremError`, through :func:`_report`, at the
+    first triple in lexicographic order that breaks the law.
+
+    The law is homogeneous of degree 2, so the integer rows ``N = c F`` of
+    :func:`common_denominator` give the verdicts of ``F``. The float
+    filter of :func:`_unsettled` proves most triples strict before any
+    integer product is formed, and the products settle the rest. A
+    certified triple is consistent exactly when j is no separator. The
+    filter only ever proves ``lhs < rhs``, so every verdict and error is
+    the one the integer products give.
+    """
+    rows, _ = common_denominator(values)
+    ratios = _filter_ratios(rows)
+    n = len(rows)
+    equal = 0
+    for i in range(n):
+        row_i, ratio_i = rows[i], ratios[i]
+        for j, row_sep in enumerate(_dominator_separators(masks[i])):
+            row_j = rows[j]
+            ij, jj = row_i[j], row_j[j]
+            count = 0
+            for k in _unsettled(ratio_i, ratios[j], j):
+                lhs, rhs = ij * row_j[k], row_i[k] * jj
+                if lhs > rhs or (lhs == rhs) != row_sep[k]:
+                    break
+                count += lhs == rhs
+            else:
+                # Certified triples are strict: the row is consistent when
+                # its equal triples are all of its separators.
+                if count == row_sep.count(True):
+                    equal += count
+                    continue
+            for k in range(n):  # the first bad triple raises
+                _report(EXACT, (i, j, k), values[i], values[j], row_sep[k])
+    return equal
+
+
+def _float_sweep(values: list[list[float]], masks: list[list[int]]) -> tuple[int, int]:
+    """The numbers of equal and of inconsistent triples of the float ``F``
+    rows ``values``, with separators from the dominator masks ``masks``."""
+    n = len(values)
+    equal = inconsistent = 0
+    for i in range(n):
+        row_i = values[i]
+        for j, row_sep in enumerate(_dominator_separators(masks[i])):
+            row_j = values[j]
+            ij, jj = row_i[j], row_j[j]
+            lhs = [ij * v for v in row_j]
+            rhs = [v * jj for v in row_i]
+            verdicts = _equal(lhs, rhs, FLOAT)
+            if verdicts != row_sep:
+                inconsistent += sum(map(operator.ne, verdicts, row_sep))
+            equal += sum(verdicts)
+    return equal, inconsistent
+
+
 def verify_all_triples(
     graph: MultiDigraph,
     forests: Optional[ForestMatrices] = None,
@@ -249,29 +355,12 @@ def verify_all_triples(
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
-    values = rows = forests.matrix.to_lists()
-    if mode == EXACT:
-        # The law is homogeneous of degree 2, so the integers c F give
-        # the verdicts of F and compare faster than fractions.
-        rows, _ = common_denominator(values)
+    values = forests.matrix.to_lists()
     masks = [graph.dominators(i) for i in range(n)]
-    equal = inconsistent = 0
-    for i in range(n):
-        row_i = rows[i]
-        for j, row_sep in enumerate(_dominator_separators(masks[i])):
-            row_j = rows[j]
-            ij, jj = row_i[j], row_j[j]
-            lhs = [ij * v for v in row_j]
-            rhs = [v * jj for v in row_i]
-            verdicts = _equal(lhs, rhs, mode)
-            if mode == EXACT and (verdicts != row_sep or any(map(operator.gt, lhs, rhs))):
-                k = next(
-                    k for k in range(n) if lhs[k] > rhs[k] or verdicts[k] != row_sep[k]
-                )
-                _report(mode, (i, j, k), values[i], values[j], row_sep[k])  # raises
-            if verdicts != row_sep:
-                inconsistent += sum(map(operator.ne, verdicts, row_sep))
-            equal += sum(verdicts)
+    if mode == EXACT:
+        equal, inconsistent = _exact_sweep(values, masks), 0
+    else:
+        equal, inconsistent = _float_sweep(values, masks)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)

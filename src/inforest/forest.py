@@ -105,7 +105,7 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                 row[k + 1 :] = [
                     (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
                 ]
-            else:
+            elif factor:  # x - 0*y is x for finite y: a row with no entry in column k stays
                 factor /= pivot
                 row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
         pivots.append(pivot)

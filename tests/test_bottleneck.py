@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -27,13 +28,15 @@ from inforest import (
     verify_undirected,
     VertexOutOfRangeError,
 )
-from inforest.bottleneck import FLOAT_EQUALITY_RTOL, _equal
+from inforest.bottleneck import FLOAT_EQUALITY_RTOL, _equal, _filter_ratios, _unsettled
 from inforest.cli import run
+from inforest.matrix import common_denominator
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
     make_path,
     make_triangle,
+    make_two_cycle,
     multidigraphs,
     random_multidigraph,
     random_undirected,
@@ -319,6 +322,83 @@ def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
     # triple-by-triple check rejects.
     with pytest.raises(InconsistentWithTheoremError) as first:
         _reports_one_by_one(g, doctored)
+    assert str(raised.value) == str(first.value)
+
+
+def _certified(forests):
+    """``(triple, lhs, rhs)`` for every triple that the exact sweep's
+    float filter certifies strict, with the integer products ``N_ij N_jk``
+    and ``N_ik N_jj`` of ``N = c F``."""
+    rows, _ = common_denominator(forests.matrix.to_lists())
+    ratios = _filter_ratios(rows)
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            unsettled = set(_unsettled(ratios[i], ratios[j], j))
+            for k in range(n):
+                if k not in unsettled:
+                    yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
+
+
+def _tiny_paths(count=6, seed=3):
+    """Seeded 9-vertex paths with two arcs of weight 1e-152 to 1e-162 times
+    1 to 9, and the others between 1/9 and 9. The products of two entries
+    of ``F / f`` across both arcs lie near and below 2^-1000, down into the
+    subnormal range, where a double keeps few digits."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
+        for v in (0, rng.randint(3, 6)):
+            weights[v] = Fraction(rng.randint(1, 9), 10 ** rng.randint(152, 162))
+        graphs.append(MultiDigraph(9, [(v, v + 1, w) for v, w in enumerate(weights)]))
+    return graphs
+
+
+def test_exact_filter_never_certifies_an_equal_or_reversed_triple():
+    # Near-equal cases next to the corpus: strict triples 2e-10 and 2e-13
+    # apart on the 2-cycles, heavy weights, and paths whose separated
+    # triples have equal products near and below the filter's lower limit.
+    # A slack of 0, or no lower limit, certifies equal triples here.
+    near = [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
+    near += [random_graph(40, 3).scaled(10**12)] + _tiny_paths()
+    certified = 0
+    for graph in corpus(200) + near:
+        for triple, lhs, rhs in _certified(forest_matrices(graph)):
+            assert lhs < rhs, (graph, triple)
+            certified += 1
+    assert certified > 60000
+
+
+def test_exact_sweep_raises_at_a_certified_strict_separator():
+    # F_02 doubled makes the separated triple (0, 1, 2) strict by a factor
+    # of 2, which the filter certifies; it is the first bad triple.
+    g = make_path()
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    rows[0][2] *= 2
+    doctored = replace(forests, matrix=Matrix(rows))
+    assert ((0, 1, 2), rows[0][1] * rows[1][2], rows[0][2] * rows[1][1]) in _certified(doctored)
+    message = "triple (0, 1, 2): relation strict but separator is True"
+    with pytest.raises(InconsistentWithTheoremError) as first:
+        _reports_one_by_one(g, doctored)
+    assert str(first.value) == message
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, doctored)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("sign", [0, -1], ids=["zero", "negated"])
+def test_exact_sweep_raises_on_a_row_that_does_not_sum_to_a_positive_value(sign):
+    g = random_multidigraph(CORPUS_SEED, min_n=5, max_n=5, max_arcs=12)
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    rows[0] = [sign * v for v in rows[0]]
+    doctored = replace(forests, matrix=Matrix(rows))
+    with pytest.raises(InconsistentWithTheoremError) as first:
+        _reports_one_by_one(g, doctored)
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, doctored)
     assert str(raised.value) == str(first.value)
 
 

@@ -5,6 +5,7 @@ general ``invert``/``determinant`` and the brute-force enumeration stay as
 the references it must match exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from inforest import (
     forest_matrices,
     invert,
     oracle_matrices,
+    path_graph,
     random_graph,
     verify_all_triples,
     verify_undirected,
@@ -124,6 +126,11 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
     graphs = [MultiDigraph(2, []), MultiDigraph(5, []), random_graph(2, 1), random_graph(30, 3)]
     graphs += corpus(60)
     graphs += [MultiDigraph(3, [(0, 1, 1e308), (1, 2, 1)]), MultiDigraph(3, [(0, 1, 1e-300)])]
+    # Sparse graphs, where most rows have no entry in the pivot column and
+    # the float solve leaves them alone.
+    rng = random.Random(CORPUS_SEED)
+    arcs = [(u, v, rng.randint(1, 5)) for u in range(40) for v in range(u + 1, 40)]
+    graphs += [path_graph(40), MultiDigraph(40, [arc for arc in arcs if rng.random() < 0.05])]
     for graph in graphs:
         laplacian = graph.laplacian(mode)
         solved, expected = _forest_solve(laplacian), _full_block_solve(laplacian)
