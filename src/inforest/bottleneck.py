@@ -20,6 +20,18 @@ without building any. The single-triple :func:`is_bottleneck`, behind
 :func:`check_triple`, reads the same bit of the same masks, so the
 dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
+
+Exact mode compares the integer products of ``N = c F``, and a certified
+double filter settles the clearly strict triples first. Each entry
+becomes the double ``q = N / T`` once, with ``T`` the largest ``|N|``, and
+a triple is certified strict when ``fl(q_ik q_jj)`` exceeds
+``fl(q_ij q_jk)`` times ``1 + 16u`` (u = 2^-53), and that bound is at
+least 2^-1000. The rounding error stays below 8u, so the slack leaves
+room, and the lower limit keeps every operand normal. Every other triple
+falls back to the integer products: the equal, near-equal, zero, tiny and
+subnormal ones. The filter only ever proves ``lhs < rhs``, so exact mode
+stays authoritative and every report, summary and error is the one the
+integer products give.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ FLOAT_EQUALITY_RTOL = 1e-9
 
 # The exact sweep's float filter (see _unsettled): a triple is certified
 # strict when one product exceeds the other times 1 + 16u, u = 2^-53, and
-# the smaller is at least 2^-1000.
+# that bound is at least 2^-1000.
 _FILTER_SLACK = 1 + 16 * 2.0**-53
 _FILTER_FLOOR = 2.0**-1000
 
