@@ -362,6 +362,8 @@ def verify_all_triples(
     The checks run here, in one sweep: exact mode raises
     :class:`InconsistentWithTheoremError` at the first triple that breaks
     the law, and float mode counts disagreements as ``inconsistent``.
+    ``forests``, when given, must be the forest matrices of ``graph``; the
+    sweep then runs in their mode and ignores ``mode``.
     """
     if forests is None:
         forests = forest_matrices(graph, mode)

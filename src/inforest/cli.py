@@ -25,6 +25,7 @@ from .errors import (
     GraphFormatError,
     InconsistentWithTheoremError,
     InforestError,
+    InstanceTooLargeError,
     VertexOutOfRangeError,
 )
 from .forest import forest_matrices
@@ -62,18 +63,6 @@ def _read_input(path: str) -> str:
         raise GraphFormatError(f"{source} is not UTF-8 text") from exc
     except OSError as exc:
         raise BadParametersError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("FOREST_ORACLE_CAP")
-    if raw is None:
-        from .oracle import DEFAULT_CHOICE_CAP
-
-        return DEFAULT_CHOICE_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise BadParametersError(f"FOREST_ORACLE_CAP must be an integer, got {raw!r}") from exc
 
 
 def _json_value(value):
@@ -152,7 +141,7 @@ def _cmd_proximity(args, parsed: ParsedGraph, mode: str) -> int:
 def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
     from .oracle import enumerate_in_forests
 
-    forests = enumerate_in_forests(parsed.graph, cap=_oracle_cap())
+    forests = enumerate_in_forests(parsed.graph)
     if args.fmt == "json":
         import json
 
@@ -234,24 +223,24 @@ def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
 
 def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:
     from .bottleneck import summarize, verify_all_triples, verify_undirected
-    from .oracle import choice_count, oracle_matrices
+    from .oracle import oracle_matrices
 
     graph = parsed.graph
     forests = forest_matrices(graph, mode)
     verify = verify_undirected if parsed.undirected else verify_all_triples
     counts = summarize(verify(graph, forests))
     oracle_state = "skipped"
-    cap = _oracle_cap()
-    if mode == EXACT and choice_count(graph) <= cap:
-        oracle = oracle_matrices(graph, cap=cap)
-        if (
-            oracle.total_weight != forests.total_weight
-            or oracle.matrix != forests.matrix
-        ):
-            raise InconsistentWithTheoremError(
-                "enumeration oracle disagrees with the algebraic forest matrices"
-            )
-        oracle_state = "match"
+    if mode == EXACT:
+        try:
+            oracle = oracle_matrices(graph)
+        except InstanceTooLargeError:
+            pass
+        else:
+            if oracle.total_weight != forests.total_weight or oracle.matrix != forests.matrix:
+                raise InconsistentWithTheoremError(
+                    "enumeration oracle disagrees with the algebraic forest matrices"
+                )
+            oracle_state = "match"
     fields = {
         "triples": counts.total,
         "equal": counts.equal,

@@ -61,34 +61,33 @@ def choice_count(graph: MultiDigraph) -> int:
     return math.prod(graph.out_degree(v) + 1 for v in range(graph.n))
 
 
-def enumerate_in_forests(
-    graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP
-) -> Iterator[InForest]:
+def enumerate_in_forests(graph: MultiDigraph) -> Iterator[InForest]:
     """Yield every spanning converging forest exactly once.
 
     Choices run in lexicographic order over the vertices 0..n-1, root
     first and then each out-arc. Parallel arcs yield distinct forests. The
     arcless forest (all vertices roots, weight 1) comes first. Raises
     :class:`InstanceTooLargeError` before yielding anything when the choice
-    space exceeds ``cap``.
+    space exceeds :data:`DEFAULT_CHOICE_CAP`.
     """
     factors, unit, divisor = _factors(graph)
-    for choice, roots, weight in _forests(graph, cap, factors, unit):
+    for choice, roots, weight in _forests(graph, factors, unit):
         yield InForest(arc_choice=tuple(choice), root_of=roots, weight=Fraction(weight, divisor))
 
 
-def oracle_matrices(graph: MultiDigraph, cap: int = DEFAULT_CHOICE_CAP) -> OracleResult:
+def oracle_matrices(graph: MultiDigraph) -> OracleResult:
     """Total forest weight and forest-weight matrix by direct enumeration.
 
     Forests with the same root map (``root_of``) add to the same entries,
     so the weights are summed per root map and spread over the rows of the
     matrix only at the end. They are summed as integers over the common
-    denominator ``D**n`` and divided by it once per entry.
+    denominator ``D**n`` and divided by it once per entry. Raises
+    :class:`InstanceTooLargeError`, as :func:`enumerate_in_forests` does.
     """
     factors, unit, divisor = _factors(graph)
     by_roots: dict[tuple[int, ...], int] = {}
     count = 0
-    for count, (_, roots, weight) in enumerate(_forests(graph, cap, factors, unit), 1):
+    for count, (_, roots, weight) in enumerate(_forests(graph, factors, unit), 1):
         by_roots[roots] = by_roots.get(roots, 0) + weight
     n = graph.n
     rows = [[0] * n for _ in range(n)]
@@ -110,7 +109,7 @@ def _factors(graph: MultiDigraph) -> tuple[list[int], int, int]:
 
 
 def _forests(
-    graph: MultiDigraph, cap: int, factors: list[int], unit: int
+    graph: MultiDigraph, factors: list[int], unit: int
 ) -> Iterator[tuple[list[Optional[int]], tuple[int, ...], int]]:
     """The one depth-first pass: yield ``(choice, root_of, product)`` for
     every spanning converging forest, in :func:`enumerate_in_forests`'s
@@ -119,11 +118,13 @@ def _forests(
     ``factors[a]`` for each chosen arc a.
 
     The options of a vertex are its root, then the indices of its out-arcs
-    in ``graph.arcs`` order, grouped by tail in one pass over the arcs."""
+    in ``graph.arcs`` order, grouped by tail in one pass over the arcs.
+    This is the one place that compares :func:`choice_count` with
+    :data:`DEFAULT_CHOICE_CAP`."""
     total_choices = choice_count(graph)
-    if total_choices > cap:
+    if total_choices > DEFAULT_CHOICE_CAP:
         raise InstanceTooLargeError(
-            f"{total_choices} choice vectors exceed the enumeration cap {cap}"
+            f"{total_choices} choice vectors exceed the enumeration cap {DEFAULT_CHOICE_CAP}"
         )
     n = graph.n
     heads = [arc.head for arc in graph.arcs]

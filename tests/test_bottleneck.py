@@ -231,6 +231,20 @@ def test_verify_undirected_matches_doubled_digraph():
     assert verify_undirected(doubled) == verify_all_triples(doubled)
 
 
+def test_given_forests_set_the_mode_of_both_verifies():
+    # The chord of weight 1e-12 puts the products of (0, 1, 2) within the
+    # float tolerance of each other: float mode calls them equal, exact
+    # mode strict, so the two summaries differ.
+    edges = [(0, 1, 1), (1, 2, 1), (0, 2, Fraction(1, 10**12))]
+    doubled = MultiDigraph.from_undirected(3, edges)
+    forests = forest_matrices(doubled, FLOAT)
+    expected = verify_all_triples(doubled, forests, FLOAT).summary
+    assert expected != verify_all_triples(doubled, mode=EXACT).summary
+    for verify in (verify_all_triples, verify_undirected):
+        reports = verify(doubled, forests, EXACT)
+        assert (reports.mode, reports.summary) == (FLOAT, expected)
+
+
 def test_route_products_agree_with_forest_products():
     # The closed-form route matrix is computed through a different inverse,
     # so comparing verdicts checks the proportionality end to end.

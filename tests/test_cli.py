@@ -192,17 +192,11 @@ def test_enumerate_triangle(triangle_file, capsys):
     assert lines[0] == "root root root\t1"
 
 
-def test_verify_refuses_an_oracle_cap_that_is_no_integer(triangle_file, capsys, monkeypatch):
-    monkeypatch.setenv("FOREST_ORACLE_CAP", "abc")
-    assert run(["verify", "--input", triangle_file]) == 1
-    assert capsys.readouterr().err.startswith("error:bad-parameters:")
-
-
 def test_verify_exits_3_when_the_oracle_disagrees(triangle_file, capsys, monkeypatch):
     real = inforest.oracle.oracle_matrices
 
-    def wrong_total(graph, cap):
-        result = real(graph, cap=cap)
+    def wrong_total(graph):
+        result = real(graph)
         return replace(result, total_weight=result.total_weight + 1)
 
     monkeypatch.setattr(inforest.oracle, "oracle_matrices", wrong_total)
@@ -210,10 +204,24 @@ def test_verify_exits_3_when_the_oracle_disagrees(triangle_file, capsys, monkeyp
     assert capsys.readouterr().err.startswith("error:inconsistent-with-theorem:")
 
 
-def test_enumerate_respects_cap_env(triangle_file, capsys, monkeypatch):
-    monkeypatch.setenv("FOREST_ORACLE_CAP", "2")
-    assert run(["enumerate", "--input", triangle_file]) == 2
-    assert capsys.readouterr().err.startswith("error:instance-too-large:")
+@pytest.fixture
+def beyond_cap_file(tmp_path):
+    # 1,770,209,280 choice vectors, above the enumeration cap of 10^7.
+    target = tmp_path / "random12.graph"
+    target.write_text(format_graph(random_graph(12, 1)))
+    return str(target)
+
+
+def test_enumerate_beyond_the_cap_is_instance_too_large(beyond_cap_file, capsys):
+    assert run(["enumerate", "--input", beyond_cap_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:instance-too-large:")
+
+
+def test_exact_verify_beyond_the_cap_skips_the_oracle(beyond_cap_file, capsys):
+    assert run(["verify", "--input", beyond_cap_file, "--mode", "exact"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("oracle=skipped")
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

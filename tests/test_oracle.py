@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from inforest import (
+    DEFAULT_CHOICE_CAP,
     EXACT,
     InstanceTooLargeError,
     MultiDigraph,
     choice_count,
+    complete_graph,
     enumerate_in_forests,
     forest_matrices,
     oracle_matrices,
@@ -147,11 +149,12 @@ def test_long_graph_enumerates_without_recursion():
 
 
 def test_instance_cap_enforced():
-    assert choice_count(make_triangle()) == 6
+    graph = complete_graph(9)
+    assert choice_count(graph) == 9**9 > DEFAULT_CHOICE_CAP
     with pytest.raises(InstanceTooLargeError):
-        list(enumerate_in_forests(make_triangle(), cap=2))
+        next(enumerate_in_forests(graph))
     with pytest.raises(InstanceTooLargeError):
-        oracle_matrices(make_triangle(), cap=2)
+        oracle_matrices(graph)
 
 
 @given(multidigraphs())

@@ -20,14 +20,13 @@ generator graphs with at most 8 vertices:
   digraph, recorded as in ``verify``, and the summary, on a seeded corpus
   of sparse undirected multigraphs with at most 8 vertices, where cut
   vertices occur;
-- ``cli``: :func:`inforest.cli.run` in-process, with ``FOREST_ORACLE_CAP``
-  unset: the input text, argv, exit code, stdout and stderr of every graph
-  command in both output formats on the corpus graphs with at most 5
-  vertices as text files, the undirected corpus as ``graph <n>`` files, a
-  few graphs as JSON and a few malformed files, and of ``gen`` for each
-  kind. Runs with no ``--mode`` (exact at these sizes) and with
-  ``--mode exact`` go under ``exact``, runs with ``--mode float`` under
-  ``float``;
+- ``cli``: :func:`inforest.cli.run` in-process: the input text, argv,
+  exit code, stdout and stderr of every graph command in both output
+  formats on the corpus graphs with at most 5 vertices as text files, the
+  undirected corpus as ``graph <n>`` files, a few graphs as JSON and a few
+  malformed files, and of ``gen`` for each kind. Runs with no ``--mode``
+  (exact at these sizes) and with ``--mode exact`` go under ``exact``,
+  runs with ``--mode float`` under ``float``;
 - ``verify_large``: :func:`verify_all_triples` on the larger graphs of
   :func:`large_corpus`: the summary and the reports of the first and the
   last start vertex, recorded as in ``verify``. Under ``float``, where
@@ -53,7 +52,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -286,8 +284,7 @@ def _sections(graphs, undirected, runs, large) -> dict:
     # Building the argument parser takes most of a small run's time, and a
     # parser keeps no state between calls, so the runs share one.
     parser = cli.build_parser()
-    with mock.patch.dict(os.environ), mock.patch.object(cli, "build_parser", lambda: parser):
-        os.environ.pop("FOREST_ORACLE_CAP", None)
+    with mock.patch.object(cli, "build_parser", lambda: parser):
         for mode, argv, text in runs:
             out["cli", mode].append(_cli(argv, text))
     return out
