@@ -28,7 +28,6 @@ _EXPORTS = {
         "is_bottleneck",
         "summarize",
         "verify_all_triples",
-        "verify_undirected",
     ),
     "errors": (
         "BadParametersError",

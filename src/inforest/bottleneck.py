@@ -185,6 +185,14 @@ def _report(
     )
 
 
+def _check_order(graph: MultiDigraph, forests: Optional[ForestMatrices]) -> None:
+    """Raise :class:`ValueError` when ``forests`` are given and are not of
+    ``graph``'s order."""
+    if forests is not None and forests.matrix.order != graph.n:
+        order = forests.matrix.order
+        raise ValueError(f"forest matrices of order {order} given for a graph of order {graph.n}")
+
+
 def check_triple(
     forests: ForestMatrices, graph: MultiDigraph, i: int, j: int, k: int
 ) -> BottleneckReport:
@@ -194,8 +202,10 @@ def check_triple(
     and separator disagreeing) raises
     :class:`InconsistentWithTheoremError`, since it can only mean an
     implementation bug. Float mode records the verdict tolerantly and
-    leaves judgment to the caller.
+    leaves judgment to the caller. Forest matrices of another order than
+    ``graph`` raise :class:`ValueError`.
     """
+    _check_order(graph, forests)
     separator = is_bottleneck(graph, i, j, k)
     weights = forests.matrix
     return _report(forests.mode, (i, j, k), weights.row(i), weights.row(j), separator)
@@ -363,12 +373,30 @@ def verify_all_triples(
     :class:`InconsistentWithTheoremError` at the first triple that breaks
     the law, and float mode counts disagreements as ``inconsistent``.
     ``forests``, when given, must be the forest matrices of ``graph``; the
-    sweep then runs in their mode and ignores ``mode``.
+    sweep then runs in their mode and ignores ``mode``. Forest matrices of
+    another order raise :class:`ValueError`.
+
+    Before the sweep, the proximity matrix ``Q = F / f`` is compared with
+    its transpose by the rule of :func:`_equal`. ``Q`` is symmetric exactly
+    when the Laplacian is, so a mismatch on a graph whose
+    :meth:`~MultiDigraph.is_symmetric` holds raises
+    :class:`InconsistentWithTheoremError`, in both modes. ``Q``'s entries
+    are at most 1, so a float ``F`` that overflows cannot fail the check;
+    ``f > 0``, so ``F`` is symmetric exactly when ``Q`` is. On most
+    digraphs the first row already differs from the first column, and the
+    graph's own test ends at its first vertex.
     """
+    _check_order(graph, forests)
     if forests is None:
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
+    rows = forests.proximity.to_lists()
+    symmetric = all(all(_equal(row, column, mode)) for row, column in zip(rows, zip(*rows)))
+    if not symmetric and graph.is_symmetric():
+        raise InconsistentWithTheoremError(
+            "forest matrix of a graph with a symmetric Laplacian must be symmetric"
+        )
     values = forests.matrix.to_lists()
     masks = [graph.dominators(i) for i in range(n)]
     if mode == EXACT:
@@ -380,34 +408,6 @@ def verify_all_triples(
     degenerate = total - n * (n - 1) * (n - 2)
     summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
     return TripleReports(mode, values, masks, summary)
-
-
-def verify_undirected(
-    graph: MultiDigraph,
-    forests: Optional[ForestMatrices] = None,
-    mode: str = EXACT,
-) -> TripleReports:
-    """Verify all triples of an undirected multigraph, given as the doubled
-    digraph of :meth:`MultiDigraph.from_undirected`.
-
-    The directed paths of that digraph are exactly the undirected paths,
-    so the triple sweep's separators are the undirected ones. On top of
-    the sweep this checks that the forest matrix is symmetric, each row
-    equal to its column by the rule of :func:`_equal`. It checks the
-    proximity matrix ``Q = F / f``, whose entries are at most 1, so a
-    float ``F`` that overflows cannot fail the check; ``f > 0``, so ``F``
-    is symmetric exactly when ``Q`` is. ``forests``, when given, must be
-    the forest matrices of ``graph``; their mode then wins.
-    """
-    if forests is None:
-        forests = forest_matrices(graph, mode)
-    mode = forests.mode
-    rows = forests.proximity.to_lists()
-    if not all(all(_equal(row, column, mode)) for row, column in zip(rows, zip(*rows))):
-        raise InconsistentWithTheoremError(
-            "forest matrix of a doubled undirected graph must be symmetric"
-        )
-    return verify_all_triples(graph, forests, mode)
 
 
 def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:

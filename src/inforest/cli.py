@@ -30,7 +30,7 @@ from .errors import (
 )
 from .forest import forest_matrices
 from .graph import MultiDigraph
-from .io import ParsedGraph, format_graph, format_weight, parse_graph, parse_weight
+from .io import format_graph, format_weight, parse_graph, parse_weight
 from .matrix import DEFAULT_MAX_TERMS, DEFAULT_TOLERANCE, EXACT, FLOAT, Matrix, scalar
 
 EXACT_MODE_MAX_VERTICES = 12
@@ -127,21 +127,21 @@ def _epsilon_arg(args) -> Optional[Fraction]:
     return _rational_arg(args.epsilon, "--epsilon")
 
 
-def _cmd_forest(args, parsed: ParsedGraph, mode: str) -> int:
-    forests = forest_matrices(parsed.graph, mode)
+def _cmd_forest(args, graph: MultiDigraph, mode: str) -> int:
+    forests = forest_matrices(graph, mode)
     _emit(args.fmt, {"f": forests.total_weight, "F": forests.matrix, "Q": forests.proximity})
     return 0
 
 
-def _cmd_proximity(args, parsed: ParsedGraph, mode: str) -> int:
-    _emit(args.fmt, {"Q": forest_matrices(parsed.graph, mode).proximity})
+def _cmd_proximity(args, graph: MultiDigraph, mode: str) -> int:
+    _emit(args.fmt, {"Q": forest_matrices(graph, mode).proximity})
     return 0
 
 
-def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
+def _cmd_enumerate(args, graph: MultiDigraph, mode: str) -> int:
     from .oracle import enumerate_in_forests
 
-    forests = enumerate_in_forests(parsed.graph)
+    forests = enumerate_in_forests(graph)
     if args.fmt == "json":
         import json
 
@@ -164,13 +164,11 @@ def _cmd_enumerate(args, parsed: ParsedGraph, mode: str) -> int:
     return 0
 
 
-def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
+def _cmd_routes(args, graph: MultiDigraph, mode: str) -> int:
     from .routes import route_matrix
 
     eps = _epsilon_arg(args)
-    result = route_matrix(
-        parsed.graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode
-    )
+    result = route_matrix(graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode)
     fields = {
         "epsilon": result.epsilon,
         "terms_used": result.terms_used,
@@ -181,12 +179,12 @@ def _cmd_routes(args, parsed: ParsedGraph, mode: str) -> int:
     return 0
 
 
-def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
+def _cmd_decompose(args, graph: MultiDigraph, mode: str) -> int:
     from .bottleneck import relation
     from .routes import route_decomposition
 
     eps = _epsilon_arg(args)
-    deco = route_decomposition(parsed.graph, *_triple_args(args, parsed.graph), eps=eps, mode=mode)
+    deco = route_decomposition(graph, *_triple_args(args, graph), eps=eps, mode=mode)
     fields = {
         "r_ij": deco.start_via,
         "r_jj": deco.via_via,
@@ -204,11 +202,11 @@ def _cmd_decompose(args, parsed: ParsedGraph, mode: str) -> int:
     return 0
 
 
-def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
+def _cmd_bottleneck(args, graph: MultiDigraph, mode: str) -> int:
     from .bottleneck import check_triple
 
-    forests = forest_matrices(parsed.graph, mode)
-    report = check_triple(forests, parsed.graph, *_triple_args(args, parsed.graph))
+    forests = forest_matrices(graph, mode)
+    report = check_triple(forests, graph, *_triple_args(args, graph))
     fields = {
         "relation": report.relation,
         "separator": report.separator,
@@ -221,14 +219,12 @@ def _cmd_bottleneck(args, parsed: ParsedGraph, mode: str) -> int:
     return 0 if report.consistent else 3
 
 
-def _cmd_verify(args, parsed: ParsedGraph, mode: str) -> int:
-    from .bottleneck import summarize, verify_all_triples, verify_undirected
+def _cmd_verify(args, graph: MultiDigraph, mode: str) -> int:
+    from .bottleneck import summarize, verify_all_triples
     from .oracle import oracle_matrices
 
-    graph = parsed.graph
     forests = forest_matrices(graph, mode)
-    verify = verify_undirected if parsed.undirected else verify_all_triples
-    counts = summarize(verify(graph, forests))
+    counts = summarize(verify_all_triples(graph, forests))
     oracle_state = "skipped"
     if mode == EXACT:
         try:
@@ -346,9 +342,9 @@ def run(argv=None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        parsed = parse_graph(_read_input(args.input))
-        mode = args.mode or (EXACT if parsed.graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT)
-        return args.handler(args, parsed, mode)
+        graph = parse_graph(_read_input(args.input)).graph
+        mode = args.mode or (EXACT if graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT)
+        return args.handler(args, graph, mode)
     except InforestError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

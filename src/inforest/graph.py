@@ -107,6 +107,22 @@ class MultiDigraph:
     def out_degree(self, v: int) -> int:
         return len(self._successors[self.check_vertex(v)])
 
+    def is_symmetric(self) -> bool:
+        """True when the exact Laplacian equals its transpose: for every
+        pair (t, h), the arcs from t to h have the same total weight as the
+        arcs from h to t.
+
+        Every weight is positive, so each vertex must first have the same
+        distinct successors as predecessors. That test needs no arithmetic
+        and ends at the first vertex that fails it, which on a random
+        digraph is nearly always the first. Parallel arcs may split a total
+        differently in the two directions, so the Laplacian decides last.
+        """
+        if any(set(s) != set(p) for s, p in zip(self._successors, self._predecessors)):
+            return False
+        rows = self.laplacian().to_lists()
+        return rows == [list(column) for column in zip(*rows)]
+
     def laplacian(self, mode: str = EXACT) -> Matrix:
         """Row-sum-zero matrix: off-diagonal entry (i, j) is minus the total
         weight of the arcs from i to j, and diagonal entry i is the total

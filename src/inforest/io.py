@@ -28,16 +28,14 @@ from .matrix import MAX_DIGITS, format_weight
 
 @dataclass(frozen=True)
 class ParsedGraph:
-    """A parsed graph plus how it was declared.
+    """A parsed graph.
 
-    ``undirected`` is what the input itself declares, a ``graph <n>``
-    header or ``"directed": false``; nothing else sets it. For undirected
-    inputs ``graph`` is the doubled digraph of
-    :meth:`MultiDigraph.from_undirected`, the only form they travel in.
+    An input that declares itself undirected, by a ``graph <n>`` header or
+    ``"directed": false``, becomes the doubled digraph of
+    :meth:`MultiDigraph.from_undirected`, the only form it travels in.
     """
 
     graph: MultiDigraph
-    undirected: bool
 
 
 def parse_weight(token: str) -> Fraction:
@@ -71,7 +69,7 @@ def _parsed_graph(
     ``unit`` (line or arc) and that entry's number in ``numbers``."""
     build = MultiDigraph.from_undirected if undirected else MultiDigraph
     try:
-        return ParsedGraph(build(n, entries), undirected)
+        return ParsedGraph(build(n, entries))
     except (VertexOutOfRangeError, LoopArcError, NonPositiveWeightError) as exc:
         # The graph checks its arcs in file order, each as this loop does,
         # so the first entry that fails here is the one it stopped at.

@@ -25,7 +25,6 @@ from inforest import (
     random_graph,
     summarize,
     verify_all_triples,
-    verify_undirected,
     VertexOutOfRangeError,
 )
 from inforest.bottleneck import FLOAT_EQUALITY_RTOL, _equal, _filter_ratios, _unsettled
@@ -172,16 +171,32 @@ def test_gap_is_the_forest_weight_of_the_cut_graph():
 def test_undirected_symmetry_check_is_relative_to_each_entry():
     # The off-diagonal entries are about 1e-6 while the diagonal is about
     # 1; one of them off by 1e-3 relative is caught, whatever the scale of
-    # the largest entry.
-    edges = [(0, 1, 1e-6), (1, 2, 1e-6)]
-    doubled = MultiDigraph.from_undirected(3, edges)
-    forests = forest_matrices(doubled, FLOAT)
-    assert verify_undirected(doubled, forests).summary.inconsistent == 0
-    rows = forests.proximity.to_lists()
-    rows[0][1] *= 1.001
-    doctored = replace(forests, proximity=Matrix(rows, FLOAT))
-    with pytest.raises(InconsistentWithTheoremError, match="symmetric"):
-        verify_undirected(doubled, doctored)
+    # the largest entry. The second graph has the same Laplacian, from a
+    # digraph's explicit mirrored arcs, one of them split in two.
+    doubled = MultiDigraph.from_undirected(3, [(0, 1, 1e-6), (1, 2, 1e-6)])
+    mirrored = MultiDigraph(
+        3, [(0, 1, 1e-6), (1, 2, 5e-7), (2, 1, 1e-6), (1, 0, 1e-6), (1, 2, 5e-7)]
+    )
+    for graph in (doubled, mirrored):
+        forests = forest_matrices(graph, FLOAT)
+        assert verify_all_triples(graph, forests).summary.inconsistent == 0
+        rows = forests.proximity.to_lists()
+        rows[0][1] *= 1.001
+        doctored = replace(forests, proximity=Matrix(rows, FLOAT))
+        with pytest.raises(InconsistentWithTheoremError, match="symmetric"):
+            verify_all_triples(graph, doctored)
+
+
+@pytest.mark.parametrize("orders", [(3, 4), (4, 3)], ids=["smaller-graph", "larger-graph"])
+def test_forests_of_another_order_are_refused(orders):
+    graph_order, forest_order = orders
+    graph = random_graph(graph_order, 1)
+    forests = forest_matrices(random_graph(forest_order, 1))
+    message = f"^forest matrices of order {forest_order} given for a graph of order {graph_order}$"
+    with pytest.raises(ValueError, match=message):
+        verify_all_triples(graph, forests)
+    with pytest.raises(ValueError, match=message):
+        check_triple(forests, graph, 0, 1, 2)
 
 
 def test_undirected_symmetry_check_survives_an_overflowing_forest_matrix():
@@ -191,7 +206,7 @@ def test_undirected_symmetry_check_survives_an_overflowing_forest_matrix():
     edges = [(u, v, 1e30) for u in range(n) for v in range(u + 1, n)]
     doubled = MultiDigraph.from_undirected(n, edges)
     assert not math.isfinite(forest_matrices(doubled, FLOAT).total_weight)
-    assert verify_undirected(doubled, mode=FLOAT).summary.total == n**3
+    assert verify_all_triples(doubled, mode=FLOAT).summary.total == n**3
 
 
 def test_verdicts_invariant_under_weight_scaling():
@@ -211,24 +226,18 @@ def test_float_mode_matches_exact_on_triangle():
 
 
 def test_verify_undirected_path_and_triangle():
-    path_reports = verify_undirected(MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1)]))
+    path_reports = verify_all_triples(MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1)]))
     by_triple = {r.triple: r for r in path_reports}
     assert by_triple[(0, 1, 2)].relation == RELATION_EQUAL
     triangle = MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    tri_reports = verify_undirected(triangle)
+    tri_reports = verify_all_triples(triangle)
     by_triple = {r.triple: r for r in tri_reports}
     assert by_triple[(0, 1, 2)].relation == RELATION_STRICT
 
 
 def test_verify_undirected_single_edge_consistent():
-    reports = verify_undirected(MultiDigraph.from_undirected(2, [(0, 1, Fraction(2, 7))]))
+    reports = verify_all_triples(MultiDigraph.from_undirected(2, [(0, 1, Fraction(2, 7))]))
     assert all(r.consistent for r in reports)
-
-
-def test_verify_undirected_matches_doubled_digraph():
-    edges = [(0, 1, 1), (1, 2, Fraction(1, 2)), (0, 2, 3)]
-    doubled = MultiDigraph.from_undirected(3, edges)
-    assert verify_undirected(doubled) == verify_all_triples(doubled)
 
 
 def test_given_forests_set_the_mode_of_both_verifies():
@@ -240,9 +249,11 @@ def test_given_forests_set_the_mode_of_both_verifies():
     forests = forest_matrices(doubled, FLOAT)
     expected = verify_all_triples(doubled, forests, FLOAT).summary
     assert expected != verify_all_triples(doubled, mode=EXACT).summary
-    for verify in (verify_all_triples, verify_undirected):
-        reports = verify(doubled, forests, EXACT)
-        assert (reports.mode, reports.summary) == (FLOAT, expected)
+    reports = verify_all_triples(doubled, forests, EXACT)
+    assert (reports.mode, reports.summary) == (FLOAT, expected)
+    # check_triple takes no mode: the forests' mode is its only one.
+    assert check_triple(forests, doubled, 0, 1, 2) == reports[5]
+    assert reports[5].relation == RELATION_EQUAL
 
 
 def test_route_products_agree_with_forest_products():
@@ -441,7 +452,7 @@ def test_undirected_separators_match_reference_bfs():
         for n, edges in graphs:
             doubled = MultiDigraph.from_undirected(n, edges)
             reached = [doubled.reachable(i) for i in range(n)]
-            reports = verify_undirected(doubled, mode=mode)
+            reports = verify_all_triples(doubled, mode=mode)
             assert _separators(reports, n) == [
                 reference_separators(n, edges, i, undirected=True) for i in range(n)
             ]

@@ -180,6 +180,24 @@ def test_verify_undirected_input(tmp_path, capsys):
     assert "inconsistent=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_verify_prints_the_same_for_a_graph_file_and_its_mirrored_digraph(tmp_path, capsys, fmt):
+    # The edge 2-3 is a pair of parallel edges, which the digraph file
+    # mirrors as one arc each way of their total weight.
+    files = {
+        "graph": "graph 4\n1 2 1\n2 3 1/2\n2 3 1/2\n3 4 2\n1 4 1/3\n",
+        "digraph": "digraph 4\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n3 4 2\n4 3 2\n1 4 1/3\n4 1 1/3\n",
+    }
+    outputs = []
+    for name, text in files.items():
+        source = tmp_path / f"{name}.graph"
+        source.write_text(text)
+        assert run(["verify", "--input", str(source), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "oracle" in outputs[0]
+
+
 def test_verify_skips_oracle_in_float_mode(triangle_file, capsys):
     assert run(["verify", "--input", triangle_file, "--mode", "float"]) == 0
     assert "oracle=skipped" in capsys.readouterr().out

@@ -157,6 +157,19 @@ def test_from_undirected_laplacian_symmetric():
     assert g.laplacian() == transpose(g.laplacian())
 
 
+def test_is_symmetric_compares_total_weights_in_both_directions():
+    # Two parallel arcs of weight 1 one way, one arc of weight 2 back.
+    third = Fraction(1, 3)
+    mirrored = MultiDigraph(3, [(0, 1, 1), (1, 0, 2), (0, 1, 1), (1, 2, third), (2, 1, third)])
+    assert mirrored.is_symmetric()
+    edges = [(0, 1, 1), (1, 2, 2), (1, 2, 3), (3, 0, 1)]
+    assert MultiDigraph.from_undirected(4, edges).is_symmetric()
+    assert MultiDigraph(3, []).is_symmetric()
+    assert not MultiDigraph(3, [(0, 1, 1), (1, 0, 2), (0, 1, 2)]).is_symmetric()
+    assert not MultiDigraph(2, [(0, 1, 1)]).is_symmetric()
+    assert not any(random_graph(n, seed).is_symmetric() for n in (3, 6, 12) for seed in range(5))
+
+
 def test_reachable_respects_exclusion():
     g = make_path()
     assert g.reachable(0) == {0, 1, 2}

@@ -36,18 +36,11 @@ digraph 3
 
 def test_parse_text_with_comments_and_blanks():
     parsed = parse_graph(PATH_TEXT)
-    assert not parsed.undirected
-    g = parsed.graph
-    assert g.n == 3
-    assert [(a.tail, a.head, a.weight) for a in g.arcs] == [
-        (0, 1, Fraction(1, 2)),
-        (1, 2, Fraction(1, 4)),
-    ]
+    assert parsed.graph == MultiDigraph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4))])
 
 
 def test_parse_undirected_header_doubles_edges():
     parsed = parse_graph("graph 3\n1 2 2\n2 3 1/3\n")
-    assert parsed.undirected
     assert parsed.graph == MultiDigraph.from_undirected(3, [(0, 1, 2), (1, 2, Fraction(1, 3))])
     assert len(parsed.graph.arcs) == 4
     assert parsed.graph.laplacian() == transpose(parsed.graph.laplacian())
@@ -180,13 +173,13 @@ def test_weight_formatting():
 
 def test_parse_json_directed():
     parsed = parse_graph('{"n": 2, "directed": true, "arcs": [[1, 2, "1/2"]]}')
-    assert not parsed.undirected
+    assert parsed.graph == MultiDigraph(2, [(0, 1, Fraction(1, 2))])
     assert parsed.graph.arcs[0].weight == Fraction(1, 2)
 
 
 def test_parse_json_undirected_and_numeric_weights():
     parsed = parse_graph('{"n": 3, "directed": false, "arcs": [[1, 2, 1], [2, 3, 0.5]]}')
-    assert parsed.undirected
+    assert parsed.graph == MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, Fraction(1, 2))])
     assert len(parsed.graph.arcs) == 4
     assert parsed.graph.arcs[2].weight == Fraction(1, 2)
 

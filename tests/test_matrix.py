@@ -25,7 +25,6 @@ from inforest import (
     route_matrix,
     step_matrix,
     verify_all_triples,
-    verify_undirected,
 )
 from inforest.matrix import scalar
 from tests.helpers import corpus, make_path, reference_series
@@ -298,7 +297,7 @@ def test_an_unknown_mode_is_refused_by_every_solve(mode):
         calls += [
             lambda g=g: forest_matrices(g, mode),
             lambda g=g: verify_all_triples(g, mode=mode),
-            lambda g=undirected: verify_undirected(g, mode=mode),
+            lambda g=undirected: verify_all_triples(g, mode=mode),
             lambda g=g: route_matrix(g, mode=mode),
             lambda g=g: step_matrix(g, mode=mode),
             lambda g=g: closed_route_matrix(g, mode=mode),

@@ -16,7 +16,7 @@ generator graphs with at most 8 vertices:
 - ``decompose``: :func:`route_decomposition` on every triple;
 - ``oracle``: :func:`oracle_matrices`, which is exact for every graph,
   under ``exact``;
-- ``undirected``: every report of :func:`verify_undirected` on the doubled
+- ``undirected``: every report of :func:`verify_all_triples` on the doubled
   digraph, recorded as in ``verify``, and the summary, on a seeded corpus
   of sparse undirected multigraphs with at most 8 vertices, where cut
   vertices occur;
@@ -81,7 +81,6 @@ from inforest import (  # noqa: E402
     route_matrix,
     summarize,
     verify_all_triples,
-    verify_undirected,
 )
 from inforest import cli  # noqa: E402
 
@@ -271,7 +270,7 @@ def _sections(graphs, undirected, runs, large) -> dict:
     for n, edges in undirected:
         doubled = MultiDigraph.from_undirected(n, edges)
         for mode in MODES:
-            out["undirected", mode] += _reports(verify_undirected(doubled, mode=mode))
+            out["undirected", mode] += _reports(verify_all_triples(doubled, mode=mode))
     for mode, graph in large:
         forests = forest_matrices(graph, mode)
         if mode == FLOAT:
