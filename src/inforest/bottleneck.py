@@ -39,13 +39,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Scalar, common_denominator, format_for_message
+from .matrix import EXACT, FLOAT, Matrix, Scalar, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -218,27 +218,27 @@ class TripleReports(Sequence[BottleneckReport]):
     A read-only sequence: reports built here equal those of
     :func:`_report` called triple by triple, and ``summary`` holds the
     counts the sweep made. Indexing takes ints, negative ones too, and
-    slices, which return lists.
+    slices, which return lists. The rows of ``F`` are read out of the
+    matrix once, when the first report is built.
     """
 
-    def __init__(
-        self,
-        mode: str,
-        values: list[list[Scalar]],
-        masks: list[list[int]],
-        summary: TripleSummary,
-    ):
-        self.mode = mode
+    def __init__(self, weights: Matrix, masks: list[list[int]], summary: TripleSummary):
+        self.mode = weights.mode
         self.summary = summary
-        self._values = values
+        self._weights = weights
         # masks[i] is graph.dominators(i): j separates i from k exactly
         # when bit j of masks[i][k] is set.
         self._masks = masks
-        self._n = len(values)
+        self._n = weights.order
+
+    @cached_property
+    def _values(self) -> list[list[Scalar]]:
+        return self._weights.to_lists()
 
     def _report(self, i: int, j: int, k: int) -> BottleneckReport:
         separator = bool(self._masks[i][k] >> j & 1)
-        return _report(self.mode, (i, j, k), self._values[i], self._values[j], separator)
+        values = self._values
+        return _report(self.mode, (i, j, k), values[i], values[j], separator)
 
     def __len__(self) -> int:
         return self._n**3
@@ -303,21 +303,21 @@ def _unsettled(ratio_i: list[float], ratio_j: list[float], j: int) -> list[int]:
     ]
 
 
-def _exact_sweep(values: list[list[Fraction]], masks: list[list[int]]) -> int:
-    """The number of equal triples of the exact ``F`` rows ``values``,
-    with separators from the dominator masks ``masks``; raises
+def _exact_sweep(weights: Matrix, masks: list[list[int]]) -> int:
+    """The number of equal triples of the exact ``F`` in ``weights``, with
+    separators from the dominator masks ``masks``; raises
     :class:`InconsistentWithTheoremError`, through :func:`_report`, at the
     first triple in lexicographic order that breaks the law.
 
     The law is homogeneous of degree 2, so the integer rows ``N = c F`` of
-    :func:`common_denominator` give the verdicts of ``F``. The float
-    filter of :func:`_unsettled` proves most triples strict before any
-    integer product is formed, and the products settle the rest. A
-    certified triple is consistent exactly when j is no separator. The
-    filter only ever proves ``lhs < rhs``, so every verdict and error is
-    the one the integer products give.
+    the matrix's stored form give the verdicts of ``F``. The float filter
+    of :func:`_unsettled` proves most triples strict before any integer
+    product is formed, and the products settle the rest. A certified
+    triple is consistent exactly when j is no separator. The filter only
+    ever proves ``lhs < rhs``, so every verdict and error is the one the
+    integer products give.
     """
-    rows, _ = common_denominator(values)
+    rows = weights._rows
     ratios = _filter_ratios(rows)
     n = len(rows)
     equal = 0
@@ -338,8 +338,9 @@ def _exact_sweep(values: list[list[Fraction]], masks: list[list[int]]) -> int:
                 if count == row_sep.count(True):
                     equal += count
                     continue
+            values_i, values_j = weights.row(i), weights.row(j)
             for k in range(n):  # the first bad triple raises
-                _report(EXACT, (i, j, k), values[i], values[j], row_sep[k])
+                _report(EXACT, (i, j, k), values_i, values_j, row_sep[k])
     return equal
 
 
@@ -391,23 +392,25 @@ def verify_all_triples(
         forests = forest_matrices(graph, mode)
     n = graph.n
     mode = forests.mode
-    rows = forests.proximity.to_lists()
+    # Exact rows are Q's integers over one scale: equal exactly when Q's
+    # entries are.
+    rows = forests.proximity._rows
     symmetric = all(all(_equal(row, column, mode)) for row, column in zip(rows, zip(*rows)))
     if not symmetric and graph.is_symmetric():
         raise InconsistentWithTheoremError(
             "forest matrix of a graph with a symmetric Laplacian must be symmetric"
         )
-    values = forests.matrix.to_lists()
+    weights = forests.matrix
     masks = [graph.dominators(i) for i in range(n)]
     if mode == EXACT:
-        equal, inconsistent = _exact_sweep(values, masks), 0
+        equal, inconsistent = _exact_sweep(weights, masks), 0
     else:
-        equal, inconsistent = _float_sweep(values, masks)
+        equal, inconsistent = _float_sweep(weights._rows, masks)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)
     summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
-    return TripleReports(mode, values, masks, summary)
+    return TripleReports(weights, masks, summary)
 
 
 def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:

@@ -19,8 +19,9 @@ runs it fraction-free on Python ints (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
 with ``D`` the least common multiple of the denominators of ``L``,
 eliminating ``[D(I + L) | D I]`` leaves ``D^n f I`` on the left and
-``D^n F`` on the right; every division is exact, so no ``Fraction`` is
-normalized until the final entries are built. Float mode divides each
+``D^n F`` on the right; every division is exact, and the integer rows of
+``D^n F`` become ``F`` over the scale ``D^n`` and ``Q`` over ``D^n f``
+with no ``Fraction`` built. Float mode divides each
 row of the right block by its pivot to get ``Q = (I + L)^-1``; ``f`` is
 the product of the pivots and ``F`` is ``f Q``, with every zero of ``Q``
 kept as a zero of ``F``. In both modes column k of the identity block
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, common_denominator, format_for_message
+from .matrix import EXACT, Matrix, Scalar, format_for_message
 
 # Re-exported for the benchmark's tracer, which patches invert and
 # determinant here (PATCH_POINTS in perfbench/spans.py, checked by
@@ -63,7 +64,8 @@ class ForestMatrices:
 def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[float]]]:
     """``(pivots, c, R)`` from eliminating ``[c(I + L) | s | c I]``.
 
-    ``c`` is ``D`` in exact mode and 1.0 in float mode, and ``s`` holds the
+    ``c`` is ``D``, the scale of the exact Laplacian's integer rows, in
+    exact mode and 1.0 in float mode, and ``s`` holds the
     row sums of the left block, ``c`` at the start. No pivot search: the
     pivot of step k is ``s_k`` plus the magnitudes right of the diagonal
     (GTH), positive by construction. In exact mode, where every update is
@@ -78,7 +80,7 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
-    left, c = common_denominator(laplacian._rows) if exact else (laplacian._rows, 1.0)
+    left, c = laplacian._rows, laplacian._scale if exact else 1.0
     zero = 0 * c
     rows = [row + [c] for row in left]
     for r, row in enumerate(rows):
@@ -119,8 +121,8 @@ def forest_matrices(graph: MultiDigraph, mode: str = EXACT) -> ForestMatrices:
     pivots, c, weights = _forest_solve(graph.laplacian(mode))
     if mode == EXACT:
         det, scale = pivots[-1], c**graph.n
-        matrix = Matrix._wrap([[Fraction(v, scale) for v in row] for row in weights], mode)
-        proximity = Matrix._wrap([[Fraction(v, det) for v in row] for row in weights], mode)
+        matrix = Matrix._wrap(weights, mode, scale)
+        proximity = Matrix._wrap(weights, mode, det)
         return ForestMatrices(Fraction(det, scale), matrix, proximity, mode)
     proximity = Matrix._wrap([[v / d for v in row] for row, d in zip(weights, pivots)], mode)
     total = math.prod(pivots)

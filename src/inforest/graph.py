@@ -23,7 +23,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, format_for_message, scalar
+from .matrix import EXACT, Matrix, common_denominator, format_for_message, scalar
 
 Weight = Union[Fraction, int, float]
 
@@ -116,11 +116,12 @@ class MultiDigraph:
         distinct successors as predecessors. That test needs no arithmetic
         and ends at the first vertex that fails it, which on a random
         digraph is nearly always the first. Parallel arcs may split a total
-        differently in the two directions, so the Laplacian decides last.
+        differently in the two directions, so the exact Laplacian's
+        integer rows decide last, with no ``Fraction`` built.
         """
         if any(set(s) != set(p) for s, p in zip(self._successors, self._predecessors)):
             return False
-        rows = self.laplacian().to_lists()
+        rows = self.laplacian()._rows
         return rows == [list(column) for column in zip(*rows)]
 
     def laplacian(self, mode: str = EXACT) -> Matrix:
@@ -128,7 +129,9 @@ class MultiDigraph:
         weight of the arcs from i to j, and diagonal entry i is the total
         out-weight of i.
 
-        This is the one place where an arc weight becomes a double: float
+        Exact mode builds the integer rows over ``D``, the least common
+        multiple of the weights' denominators, straight from the arcs. This
+        is the one place where an arc weight becomes a double: float
         mode rounds each stored weight to the nearest one, which for a
         float-typed weight is the given double itself. A double cannot hold
         every positive rational, so a weight that rounds to zero, or an
@@ -136,10 +139,14 @@ class MultiDigraph:
         :class:`NonPositiveWeightError`, as a non-finite float weight does
         when the graph is built.
         """
-        zero = scalar(0, mode)
+        if mode == EXACT:
+            (values,), scale = common_denominator([[arc.weight for arc in self.arcs]])
+            zero = 0
+        else:
+            zero, scale = scalar(0, mode), 1
+            values = [scalar(arc.weight, mode) for arc in self.arcs]
         rows = [[zero] * self.n for _ in range(self.n)]
-        for tail, head, weight in self.arcs:
-            value = scalar(weight, mode)
+        for (tail, head, weight), value in zip(self.arcs, values):
             if not value > 0:
                 raise NonPositiveWeightError(f"weight {format_for_message(weight)} rounds to 0.0")
             rows[tail][head] -= value
@@ -151,7 +158,7 @@ class MultiDigraph:
             row[i] = zero - sum(filter(None, row), zero)
             if not row[i] < math.inf:
                 raise NonPositiveWeightError(f"out-weight of vertex {i} overflows a double")
-        return Matrix._wrap(rows, mode)
+        return Matrix._wrap(rows, mode, scale)
 
     def max_out_weight(self) -> Fraction:
         """Largest total out-weight over all vertices (the largest Laplacian

@@ -1,9 +1,9 @@
 """Dense square matrices over exact rationals or IEEE doubles.
 
-The exact mode stores ``fractions.Fraction`` entries so that determinants,
-inverses and series sums are computed without rounding; the float mode
-stores plain doubles. A scalar mode is fixed when a matrix is built and
-binary operations never mix modes.
+The exact mode computes without rounding: it stores integer rows over one
+least positive scale and reads an entry out as a ``fractions.Fraction``;
+the float mode stores plain doubles. A scalar mode is fixed when a matrix
+is built and binary operations never mix modes.
 
 One Gauss-Jordan elimination, :func:`gauss_jordan`, serves both
 :func:`invert` and :func:`determinant` in both modes: the determinant is the
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadParametersError, InstanceTooLargeError, NotConvergedError, SingularMatrixError
@@ -91,9 +92,18 @@ def common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[in
 
 
 class Matrix:
-    """Immutable square matrix whose entries all live in one scalar mode."""
+    """Immutable square matrix whose entries all live in one scalar mode.
 
-    __slots__ = ("order", "mode", "_rows")
+    Every matrix has one stored form: rows ``_rows`` and a positive integer
+    ``_scale``, entry (i, j) being ``_rows[i][j] / _scale``. A float matrix
+    keeps its doubles at scale 1. An exact matrix keeps integers over the
+    least such scale, so that ``gcd(_scale, every entry) == 1``; the zero
+    matrix has scale 1, and two exact matrices are equal exactly when their
+    scales and integer rows are. An exact entry becomes a ``Fraction`` only
+    where it is read: ``[i, j]``, :meth:`row`, :meth:`to_lists` and ``repr``.
+    """
+
+    __slots__ = ("order", "mode", "_rows", "_scale")
 
     def __init__(self, rows: Iterable[Sequence], mode: str = EXACT):
         scalar(0, mode)  # checks the mode, also of a matrix with no rows
@@ -102,47 +112,73 @@ class Matrix:
             raise ValueError("matrix must be square")
         self.order = len(data)
         self.mode = mode
-        self._rows = data
+        self._rows, self._scale = common_denominator(data) if mode == EXACT else (data, 1)
 
     @classmethod
-    def _wrap(cls, rows: list[list[Scalar]], mode: str) -> "Matrix":
-        # Internal fast path: entries are already of the right type.
+    def _wrap(cls, rows: list[list], mode: str, scale: int = 1) -> "Matrix":
+        """Internal fast path from the stored form: doubles at scale 1 in
+        float mode, integers over the positive ``scale`` in exact mode. One
+        pass of gcds over the whole matrix brings an exact scale above 1 to
+        its least value."""
+        if scale != 1:
+            common = scale
+            for row in rows:
+                if common == 1:
+                    break
+                common = math.gcd(common, *row)
+            if common != 1:
+                rows = [[v // common for v in row] for row in rows]
+                scale //= common
         matrix = cls.__new__(cls)
         matrix.order = len(rows)
         matrix.mode = mode
         matrix._rows = rows
+        matrix._scale = scale
         return matrix
 
     @classmethod
+    def _of(cls, rows: list[list[Scalar]], mode: str) -> "Matrix":
+        """Internal: the matrix of rows that already hold scalars of ``mode``."""
+        stored, scale = common_denominator(rows) if mode == EXACT else (rows, 1)
+        return cls._wrap(stored, mode, scale)
+
+    @classmethod
     def zeros(cls, order: int, mode: str = EXACT) -> "Matrix":
-        zero = scalar(0, mode)
+        zero = 0 if mode == EXACT else scalar(0, mode)
         return cls._wrap([[zero] * order for _ in range(order)], mode)
 
     @classmethod
     def identity(cls, order: int, mode: str = EXACT) -> "Matrix":
-        zero, one = scalar(0, mode), scalar(1, mode)
+        zero, one = (0, 1) if mode == EXACT else (scalar(0, mode), scalar(1, mode))
         rows = [[one if i == j else zero for j in range(order)] for i in range(order)]
         return cls._wrap(rows, mode)
 
+    def _read(self, row: list) -> Iterable[Scalar]:
+        """The entries of a stored row as scalars of the mode, for one pass."""
+        if self.mode == EXACT:
+            return map(Fraction, row, repeat(self._scale))
+        return row
+
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self._rows[i][j]
+        value = self._rows[i][j]
+        return Fraction(value, self._scale) if self.mode == EXACT else value
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(self._rows[i])
+        return tuple(self._read(self._rows[i]))
 
     def to_lists(self) -> list[list[Scalar]]:
-        return [list(row) for row in self._rows]
+        return [list(self._read(row)) for row in self._rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.mode == other.mode and self._rows == other._rows
+        return (self.mode, self._scale, self._rows) == (other.mode, other._scale, other._rows)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"Matrix({self._rows!r}, mode={self.mode!r})"
+        return f"Matrix({self.to_lists()!r}, mode={self.mode!r})"
 
     def _check_compatible(self, other: "Matrix") -> None:
         if self.mode != other.mode:
@@ -150,46 +186,63 @@ class Matrix:
         if self.order != other.order:
             raise ValueError(f"orders differ: {self.order} vs {other.order}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """``op`` entry by entry, the two stored forms first brought to
+        the least common multiple of their scales."""
         self._check_compatible(other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._rows, other._rows)
-        ]
-        return Matrix._wrap(rows, self.mode)
+        left, right, scale = self._rows, other._rows, self._scale
+        if other._scale != scale:
+            scale = math.lcm(scale, other._scale)
+            left = _times(left, scale // self._scale)
+            right = _times(right, scale // other._scale)
+        rows = [list(map(op, a, b)) for a, b in zip(left, right)]
+        return Matrix._wrap(rows, self.mode, scale)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        rows = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._rows, other._rows)
-        ]
-        return Matrix._wrap(rows, self.mode)
+        return self._combine(other, sub)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         cols = list(zip(*other._rows))
         rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
-        return Matrix._wrap(rows, self.mode)
+        return Matrix._wrap(rows, self.mode, self._scale * other._scale)
 
     def scaled(self, factor) -> "Matrix":
         factor = scalar(factor, self.mode)
+        if factor == 1:
+            return self
+        if self.mode == EXACT:
+            factor, divisor = factor.numerator, factor.denominator
+        else:
+            divisor = 1
         rows = [[factor * v for v in row] for row in self._rows]
-        return Matrix._wrap(rows, self.mode)
+        return Matrix._wrap(rows, self.mode, self._scale * divisor)
 
     def with_mode(self, mode: str) -> "Matrix":
         if mode == self.mode:
             return self
-        return Matrix(self._rows, mode)
+        return Matrix(self.to_lists(), mode)
 
     def max_abs(self) -> Scalar:
         if self.order == 0:
             return scalar(0, self.mode)
-        return max([max(map(abs, row)) for row in self._rows])
+        largest = max([max(map(abs, row)) for row in self._rows])
+        return Fraction(largest, self._scale) if self.mode == EXACT else largest
 
     def row_sums(self) -> list[Scalar]:
-        zero = scalar(0, self.mode)
-        return [sum(row, zero) for row in self._rows]
+        if self.mode == EXACT:
+            return [Fraction(sum(row), self._scale) for row in self._rows]
+        return [sum(row, 0.0) for row in self._rows]
+
+
+def _times(rows: list[list], factor: int) -> list[list]:
+    """``rows`` with every entry multiplied by the integer ``factor``."""
+    if factor == 1:
+        return rows
+    return [[factor * v for v in row] for row in rows]
 
 
 def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
@@ -237,7 +290,7 @@ def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return Matrix._wrap(inv, mode), det
+    return Matrix._of(inv, mode), det
 
 
 def invert(matrix: Matrix) -> Matrix:
@@ -298,15 +351,14 @@ def geometric_series(
     ``2 T``. Exact sums do not depend on order, so in exact mode the
     result equals the term-by-term sum.
 
-    Exact mode runs the same steps on integers. With ``d`` the common
-    denominator of A's entries, each power and partial sum is held as an
-    integer matrix ``X`` at an exponent ``e``, standing for ``X / d^e``:
-    a product adds the exponents, a sum first scales the lower one up, and
-    a norm is compared with ``tolerance * d^e`` exactly. No product or sum
-    normalises a fraction; the result is divided by ``d^p`` once at the
-    end. In float mode ``d`` is 1 and every scaling is skipped; the
-    integer identity's 0 and 1 then combine with doubles into exactly the
-    doubles a float identity gives.
+    Exact mode runs the same steps on integers. With ``d`` the scale of
+    A's stored form, each power and partial sum is held as an exact matrix
+    ``X`` at scale 1 and an exponent ``e``, standing for ``X / d^e``: a
+    product adds the exponents, a sum first scales the lower one up, and a
+    norm is compared with ``tolerance * d^e`` exactly. No product or sum
+    normalises a fraction; the result is the integer sum over the scale
+    ``d^p``, normalised once. In float mode ``d`` is 1 and every scaling
+    is skipped.
     """
     if not tolerance > 0:
         raise BadParametersError(f"tolerance must be positive, got {tolerance}")
@@ -320,12 +372,9 @@ def geometric_series(
     identity = Matrix.identity(n, mode)
     if identity.max_abs() < tolerance:
         return SeriesSum(Matrix.zeros(n, mode), 0, scalar(0, mode))
-    values, d = common_denominator(matrix._rows) if mode == EXACT else (matrix._rows, 1)
-    base = Matrix._wrap(values, mode)
+    d = matrix._scale
+    base = Matrix._wrap(matrix._rows, mode)
     threshold = scalar(tolerance, mode)
-
-    def value(norm, exponent: int) -> Scalar:
-        return Fraction(norm, d**exponent) if mode == EXACT else norm
 
     # levels[t] = (A^(2^t), S_(2^t)) at exponents 2^t and 2^t - 1, for every
     # power A^(2^t) at or above tolerance; last_norm is the norm of the highest.
@@ -334,12 +383,12 @@ def geometric_series(
     while norm >= threshold * d ** (1 << len(levels)):
         size = 1 << len(levels)
         if size >= max_terms:
-            raise _not_converged(tolerance, max_terms, size, value(norm, size))
+            raise _not_converged(tolerance, max_terms, size, norm / d**size)
         if levels:
             power, block = levels[-1]
-            block = _times(block, d ** (size >> 1)) + power @ block
+            block = block.scaled(d ** (size >> 1)) + power @ block
         else:
-            block = Matrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], mode)
+            block = identity
         levels.append((square, block))
         last_norm = norm
         square = square @ square
@@ -356,24 +405,14 @@ def geometric_series(
         candidate = power @ square
         norm = candidate.max_abs()
         if norm >= threshold * d ** (p + (1 << t)):
-            total = _times(total, d ** (1 << t)) + power @ block
+            total = total.scaled(d ** (1 << t)) + power @ block
             power, last_norm, p = candidate, norm, p + (1 << t)
     if p == max_terms:
-        raise _not_converged(tolerance, max_terms, p, value(last_norm, p))
-    total = _times(total, d) + power
+        raise _not_converged(tolerance, max_terms, p, last_norm / d**p)
+    total = total.scaled(d) + power
     if mode == EXACT:
-        divisor = d**p
-        total = Matrix._wrap(
-            [[Fraction(entry, divisor) for entry in row] for row in total._rows], mode
-        )
-    return SeriesSum(total, p + 1, value(last_norm, p))
-
-
-def _times(matrix: Matrix, factor: int) -> Matrix:
-    """``matrix`` with every entry multiplied by the integer ``factor``."""
-    if factor == 1:
-        return matrix
-    return Matrix._wrap([[factor * v for v in row] for row in matrix._rows], matrix.mode)
+        total = Matrix._wrap(total._rows, mode, d**p)
+    return SeriesSum(total, p + 1, last_norm / d**p)
 
 
 def _not_converged(tolerance, max_terms: int, term: int, norm: Scalar) -> NotConvergedError:

@@ -81,7 +81,7 @@ def oracle_matrices(graph: MultiDigraph) -> OracleResult:
     Forests with the same root map (``root_of``) add to the same entries,
     so the weights are summed per root map and spread over the rows of the
     matrix only at the end. They are summed as integers over the common
-    denominator ``D**n`` and divided by it once per entry. Raises
+    denominator ``D**n``, which becomes the matrix's scale. Raises
     :class:`InstanceTooLargeError`, as :func:`enumerate_in_forests` does.
     """
     factors, unit, divisor = _factors(graph)
@@ -95,8 +95,7 @@ def oracle_matrices(graph: MultiDigraph) -> OracleResult:
         for v, root in enumerate(roots):
             rows[v][root] += weight
     total = Fraction(sum(by_roots.values()), divisor)
-    rows = [[Fraction(value, divisor) for value in row] for row in rows]
-    return OracleResult(total_weight=total, matrix=Matrix._wrap(rows, EXACT), forest_count=count)
+    return OracleResult(total, Matrix._wrap(rows, EXACT, divisor), count)
 
 
 def _factors(graph: MultiDigraph) -> tuple[list[int], int, int]:

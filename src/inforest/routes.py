@@ -109,7 +109,7 @@ def _step(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
         # when eps d is within a few roundings of 1; zero is the nearer value.
         row[i] = ratio * max(one - eps * values[i], zero)
         rows.append(row)
-    result = Matrix._wrap(rows, mode)
+    result = Matrix._of(rows, mode)
     assert mode == FLOAT or all(total == ratio for total in result.row_sums())
     return result
 

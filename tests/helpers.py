@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -205,6 +206,50 @@ def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
     for _ in range(exponent):
         result = result @ matrix
     return result
+
+
+class FractionRows:
+    """Reference for exact matrices: plain rows of ``Fraction``s, with each
+    operation done entry by entry and no shared scale."""
+
+    def __init__(self, rows):
+        self.rows = [[Fraction(v) for v in row] for row in rows]
+
+    def __add__(self, other: "FractionRows") -> "FractionRows":
+        pairs = zip(self.rows, other.rows)
+        return FractionRows([[a + b for a, b in zip(ra, rb)] for ra, rb in pairs])
+
+    def __sub__(self, other: "FractionRows") -> "FractionRows":
+        pairs = zip(self.rows, other.rows)
+        return FractionRows([[a - b for a, b in zip(ra, rb)] for ra, rb in pairs])
+
+    def __matmul__(self, other: "FractionRows") -> "FractionRows":
+        columns = list(zip(*other.rows))
+        return FractionRows(
+            [[sum((a * b for a, b in zip(row, column)), Fraction(0)) for column in columns]
+             for row in self.rows]
+        )
+
+    def scaled(self, factor) -> "FractionRows":
+        return FractionRows([[Fraction(factor) * v for v in row] for row in self.rows])
+
+    def max_abs(self) -> Fraction:
+        return max((abs(v) for row in self.rows for v in row), default=Fraction(0))
+
+    def row_sums(self) -> list:
+        return [sum(row, Fraction(0)) for row in self.rows]
+
+    def floats(self) -> list:
+        """The nearest doubles, infinite with the entry's sign beyond the
+        range of doubles."""
+        return [[_nearest_double(v) for v in row] for row in self.rows]
+
+
+def _nearest_double(value: Fraction) -> float:
+    try:
+        return value.numerator / value.denominator
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def transpose(matrix: Matrix) -> Matrix:

@@ -548,3 +548,45 @@ def test_float_sweep_with_overflowing_products_matches_triple_by_triple():
     rows = forests.matrix.to_lists()
     assert not all(math.isfinite(a * b) for a in rows[0] for b in rows[1])
     assert summarize(verify_all_triples(g, mode=FLOAT)) == summarize(_reports_one_by_one(g, forests))
+
+
+def test_reports_read_the_rows_of_f_out_of_the_matrix_once(monkeypatch):
+    # Every report reads rows i and j of F; the Fractions of all n^2
+    # entries are built once, on the first read, not once per report.
+    g = random_graph(12, 1)
+    forests = forest_matrices(g)
+    calls = []
+    to_lists = Matrix.to_lists
+
+    def counted(matrix):
+        calls.append(matrix)
+        return to_lists(matrix)
+
+    monkeypatch.setattr(Matrix, "to_lists", counted)
+    reports = verify_all_triples(g, forests)
+    assert calls == []
+    listed = list(reports)
+    assert len(listed) == g.n**3 and reports[-1] == listed[-1]
+    assert calls == [forests.matrix]
+    monkeypatch.undo()
+    assert listed == _reports_one_by_one(g, forests)
+
+
+def test_doctored_fraction_rows_over_a_new_scale_are_caught():
+    # F_ij raised past F_ik F_jj / F_jk by a fraction of a new denominator,
+    # so the doctored matrix has a scale of its own; the single check and
+    # the sweep both reject it, the sweep at the first bad triple.
+    g = random_graph(6, 2)
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    i, j, k = 1, 3, 4
+    rows[i][j] = rows[i][k] * rows[j][j] / rows[j][k] + Fraction(1, 7919)
+    doctored = replace(forests, matrix=Matrix(rows))
+    assert doctored.matrix._scale % 7919 == 0
+    with pytest.raises(InconsistentWithTheoremError, match="exceeds"):
+        check_triple(doctored, g, i, j, k)
+    with pytest.raises(InconsistentWithTheoremError) as first:
+        _reports_one_by_one(g, doctored)
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, doctored)
+    assert str(raised.value) == str(first.value)

@@ -170,6 +170,30 @@ def test_is_symmetric_compares_total_weights_in_both_directions():
     assert not any(random_graph(n, seed).is_symmetric() for n in (3, 6, 12) for seed in range(5))
 
 
+def test_is_symmetric_reads_integer_rows_and_builds_no_fraction(monkeypatch):
+    # The exact Laplacian keeps integer rows over one scale; the symmetry
+    # test compares those with their transpose and reads no entry out.
+    def refuse(matrix, row):
+        raise AssertionError("an entry was read out as a Fraction")
+
+    monkeypatch.setattr(Matrix, "_read", refuse)
+    third = Fraction(1, 3)
+    assert MultiDigraph(3, [(0, 1, third), (1, 0, third), (1, 2, 5), (2, 1, 5)]).is_symmetric()
+    lopsided = MultiDigraph(3, [(0, 1, third), (1, 0, 2 * third), (1, 2, 5), (2, 1, 5)])
+    assert not lopsided.is_symmetric()
+
+
+def test_exact_laplacian_is_integer_rows_over_the_least_scale():
+    # Parallel halves add up to whole weights, so the least common
+    # denominator of the arc weights, 6, is not the least scale of L.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    g = MultiDigraph(3, [(0, 1, half), (0, 1, half), (1, 2, third), (2, 0, 3)])
+    laplacian = g.laplacian()
+    assert laplacian._scale == 3
+    assert laplacian._rows == [[3, -3, 0], [0, 1, -1], [-9, 0, 9]]
+    assert laplacian.to_lists() == [[1, -1, 0], [0, third, -third], [-3, 0, 3]]
+
+
 def test_reachable_respects_exclusion():
     g = make_path()
     assert g.reachable(0) == {0, 1, 2}

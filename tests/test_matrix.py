@@ -1,5 +1,6 @@
-"""Matrix kernel: determinant, inversion, and geometric series."""
+"""Matrix kernel: stored form, determinant, inversion, and geometric series."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from inforest import (
     verify_all_triples,
 )
 from inforest.matrix import scalar
-from tests.helpers import corpus, make_path, reference_series
+from tests.helpers import FractionRows, corpus, make_path, reference_series
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
 # a = b = 1 the expansion gives 4 (cross-checked against the oracle's
@@ -306,3 +307,99 @@ def test_an_unknown_mode_is_refused_by_every_solve(mode):
     for call in calls:
         with pytest.raises(ValueError, match=f"^unknown scalar mode {re.escape(repr(mode))}$"):
             call()
+
+
+# Entries of the stored-form tests: zero, small and 300-bit rationals of
+# either sign, and values beyond the range of doubles.
+_BIG = 2**300
+stored_entries = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions(),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(lambda sign, bits: sign * Fraction(2**bits + 1, 3), st.sampled_from([-1, 1]),
+              st.integers(1020, 1100)),
+)
+
+
+@st.composite
+def stored_rows(draw, order=None):
+    """Square rows of ``Fraction``s of order 0 to 3 unless ``order`` is given."""
+    order = draw(st.integers(0, 3)) if order is None else order
+    entries = st.lists(stored_entries, min_size=order, max_size=order)
+    return draw(st.lists(entries, min_size=order, max_size=order))
+
+
+@st.composite
+def stored_pairs(draw):
+    first = draw(stored_rows())
+    return first, draw(stored_rows(len(first)))
+
+
+def _assert_stored_form(matrix: Matrix) -> None:
+    """Integer rows over the least positive scale, read back as Fractions."""
+    stored, scale = matrix._rows, matrix._scale
+    assert type(scale) is int and scale > 0
+    assert all(type(v) is int for row in stored for v in row)
+    assert math.gcd(scale, *(v for row in stored for v in row)) == 1
+    if not any(v for row in stored for v in row):
+        assert scale == 1
+    values = matrix.to_lists()
+    assert all(type(v) is Fraction for row in values for v in row)
+    assert [list(matrix.row(i)) for i in range(matrix.order)] == values
+    assert all(
+        type(matrix[i, j]) is Fraction and matrix[i, j] == values[i][j]
+        for i in range(matrix.order)
+        for j in range(matrix.order)
+    )
+
+
+@given(stored_rows())
+@settings(max_examples=150, deadline=None)
+def test_an_exact_matrix_keeps_integer_rows_over_its_least_scale(rows):
+    matrix = Matrix(rows)
+    _assert_stored_form(matrix)
+    assert matrix.to_lists() == rows
+    assert Matrix(matrix.to_lists()) == matrix
+    assert repr(matrix) == f"Matrix({rows!r}, mode='exact')"
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_zero_and_identity_have_scale_one(order):
+    for matrix in (Matrix.zeros(order), Matrix([[0] * order] * order), Matrix.identity(order)):
+        _assert_stored_form(matrix)
+        assert matrix._scale == 1
+    assert Matrix.zeros(order) == Matrix([[Fraction(0)] * order] * order)
+
+
+@given(stored_pairs(), stored_entries)
+@settings(max_examples=150, deadline=None)
+def test_exact_operations_equal_the_fraction_reference(pair, factor):
+    a, b = pair
+    left, right = Matrix(a), Matrix(b)
+    ref_left, ref_right = FractionRows(a), FractionRows(b)
+    assert (left == right) == (a == b)
+    assert left == Matrix(FractionRows(a).rows)
+    for result, expected in [
+        (left + right, ref_left + ref_right),
+        (left - right, ref_left - ref_right),
+        (left @ right, ref_left @ ref_right),
+        (left.scaled(factor), ref_left.scaled(factor)),
+        (left.scaled(1), ref_left),
+    ]:
+        _assert_stored_form(result)
+        assert result.to_lists() == expected.rows
+        assert result == Matrix(expected.rows)
+    norm = left.max_abs()
+    assert type(norm) is Fraction and norm == ref_left.max_abs()
+    sums = left.row_sums()
+    assert all(type(v) is Fraction for v in sums) and sums == ref_left.row_sums()
+    floats = left.with_mode(FLOAT)
+    assert floats.mode == FLOAT and floats.to_lists() == ref_left.floats()
+    assert all(type(v) is float for row in floats.to_lists() for v in row)
+
+
+def test_with_mode_gives_signed_infinities_beyond_the_double_range():
+    huge = Fraction(2**1100, 3)
+    matrix = Matrix([[huge, -huge], [Fraction(1, 2**1100), 0]])
+    assert matrix.with_mode(FLOAT).to_lists() == [[math.inf, -math.inf], [0.0, 0.0]]
+    assert matrix.with_mode(FLOAT).to_lists() == FractionRows(matrix.to_lists()).floats()
