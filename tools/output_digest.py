@@ -30,10 +30,12 @@ generator graphs with at most 8 vertices:
 - ``verify_large``: :func:`verify_all_triples` on the larger graphs of
   :func:`large_corpus`: the summary and the reports of the first and the
   last start vertex, recorded as in ``verify``. Under ``float``, where
-  products overflow at n=90, ``f``, ``F`` and ``Q`` come first. Under
-  ``exact`` the graphs are of 20 and 30 vertices, whose triples are
-  nearly all strict by a wide margin, and a 2-cycle of weight 1e10, whose
-  strict triples are close to equality.
+  products overflow at n=90, ``f``, ``F`` and ``Q`` come first, and six
+  seeded 9-vertex paths with two tiny arcs follow, whose products
+  straddle 2^-1000 (:func:`tiny_paths`). Under ``exact`` the graphs are
+  of 20 and 30 vertices, whose triples are nearly all strict by a wide
+  margin, and a 2-cycle of weight 1e10, whose strict triples are close to
+  equality.
 
 A section and mode with no record print no line.
 
@@ -141,7 +143,24 @@ def large_corpus() -> list:
     """``(mode, graph)`` pairs of the ``verify_large`` section."""
     pairs = [(mode, random_graph(n, seed)) for mode in MODES for n, seed in LARGE[mode]]
     pairs.append((EXACT, MultiDigraph(2, [(0, 1, 10**10), (1, 0, 10**10)])))
+    pairs += [(FLOAT, graph) for graph in tiny_paths()]
     return pairs
+
+
+def tiny_paths(count=6, seed=3) -> list:
+    """Seeded 9-vertex paths with two arcs of weight 1e-152 to 1e-162
+    times 1 to 9, and the others between 1/9 and 9, as ``_tiny_paths`` in
+    ``tests/test_bottleneck.py`` builds them. The products of two entries
+    of ``F`` across both arcs lie near and below 2^-1000, down into the
+    subnormal range."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
+        for v in (0, rng.randint(3, 6)):
+            weights[v] = Fraction(rng.randint(1, 9), 10 ** rng.randint(152, 162))
+        graphs.append(MultiDigraph(9, [(v, v + 1, w) for v, w in enumerate(weights)]))
+    return graphs
 
 
 def undirected_corpus() -> list:
