@@ -32,6 +32,13 @@ falls back to the integer products: the equal, near-equal, zero, tiny and
 subnormal ones. The filter only ever proves ``lhs < rhs``, so exact mode
 stays authoritative and every report, summary and error is the one the
 integer products give.
+
+Float mode decides by the tolerance rule of :func:`_equal` on the double
+products, and a filter of the same kind comes first: a triple whose
+product ``F_ik F_jj`` is finite and exceeds ``F_ij F_jk`` times
+``1 + 4e-9``, itself at least 2^-1000, is certified strict, a gap no form
+of the rule calls equal. The rule settles every other triple, so the
+counts are the ones the rule gives.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Matrix, Scalar, format_for_message
+from .matrix import EXACT, Matrix, Scalar, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -59,6 +66,11 @@ FLOAT_EQUALITY_RTOL = 1e-9
 # that bound is at least 2^-1000.
 _FILTER_SLACK = 1 + 16 * 2.0**-53
 _FILTER_FLOOR = 2.0**-1000
+
+# The float sweep's filter (see _float_unsettled): a triple is certified
+# strict when lhs times this slack is at least _FILTER_FLOOR and below a
+# finite rhs, a gap of more than 3.9 times the equality tolerance.
+_FLOAT_SLACK = 1 + 4e-9
 
 
 @dataclass(frozen=True)
@@ -344,22 +356,61 @@ def _exact_sweep(weights: Matrix, masks: list[list[int]]) -> int:
     return equal
 
 
+def _float_unsettled(values: list[list[float]], i: int) -> list[list[int]]:
+    """Per j, the k of the triples (i, j, k) of the float ``F`` rows
+    ``values`` that the float filter leaves to the rule of :func:`_equal`.
+
+    That rule, triple by triple, is ``abs(a - b) <= FLOAT_EQUALITY_RTOL *
+    max(abs(a), abs(b))`` for the doubles ``a = F_ij F_jk`` and
+    ``b = F_ik F_jj``, and every other triple is certified strict: in
+    doubles, ``2^-1000 <= a s < b < inf`` with ``s = 1 + 4e-9``, ``a s``
+    being ``fl(fl(F_ij F_jk) s)``. Then ``a s`` is normal, and ``s`` is
+    below 2, so ``a`` is positive and normal too, and ``fl(a s) = a s
+    (1 + d)`` with ``|d| <= u = 2^-53``. So ``b > a s (1 - u) > a (1 +
+    3.99e-9)``, and ``b - a > 3.9e-9 b``. Both operands are normal, so
+    ``fl(b - a) >= (b - a)(1 - u)``, or is exact where it is subnormal,
+    while ``fl(1e-9 b)`` is at most ``1e-9 b (1 + 2^-44)``, absolute
+    error of at most 2^-1075 included, as ``1e-9 b >= 2^-1030``. So
+    ``fl(b - a) > fl(1e-9 b) >= fl(1e-9 a)``: neither the rule nor
+    :func:`math.isclose` calls the triple equal. The equal, near-equal,
+    zero, tiny, overflowed and nan triples are all left to the rule.
+    """
+    row_i = values[i]
+    span = range(len(row_i))
+    floor, slack, inf = _FILTER_FLOOR, _FLOAT_SLACK, math.inf
+    unsettled = []
+    for j, row_j in enumerate(values):
+        ij, jj = row_i[j], row_j[j]
+        unsettled.append(
+            [k for k in span if not floor <= ij * row_j[k] * slack < row_i[k] * jj < inf]
+        )
+    return unsettled
+
+
 def _float_sweep(values: list[list[float]], masks: list[list[int]]) -> tuple[int, int]:
     """The numbers of equal and of inconsistent triples of the float ``F``
-    rows ``values``, with separators from the dominator masks ``masks``."""
-    n = len(values)
+    rows ``values``, with separators from the dominator masks ``masks``.
+
+    The triples that :func:`_float_unsettled` certifies are strict, and
+    inconsistent exactly where j separates; the rule of :func:`_equal`
+    settles the rest, so every count is the one the rule gives.
+    """
+    rtol = FLOAT_EQUALITY_RTOL
     equal = inconsistent = 0
-    for i in range(n):
-        row_i = values[i]
-        for j, row_sep in enumerate(_dominator_separators(masks[i])):
+    for i, row_i in enumerate(values):
+        # Every triple is strict until the rule calls it equal, and a strict
+        # triple is inconsistent exactly where j separates: bit j of
+        # masks[i][k].
+        masks_i = masks[i]
+        inconsistent += sum(map(int.bit_count, masks_i))
+        for j, unsettled in enumerate(_float_unsettled(values, i)):
             row_j = values[j]
             ij, jj = row_i[j], row_j[j]
-            lhs = [ij * v for v in row_j]
-            rhs = [v * jj for v in row_i]
-            verdicts = _equal(lhs, rhs, FLOAT)
-            if verdicts != row_sep:
-                inconsistent += sum(map(operator.ne, verdicts, row_sep))
-            equal += sum(verdicts)
+            for k in unsettled:
+                a, b = ij * row_j[k], row_i[k] * jj
+                if abs(a - b) <= rtol * max(abs(a), abs(b)):
+                    equal += 1
+                    inconsistent += -1 if masks_i[k] >> j & 1 else 1
     return equal, inconsistent
 
 

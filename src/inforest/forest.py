@@ -77,6 +77,16 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     reads it: ``c`` times the previous pivot on row k in exact mode, ``c``
     in float mode, and 0 on every other row. So it joins the right block
     only at step k, with that value, and no earlier step updates it.
+
+    The steps go in pairs (k, k + 1): step k updates row k + 1, step
+    k + 1 then updates row k, and one pass over every other row applies
+    both, with the row's column k + 1 after step k as the second factor.
+    Each entry takes the same operations in the same order as in two
+    passes; column k + 1 of ``c I``, still 0 on those rows, takes step
+    k's term too, which leaves it 0 (``0.0 - g * 0.0`` is ``0.0`` for a
+    finite g). A float row whose factor for either step is 0 takes the
+    two steps one at a time, and so skips that step as a lone step does.
+    An odd last step runs alone.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -85,12 +95,11 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     rows = [row + [c] for row in left]
     for r, row in enumerate(rows):
         row[r] += c
-    pivots, previous = [], 1
-    for k in range(n):
-        for row in rows:
-            row.append(zero)
+    pivots = []
+
+    def pivot_of(k: int, previous) -> float:
         pivot_row = rows[k]
-        pivot_row[-1] = c * previous
+        pivot_row[n + 1 + k] = c * previous
         pivot = pivot_row[n] - sum(pivot_row[k + 1 : n])
         if exact and not 0 < pivot == pivot_row[k]:
             raise InconsistentWithTheoremError(
@@ -98,21 +107,59 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                 f"{format_for_message(pivot_row[k])} eliminated and {format_for_message(pivot)} "
                 "from its row sum; it must be one positive value"
             )
+        pivots.append(pivot)
+        return pivot
+
+    def step(row: list, k: int, pivot, previous, tail: list) -> None:
         # Columns up to k are settled: the left block there is diagonal.
         # Off the diagonal every update adds terms of one sign.
-        tail = pivot_row[k + 1 :]
-        for row in rows[:k] + rows[k + 1 :]:
-            factor = row[k]
-            if exact:
-                row[k + 1 :] = [
-                    (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-                ]
-            elif factor:  # x - 0*y is x for finite y: a row with no entry in column k stays
-                factor /= pivot
-                row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
-        pivots.append(pivot)
+        factor = row[k]
         if exact:
-            previous = pivot
+            row[k + 1 :] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+            ]
+        elif factor:  # x - 0*y is x for finite y: a row with no entry in column k stays
+            factor /= pivot
+            row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
+
+    previous = 1
+    for k in range(0, n, 2):
+        extra = [zero] * min(2, n - k)
+        for row in rows:
+            row += extra
+        pivot = pivot_of(k, previous)
+        pivot_row = rows[k]
+        tail = pivot_row[k + 1 :]
+        if k + 1 == n:
+            for row in rows[:k]:
+                step(row, k, pivot, previous, tail)
+            break
+        next_row = rows[k + 1]
+        step(next_row, k, pivot, previous, tail)
+        after = pivot if exact else previous
+        pivot2 = pivot_of(k + 1, after)
+        tail2 = next_row[k + 2 :]
+        step(pivot_row, k + 1, pivot2, after, tail2)
+        y1, tail1 = tail[0], tail[1:]
+        for row in rows[:k] + rows[k + 2 :]:
+            f1 = row[k]
+            if exact:
+                f2 = (pivot * row[k + 1] - f1 * y1) // previous
+                row[k + 2 :] = [
+                    (pivot2 * ((pivot * x - f1 * y) // previous) - f2 * z) // pivot
+                    for x, y, z in zip(row[k + 2 :], tail1, tail2)
+                ]
+                continue
+            g1 = f1 / pivot
+            f2 = row[k + 1] - g1 * y1
+            if f1 and f2:
+                g2 = f2 / pivot2
+                row[k + 2 :] = [x - g1 * y - g2 * z for x, y, z in zip(row[k + 2 :], tail1, tail2)]
+            else:
+                step(row, k, pivot, previous, tail)
+                step(row, k + 1, pivot2, after, tail2)
+        if exact:
+            previous = pivot2
     return pivots, c, [row[n + 1 :] for row in rows]
 
 

@@ -78,11 +78,24 @@ class MultiDigraph:
         successors: list[list[int]] = [[] for _ in range(n)]
         predecessors: list[list[int]] = [[] for _ in range(n)]
         for tail, head, weight in arcs:
-            self.check_vertex(tail)
-            self.check_vertex(head)
-            if tail == head:
-                raise LoopArcError(f"arc {tail}->{head} is a loop")
-            checked.append(Arc(tail, head, _check_weight(weight)))
+            # An arc as the parser and the generators give it passes one
+            # test; any other takes the checks one by one, in the order
+            # that picks its error.
+            if not (
+                type(tail) is int
+                and type(head) is int
+                and 0 <= tail < n
+                and 0 <= head < n
+                and tail != head
+                and type(weight) is Fraction
+                and weight.numerator > 0
+            ):
+                self.check_vertex(tail)
+                self.check_vertex(head)
+                if tail == head:
+                    raise LoopArcError(f"arc {tail}->{head} is a loop")
+                weight = _check_weight(weight)
+            checked.append(Arc(tail, head, weight))
             successors[tail].append(head)
             predecessors[head].append(tail)
         self.arcs = tuple(checked)
@@ -99,7 +112,10 @@ class MultiDigraph:
         return cls(n, arcs)
 
     def check_vertex(self, v: int) -> int:
-        """``v``; raises :class:`VertexOutOfRangeError` unless ``0 <= v < n``."""
+        """``v``; raises :class:`VertexOutOfRangeError` unless ``v`` is an
+        ``int`` with ``0 <= v < n``."""
+        if not isinstance(v, int):
+            raise VertexOutOfRangeError(f"vertex {v!r} is not an integer")
         if not (0 <= v < self.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
         return v

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from inforest import (
     EXACT,
+    FLOAT,
+    LoopArcError,
     Matrix,
     MultiDigraph,
     NotConvergedError,
@@ -22,6 +25,8 @@ from inforest import (
     path_graph,
     step_matrix,
 )
+from inforest.bottleneck import _equal
+from inforest.graph import Arc, _check_weight
 from inforest.matrix import scalar
 
 CORPUS_SEED = 20260809
@@ -102,6 +107,44 @@ def reference_separators(n, arcs, i, undirected=False) -> list[list[bool]]:
                     queue.append(w)
         table.append([k == j or (k != i and k not in seen) for k in range(n)])
     return table
+
+
+def reference_arcs(n, arcs) -> tuple:
+    """The arcs ``MultiDigraph(n, arcs)`` stores, checked one by one as
+    the constructor first did: both endpoints by ``check_vertex``, then
+    the loop test, then the weight. Raises the first error on the first
+    bad arc."""
+    graph = MultiDigraph(n)
+    checked = []
+    for tail, head, weight in arcs:
+        graph.check_vertex(tail)
+        graph.check_vertex(head)
+        if tail == head:
+            raise LoopArcError(f"arc {tail}->{head} is a loop")
+        checked.append(Arc(tail, head, _check_weight(weight)))
+    return tuple(checked)
+
+
+def reference_float_sweep(values, masks) -> tuple[int, int]:
+    """The numbers of equal and of inconsistent triples of the float ``F``
+    rows ``values``, as the float sweep first counted them: both products
+    of every triple of an (i, j) row, the verdicts of ``_equal`` on the
+    whole row, and the separator of (i, j, k) read as bit j of
+    ``masks[i][k]``."""
+    n = len(values)
+    equal = inconsistent = 0
+    for i in range(n):
+        row_i = values[i]
+        for j in range(n):
+            row_j = values[j]
+            ij, jj = row_i[j], row_j[j]
+            lhs = [ij * v for v in row_j]
+            rhs = [v * jj for v in row_i]
+            verdicts = _equal(lhs, rhs, FLOAT)
+            separators = [bool(mask >> j & 1) for mask in masks[i]]
+            equal += sum(verdicts)
+            inconsistent += sum(map(operator.ne, verdicts, separators))
+    return equal, inconsistent
 
 
 def out_arc_indices(graph: MultiDigraph) -> list[list[int]]:

@@ -27,7 +27,14 @@ from inforest import (
     verify_all_triples,
     VertexOutOfRangeError,
 )
-from inforest.bottleneck import FLOAT_EQUALITY_RTOL, _equal, _filter_ratios, _unsettled
+from inforest.bottleneck import (
+    FLOAT_EQUALITY_RTOL,
+    _equal,
+    _filter_ratios,
+    _float_sweep,
+    _float_unsettled,
+    _unsettled,
+)
 from inforest.cli import run
 from inforest.matrix import common_denominator
 from tests.helpers import (
@@ -39,6 +46,7 @@ from tests.helpers import (
     multidigraphs,
     random_multidigraph,
     random_undirected,
+    reference_float_sweep,
     reference_separators,
 )
 
@@ -392,6 +400,33 @@ def test_exact_filter_never_certifies_an_equal_or_reversed_triple():
         for triple, lhs, rhs in _certified(forest_matrices(graph)):
             assert lhs < rhs, (graph, triple)
             certified += 1
+    assert certified > 60000
+
+
+def test_float_filter_never_certifies_a_close_triple():
+    # The corpus in float mode, strict triples 2e-10 and 2e-13 apart on
+    # the 2-cycles, a dense graph, whose triples are nearly all certified,
+    # and the same graph with heavy weights, whose F overflows, products
+    # that overflow at n=90, and paths whose products lie near and below
+    # 2^-1000. A slack of 1 certifies triples here that the rule calls
+    # equal.
+    graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
+    graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12), random_graph(90, 1)]
+    graphs += _tiny_paths()
+    certified = 0
+    for graph in graphs:
+        values = forest_matrices(graph, FLOAT).matrix.to_lists()
+        for i, row_i in enumerate(values):
+            for j, unsettled in enumerate(_float_unsettled(values, i)):
+                kept = set(unsettled)
+                for k in range(graph.n):
+                    if k in kept:
+                        continue
+                    a, b = row_i[j] * values[j][k], row_i[k] * values[j][j]
+                    assert not math.isclose(a, b) and not _reference_equal(a, b), (graph, i, j, k)
+                    certified += 1
+        masks = [graph.dominators(i) for i in range(graph.n)]
+        assert _float_sweep(values, masks) == reference_float_sweep(values, masks), graph
     assert certified > 60000
 
 

@@ -1,14 +1,17 @@
 """Graph construction, matrix views, degrees, and reachability."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inforest import (
     BadParametersError,
     EXACT,
     FLOAT,
+    InforestError,
     InstanceTooLargeError,
     LoopArcError,
     Matrix,
@@ -18,8 +21,10 @@ from inforest import (
     VertexOutOfRangeError,
     complete_graph,
     cycle_graph,
+    is_bottleneck,
     path_graph,
     random_graph,
+    route_decomposition,
 )
 from inforest.graph import MAX_VERTICES
 from tests.helpers import (
@@ -27,6 +32,7 @@ from tests.helpers import (
     make_path,
     make_triangle,
     multidigraphs,
+    reference_arcs,
     reference_separators,
     transpose,
 )
@@ -84,6 +90,64 @@ def test_random_graph_refuses_a_weight_range_below_one():
 def test_endpoints_out_of_range_rejected(arc):
     with pytest.raises(VertexOutOfRangeError):
         MultiDigraph(2, [arc])
+
+
+def test_non_integer_vertices_rejected():
+    g = make_path()
+    calls = [
+        ("0.5", lambda: MultiDigraph(3, [(0.5, 1, 1)])),
+        ("1.0", lambda: g.dominators(1.0)),
+        ("1.0", lambda: g.out_degree(1.0)),
+        ("1.0", lambda: is_bottleneck(g, 0, 1.0, 2)),
+        ("1.5", lambda: route_decomposition(g, 0, 1.5, 2)),
+    ]
+    for vertex, call in calls:
+        with pytest.raises(VertexOutOfRangeError, match=f"^vertex {vertex} is not an integer$"):
+            call()
+
+
+_ENDPOINTS = st.one_of(st.integers(-1, 4), st.sampled_from([0.5, 1.0, True, "1", None]))
+_WEIGHTS = st.one_of(
+    st.fractions(min_value=-1, max_value=5, max_denominator=7),
+    st.integers(-1, 5),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(
+        ["1", math.nan, math.inf, -math.inf, 0, -1, 1e-400, Fraction(1, 10**400), Fraction(0)]
+    ),
+)
+
+
+@st.composite
+def _arc_lists(draw):
+    """``(n, arcs)``: valid arcs around one arc that has one field drawn
+    from any endpoint or weight above, then up to two arcs drawn wholly
+    from them."""
+    n = draw(st.integers(2, 4))
+    weights = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+    vertices = st.integers(0, n - 1)
+    valid = st.tuples(vertices, vertices, weights).filter(lambda arc: arc[0] != arc[1])
+    arcs = draw(st.lists(valid, max_size=3))
+    odd = list(draw(valid))
+    field = draw(st.integers(0, 2))
+    odd[field] = draw(_WEIGHTS if field == 2 else _ENDPOINTS)
+    arcs.insert(draw(st.integers(0, len(arcs))), tuple(odd))
+    arcs += draw(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS, _WEIGHTS), max_size=2))
+    return n, arcs
+
+
+@given(_arc_lists())
+@settings(max_examples=400, deadline=None)
+def test_constructor_stores_or_refuses_the_arcs_as_the_checks_one_by_one(case):
+    n, arcs = case
+
+    def outcome(build):
+        try:
+            return repr(build())
+        except InforestError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: MultiDigraph(n, arcs).arcs) == outcome(lambda: reference_arcs(n, arcs))
 
 
 def test_laplacian_sums_parallel_arcs():

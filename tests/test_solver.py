@@ -130,6 +130,14 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
     rng = random.Random(CORPUS_SEED)
     arcs = [(u, v, rng.randint(1, 5)) for u in range(40) for v in range(u + 1, 40)]
     graphs += [path_graph(40), MultiDigraph(40, [arc for arc in arcs if rng.random() < 0.05])]
+    # The solver takes its steps in pairs: even and odd orders, so that the
+    # last step runs alone or in a pair.
+    graphs += [random_graph(n, 4) for n in (2, 3, 7)] + [random_graph(31, 2)]
+    # A star into vertex 0 and a DAG, where one step of a pair has factor 0
+    # on some rows and the other does not.
+    graphs.append(MultiDigraph(9, [(v, 0, Fraction(v, 3)) for v in range(1, 9)]))
+    dag = [(u, v, Fraction(rng.randint(1, 5), 3)) for u in range(12) for v in range(u + 1, 12)]
+    graphs.append(MultiDigraph(12, [arc for arc in dag if rng.random() < 0.3]))
     for graph in graphs:
         laplacian = graph.laplacian(mode)
         solved, expected = _forest_solve(laplacian), _full_block_solve(laplacian)
