@@ -11,7 +11,7 @@ The all-triples sweep takes its separators from the dominator sets of each
 start vertex i: every path from i to k contains j exactly when j dominates
 k in the flow graph rooted at i, vacuously so when k is unreachable from i
 (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
-It compares the products a whole (i, j) row at a time and counts the
+It settles the triples a whole (i, j) row at a time and counts the
 verdicts as it goes. It keeps the dominator masks, n integers per start
 vertex, as the one stored form of the separators; the report objects of
 :func:`verify_all_triples` are built from them and the rows of ``F`` only
@@ -21,24 +21,40 @@ without building any. The single-triple :func:`is_bottleneck`, behind
 dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
 
-Exact mode compares the integer products of ``N = c F``, and a certified
-double filter settles the clearly strict triples first. Each entry
-becomes the double ``q = N / T`` once, with ``T`` the largest ``|N|``, and
-a triple is certified strict when ``fl(q_ik q_jj)`` exceeds
-``fl(q_ij q_jk)`` times ``1 + 16u`` (u = 2^-53), and that bound is at
-least 2^-1000. The rounding error stays below 8u, so the slack leaves
-room, and the lower limit keeps every operand normal. Every other triple
-falls back to the integer products: the equal, near-equal, zero, tiny and
-subnormal ones. The filter only ever proves ``lhs < rhs``, so exact mode
-stays authoritative and every report, summary and error is the one the
-integer products give.
+Each (i, j) row is a triangle check, the multiplicative counterpart of
+the triangle inequality, and one bound settles most rows whole before any
+triple's products are formed (:func:`_settled_rows`). It runs when every
+entry lies in [2^-500, 2^500], on the float ``F`` or on the exact filter
+ratios ``q`` below. Column k is divided by the mean ``C_k`` of its
+off-diagonal entries, and row (i, j), j ≠ i, is strict for every k ≠ j
+when ``fl(fl(F_ij / F_jj) fl(M_j (1 + 8e-9)))``, at least 2^-1000, is
+below the least scaled entry of row i, ``M_j`` being the largest scaled
+entry of row j off its diagonal. The slack covers the rounding and then
+the gap either filter below proves. Row (i, i) and the triples (i, j, j)
+multiply the same two numbers on both sides, so under the guard they are
+equal, and their separators are counted from the dominator bits. So the
+sweep costs O(n^2) plus n for each row the bound declines; every other
+matrix, with zeros, overflow or a wide spread, takes the filters below
+on every row.
+
+Exact mode compares the integer products of ``N = c F``, and on the rows
+the bound declines a certified double filter settles the clearly strict
+triples first. Each entry becomes the double ``q = N / T`` once, with
+``T`` the largest ``|N|``, and a triple is certified strict when
+``fl(q_ik q_jj)`` exceeds ``fl(q_ij q_jk)`` times ``1 + 16u`` (u =
+2^-53), and that bound is at least 2^-1000. The rounding error stays
+below 8u, so the slack leaves room, and the lower limit keeps every
+operand normal. Every other triple falls back to the integer products:
+the equal, near-equal, zero, tiny and subnormal ones. The bound and the
+filter only ever prove ``lhs < rhs``, so exact mode stays authoritative
+and every report, summary and error is the one the integer products give.
 
 Float mode decides by the tolerance rule of :func:`_equal` on the double
-products, and a filter of the same kind comes first: a triple whose
-product ``F_ik F_jj`` is finite and exceeds ``F_ij F_jk`` times
-``1 + 4e-9``, itself at least 2^-1000, is certified strict, a gap no form
-of the rule calls equal. The rule settles every other triple, so the
-counts are the ones the rule gives.
+products, and on the declined rows a filter of the same kind comes first:
+a triple whose product ``F_ik F_jj`` is finite and exceeds ``F_ij F_jk``
+times ``1 + 4e-9``, itself at least 2^-1000, is certified strict, a gap
+no form of the rule calls equal. The rule settles every other triple, so
+the counts are the ones the rule gives.
 """
 
 from __future__ import annotations
@@ -47,6 +63,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError
@@ -71,6 +88,12 @@ _FILTER_FLOOR = 2.0**-1000
 # strict when lhs times this slack is at least _FILTER_FLOOR and below a
 # finite rhs, a gap of more than 3.9 times the equality tolerance.
 _FLOAT_SLACK = 1 + 4e-9
+
+# The row bound of both sweeps (see _settled_rows): it runs when every
+# entry lies in [2^-500, 2^500], and its slack leaves room for the
+# rounding of the bound and then for the gap of either filter.
+_ROW_RANGE = (2.0**-500, 2.0**500)
+_ROW_SLACK = 1 + 8e-9
 
 
 @dataclass(frozen=True)
@@ -137,22 +160,6 @@ def is_bottleneck(graph: MultiDigraph, i: int, j: int, k: int) -> bool:
     for v in (i, j, k):
         graph.check_vertex(v)
     return bool(graph.dominators(i)[k] >> j & 1)
-
-
-def _dominator_separators(masks: list[int]) -> list[list[bool]]:
-    """``is_bottleneck(graph, i, j, k)`` for every j (row) and k (entry),
-    from the dominator masks ``graph.dominators(i)``.
-
-    Row j, entry k, is True exactly when bit j of ``masks[k]`` is set.
-    """
-    n = len(masks)
-    rows = [[False] * n for _ in range(n)]
-    for k, mask in enumerate(masks):
-        while mask:
-            j = mask.bit_length() - 1
-            rows[j][k] = True
-            mask ^= 1 << j
-    return rows
 
 
 def _report(
@@ -288,6 +295,73 @@ def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
     return [[v / scale for v in row] for row in rows]
 
 
+def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
+    """Per i and j, whether one bound settles every triple (i, j, k) of the
+    positive doubles ``values``, the float ``F`` or the exact sweep's
+    filter ratios ``q``: equal for k = j, and for every k when j = i,
+    strict for the other k. No row is settled unless every entry lies in
+    [2^-500, 2^500]; then row (i, i) always is.
+
+    Under that guard the products of two entries lie in [2^-1000,
+    2^1000], normal and finite. Row (i, i) and the triple (i, j, j)
+    multiply the same two numbers on both sides, so they are equal, as
+    integers and as doubles alike. For the rest, column k is divided by
+    ``C_k``, the mean of its off-diagonal entries, and ``w = fl(V / C)``
+    for the entries ``V`` of ``values``. With ``M_j = max_{k≠j} w_jk`` and
+    ``m_i = min_k w_ik``, row (i, j), j ≠ i, is settled when ``2^-1000 <=
+    x < m_i`` for ``x = fl(fl(V_ij / V_jj) fl(M_j S))``, S = 1 + 8e-9.
+    That is O(n^2) work for all n^2 rows. (Leaving column j out of
+    ``m_i`` helps only where ``M_j S`` reaches about ``w_jj``; on
+    ``random_graph(n, s)`` with n up to 40 both forms settle the same
+    rows.)
+
+    ``C_k`` lies within [2^-501, 2^501], so ``w``, ``V_ij / V_jj`` and
+    ``M_j S`` are normal, and so is ``x`` by its lower limit; each rounding
+    adds one factor ``(1 + d)``, ``|d| <= u = 2^-53``. For k ≠ j,
+    ``M_j >= w_jk`` and ``m_i <= w_ik``, so ``(V_ij / V_jj)(V_jk / C_k) S
+    (1 - u)^4 <= x < m_i <= (V_ik / C_k)(1 + u)``: ``V_ij V_jk S (1 -
+    u)^4 / (1 + u) < V_ik V_jj``, the scale ``C_k`` cancelling. In float
+    mode the rule compares the doubles ``a = fl(F_ij F_jk)`` and ``b =
+    fl(F_ik F_jj)``, so ``b > a S (1 - u)^5 / (1 + u)^2 > a (1 + 7.9e-9)``
+    with ``a`` and ``b`` normal and finite, past the gap ``b > a (1 +
+    3.99e-9)`` from which :func:`_float_unsettled` shows that neither
+    form of the rule calls a triple equal. In exact mode ``q = (N / T)(1 +
+    d)``, so ``N_ij N_jk S (1 - u)^6 / (1 + u)^3 < N_ik N_jj``, and
+    ``N_ij N_jk < N_ik N_jj`` as for a triple :func:`_unsettled` certifies.
+    Dividing column k by ``F_kk`` rather than by the column mean would
+    settle far fewer rows.
+    """
+    n = len(values)
+    low, high = _ROW_RANGE
+    if not all(low <= v <= high for row in values for v in row):
+        return [[False] * n] * n
+    scales = [(sum(c[:k]) + sum(c[k + 1 :])) / (n - 1) for k, c in enumerate(zip(*values))]
+    scaled = [[v / c for v, c in zip(row, scales)] for row in values]
+    tops = [max(w[:j] + w[j + 1 :]) * _ROW_SLACK for j, w in enumerate(scaled)]
+    diagonal = [row[j] for j, row in enumerate(values)]
+    floor = _FILTER_FLOOR
+    settled = []
+    for i, (row, w) in enumerate(zip(values, scaled)):
+        least = min(w)
+        flags = [floor <= v / d * t < least for v, d, t in zip(row, diagonal, tops)]
+        flags[i] = True
+        settled.append(flags)
+    return settled
+
+
+def _separator_counts(masks: list[int]) -> list[int]:
+    """Per j, the number of k whose mask ``masks[k]`` has bit j set: for
+    the dominator masks ``graph.dominators(i)``, the separators of row
+    (i, j)."""
+    counts = [0] * len(masks)
+    for mask in masks:
+        while mask:
+            j = mask.bit_length() - 1
+            counts[j] += 1
+            mask ^= 1 << j
+    return counts
+
+
 def _unsettled(ratio_i: list[float], ratio_j: list[float], j: int) -> list[int]:
     """The k of row (i, j) that the float filter leaves to the integer
     products, from rows i and j of :func:`_filter_ratios`.
@@ -322,43 +396,54 @@ def _exact_sweep(weights: Matrix, masks: list[list[int]]) -> int:
     first triple in lexicographic order that breaks the law.
 
     The law is homogeneous of degree 2, so the integer rows ``N = c F`` of
-    the matrix's stored form give the verdicts of ``F``. The float filter
-    of :func:`_unsettled` proves most triples strict before any integer
-    product is formed, and the products settle the rest. A certified
-    triple is consistent exactly when j is no separator. The filter only
-    ever proves ``lhs < rhs``, so every verdict and error is the one the
-    integer products give.
+    the matrix's stored form give the verdicts of ``F``. The row bound of
+    :func:`_settled_rows` settles most (i, j) rows whole; on the others the
+    float filter of :func:`_unsettled` proves most triples strict before
+    any integer product is formed, and the products settle the rest. A
+    strict triple is consistent exactly when j is no separator, and an
+    equal one when j is. The bound and the filter only ever prove
+    ``lhs < rhs``, so every verdict and error is the one the integer
+    products give.
     """
     rows = weights._rows
     ratios = _filter_ratios(rows)
+    settled = _settled_rows(ratios)
     n = len(rows)
     equal = 0
     for i in range(n):
-        row_i, ratio_i = rows[i], ratios[i]
-        for j, row_sep in enumerate(_dominator_separators(masks[i])):
-            row_j = rows[j]
-            ij, jj = row_i[j], row_j[j]
-            count = 0
-            for k in _unsettled(ratio_i, ratios[j], j):
-                lhs, rhs = ij * row_j[k], row_i[k] * jj
-                if lhs > rhs or (lhs == rhs) != row_sep[k]:
-                    break
-                count += lhs == rhs
-            else:
-                # Certified triples are strict: the row is consistent when
-                # its equal triples are all of its separators.
-                if count == row_sep.count(True):
+        row_i, ratio_i, masks_i, settled_i = rows[i], ratios[i], masks[i], settled[i]
+        separators = _separator_counts(masks_i)
+        for j in range(n):
+            if settled_i[j]:
+                # Consistent when the row's separators are its equal triples.
+                count = n if j == i else 1
+                if separators[j] == count and masks_i[j] >> j & 1:
                     equal += count
                     continue
+            else:
+                row_j = rows[j]
+                ij, jj = row_i[j], row_j[j]
+                count = 0
+                for k in _unsettled(ratio_i, ratios[j], j):
+                    lhs, rhs = ij * row_j[k], row_i[k] * jj
+                    if lhs > rhs or (lhs == rhs) != (masks_i[k] >> j & 1):
+                        break
+                    count += lhs == rhs
+                else:
+                    # Certified triples are strict: the row is consistent
+                    # when its equal triples are all of its separators.
+                    if count == separators[j]:
+                        equal += count
+                        continue
             values_i, values_j = weights.row(i), weights.row(j)
             for k in range(n):  # the first bad triple raises
-                _report(EXACT, (i, j, k), values_i, values_j, row_sep[k])
+                _report(EXACT, (i, j, k), values_i, values_j, bool(masks_i[k] >> j & 1))
     return equal
 
 
-def _float_unsettled(values: list[list[float]], i: int) -> list[list[int]]:
-    """Per j, the k of the triples (i, j, k) of the float ``F`` rows
-    ``values`` that the float filter leaves to the rule of :func:`_equal`.
+def _float_unsettled(row_i: list[float], row_j: list[float], j: int) -> list[int]:
+    """The k of row (i, j) of the float ``F`` that the float filter leaves
+    to the rule of :func:`_equal`, from rows i and j of ``F``.
 
     That rule, triple by triple, is ``abs(a - b) <= FLOAT_EQUALITY_RTOL *
     max(abs(a), abs(b))`` for the doubles ``a = F_ij F_jk`` and
@@ -375,38 +460,45 @@ def _float_unsettled(values: list[list[float]], i: int) -> list[list[int]]:
     :func:`math.isclose` calls the triple equal. The equal, near-equal,
     zero, tiny, overflowed and nan triples are all left to the rule.
     """
-    row_i = values[i]
-    span = range(len(row_i))
+    ij, jj = row_i[j], row_j[j]
     floor, slack, inf = _FILTER_FLOOR, _FLOAT_SLACK, math.inf
-    unsettled = []
-    for j, row_j in enumerate(values):
-        ij, jj = row_i[j], row_j[j]
-        unsettled.append(
-            [k for k in span if not floor <= ij * row_j[k] * slack < row_i[k] * jj < inf]
-        )
-    return unsettled
+    return [
+        k for k in range(len(row_i)) if not floor <= ij * row_j[k] * slack < row_i[k] * jj < inf
+    ]
 
 
 def _float_sweep(values: list[list[float]], masks: list[list[int]]) -> tuple[int, int]:
     """The numbers of equal and of inconsistent triples of the float ``F``
     rows ``values``, with separators from the dominator masks ``masks``.
 
-    The triples that :func:`_float_unsettled` certifies are strict, and
-    inconsistent exactly where j separates; the rule of :func:`_equal`
-    settles the rest, so every count is the one the rule gives.
+    The rows that :func:`_settled_rows` settles are equal at k = j, and
+    throughout row (i, i), and strict elsewhere; on the other rows the
+    triples that :func:`_float_unsettled` certifies are strict. A strict
+    triple is inconsistent exactly where j separates, and the rule of
+    :func:`_equal` settles every other triple, so every count is the one
+    the rule gives.
     """
     rtol = FLOAT_EQUALITY_RTOL
+    span = range(len(values))
+    settled = _settled_rows(values)
     equal = inconsistent = 0
     for i, row_i in enumerate(values):
-        # Every triple is strict until the rule calls it equal, and a strict
+        # Every triple is strict until it is found equal, and a strict
         # triple is inconsistent exactly where j separates: bit j of
         # masks[i][k].
-        masks_i = masks[i]
+        masks_i, settled_i = masks[i], settled[i]
         inconsistent += sum(map(int.bit_count, masks_i))
-        for j, unsettled in enumerate(_float_unsettled(values, i)):
+        if settled_i[i]:
+            # The separator bits of the equal triples of the settled rows:
+            # all of row (i, i), and (i, j, j) of the others.
+            bits = [m >> i & 1 for m in masks_i]
+            bits += [masks_i[j] >> j & 1 for j in compress(span, settled_i) if j != i]
+            equal += len(bits)
+            inconsistent += len(bits) - 2 * sum(bits)
+        for j in compress(span, map(operator.not_, settled_i)):
             row_j = values[j]
             ij, jj = row_i[j], row_j[j]
-            for k in unsettled:
+            for k in _float_unsettled(row_i, row_j, j):
                 a, b = ij * row_j[k], row_i[k] * jj
                 if abs(a - b) <= rtol * max(abs(a), abs(b)):
                     equal += 1

@@ -79,6 +79,10 @@ def scalar(value, mode: str) -> Scalar:
     if mode != FLOAT:
         raise ValueError(f"unknown scalar mode {mode!r}")
     try:
+        if type(value) is Fraction:
+            # The correctly rounded int / int that float() runs, without
+            # its Python-level __float__.
+            return value.numerator / value.denominator
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf

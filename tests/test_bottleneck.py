@@ -33,6 +33,7 @@ from inforest.bottleneck import (
     _filter_ratios,
     _float_sweep,
     _float_unsettled,
+    _settled_rows,
     _unsettled,
 )
 from inforest.cli import run
@@ -358,19 +359,37 @@ def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
     assert str(raised.value) == str(first.value)
 
 
-def _certified(forests):
-    """``(triple, lhs, rhs)`` for every triple that the exact sweep's
-    float filter certifies strict, with the integer products ``N_ij N_jk``
-    and ``N_ik N_jj`` of ``N = c F``."""
-    rows, _ = common_denominator(forests.matrix.to_lists())
-    ratios = _filter_ratios(rows)
-    n = len(rows)
+def _proved(values, unsettled):
+    """The triples (i, j, k) that a sweep decides before it compares their
+    products, as the sets of those proved strict and proved equal, from
+    the doubles ``values`` that the row bound of ``_settled_rows`` reads
+    and ``unsettled(i, j)``, the k of row (i, j) that the per-triple filter
+    leaves. A row the bound settles is equal throughout when j = i and at
+    k = j, and strict elsewhere; the filter certifies strict triples on
+    every row, settled or not."""
+    settled = _settled_rows(values)
+    n = len(values)
+    strict, equal = set(), set()
     for i in range(n):
         for j in range(n):
-            unsettled = set(_unsettled(ratios[i], ratios[j], j))
+            kept = set(unsettled(i, j))
             for k in range(n):
-                if k not in unsettled:
-                    yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
+                if settled[i][j] and (j == i or k == j):
+                    equal.add((i, j, k))
+                elif settled[i][j] or k not in kept:
+                    strict.add((i, j, k))
+    return strict, equal
+
+
+def _certified(forests):
+    """``(triple, lhs, rhs)`` for every triple that the exact sweep proves
+    strict by its row bound or its float filter, with the integer products
+    ``N_ij N_jk`` and ``N_ik N_jj`` of ``N = c F``."""
+    rows, _ = common_denominator(forests.matrix.to_lists())
+    ratios = _filter_ratios(rows)
+    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j))
+    for i, j, k in sorted(strict):
+        yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
 
 
 def _tiny_paths(count=6, seed=3):
@@ -403,31 +422,126 @@ def test_exact_filter_never_certifies_an_equal_or_reversed_triple():
     assert certified > 60000
 
 
+def _close_to_equality(gap):
+    """Float rows of ``F`` of ``random_graph(20, 3)``, whose rows the row
+    bound all settles, with ``F_02`` moved so that the triple (0, 1, 2)
+    has ``F_02 F_11 = F_01 F_12 (1 + gap)``, and the graph's dominator
+    masks."""
+    g = random_graph(20, 3)
+    values = forest_matrices(g, FLOAT).matrix.to_lists()
+    values[0][2] = values[0][1] * values[1][2] / values[1][1] * (1 + gap)
+    return values, [g.dominators(i) for i in range(g.n)]
+
+
 def test_float_filter_never_certifies_a_close_triple():
     # The corpus in float mode, strict triples 2e-10 and 2e-13 apart on
     # the 2-cycles, a dense graph, whose triples are nearly all certified,
     # and the same graph with heavy weights, whose F overflows, products
-    # that overflow at n=90, and paths whose products lie near and below
-    # 2^-1000. A slack of 1 certifies triples here that the rule calls
-    # equal.
+    # that overflow at n=90, paths whose products lie near and below
+    # 2^-1000, and a doctored F with one triple within 2e-9 of equality in
+    # a row the bound would settle. A slack of 1 in either filter certifies
+    # triples here that the rule calls equal.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12), random_graph(90, 1)]
     graphs += _tiny_paths()
+    cases = [
+        (forest_matrices(g, FLOAT).matrix.to_lists(), [g.dominators(i) for i in range(g.n)])
+        for g in graphs
+    ]
+    cases += [_close_to_equality(gap) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
     certified = 0
-    for graph in graphs:
-        values = forest_matrices(graph, FLOAT).matrix.to_lists()
-        for i, row_i in enumerate(values):
-            for j, unsettled in enumerate(_float_unsettled(values, i)):
-                kept = set(unsettled)
-                for k in range(graph.n):
-                    if k in kept:
-                        continue
-                    a, b = row_i[j] * values[j][k], row_i[k] * values[j][j]
-                    assert not math.isclose(a, b) and not _reference_equal(a, b), (graph, i, j, k)
-                    certified += 1
-        masks = [graph.dominators(i) for i in range(graph.n)]
-        assert _float_sweep(values, masks) == reference_float_sweep(values, masks), graph
+    for values, masks in cases:
+        strict, equal = _proved(values, lambda i, j: _float_unsettled(values[i], values[j], j))
+        for i, j, k in strict:
+            a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
+            assert not math.isclose(a, b) and not _reference_equal(a, b), (values, i, j, k)
+        for i, j, k in equal:
+            a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
+            assert math.isclose(a, b) and _reference_equal(a, b), (values, i, j, k)
+        certified += len(strict)
+        assert _float_sweep(values, masks) == reference_float_sweep(values, masks)
     assert certified > 60000
+
+
+@pytest.mark.parametrize("gap", [-1.5e-9, 5e-10, 1.5e-9])
+def test_row_bound_declines_a_row_with_a_close_triple(gap):
+    # Within 2e-9 of equality the triple's row is left to the per-triple
+    # filter, which leaves the triple to the rule. The bound settles every
+    # row of the graph's own F, and every row of the doctored one whose
+    # start vertex is not 0.
+    assert all(map(all, _settled_rows(forest_matrices(random_graph(20, 3), FLOAT).matrix._rows)))
+    values, masks = _close_to_equality(gap)
+    settled = _settled_rows(values)
+    assert not settled[0][1] and all(map(all, settled[1:]))
+    assert 2 in _float_unsettled(values[0], values[1], 1)
+    assert _float_sweep(values, masks) == reference_float_sweep(values, masks)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_bound_settles_nearly_every_row(seed):
+    # Counted over the rows with j != i, for the float F and for the exact
+    # sweep's filter ratios.
+    for n, mode in ((40, FLOAT), (30, EXACT)):
+        rows = forest_matrices(random_graph(n, seed), mode).matrix._rows
+        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+        count = sum(settled[i][j] for i in range(n) for j in range(n) if j != i)
+        assert count >= 0.95 * n * (n - 1), (mode, count)
+
+
+def test_row_bound_declines_the_rows_of_a_detour():
+    # Vertex 30 lies on a detour 4 -> 30 -> 7, so 4 separates every other
+    # vertex from 30 and 7 separates 30 from every vertex: those 30 rows
+    # hold equal triples with j at neither end. The bound also declines
+    # row (30, 4), whose triple (30, 4, 30) sets M_4.
+    g = MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
+    for mode in (FLOAT, EXACT):
+        forests = forest_matrices(g, mode)
+        rows = forests.matrix._rows
+        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+        declined = {(i, j) for i in range(31) for j in range(31) if not settled[i][j]}
+        assert declined == {(i, 4) for i in range(31) if i != 4} | {(30, 7)}
+        assert summarize(verify_all_triples(g, forests)).equal == 1949
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize(
+    "flipped",
+    [[(3, 3, 5)], [(3, 5, 5)], [(3, 5, 7)], [(3, 5, 5), (3, 5, 7)]],
+    ids=["row-i-i", "k-is-j", "strict", "k-is-j-and-strict"],
+)
+def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, mode, flipped):
+    # Bit j of dominators(i)[k] flipped for triples of rows that the bound
+    # settles: an equal one of row (i, i), the equal one at k = j, a
+    # strict one, and the last two together, which leaves the row with one
+    # separator at the wrong k. The sweep and the triple-by-triple check
+    # read the same doctored masks and agree on the first bad triple or on
+    # the counts.
+    g = random_graph(20, 3)
+    forests = forest_matrices(g, mode)
+    rows = forests.matrix._rows
+    settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+    assert all(settled[i][j] for i, j, _ in flipped)
+    dominators = MultiDigraph.dominators
+
+    def doctored(graph, root):
+        masks = dominators(graph, root)
+        for i, j, k in flipped:
+            if root == i:
+                masks[k] ^= 1 << j
+        return masks
+
+    monkeypatch.setattr(MultiDigraph, "dominators", doctored)
+    if mode == FLOAT:
+        summary = summarize(verify_all_triples(g, forests))
+        assert summary.inconsistent == len(flipped)
+        assert summary == summarize(_reports_one_by_one(g, forests))
+        return
+    with pytest.raises(InconsistentWithTheoremError) as first:
+        _reports_one_by_one(g, forests)
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, forests)
+    assert str(raised.value) == str(first.value)
+    assert str(raised.value).startswith(f"triple {flipped[0]}: relation")
 
 
 def test_exact_sweep_raises_at_a_certified_strict_separator():

@@ -1,6 +1,7 @@
 """Matrix kernel: stored form, determinant, inversion, and geometric series."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from inforest import (
     forest_matrices,
     geometric_series,
     invert,
+    random_graph,
     route_decomposition,
     route_matrix,
     step_matrix,
@@ -282,6 +284,23 @@ def test_float_scalar_rounds_to_nearest_and_overflows_to_infinity():
     assert scalar(10**400 + 1, FLOAT) == float("inf")
     assert scalar(-Fraction(10**400, 3), FLOAT) == float("-inf")
     assert scalar(Fraction(1, 10**400), FLOAT) == 0.0
+
+
+def test_float_scalar_rounds_a_fraction_without_its_python_level_float(monkeypatch):
+    # One correctly rounded int / int gives the double float() gives, and
+    # the float Laplacian turns each arc weight into a double that way.
+    rng = random.Random(5)
+    values = [Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)) for _ in range(500)]
+    values += [Fraction(2**53 + 1, 2**60), Fraction(1, 3), Fraction(10**308, 7)]
+    expected = [float(v) for v in values]
+    laplacian = random_graph(12, 2).laplacian(FLOAT)
+
+    def refused(value):
+        raise AssertionError("Fraction.__float__ called")
+
+    monkeypatch.setattr(Fraction, "__float__", refused)
+    assert [scalar(v, FLOAT) for v in values] == expected
+    assert random_graph(12, 2).laplacian(FLOAT) == laplacian
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,8 @@ generator graphs with at most 8 vertices:
   straddle 2^-1000 (:func:`tiny_paths`). Under ``exact`` the graphs are
   of 20 and 30 vertices, whose triples are nearly all strict by a wide
   margin, and a 2-cycle of weight 1e10, whose strict triples are close to
-  equality.
+  equality. Both modes end with :func:`detour_graph`, where the sweep's
+  row bound leaves some rows to the per-triple filter.
 
 A section and mode with no record print no line.
 
@@ -144,7 +145,17 @@ def large_corpus() -> list:
     pairs = [(mode, random_graph(n, seed)) for mode in MODES for n, seed in LARGE[mode]]
     pairs.append((EXACT, MultiDigraph(2, [(0, 1, 10**10), (1, 0, 10**10)])))
     pairs += [(FLOAT, graph) for graph in tiny_paths()]
+    pairs += [(mode, detour_graph()) for mode in MODES]
     return pairs
+
+
+def detour_graph() -> MultiDigraph:
+    """``random_graph(30, 11)`` with a 31st vertex on a detour from vertex
+    4 to vertex 7, arcs of weight 2 and 3. Its entries lie within the
+    sweep's row-bound range, and 30 of its 930 rows with ``j != i`` hold
+    a triple close enough to equality that the bound leaves the row to the
+    per-triple filter."""
+    return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
 
 
 def tiny_paths(count=6, seed=3) -> list:
