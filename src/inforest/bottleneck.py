@@ -21,40 +21,42 @@ without building any. The single-triple :func:`is_bottleneck`, behind
 dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
 
+One sweep, :func:`_sweep`, serves both modes with the same steps. It
+compares the products of the matrix's stored rows: the integers ``N = c
+F`` in exact mode, which give the verdicts of ``F`` because the law is
+homogeneous of degree 2, and the doubles of ``F`` in float mode. Its bound
+and its filter read doubles ``V``: the ratios ``q = N / T`` of
+:func:`_filter_ratios` in exact mode, ``T`` the largest ``|N|``, and ``F``
+itself in float mode.
+
 Each (i, j) row is a triangle check, the multiplicative counterpart of
 the triangle inequality, and one bound settles most rows whole before any
 triple's products are formed (:func:`_settled_rows`). It runs when every
-entry lies in [2^-500, 2^500], on the float ``F`` or on the exact filter
-ratios ``q`` below. Column k is divided by the mean ``C_k`` of its
-off-diagonal entries, and row (i, j), j ≠ i, is strict for every k ≠ j
-when ``fl(fl(F_ij / F_jj) fl(M_j (1 + 8e-9)))``, at least 2^-1000, is
-below the least scaled entry of row i, ``M_j`` being the largest scaled
-entry of row j off its diagonal. The slack covers the rounding and then
-the gap either filter below proves. Row (i, i) and the triples (i, j, j)
-multiply the same two numbers on both sides, so under the guard they are
-equal, and their separators are counted from the dominator bits. So the
-sweep costs O(n^2) plus n for each row the bound declines; every other
-matrix, with zeros, overflow or a wide spread, takes the filters below
-on every row.
+entry of ``V`` lies in [2^-500, 2^500]. Column k is divided by the mean
+``C_k`` of its off-diagonal entries, and row (i, j), j ≠ i, is strict for
+every k ≠ j when ``fl(fl(V_ij / V_jj) fl(M_j (1 + 8e-9)))``, at least
+2^-1000, is below the least scaled entry of row i, ``M_j`` being the
+largest scaled entry of row j off its diagonal. The slack covers the
+rounding and then the gap the filter below proves. Row (i, i) and the
+triples (i, j, j) multiply the same two numbers on both sides, so under
+the guard they are equal, and their separators are counted from the
+dominator bits. So the sweep costs O(n^2) plus n for each row the bound
+declines; every other matrix, with zeros, overflow or a wide spread,
+takes the filter below on every row.
 
-Exact mode compares the integer products of ``N = c F``, and on the rows
-the bound declines a certified double filter settles the clearly strict
-triples first. Each entry becomes the double ``q = N / T`` once, with
-``T`` the largest ``|N|``, and a triple is certified strict when
-``fl(q_ik q_jj)`` exceeds ``fl(q_ij q_jk)`` times ``1 + 16u`` (u =
-2^-53), and that bound is at least 2^-1000. The rounding error stays
-below 8u, so the slack leaves room, and the lower limit keeps every
-operand normal. Every other triple falls back to the integer products:
-the equal, near-equal, zero, tiny and subnormal ones. The bound and the
-filter only ever prove ``lhs < rhs``, so exact mode stays authoritative
-and every report, summary and error is the one the integer products give.
-
-Float mode decides by the tolerance rule of :func:`_equal` on the double
-products, and on the declined rows a filter of the same kind comes first:
-a triple whose product ``F_ik F_jj`` is finite and exceeds ``F_ij F_jk``
-times ``1 + 4e-9``, itself at least 2^-1000, is certified strict, a gap
-no form of the rule calls equal. The rule settles every other triple, so
-the counts are the ones the rule gives.
+On a declined row one certified filter (:func:`_unsettled`) settles the
+clearly strict triples first: triple (i, j, k) is strict when
+``2^-1000 <= fl(fl(V_ij V_jk) s) < fl(V_ik V_jj) < inf``, with the slack
+``s`` of its mode, ``1 + 16u`` (u = 2^-53) in exact mode and ``1 + 4e-9``
+in float mode. The rule of :func:`_equal`, the one that decides equal or
+strict, compares the products of the triples it leaves: the equal,
+near-equal, zero, tiny, subnormal and overflowed ones. The bound and the
+filter only ever prove a triple strict, and one the rule calls strict, so
+every count is the one the rule gives and exact mode stays
+authoritative. In exact mode a bad triple, one whose verdict disagrees
+with its separator or whose product ``F_ij F_jk`` exceeds ``F_ik F_jj``,
+makes :func:`verify_all_triples` raise through the triple-by-triple check,
+at the first such triple in lexicographic order.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, format_for_message
+from .matrix import EXACT, FLOAT, Matrix, Scalar, format_for_message
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -78,20 +80,17 @@ RELATION_STRICT = "strict"
 # compares exactly and is authoritative.
 FLOAT_EQUALITY_RTOL = 1e-9
 
-# The exact sweep's float filter (see _unsettled): a triple is certified
-# strict when one product exceeds the other times 1 + 16u, u = 2^-53, and
-# that bound is at least 2^-1000.
-_FILTER_SLACK = 1 + 16 * 2.0**-53
+# The sweep's filter (see _unsettled): a triple is certified strict when
+# lhs times the slack of its mode is at least _FILTER_FLOOR and below a
+# finite rhs. Exact mode's 1 + 16u (u = 2^-53) covers the rounding of the
+# ratios; float mode's 1 + 4e-9 is a gap of more than 3.9 times the
+# equality tolerance.
+_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 4e-9}
 _FILTER_FLOOR = 2.0**-1000
 
-# The float sweep's filter (see _float_unsettled): a triple is certified
-# strict when lhs times this slack is at least _FILTER_FLOOR and below a
-# finite rhs, a gap of more than 3.9 times the equality tolerance.
-_FLOAT_SLACK = 1 + 4e-9
-
-# The row bound of both sweeps (see _settled_rows): it runs when every
-# entry lies in [2^-500, 2^500], and its slack leaves room for the
-# rounding of the bound and then for the gap of either filter.
+# The row bound (see _settled_rows): it runs when every entry lies in
+# [2^-500, 2^500], and its slack leaves room for the rounding of the
+# bound and then for the gap of the filter in either mode.
 _ROW_RANGE = (2.0**-500, 2.0**500)
 _ROW_SLACK = 1 + 8e-9
 
@@ -131,17 +130,19 @@ def _equal(lhs: Sequence[Scalar], rhs: Sequence[Scalar], mode: str) -> list[bool
     ``FLOAT_EQUALITY_RTOL`` times the larger magnitude, so the verdict
     does not depend on the scale of the weights.
 
-    When every product is finite, the float rule runs as
-    :func:`math.isclose` with its defaults (``rel_tol`` 1e-9, ``abs_tol``
-    0), which tests the difference against each magnitude in turn and
-    rounds to the same verdicts. The two forms part only on inf and nan,
-    and any of those makes the sums below non-finite.
+    The rule tests the difference against each magnitude in turn, which
+    rounds to the same verdicts: rounding is monotonic, so ``fl(r max(|a|,
+    |b|))`` is the larger of ``fl(r |a|)`` and ``fl(r |b|)``. When every
+    product is finite, it runs as :func:`math.isclose` with its defaults
+    (``rel_tol`` 1e-9, ``abs_tol`` 0). The two forms part only on inf and
+    nan, and any of those makes the sums below non-finite.
     """
     if mode == EXACT:
         return list(map(operator.eq, lhs, rhs))
     if math.isfinite(sum(lhs) + sum(rhs)):
         return list(map(math.isclose, lhs, rhs))
-    return [abs(a - b) <= FLOAT_EQUALITY_RTOL * max(abs(a), abs(b)) for a, b in zip(lhs, rhs)]
+    rtol = FLOAT_EQUALITY_RTOL
+    return [abs(a - b) <= rtol * abs(a) or abs(a - b) <= rtol * abs(b) for a, b in zip(lhs, rhs)]
 
 
 def relation(lhs: Scalar, rhs: Scalar, mode: str) -> str:
@@ -297,8 +298,8 @@ def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
 
 def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
     """Per i and j, whether one bound settles every triple (i, j, k) of the
-    positive doubles ``values``, the float ``F`` or the exact sweep's
-    filter ratios ``q``: equal for k = j, and for every k when j = i,
+    positive doubles ``values``, the float ``F`` or the exact filter
+    ratios ``q``: equal for k = j, and for every k when j = i,
     strict for the other k. No row is settled unless every entry lies in
     [2^-500, 2^500]; then row (i, i) always is.
 
@@ -324,7 +325,7 @@ def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
     mode the rule compares the doubles ``a = fl(F_ij F_jk)`` and ``b =
     fl(F_ik F_jj)``, so ``b > a S (1 - u)^5 / (1 + u)^2 > a (1 + 7.9e-9)``
     with ``a`` and ``b`` normal and finite, past the gap ``b > a (1 +
-    3.99e-9)`` from which :func:`_float_unsettled` shows that neither
+    3.99e-9)`` from which :func:`_unsettled` shows that neither
     form of the rule calls a triple equal. In exact mode ``q = (N / T)(1 +
     d)``, so ``N_ij N_jk S (1 - u)^6 / (1 + u)^3 < N_ik N_jj``, and
     ``N_ij N_jk < N_ik N_jj`` as for a triple :func:`_unsettled` certifies.
@@ -349,144 +350,77 @@ def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
     return settled
 
 
-def _separator_counts(masks: list[int]) -> list[int]:
-    """Per j, the number of k whose mask ``masks[k]`` has bit j set: for
-    the dominator masks ``graph.dominators(i)``, the separators of row
-    (i, j)."""
-    counts = [0] * len(masks)
-    for mask in masks:
-        while mask:
-            j = mask.bit_length() - 1
-            counts[j] += 1
-            mask ^= 1 << j
-    return counts
+def _unsettled(values_i: list[float], values_j: list[float], j: int, slack: float) -> list[int]:
+    """The k of row (i, j) that the filter leaves to the rule of
+    :func:`_equal`, from rows i and j of the sweep's doubles: the exact
+    filter ratios ``q`` with ``slack`` ``1 + 16u`` (u = 2^-53), or the float
+    ``F`` with ``slack`` ``1 + 4e-9``.
 
+    Every other k is certified strict: in doubles, with ``a =
+    fl(V_ij V_jk)`` and ``b = fl(V_ik V_jj)``, ``2^-1000 <= fl(a s) < b <
+    inf``. Then ``fl(a s)`` is normal and positive, and ``s`` is below 2,
+    so ``a`` is positive and normal too, and ``b > a``.
 
-def _unsettled(ratio_i: list[float], ratio_j: list[float], j: int) -> list[int]:
-    """The k of row (i, j) that the float filter leaves to the integer
-    products, from rows i and j of :func:`_filter_ratios`.
-
-    Every other k is certified strict: in doubles, ``r = q_ik q_jj`` and
-    ``s = (q_ij q_jk)(1 + 16u)`` satisfy ``r > s >= 2^-1000``. Then ``r``
-    and ``s`` are positive, and so, by the signs of rounding, are the
-    exact products. ``s`` is normal and every ratio is at most 1 in
-    magnitude, so each of the four ratios is at least about ``2^-1001``:
-    all are normal, and so are the three products. Each rounding thus adds
-    one factor ``(1 + d)``, and ``1 + 16u`` is a double, so
-    ``r = (N_ik N_jj / T^2)(1 + d)^3`` and
-    ``s = (N_ij N_jk / T^2)(1 + d)^4 (1 + 16u)``. So ``r > s`` gives
-    ``N_ik N_jj / (N_ij N_jk) > (1 - u)^4 (1 + 16u) / (1 + u)^3``, about
+    In exact mode the exact products ``q_ij q_jk`` and ``q_ik q_jj`` are
+    then positive too, by the signs of rounding. Every ratio is at most 1
+    in magnitude, so each of the four is at least about ``2^-1001`` in
+    magnitude: all are normal, and so are the three products. Each
+    rounding thus adds one factor ``(1 + d)``, ``|d| <= u``, and ``1 +
+    16u`` is a double, so ``b = (N_ik N_jj / T^2)(1 + d)^3`` and ``fl(a
+    s) = (N_ij N_jk / T^2)(1 + d)^4 (1 + 16u)``.
+    So ``N_ik N_jj / (N_ij N_jk) > (1 - u)^4 (1 + 16u) / (1 + u)^3``, about
     ``1 + 9u`` and above 1; any slack above ``7u`` would do. A certified
-    triple therefore has ``N_ij N_jk < N_ik N_jj``. The filter leaves
-    every equal triple, and every near-equal, zero or tiny one, to the
-    integer products.
+    triple therefore has ``N_ij N_jk < N_ik N_jj``.
+
+    In float mode ``a`` and ``b`` are the doubles the rule compares, and
+    ``fl(a s) = a s (1 + d)``. So ``b > a s (1 - u) > a (1 + 3.99e-9)``,
+    and ``b - a > 3.9e-9 b``. Both operands are normal, so ``fl(b - a) >=
+    (b - a)(1 - u)``, or is exact where it is subnormal, while ``fl(1e-9
+    b)`` is at most ``1e-9 b (1 + 2^-44)``, absolute error of at most
+    2^-1075 included, as ``1e-9 b >= 2^-1030``. So ``fl(b - a) > fl(1e-9
+    b) >= fl(1e-9 a)``: neither the rule nor :func:`math.isclose` calls
+    the triple equal.
+
+    The filter leaves every equal triple, and every near-equal, zero,
+    tiny, subnormal, overflowed and nan one, to the rule.
     """
-    q_ij, q_jj = ratio_i[j], ratio_j[j]
+    ij, jj = values_i[j], values_j[j]
+    floor, inf = _FILTER_FLOOR, math.inf
     return [
-        k
-        for k in range(len(ratio_i))
-        if not ratio_i[k] * q_jj > q_ij * ratio_j[k] * _FILTER_SLACK >= _FILTER_FLOOR
+        k for k, v in enumerate(values_j) if not floor <= ij * v * slack < values_i[k] * jj < inf
     ]
 
 
-def _exact_sweep(weights: Matrix, masks: list[list[int]]) -> int:
-    """The number of equal triples of the exact ``F`` in ``weights``, with
-    separators from the dominator masks ``masks``; raises
-    :class:`InconsistentWithTheoremError`, through :func:`_report`, at the
-    first triple in lexicographic order that breaks the law.
+def _sweep(
+    rows: list[list[Scalar]], values: list[list[float]], masks: list[list[int]], mode: str
+) -> tuple[int, int]:
+    """The numbers of equal and of inconsistent triples of ``F``, with
+    separators from the dominator masks ``masks``: bit j of ``masks[i][k]``
+    is set when j separates i from k.
 
-    The law is homogeneous of degree 2, so the integer rows ``N = c F`` of
-    the matrix's stored form give the verdicts of ``F``. The row bound of
-    :func:`_settled_rows` settles most (i, j) rows whole; on the others the
-    float filter of :func:`_unsettled` proves most triples strict before
-    any integer product is formed, and the products settle the rest. A
-    strict triple is consistent exactly when j is no separator, and an
-    equal one when j is. The bound and the filter only ever prove
-    ``lhs < rhs``, so every verdict and error is the one the integer
-    products give.
+    ``rows`` are the matrix's stored rows, the integers ``N = c F`` in
+    exact mode, whose products give the verdicts of ``F`` because the law
+    is homogeneous of degree 2, and the doubles of ``F`` in float mode;
+    ``values`` are the doubles that the bound and the filter read, the
+    ratios of :func:`_filter_ratios` in exact mode and ``rows`` itself in
+    float mode. The rows that :func:`_settled_rows` settles are equal at
+    k = j, and throughout row (i, i), and strict elsewhere; on the other
+    rows the triples that :func:`_unsettled` certifies are strict, and the
+    rule of :func:`_equal` settles the rest. A strict triple is
+    inconsistent exactly where j separates, and an equal one where j does
+    not. In exact mode a triple whose product ``F_ij F_jk`` exceeds
+    ``F_ik F_jj`` is inconsistent too; the bound and the filter only ever
+    prove ``F_ij F_jk < F_ik F_jj``, so such a triple reaches the rule.
     """
-    rows = weights._rows
-    ratios = _filter_ratios(rows)
-    settled = _settled_rows(ratios)
-    n = len(rows)
-    equal = 0
-    for i in range(n):
-        row_i, ratio_i, masks_i, settled_i = rows[i], ratios[i], masks[i], settled[i]
-        separators = _separator_counts(masks_i)
-        for j in range(n):
-            if settled_i[j]:
-                # Consistent when the row's separators are its equal triples.
-                count = n if j == i else 1
-                if separators[j] == count and masks_i[j] >> j & 1:
-                    equal += count
-                    continue
-            else:
-                row_j = rows[j]
-                ij, jj = row_i[j], row_j[j]
-                count = 0
-                for k in _unsettled(ratio_i, ratios[j], j):
-                    lhs, rhs = ij * row_j[k], row_i[k] * jj
-                    if lhs > rhs or (lhs == rhs) != (masks_i[k] >> j & 1):
-                        break
-                    count += lhs == rhs
-                else:
-                    # Certified triples are strict: the row is consistent
-                    # when its equal triples are all of its separators.
-                    if count == separators[j]:
-                        equal += count
-                        continue
-            values_i, values_j = weights.row(i), weights.row(j)
-            for k in range(n):  # the first bad triple raises
-                _report(EXACT, (i, j, k), values_i, values_j, bool(masks_i[k] >> j & 1))
-    return equal
-
-
-def _float_unsettled(row_i: list[float], row_j: list[float], j: int) -> list[int]:
-    """The k of row (i, j) of the float ``F`` that the float filter leaves
-    to the rule of :func:`_equal`, from rows i and j of ``F``.
-
-    That rule, triple by triple, is ``abs(a - b) <= FLOAT_EQUALITY_RTOL *
-    max(abs(a), abs(b))`` for the doubles ``a = F_ij F_jk`` and
-    ``b = F_ik F_jj``, and every other triple is certified strict: in
-    doubles, ``2^-1000 <= a s < b < inf`` with ``s = 1 + 4e-9``, ``a s``
-    being ``fl(fl(F_ij F_jk) s)``. Then ``a s`` is normal, and ``s`` is
-    below 2, so ``a`` is positive and normal too, and ``fl(a s) = a s
-    (1 + d)`` with ``|d| <= u = 2^-53``. So ``b > a s (1 - u) > a (1 +
-    3.99e-9)``, and ``b - a > 3.9e-9 b``. Both operands are normal, so
-    ``fl(b - a) >= (b - a)(1 - u)``, or is exact where it is subnormal,
-    while ``fl(1e-9 b)`` is at most ``1e-9 b (1 + 2^-44)``, absolute
-    error of at most 2^-1075 included, as ``1e-9 b >= 2^-1030``. So
-    ``fl(b - a) > fl(1e-9 b) >= fl(1e-9 a)``: neither the rule nor
-    :func:`math.isclose` calls the triple equal. The equal, near-equal,
-    zero, tiny, overflowed and nan triples are all left to the rule.
-    """
-    ij, jj = row_i[j], row_j[j]
-    floor, slack, inf = _FILTER_FLOOR, _FLOAT_SLACK, math.inf
-    return [
-        k for k in range(len(row_i)) if not floor <= ij * row_j[k] * slack < row_i[k] * jj < inf
-    ]
-
-
-def _float_sweep(values: list[list[float]], masks: list[list[int]]) -> tuple[int, int]:
-    """The numbers of equal and of inconsistent triples of the float ``F``
-    rows ``values``, with separators from the dominator masks ``masks``.
-
-    The rows that :func:`_settled_rows` settles are equal at k = j, and
-    throughout row (i, i), and strict elsewhere; on the other rows the
-    triples that :func:`_float_unsettled` certifies are strict. A strict
-    triple is inconsistent exactly where j separates, and the rule of
-    :func:`_equal` settles every other triple, so every count is the one
-    the rule gives.
-    """
-    rtol = FLOAT_EQUALITY_RTOL
-    span = range(len(values))
+    slack = _SLACK[mode]
+    span = range(len(rows))
     settled = _settled_rows(values)
     equal = inconsistent = 0
-    for i, row_i in enumerate(values):
+    for i, row_i in enumerate(rows):
         # Every triple is strict until it is found equal, and a strict
         # triple is inconsistent exactly where j separates: bit j of
         # masks[i][k].
-        masks_i, settled_i = masks[i], settled[i]
+        masks_i, settled_i, values_i = masks[i], settled[i], values[i]
         inconsistent += sum(map(int.bit_count, masks_i))
         if settled_i[i]:
             # The separator bits of the equal triples of the settled rows:
@@ -496,13 +430,16 @@ def _float_sweep(values: list[list[float]], masks: list[list[int]]) -> tuple[int
             equal += len(bits)
             inconsistent += len(bits) - 2 * sum(bits)
         for j in compress(span, map(operator.not_, settled_i)):
-            row_j = values[j]
+            row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
-            for k in _float_unsettled(row_i, row_j, j):
-                a, b = ij * row_j[k], row_i[k] * jj
-                if abs(a - b) <= rtol * max(abs(a), abs(b)):
-                    equal += 1
-                    inconsistent += -1 if masks_i[k] >> j & 1 else 1
+            kept = _unsettled(values_i, values[j], j, slack)
+            lhs = [ij * row_j[k] for k in kept]
+            rhs = [row_i[k] * jj for k in kept]
+            for k in compress(kept, _equal(lhs, rhs, mode)):
+                equal += 1
+                inconsistent += -1 if masks_i[k] >> j & 1 else 1
+            if mode == EXACT:
+                inconsistent += sum(map(operator.gt, lhs, rhs))
     return equal, inconsistent
 
 
@@ -513,9 +450,11 @@ def verify_all_triples(
 ) -> TripleReports:
     """Reports for all ordered triples, in lexicographic order.
 
-    The checks run here, in one sweep: exact mode raises
-    :class:`InconsistentWithTheoremError` at the first triple that breaks
-    the law, and float mode counts disagreements as ``inconsistent``.
+    The checks run here, in one sweep that counts the triples that break
+    the law: float mode reports them as ``inconsistent``, and exact mode,
+    when there is one, raises :class:`InconsistentWithTheoremError` at the
+    first in lexicographic order, by building its own reports until
+    :func:`_report` raises.
     ``forests``, when given, must be the forest matrices of ``graph``; the
     sweep then runs in their mode and ignores ``mode``. Forest matrices of
     another order raise :class:`ValueError`.
@@ -545,15 +484,17 @@ def verify_all_triples(
         )
     weights = forests.matrix
     masks = [graph.dominators(i) for i in range(n)]
-    if mode == EXACT:
-        equal, inconsistent = _exact_sweep(weights, masks), 0
-    else:
-        equal, inconsistent = _float_sweep(weights._rows, masks)
+    rows = weights._rows
+    equal, inconsistent = _sweep(rows, _filter_ratios(rows) if mode == EXACT else rows, masks, mode)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)
     summary = TripleSummary(total, equal, total - equal, degenerate, inconsistent)
-    return TripleReports(weights, masks, summary)
+    reports = TripleReports(weights, masks, summary)
+    if mode == EXACT and inconsistent:
+        for _ in reports:  # _report raises at the first bad triple
+            pass
+    return reports
 
 
 def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:

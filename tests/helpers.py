@@ -125,25 +125,29 @@ def reference_arcs(n, arcs) -> tuple:
     return tuple(checked)
 
 
-def reference_float_sweep(values, masks) -> tuple[int, int]:
-    """The numbers of equal and of inconsistent triples of the float ``F``
-    rows ``values``, as the float sweep first counted them: both products
-    of every triple of an (i, j) row, the verdicts of ``_equal`` on the
-    whole row, and the separator of (i, j, k) read as bit j of
-    ``masks[i][k]``."""
-    n = len(values)
+def reference_sweep(rows, masks, mode) -> tuple[int, int]:
+    """The numbers of equal and of inconsistent triples of the stored rows
+    ``rows`` of ``F`` (the integers ``N = cF`` in exact mode, the doubles
+    in float mode), with no bound and no filter: both products of every
+    triple of an (i, j) row, the verdicts of ``_equal`` on the whole row,
+    and the separator of (i, j, k) read as bit j of ``masks[i][k]``. In
+    exact mode a triple whose first product exceeds the second counts once
+    more as inconsistent."""
+    n = len(rows)
     equal = inconsistent = 0
     for i in range(n):
-        row_i = values[i]
+        row_i = rows[i]
         for j in range(n):
-            row_j = values[j]
+            row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
             lhs = [ij * v for v in row_j]
             rhs = [v * jj for v in row_i]
-            verdicts = _equal(lhs, rhs, FLOAT)
+            verdicts = _equal(lhs, rhs, mode)
             separators = [bool(mask >> j & 1) for mask in masks[i]]
             equal += sum(verdicts)
             inconsistent += sum(map(operator.ne, verdicts, separators))
+            if mode == EXACT:
+                inconsistent += sum(map(operator.gt, lhs, rhs))
     return equal, inconsistent
 
 

@@ -29,15 +29,15 @@ from inforest import (
 )
 from inforest.bottleneck import (
     FLOAT_EQUALITY_RTOL,
+    _SLACK,
     _equal,
     _filter_ratios,
-    _float_sweep,
-    _float_unsettled,
     _settled_rows,
+    _sweep,
     _unsettled,
 )
 from inforest.cli import run
-from inforest.matrix import common_denominator
+from inforest.matrix import common_denominator, scalar
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
@@ -47,7 +47,7 @@ from tests.helpers import (
     multidigraphs,
     random_multidigraph,
     random_undirected,
-    reference_float_sweep,
+    reference_sweep,
     reference_separators,
 )
 
@@ -387,7 +387,8 @@ def _certified(forests):
     ``N_ij N_jk`` and ``N_ik N_jj`` of ``N = c F``."""
     rows, _ = common_denominator(forests.matrix.to_lists())
     ratios = _filter_ratios(rows)
-    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j))
+    slack = _SLACK[EXACT]
+    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j, slack))
     for i, j, k in sorted(strict):
         yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
 
@@ -422,15 +423,21 @@ def test_exact_filter_never_certifies_an_equal_or_reversed_triple():
     assert certified > 60000
 
 
-def _close_to_equality(gap):
-    """Float rows of ``F`` of ``random_graph(20, 3)``, whose rows the row
-    bound all settles, with ``F_02`` moved so that the triple (0, 1, 2)
-    has ``F_02 F_11 = F_01 F_12 (1 + gap)``, and the graph's dominator
-    masks."""
+def _close_to_equality(gap, mode=FLOAT):
+    """Stored rows of ``F`` of ``random_graph(20, 3)`` in ``mode``, whose
+    float rows the row bound all settles, with ``F_02`` moved so that the
+    triple (0, 1, 2) has ``F_02 F_11 = F_01 F_12 (1 + gap)``, and the
+    graph's dominator masks."""
     g = random_graph(20, 3)
-    values = forest_matrices(g, FLOAT).matrix.to_lists()
-    values[0][2] = values[0][1] * values[1][2] / values[1][1] * (1 + gap)
-    return values, [g.dominators(i) for i in range(g.n)]
+    values = forest_matrices(g, mode).matrix.to_lists()
+    values[0][2] = values[0][1] * values[1][2] / values[1][1] * (1 + scalar(gap, mode))
+    return Matrix(values, mode)._rows, [g.dominators(i) for i in range(g.n)]
+
+
+def _detour():
+    """``random_graph(30, 11)`` with a detour 4 -> 30 -> 7 through a new
+    vertex 30."""
+    return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
 
 
 def test_float_filter_never_certifies_a_close_triple():
@@ -449,9 +456,9 @@ def test_float_filter_never_certifies_a_close_triple():
         for g in graphs
     ]
     cases += [_close_to_equality(gap) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
-    certified = 0
+    certified, slack = 0, _SLACK[FLOAT]
     for values, masks in cases:
-        strict, equal = _proved(values, lambda i, j: _float_unsettled(values[i], values[j], j))
+        strict, equal = _proved(values, lambda i, j: _unsettled(values[i], values[j], j, slack))
         for i, j, k in strict:
             a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
             assert not math.isclose(a, b) and not _reference_equal(a, b), (values, i, j, k)
@@ -459,7 +466,7 @@ def test_float_filter_never_certifies_a_close_triple():
             a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
             assert math.isclose(a, b) and _reference_equal(a, b), (values, i, j, k)
         certified += len(strict)
-        assert _float_sweep(values, masks) == reference_float_sweep(values, masks)
+        assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
     assert certified > 60000
 
 
@@ -473,8 +480,53 @@ def test_row_bound_declines_a_row_with_a_close_triple(gap):
     values, masks = _close_to_equality(gap)
     settled = _settled_rows(values)
     assert not settled[0][1] and all(map(all, settled[1:]))
-    assert 2 in _float_unsettled(values[0], values[1], 1)
-    assert _float_sweep(values, masks) == reference_float_sweep(values, masks)
+    assert 2 in _unsettled(values[0], values[1], 1, _SLACK[FLOAT])
+    assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_sweep_counts_what_the_rule_gives_on_every_triple(mode):
+    # The inputs of the filter tests above, the detour graph, whose bound
+    # declines 31 rows, and the close triples in rows the bound declines,
+    # against both products of every triple compared by the rule.
+    graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
+    graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12)]
+    graphs += _tiny_paths() + [_detour()]
+    cases = [
+        (forest_matrices(g, mode).matrix._rows, [g.dominators(i) for i in range(g.n)])
+        for g in graphs
+    ]
+    cases += [_close_to_equality(gap, mode) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
+    for rows, masks in cases:
+        values = _filter_ratios(rows) if mode == EXACT else rows
+        assert _sweep(rows, values, masks, mode) == reference_sweep(rows, masks, mode)
+
+
+def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
+    # In a complete digraph only the endpoints separate. F_01 lowered
+    # between the two largest F_0j F_j1 / F_jj, j > 1, reverses the
+    # products of the triple (0, j, 1) of the largest and of no other
+    # triple: the verdict is strict, as at every non-separator, and only
+    # the product test finds it. F stays positive, so the bound runs, and
+    # it declines that row.
+    rng = random.Random(CORPUS_SEED)
+    pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
+    g = MultiDigraph(6, [(a, b, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for a, b in pairs])
+    forests = forest_matrices(g)
+    rows = forests.matrix.to_lists()
+    ratios = sorted((rows[0][j] * rows[j][1] / rows[j][j], j) for j in range(2, 6))
+    (second, _), (first, j) = ratios[-2:]
+    rows[0][1] = (first + second) / 2
+    doctored = replace(forests, matrix=Matrix(rows))
+    settled = _settled_rows(_filter_ratios(doctored.matrix._rows))
+    assert not settled[0][j] and any(map(any, settled))
+    message = f"triple {(0, j, 1)}: product"
+    with pytest.raises(InconsistentWithTheoremError) as first_bad:
+        _reports_one_by_one(g, doctored)
+    assert str(first_bad.value).startswith(message) and " exceeds " in str(first_bad.value)
+    with pytest.raises(InconsistentWithTheoremError) as raised:
+        verify_all_triples(g, doctored)
+    assert str(raised.value) == str(first_bad.value)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -493,7 +545,7 @@ def test_row_bound_declines_the_rows_of_a_detour():
     # vertex from 30 and 7 separates 30 from every vertex: those 30 rows
     # hold equal triples with j at neither end. The bound also declines
     # row (30, 4), whose triple (30, 4, 30) sets M_4.
-    g = MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
+    g = _detour()
     for mode in (FLOAT, EXACT):
         forests = forest_matrices(g, mode)
         rows = forests.matrix._rows
