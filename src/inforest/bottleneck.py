@@ -11,8 +11,12 @@ The all-triples sweep takes its separators from the dominator sets of each
 start vertex i: every path from i to k contains j exactly when j dominates
 k in the flow graph rooted at i, vacuously so when k is unreachable from i
 (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
-It settles the triples a whole (i, j) row at a time and counts the
-verdicts as it goes. It keeps the dominator masks, n integers per start
+:meth:`~MultiDigraph.dominator_masks` reads them for every i from four
+dominator passes, two forward and two on the reverse graph, when these
+show the graph strongly connected with no strong articulation point, as
+on most dense digraphs; then only the endpoints separate. Any other graph
+takes one pass per start vertex. The sweep settles the triples a whole
+(i, j) row at a time and counts the verdicts as it goes. It keeps the dominator masks, n integers per start
 vertex, as the one stored form of the separators; the report objects of
 :func:`verify_all_triples` are built from them and the rows of ``F`` only
 when they are read, and :func:`summarize` returns the sweep's counts
@@ -34,10 +38,11 @@ the triangle inequality, and one bound settles most rows whole before any
 triple's products are formed (:func:`_settled_rows`). It runs when every
 entry of ``V`` lies in [2^-500, 2^500]. Column k is divided by the mean
 ``C_k`` of its off-diagonal entries, and row (i, j), j ≠ i, is strict for
-every k ≠ j when ``fl(fl(V_ij / V_jj) fl(M_j (1 + 8e-9)))``, at least
-2^-1000, is below the least scaled entry of row i, ``M_j`` being the
-largest scaled entry of row j off its diagonal. The slack covers the
-rounding and then the gap the filter below proves. Row (i, i) and the
+every k ≠ j when ``fl(fl(V_ij / V_jj) fl(M_j S))``, at least 2^-1000,
+is below the least scaled entry of row i, ``M_j`` being the largest
+scaled entry of row j off its diagonal. The slack ``S`` of exact mode,
+``1 + 16u`` (u = 2^-53), covers the rounding; float mode's ``1 + 8e-9``
+covers it and then the gap the filter below proves. Row (i, i) and the
 triples (i, j, j) multiply the same two numbers on both sides, so under
 the guard they are equal, and their separators are counted from the
 dominator bits. So the sweep costs O(n^2) plus n for each row the bound
@@ -47,9 +52,12 @@ takes the filter below on every row.
 On a declined row one certified filter (:func:`_unsettled`) settles the
 clearly strict triples first: triple (i, j, k) is strict when
 ``2^-1000 <= fl(fl(V_ij V_jk) s) < fl(V_ik V_jj) < inf``, with the slack
-``s`` of its mode, ``1 + 16u`` (u = 2^-53) in exact mode and ``1 + 4e-9``
-in float mode. The rule of :func:`_equal`, the one that decides equal or
-strict, compares the products of the triples it leaves: the equal,
+``s`` of its mode, ``1 + 16u`` in exact mode and ``1 + 4e-9`` in float
+mode. In exact mode the triple (i, j, j) of a declined row is equal, its
+two products being those of the same two integers, and is counted with
+no product formed; float mode leaves it to the rule, which calls a pair
+of infinite products strict. The rule of :func:`_equal`, the one that
+decides equal or strict, compares the products of the triples it leaves: the equal,
 near-equal, zero, tiny, subnormal and overflowed ones. The bound and the
 filter only ever prove a triple strict, and one the rule calls strict, so
 every count is the one the rule gives and exact mode stays
@@ -89,10 +97,11 @@ _SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 4e-9}
 _FILTER_FLOOR = 2.0**-1000
 
 # The row bound (see _settled_rows): it runs when every entry lies in
-# [2^-500, 2^500], and its slack leaves room for the rounding of the
-# bound and then for the gap of the filter in either mode.
+# [2^-500, 2^500]. Exact mode's slack 1 + 16u covers the rounding of the
+# bound and of the ratios; float mode's 1 + 8e-9 covers the rounding and
+# then the gap of the filter.
 _ROW_RANGE = (2.0**-500, 2.0**500)
-_ROW_SLACK = 1 + 8e-9
+_ROW_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 8e-9}
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
     return [[v / scale for v in row] for row in rows]
 
 
-def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
+def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     """Per i and j, whether one bound settles every triple (i, j, k) of the
     positive doubles ``values``, the float ``F`` or the exact filter
     ratios ``q``: equal for k = j, and for every k when j = i,
@@ -310,15 +319,16 @@ def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
     ``C_k``, the mean of its off-diagonal entries, and ``w = fl(V / C)``
     for the entries ``V`` of ``values``. With ``M_j = max_{k≠j} w_jk`` and
     ``m_i = min_k w_ik``, row (i, j), j ≠ i, is settled when ``2^-1000 <=
-    x < m_i`` for ``x = fl(fl(V_ij / V_jj) fl(M_j S))``, S = 1 + 8e-9.
-    That is O(n^2) work for all n^2 rows. (Leaving column j out of
-    ``m_i`` helps only where ``M_j S`` reaches about ``w_jj``; on
+    x < m_i`` for ``x = fl(fl(V_ij / V_jj) fl(M_j S))``, with the slack
+    ``S`` of ``mode``: ``1 + 16u`` (u = 2^-53) in exact mode and ``1 +
+    8e-9`` in float mode. That is O(n^2) work for all n^2 rows. (Leaving
+    column j out of ``m_i`` helps only where ``M_j S`` reaches about ``w_jj``; on
     ``random_graph(n, s)`` with n up to 40 both forms settle the same
     rows.)
 
     ``C_k`` lies within [2^-501, 2^501], so ``w``, ``V_ij / V_jj`` and
     ``M_j S`` are normal, and so is ``x`` by its lower limit; each rounding
-    adds one factor ``(1 + d)``, ``|d| <= u = 2^-53``. For k ≠ j,
+    adds one factor ``(1 + d)``, ``|d| <= u``. For k ≠ j,
     ``M_j >= w_jk`` and ``m_i <= w_ik``, so ``(V_ij / V_jj)(V_jk / C_k) S
     (1 - u)^4 <= x < m_i <= (V_ik / C_k)(1 + u)``: ``V_ij V_jk S (1 -
     u)^4 / (1 + u) < V_ik V_jj``, the scale ``C_k`` cancelling. In float
@@ -326,11 +336,15 @@ def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
     fl(F_ik F_jj)``, so ``b > a S (1 - u)^5 / (1 + u)^2 > a (1 + 7.9e-9)``
     with ``a`` and ``b`` normal and finite, past the gap ``b > a (1 +
     3.99e-9)`` from which :func:`_unsettled` shows that neither
-    form of the rule calls a triple equal. In exact mode ``q = (N / T)(1 +
-    d)``, so ``N_ij N_jk S (1 - u)^6 / (1 + u)^3 < N_ik N_jj``, and
-    ``N_ij N_jk < N_ik N_jj`` as for a triple :func:`_unsettled` certifies.
-    Dividing column k by ``F_kk`` rather than by the column mean would
-    settle far fewer rows.
+    form of the rule calls a triple equal. In exact mode the guard makes
+    each ratio normal, so ``q = (N / T)(1 + d)`` and ``N_ij N_jk S (1 -
+    u)^6 / (1 + u)^3 < N_ik N_jj``. ``1 + 16u`` is a double, and ``(1 +
+    16u)(1 - u)^6 >= (1 + 16u)(1 - 6u) > (1 + u)^3``, so ``N_ij N_jk <
+    N_ik N_jj``: any slack above about ``9u`` would do. Triples 1e-12
+    apart, those of ``random_graph(40, 3).scaled(10**12)``, are then
+    settled whole, where float mode's slack would decline every row with
+    j ≠ i. Dividing column k by ``F_kk`` rather than by the column mean
+    would settle far fewer rows.
     """
     n = len(values)
     low, high = _ROW_RANGE
@@ -338,7 +352,8 @@ def _settled_rows(values: list[list[float]]) -> list[list[bool]]:
         return [[False] * n] * n
     scales = [(sum(c[:k]) + sum(c[k + 1 :])) / (n - 1) for k, c in enumerate(zip(*values))]
     scaled = [[v / c for v, c in zip(row, scales)] for row in values]
-    tops = [max(w[:j] + w[j + 1 :]) * _ROW_SLACK for j, w in enumerate(scaled)]
+    slack = _ROW_SLACK[mode]
+    tops = [max(w[:j] + w[j + 1 :]) * slack for j, w in enumerate(scaled)]
     diagonal = [row[j] for j, row in enumerate(values)]
     floor = _FILTER_FLOOR
     settled = []
@@ -414,7 +429,7 @@ def _sweep(
     """
     slack = _SLACK[mode]
     span = range(len(rows))
-    settled = _settled_rows(values)
+    settled = _settled_rows(values, mode)
     equal = inconsistent = 0
     for i, row_i in enumerate(rows):
         # Every triple is strict until it is found equal, and a strict
@@ -433,6 +448,12 @@ def _sweep(
             row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
             kept = _unsettled(values_i, values[j], j, slack)
+            if mode == EXACT:
+                # The filter never certifies (i, j, j), as fl(a s) >= a,
+                # and its two products multiply the same two integers.
+                kept.remove(j)
+                equal += 1
+                inconsistent += -1 if masks_i[j] >> j & 1 else 1
             lhs = [ij * row_j[k] for k in kept]
             rhs = [row_i[k] * jj for k in kept]
             for k in compress(kept, _equal(lhs, rhs, mode)):
@@ -483,7 +504,7 @@ def verify_all_triples(
             "forest matrix of a graph with a symmetric Laplacian must be symmetric"
         )
     weights = forests.matrix
-    masks = [graph.dominators(i) for i in range(n)]
+    masks = graph.dominator_masks()
     rows = weights._rows
     equal, inconsistent = _sweep(rows, _filter_ratios(rows) if mode == EXACT else rows, masks, mode)
     total = n**3

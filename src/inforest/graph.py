@@ -214,7 +214,54 @@ class MultiDigraph:
         no further, and the remaining predecessors are skipped.
         """
         self.check_vertex(root)
-        heads, predecessors = self._successors, self._predecessors
+        return self._dominators(root, self._successors, self._predecessors)
+
+    def dominator_masks(self) -> list[list[int]]:
+        """``[self.dominators(i) for i in range(n)]``: bit j of entry [i][k]
+        is set when every path from i to k visits j.
+
+        Four passes of :meth:`dominators` come first: the flow graphs G(0)
+        and G(1), and the reverse ones Gᴿ(0) and Gᴿ(1), the same data flow
+        with the arcs read backwards. If every mask v of pass r is ``{r,
+        v}``, just ``{r}`` at v = r, then every mask [i][k] is ``{i, k}``,
+        just ``{i}`` at k = i, and no other pass runs. Otherwise the
+        forward passes already run are kept, and those of the other start
+        vertices follow.
+
+        Proof. For n = 2 every mask [i][k] of every graph has that form,
+        since a mask holds its endpoints and there is no third vertex. For
+        n >= 3 an unreachable vertex's mask has all n bits, so the four
+        passes show that G(0) and Gᴿ(0) reach every vertex: G is strongly
+        connected. Suppose j ∉ {i, k} lies on every path from i to k, and
+        take r in {0, 1} with r ≠ j. If some path from i to r and some
+        path from r to k both avoided j, the walk they make would hold a
+        path from i to k that avoids j. So j lies on every path from r to
+        k, and mask k of G(r) holds j ∉ {r, k}, or on every path from i to
+        r, and mask i of Gᴿ(r) holds j ∉ {r, i}. The four passes rule out
+        both, so only the endpoints lie on every path. This is the test
+        for strong articulation points of Italiano, Laura and Santaroni,
+        "Finding strong bridges and strong articulation points in linear
+        time" (2012): G is strongly connected, and no vertex whose removal
+        splits it exists.
+        """
+        n, forward, reverse = self.n, self._successors, self._predecessors
+        kept = []
+        for root in (0, 1):
+            trivial = [1 << root | 1 << v for v in range(n)]
+            for heads, predecessors in ((forward, reverse), (reverse, forward)):
+                masks = self._dominators(root, heads, predecessors)
+                if heads is forward:
+                    kept.append(masks)
+                if masks != trivial:
+                    rest = range(len(kept), n)
+                    return kept + [self._dominators(i, forward, reverse) for i in rest]
+        bits = [1 << v for v in range(n)]
+        return [[bit | other for other in bits] for bit in bits]
+
+    def _dominators(self, root: int, heads, predecessors) -> list[int]:
+        """The data flow of :meth:`dominators` rooted at ``root``, along
+        the arcs ``v -> w`` for ``w`` in ``heads[v]``, with ``predecessors``
+        their reverse; the two swapped give the reverse graph's."""
         postorder = []
         seen = [False] * self.n
         seen[root] = True

@@ -23,6 +23,7 @@ from inforest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_graph,
     step_matrix,
 )
 from inforest.bottleneck import _equal
@@ -44,6 +45,12 @@ def make_triangle(w01=1, w12=1, w02=1) -> MultiDigraph:
 
 def make_two_cycle(a=1, b=1) -> MultiDigraph:
     return MultiDigraph(2, [(0, 1, a), (1, 0, b)])
+
+
+def detour_graph() -> MultiDigraph:
+    """``random_graph(30, 11)`` with a detour 4 -> 30 -> 7 through a new
+    vertex 30."""
+    return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
 
 
 def random_multidigraph(seed, min_n=2, max_n=5, max_arcs=8, weight_limit=5) -> MultiDigraph:

@@ -41,6 +41,7 @@ from inforest.matrix import common_denominator, scalar
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
+    detour_graph,
     make_path,
     make_triangle,
     make_two_cycle,
@@ -359,22 +360,23 @@ def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
     assert str(raised.value) == str(first.value)
 
 
-def _proved(values, unsettled):
-    """The triples (i, j, k) that a sweep decides before it compares their
-    products, as the sets of those proved strict and proved equal, from
-    the doubles ``values`` that the row bound of ``_settled_rows`` reads
-    and ``unsettled(i, j)``, the k of row (i, j) that the per-triple filter
-    leaves. A row the bound settles is equal throughout when j = i and at
-    k = j, and strict elsewhere; the filter certifies strict triples on
-    every row, settled or not."""
-    settled = _settled_rows(values)
+def _proved(values, unsettled, mode):
+    """The triples (i, j, k) that a sweep in ``mode`` decides before it
+    compares their products, as the sets of those proved strict and proved
+    equal, from the doubles ``values`` that the row bound of
+    ``_settled_rows`` reads and ``unsettled(i, j)``, the k of row (i, j)
+    that the per-triple filter leaves. A row the bound settles is equal
+    throughout when j = i and at k = j, and strict elsewhere; in exact mode
+    every (i, j, j) is equal; the filter certifies strict triples on every
+    row, settled or not."""
+    settled = _settled_rows(values, mode)
     n = len(values)
     strict, equal = set(), set()
     for i in range(n):
         for j in range(n):
             kept = set(unsettled(i, j))
             for k in range(n):
-                if settled[i][j] and (j == i or k == j):
+                if k == j and mode == EXACT or settled[i][j] and (j == i or k == j):
                     equal.add((i, j, k))
                 elif settled[i][j] or k not in kept:
                     strict.add((i, j, k))
@@ -388,7 +390,7 @@ def _certified(forests):
     rows, _ = common_denominator(forests.matrix.to_lists())
     ratios = _filter_ratios(rows)
     slack = _SLACK[EXACT]
-    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j, slack))
+    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j, slack), EXACT)
     for i, j, k in sorted(strict):
         yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
 
@@ -434,12 +436,6 @@ def _close_to_equality(gap, mode=FLOAT):
     return Matrix(values, mode)._rows, [g.dominators(i) for i in range(g.n)]
 
 
-def _detour():
-    """``random_graph(30, 11)`` with a detour 4 -> 30 -> 7 through a new
-    vertex 30."""
-    return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
-
-
 def test_float_filter_never_certifies_a_close_triple():
     # The corpus in float mode, strict triples 2e-10 and 2e-13 apart on
     # the 2-cycles, a dense graph, whose triples are nearly all certified,
@@ -458,7 +454,9 @@ def test_float_filter_never_certifies_a_close_triple():
     cases += [_close_to_equality(gap) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
     certified, slack = 0, _SLACK[FLOAT]
     for values, masks in cases:
-        strict, equal = _proved(values, lambda i, j: _unsettled(values[i], values[j], j, slack))
+        strict, equal = _proved(
+            values, lambda i, j: _unsettled(values[i], values[j], j, slack), FLOAT
+        )
         for i, j, k in strict:
             a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
             assert not math.isclose(a, b) and not _reference_equal(a, b), (values, i, j, k)
@@ -476,9 +474,10 @@ def test_row_bound_declines_a_row_with_a_close_triple(gap):
     # filter, which leaves the triple to the rule. The bound settles every
     # row of the graph's own F, and every row of the doctored one whose
     # start vertex is not 0.
-    assert all(map(all, _settled_rows(forest_matrices(random_graph(20, 3), FLOAT).matrix._rows)))
+    rows = forest_matrices(random_graph(20, 3), FLOAT).matrix._rows
+    assert all(map(all, _settled_rows(rows, FLOAT)))
     values, masks = _close_to_equality(gap)
-    settled = _settled_rows(values)
+    settled = _settled_rows(values, FLOAT)
     assert not settled[0][1] and all(map(all, settled[1:]))
     assert 2 in _unsettled(values[0], values[1], 1, _SLACK[FLOAT])
     assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
@@ -491,7 +490,7 @@ def test_sweep_counts_what_the_rule_gives_on_every_triple(mode):
     # against both products of every triple compared by the rule.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12)]
-    graphs += _tiny_paths() + [_detour()]
+    graphs += _tiny_paths() + [detour_graph()]
     cases = [
         (forest_matrices(g, mode).matrix._rows, [g.dominators(i) for i in range(g.n)])
         for g in graphs
@@ -518,7 +517,7 @@ def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
     (second, _), (first, j) = ratios[-2:]
     rows[0][1] = (first + second) / 2
     doctored = replace(forests, matrix=Matrix(rows))
-    settled = _settled_rows(_filter_ratios(doctored.matrix._rows))
+    settled = _settled_rows(_filter_ratios(doctored.matrix._rows), EXACT)
     assert not settled[0][j] and any(map(any, settled))
     message = f"triple {(0, j, 1)}: product"
     with pytest.raises(InconsistentWithTheoremError) as first_bad:
@@ -535,7 +534,7 @@ def test_row_bound_settles_nearly_every_row(seed):
     # sweep's filter ratios.
     for n, mode in ((40, FLOAT), (30, EXACT)):
         rows = forest_matrices(random_graph(n, seed), mode).matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
         count = sum(settled[i][j] for i in range(n) for j in range(n) if j != i)
         assert count >= 0.95 * n * (n - 1), (mode, count)
 
@@ -545,11 +544,11 @@ def test_row_bound_declines_the_rows_of_a_detour():
     # vertex from 30 and 7 separates 30 from every vertex: those 30 rows
     # hold equal triples with j at neither end. The bound also declines
     # row (30, 4), whose triple (30, 4, 30) sets M_4.
-    g = _detour()
+    g = detour_graph()
     for mode in (FLOAT, EXACT):
         forests = forest_matrices(g, mode)
         rows = forests.matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
         declined = {(i, j) for i in range(31) for j in range(31) if not settled[i][j]}
         assert declined == {(i, 4) for i in range(31) if i != 4} | {(30, 7)}
         assert summarize(verify_all_triples(g, forests)).equal == 1949
@@ -562,27 +561,22 @@ def test_row_bound_declines_the_rows_of_a_detour():
     ids=["row-i-i", "k-is-j", "strict", "k-is-j-and-strict"],
 )
 def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, mode, flipped):
-    # Bit j of dominators(i)[k] flipped for triples of rows that the bound
-    # settles: an equal one of row (i, i), the equal one at k = j, a
+    # Bit j of dominator_masks()[i][k] flipped for triples of rows that the
+    # bound settles: an equal one of row (i, i), the equal one at k = j, a
     # strict one, and the last two together, which leaves the row with one
-    # separator at the wrong k. The sweep and the triple-by-triple check
-    # read the same doctored masks and agree on the first bad triple or on
-    # the counts.
+    # separator at the wrong k. The sweep reads the doctored masks and the
+    # triple-by-triple check the same bits through dominators(i); the two
+    # agree on the first bad triple or on the counts.
     g = random_graph(20, 3)
     forests = forest_matrices(g, mode)
     rows = forests.matrix._rows
-    settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows))
+    settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
     assert all(settled[i][j] for i, j, _ in flipped)
-    dominators = MultiDigraph.dominators
-
-    def doctored(graph, root):
-        masks = dominators(graph, root)
-        for i, j, k in flipped:
-            if root == i:
-                masks[k] ^= 1 << j
-        return masks
-
-    monkeypatch.setattr(MultiDigraph, "dominators", doctored)
+    masks = g.dominator_masks()
+    for i, j, k in flipped:
+        masks[i][k] ^= 1 << j
+    monkeypatch.setattr(MultiDigraph, "dominator_masks", lambda graph: [*map(list, masks)])
+    monkeypatch.setattr(MultiDigraph, "dominators", lambda graph, root: list(masks[root]))
     if mode == FLOAT:
         summary = summarize(verify_all_triples(g, forests))
         assert summary.inconsistent == len(flipped)
@@ -594,6 +588,20 @@ def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, 
         verify_all_triples(g, forests)
     assert str(raised.value) == str(first.value)
     assert str(raised.value).startswith(f"triple {flipped[0]}: relation")
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_sweep_reads_the_separator_at_k_equal_j_of_a_declined_row(mode):
+    # Row (0, 4) of the detour graph is declined by the bound; with bit 4
+    # of masks[0][4] cleared, its equal triple (0, 4, 4) is inconsistent.
+    g = detour_graph()
+    rows = forest_matrices(g, mode).matrix._rows
+    values = _filter_ratios(rows) if mode == EXACT else rows
+    assert not _settled_rows(values, mode)[0][4]
+    masks = g.dominator_masks()
+    masks[0][4] ^= 1 << 4
+    assert _sweep(rows, values, masks, mode) == reference_sweep(rows, masks, mode)
+    assert reference_sweep(rows, masks, mode)[1] == 1
 
 
 def test_exact_sweep_raises_at_a_certified_strict_separator():

@@ -870,7 +870,7 @@ def cli_cases(draw):
     mode refuses, and now and then a token that every mode rejects. No
     weight near the top of the double range is drawn: one arc of ``1e308``
     overflows ``f``, and float ``verify`` and ``bottleneck`` then exit 3
-    (ROADMAP item 3).
+    (ROADMAP item 1).
     """
 
     def flag(name, values):

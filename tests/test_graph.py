@@ -1,6 +1,7 @@
 """Graph construction, matrix views, degrees, and reachability."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,9 @@ from inforest import (
 )
 from inforest.graph import MAX_VERTICES
 from tests.helpers import (
+    CORPUS_SEED,
     corpus,
+    detour_graph,
     make_path,
     make_triangle,
     multidigraphs,
@@ -298,6 +301,101 @@ def test_dominators_match_is_bottleneck_on_dense_graphs(n):
         rows = [[bool(masks[k] >> j & 1) for k in span] for j in span]
         assert rows == reference_separators(g.n, g.arcs, i)
     assert g.dominators(n) == [(1 << g.n) - 1] * n + [1 << n]
+
+
+def _passes(g):
+    """The masks of ``dominators(i)`` for every start vertex i."""
+    return [g.dominators(i) for i in range(g.n)]
+
+
+def _separating_passes(g):
+    """Whether each of G(0), Gᴿ(0), G(1) and Gᴿ(1), the reverse graph
+    built here from reversed arcs, holds a mask other than {r, v}."""
+    reverse = MultiDigraph(g.n, [(head, tail, w) for tail, head, w in g.arcs])
+    return [
+        graph.dominators(r) != [1 << r | 1 << v for v in range(g.n)]
+        for r in (0, 1)
+        for graph in (g, reverse)
+    ]
+
+
+def _only_endpoints(n):
+    return [[1 << i | 1 << k for k in range(n)] for i in range(n)]
+
+
+def test_dominator_masks_equal_the_passes_on_the_corpora():
+    # The default and the sparse corpus, whose graphs with n > 2 all take
+    # every pass, and a dense one, where 12 of 40 have only the endpoints
+    # as separators, which the four passes settle.
+    sparse = corpus(count=40, min_n=4, max_n=12, max_arcs=14)
+    dense = corpus(count=40, min_n=3, max_n=8, max_arcs=40)
+    shortcut = fallback = 0
+    for g in corpus(200) + sparse + dense:
+        masks = g.dominator_masks()
+        assert masks == _passes(g), g
+        if g.n > 2:
+            trivial = masks == _only_endpoints(g.n)
+            assert trivial == (not any(_separating_passes(g))), g
+            shortcut += trivial
+            fallback += not trivial
+    assert shortcut and fallback
+
+
+def test_dominator_masks_equal_the_passes_on_paths_dags_and_a_detour():
+    rng = random.Random(CORPUS_SEED)
+    pairs = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+    dag = MultiDigraph(12, [(a, b, 1) for a, b in pairs if rng.random() < 0.3])
+    graphs = [path_graph(12), dag, detour_graph(), random_graph(20, 3), random_graph(12, 1)]
+    for g in graphs:
+        assert g.dominator_masks() == _passes(g)
+    # The detour's vertices 4 and 7 separate; random_graph(20, 3) is
+    # strongly connected and only the endpoints of a path separate.
+    assert any(_separating_passes(detour_graph()))
+    assert random_graph(20, 3).dominator_masks() == _only_endpoints(20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multidigraphs(max_n=6, max_arcs=16))
+def test_dominator_masks_equal_the_passes_on_drawn_graphs(g):
+    assert g.dominator_masks() == _passes(g)
+
+
+def test_dominator_masks_of_a_bowtie_seen_only_from_root_1():
+    # Undirected triangles 0-1-2 and 0-3-4 that share vertex 0, the only
+    # strong articulation point: the passes rooted at 0 cannot see it.
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+    g = MultiDigraph.from_undirected(5, [(u, v, 1) for u, v in edges])
+    assert _separating_passes(g) == [False, False, True, True]
+    masks = g.dominator_masks()
+    assert masks == _passes(g)
+    assert masks[1][3] == 0b1011 and masks[3][1] == 0b1011
+
+
+def test_dominator_masks_of_a_funnel_seen_first_by_the_reverse_pass_at_0():
+    # 0 -> 2, 0 -> 3, 2 <-> 3, 2 -> 1, 3 -> 1, 1 -> 0: every path from 2
+    # or 3 to 0 runs through 1, which G(0) does not see, and every path
+    # from 1 to 2 or 3 through 0.
+    arcs = [(0, 2), (0, 3), (2, 3), (3, 2), (2, 1), (3, 1), (1, 0)]
+    g = MultiDigraph(4, [(tail, head, 1) for tail, head in arcs])
+    assert _separating_passes(g) == [False, True, True, False]
+    masks = g.dominator_masks()
+    assert masks == _passes(g)
+    assert masks[2][0] == 0b0111 and masks[1][2] == 0b0111
+
+
+@pytest.mark.parametrize(
+    "missing, seen_by",
+    [((0, 2), 0), ((2, 0), 1), ((1, 2), 2), ((2, 1), 3)],
+    ids=["forward-0", "reverse-0", "forward-1", "reverse-1"],
+)
+def test_dominator_masks_when_one_pass_alone_sees_a_separator(missing, seen_by):
+    # The complete digraph on 3 vertices without one arc between 2 and a
+    # root: the other root is its one strong articulation point, and
+    # exactly one of G(0), Gᴿ(0), G(1) and Gᴿ(1) sees it.
+    arcs = [(a, b, 1) for a in range(3) for b in range(3) if a != b and (a, b) != missing]
+    g = MultiDigraph(3, arcs)
+    assert _separating_passes(g) == [index == seen_by for index in range(4)]
+    assert g.dominator_masks() == _passes(g) != _only_endpoints(3)
 
 
 def test_scaled_multiplies_weights():

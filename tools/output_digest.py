@@ -36,7 +36,9 @@ generator graphs with at most 8 vertices:
   of 20 and 30 vertices, whose triples are nearly all strict by a wide
   margin, and a 2-cycle of weight 1e10, whose strict triples are close to
   equality. Both modes end with :func:`detour_graph`, where the sweep's
-  row bound leaves some rows to the per-triple filter.
+  row bound leaves some rows to the per-triple filter, and
+  :func:`joined_blocks`, whose one strong articulation point sends the
+  separators through one dominator pass per start vertex.
 
 A section and mode with no record print no line.
 
@@ -146,6 +148,7 @@ def large_corpus() -> list:
     pairs.append((EXACT, MultiDigraph(2, [(0, 1, 10**10), (1, 0, 10**10)])))
     pairs += [(FLOAT, graph) for graph in tiny_paths()]
     pairs += [(mode, detour_graph()) for mode in MODES]
+    pairs += [(mode, joined_blocks()) for mode in MODES]
     return pairs
 
 
@@ -156,6 +159,15 @@ def detour_graph() -> MultiDigraph:
     a triple close enough to equality that the bound leaves the row to the
     per-triple filter."""
     return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
+
+
+def joined_blocks() -> MultiDigraph:
+    """``random_graph(20, 1)`` and ``random_graph(20, 2)`` on 39 vertices,
+    the second shifted by 19 so that the two share vertex 19. Each block is
+    strongly connected with no strong articulation point, so vertex 19 is
+    the graph's only one: every path between the blocks runs through it."""
+    second = [(t + 19, h + 19, w) for t, h, w in random_graph(20, 2).arcs]
+    return MultiDigraph(39, [*random_graph(20, 1).arcs, *second])
 
 
 def tiny_paths(count=6, seed=3) -> list:
