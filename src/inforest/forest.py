@@ -28,6 +28,12 @@ kept as a zero of ``F``. In both modes column k of the identity block
 joins the elimination at step k, the first step that changes it; before
 that it is a multiple of the k-th unit vector, which no step needs to
 update.
+
+The steps go in blocks of four. A row's entry takes the same operations in
+the same order as in four passes of one step each, so every value is the
+one the one-step elimination gives; what the block saves is the
+interpreter's work per entry and pass, which in pure Python costs more
+than the arithmetic.
 """
 
 from __future__ import annotations
@@ -78,15 +84,20 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     in float mode, and 0 on every other row. So it joins the right block
     only at step k, with that value, and no earlier step updates it.
 
-    The steps go in pairs (k, k + 1): step k updates row k + 1, step
-    k + 1 then updates row k, and one pass over every other row applies
-    both, with the row's column k + 1 after step k as the second factor.
-    Each entry takes the same operations in the same order as in two
-    passes; column k + 1 of ``c I``, still 0 on those rows, takes step
-    k's term too, which leaves it 0 (``0.0 - g * 0.0`` is ``0.0`` for a
-    finite g). A float row whose factor for either step is 0 takes the
-    two steps one at a time, and so skips that step as a lone step does.
-    An odd last step runs alone.
+    The steps go in blocks of four, k to k + 3. The block's pivot rows take
+    its steps one at a time: step k + j updates the other three after
+    pivot k + j is read. Every other row then finds its four factors in
+    turn, the factor of step k + j being its column k + j after the
+    block's first j steps, and takes one pass over its tail:
+    ``x - g0*y0 - g1*y1 - g2*y2 - g3*y3`` in float mode, four nested
+    Bareiss divisions in exact mode. Each entry takes the same operations
+    in the same order as in four passes; the columns of ``c I`` that join
+    within the block, still 0 on those rows, take the earlier steps' terms
+    too, which leaves them 0 (``0.0 - g * 0.0`` is ``0.0`` for a finite
+    g). A float row with a zero factor takes the block's steps one at a
+    time, and so skips those steps as a lone step does; that keeps the
+    operations the same where a pivot row holds an infinity, and saves
+    the pass on sparse rows. The last ``n mod 4`` steps run alone.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -123,43 +134,57 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
             row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
 
     previous = 1
-    for k in range(0, n, 2):
-        extra = [zero] * min(2, n - k)
+    blocks = [(k, 4) for k in range(0, n - 3, 4)] + [(k, 1) for k in range(n - n % 4, n)]
+    for k, size in blocks:
+        end = k + size
+        extra = [zero] * size
         for row in rows:
             row += extra
-        pivot = pivot_of(k, previous)
-        pivot_row = rows[k]
-        tail = pivot_row[k + 1 :]
-        if k + 1 == n:
-            for row in rows[:k]:
-                step(row, k, pivot, previous, tail)
-            break
-        next_row = rows[k + 1]
-        step(next_row, k, pivot, previous, tail)
-        after = pivot if exact else previous
-        pivot2 = pivot_of(k + 1, after)
-        tail2 = next_row[k + 2 :]
-        step(pivot_row, k + 1, pivot2, after, tail2)
-        y1, tail1 = tail[0], tail[1:]
-        for row in rows[:k] + rows[k + 2 :]:
-            f1 = row[k]
+        steps = []
+        block = rows[k:end]
+        for j, pivot_row in enumerate(block):
+            pivot = pivot_of(k + j, previous)
+            steps.append((k + j, pivot, previous, pivot_row[k + j + 1 :]))
+            for row in block:
+                if row is not pivot_row:
+                    step(row, *steps[-1])
             if exact:
-                f2 = (pivot * row[k + 1] - f1 * y1) // previous
-                row[k + 2 :] = [
-                    (pivot2 * ((pivot * x - f1 * y) // previous) - f2 * z) // pivot
-                    for x, y, z in zip(row[k + 2 :], tail1, tail2)
+                previous = pivot
+        others = rows[:k] + rows[end:]
+        if size == 1:
+            for row in others:
+                step(row, *steps[0])
+            continue
+        (_, p0, q, t0), (_, p1, _, t1), (_, p2, _, t2), (_, p3, _, t3) = steps
+        u0, u1, u2 = t0[3:], t1[2:], t2[1:]  # from column end on, as t3
+        for row in others:
+            f0, a1, a2, a3 = row[k:end]
+            if exact:
+                f1 = (p0 * a1 - f0 * t0[0]) // q
+                f2 = (p1 * ((p0 * a2 - f0 * t0[1]) // q) - f1 * t1[0]) // p0
+                f3 = (p2 * ((p1 * ((p0 * a3 - f0 * t0[2]) // q) - f1 * t1[1]) // p0)
+                      - f2 * t2[0]) // p1
+                row[end:] = [
+                    (p3 * ((p2 * ((p1 * ((p0 * x - f0 * y0) // q) - f1 * y1) // p0)
+                            - f2 * y2) // p1) - f3 * y3) // p2
+                    for x, y0, y1, y2, y3 in zip(row[end:], u0, u1, u2, t3)
                 ]
                 continue
-            g1 = f1 / pivot
-            f2 = row[k + 1] - g1 * y1
-            if f1 and f2:
-                g2 = f2 / pivot2
-                row[k + 2 :] = [x - g1 * y - g2 * z for x, y, z in zip(row[k + 2 :], tail1, tail2)]
+            g0 = f0 / p0
+            f1 = a1 - g0 * t0[0]
+            g1 = f1 / p1
+            f2 = a2 - g0 * t0[1] - g1 * t1[0]
+            g2 = f2 / p2
+            f3 = a3 - g0 * t0[2] - g1 * t1[1] - g2 * t2[0]
+            if f0 and f1 and f2 and f3:
+                g3 = f3 / p3
+                row[end:] = [
+                    x - g0 * y0 - g1 * y1 - g2 * y2 - g3 * y3
+                    for x, y0, y1, y2, y3 in zip(row[end:], u0, u1, u2, t3)
+                ]
             else:
-                step(row, k, pivot, previous, tail)
-                step(row, k + 1, pivot2, after, tail2)
-        if exact:
-            previous = pivot2
+                for args in steps:
+                    step(row, *args)
     return pivots, c, [row[n + 1 :] for row in rows]
 
 

@@ -95,7 +95,8 @@ class MultiDigraph:
                 if tail == head:
                     raise LoopArcError(f"arc {tail}->{head} is a loop")
                 weight = _check_weight(weight)
-            checked.append(Arc(tail, head, weight))
+            # What Arc(tail, head, weight) builds, without its Python-level __new__.
+            checked.append(tuple.__new__(Arc, (tail, head, weight)))
             successors[tail].append(head)
             predecessors[head].append(tail)
         self.arcs = tuple(checked)
@@ -160,7 +161,12 @@ class MultiDigraph:
             zero = 0
         else:
             zero, scale = scalar(0, mode), 1
-            values = [scalar(arc.weight, mode) for arc in self.arcs]
+            try:
+                # scalar's correctly rounded division of each stored Fraction,
+                # inline; only a weight beyond the doubles needs its infinity.
+                values = [w.numerator / w.denominator for _, _, w in self.arcs]
+            except OverflowError:
+                values = [scalar(arc.weight, mode) for arc in self.arcs]
         rows = [[zero] * self.n for _ in range(self.n)]
         for (tail, head, weight), value in zip(self.arcs, values):
             if not value > 0:

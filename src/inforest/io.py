@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
@@ -85,12 +85,18 @@ def _parsed_graph(
         raise
 
 
-def _parse_vertex(token: str, line_no: int) -> int:
+def _raise_arc_error(tokens: list[str], line_no: int, read_weight) -> NoReturn:
+    """Raise the error of the first bad field of an arc line: the tail,
+    the head, then the weight."""
+    for token in tokens[:2]:
+        try:
+            int(token)  # range checks happen at graph construction
+        except ValueError as exc:
+            raise GraphFormatError(f"line {line_no}: bad vertex {token!r}") from exc
     try:
-        vertex = int(token)
-    except ValueError as exc:
-        raise GraphFormatError(f"line {line_no}: bad vertex {token!r}") from exc
-    return vertex - 1  # range checks happen at graph construction
+        read_weight(tokens[2])
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"line {line_no}: {exc}") from exc
 
 
 def parse_graph_text(text: str) -> ParsedGraph:
@@ -103,10 +109,18 @@ def parse_graph_text(text: str) -> ParsedGraph:
     # file. A bad token is never stored, so it raises where it first occurs.
     read_weight = functools.cache(parse_weight)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
+        if header is not None and len(tokens) == 3:
+            # An arc line: one try for its three fields. Only when it fails
+            # are they read again one by one, to name the first bad one.
+            try:
+                entries.append((int(tokens[0]) - 1, int(tokens[1]) - 1, read_weight(tokens[2])))
+            except (ValueError, GraphFormatError):
+                _raise_arc_error(tokens, line_no, read_weight)
+            line_numbers.append(line_no)
+            continue
         if header is None:
             if len(tokens) != 2 or tokens[0] not in ("digraph", "graph"):
                 raise GraphFormatError(
@@ -118,16 +132,7 @@ def parse_graph_text(text: str) -> ParsedGraph:
             except ValueError as exc:
                 raise GraphFormatError(f"line {line_no}: bad vertex count {tokens[1]!r}") from exc
             continue
-        if len(tokens) != 3:
-            raise GraphFormatError(f"line {line_no}: expected '<tail> <head> <weight>'")
-        tail = _parse_vertex(tokens[0], line_no)
-        head = _parse_vertex(tokens[1], line_no)
-        try:
-            weight = read_weight(tokens[2])
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"line {line_no}: {exc}") from exc
-        entries.append((tail, head, weight))
-        line_numbers.append(line_no)
+        raise GraphFormatError(f"line {line_no}: expected '<tail> <head> <weight>'")
     if header is None:
         raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
     return _parsed_graph(n, entries, "line", line_numbers, header == "graph")

@@ -14,20 +14,24 @@ from hypothesis import strategies as st
 from inforest import (
     EXACT,
     FLOAT,
+    GraphFormatError,
     LoopArcError,
     Matrix,
     MultiDigraph,
     NotConvergedError,
+    ParsedGraph,
     SeriesSum,
     choose_epsilon,
     complete_graph,
     cycle_graph,
+    parse_weight,
     path_graph,
     random_graph,
     step_matrix,
 )
 from inforest.bottleneck import _equal
 from inforest.graph import Arc, _check_weight
+from inforest.io import _parsed_graph
 from inforest.matrix import scalar
 
 CORPUS_SEED = 20260809
@@ -130,6 +134,47 @@ def reference_arcs(n, arcs) -> tuple:
             raise LoopArcError(f"arc {tail}->{head} is a loop")
         checked.append(Arc(tail, head, _check_weight(weight)))
     return tuple(checked)
+
+
+def reference_parse_text(text: str) -> ParsedGraph:
+    """:func:`inforest.parse_graph_text` as a plain per-line loop that
+    checks each field of an arc line in turn: the tail, the head, then the
+    weight."""
+    header = None
+    n = 0
+    entries = []
+    line_numbers = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2 or tokens[0] not in ("digraph", "graph"):
+                raise GraphFormatError(f"line {line_no}: expected 'digraph <n>' or 'graph <n>'")
+            header = tokens[0]
+            try:
+                n = int(tokens[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"line {line_no}: bad vertex count {tokens[1]!r}") from exc
+            continue
+        if len(tokens) != 3:
+            raise GraphFormatError(f"line {line_no}: expected '<tail> <head> <weight>'")
+        vertices = []
+        for token in tokens[:2]:
+            try:
+                vertices.append(int(token) - 1)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {line_no}: bad vertex {token!r}") from exc
+        try:
+            weight = parse_weight(tokens[2])
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {line_no}: {exc}") from exc
+        entries.append((*vertices, weight))
+        line_numbers.append(line_no)
+    if header is None:
+        raise GraphFormatError("empty input: missing 'digraph <n>' or 'graph <n>' header")
+    return _parsed_graph(n, entries, "line", line_numbers, header == "graph")
 
 
 def reference_sweep(rows, masks, mode) -> tuple[int, int]:

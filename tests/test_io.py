@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inforest import (
@@ -23,7 +23,7 @@ from inforest import (
     parse_weight,
 )
 from inforest.matrix import format_for_message
-from tests.helpers import transpose
+from tests.helpers import reference_parse_text, transpose
 
 PATH_TEXT = """\
 # three-vertex path
@@ -300,3 +300,50 @@ def test_parse_graph_returns_a_graph_or_raises_an_inforest_error(text):
     except InforestError:
         return
     assert isinstance(parsed, ParsedGraph)
+
+
+def _outcome(parse, text):
+    """The parsed graph with the types of its arcs, or the type and message
+    of the error."""
+    try:
+        graph = parse(text).graph
+    except InforestError as exc:
+        return type(exc), str(exc)
+    return graph, [type(arc) for arc in graph.arcs]
+
+
+@given(st.one_of(ARBITRARY_TEXT, near_valid_text()))
+@settings(max_examples=400, deadline=None)
+def test_parse_graph_text_equals_the_per_line_reference(text):
+    assume(not text.lstrip().startswith("{"))  # parse_graph reads that as JSON
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_text, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "digraph 3\nx 2 1\n",
+        "digraph 3\n1 y 1\n",
+        "digraph 3\n1 2 1/0\n",
+        "digraph 3\nx y z\n",
+        "digraph 3\n1 y z\n",
+        "digraph 3\n1 2\n",
+        "digraph 3\n1 2 1 4\n",
+        "digraph 3\n1 2 1\ndigraph 3\n",
+        "digraph 3\n1 2 1\ngraph 3 1\n",
+        "digraph 3\n   # indented comment\n\t#tab\n1 2 1\n",
+        "  # before the header\ndigraph 3\n2 3 1/2\n",
+        "digraph 3\n1 2 1 # not a comment\n",
+        "digraph 3\n1 2 #\n",
+        "digraph 3\n1 2 1\n1 2 1\n2 1 1e-3\n",
+        "digraph 3\n 1  2\t1/3 \n",
+    ],
+    ids=[
+        "bad-tail", "bad-head", "bad-weight", "bad-tail-first", "bad-head-before-weight",
+        "two-tokens", "four-tokens", "second-header", "second-header-three-tokens",
+        "indented-comment", "comment-before-header", "hash-after-first-token",
+        "hash-as-weight", "parallel-arcs", "spacing",
+    ],
+)
+def test_parse_graph_text_lines_equal_the_per_line_reference(text):
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_text, text)

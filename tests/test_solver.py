@@ -91,9 +91,11 @@ def test_solver_on_arcless_graph_and_smallest_graph():
 
 
 def _full_block_solve(laplacian):
-    """The elimination of ``[c(I + L) | c I | s]`` with every column of
-    ``c I`` updated at every step, as in the solver before it skipped
-    the columns a step cannot change."""
+    """The elimination of ``[c(I + L) | c I | s]`` one step at a time, with
+    every column of ``c I`` updated at every step, as in the solver before
+    it skipped the columns a step cannot change. A float row whose factor
+    is 0 is left as it is, as the solver's lone step leaves it; while every
+    entry is finite that changes no value, since ``x - 0.0 * y`` is ``x``."""
     n = laplacian.order
     exact = laplacian.mode == EXACT
     left, c = common_denominator(laplacian.to_lists()) if exact else (laplacian.to_lists(), 1.0)
@@ -112,7 +114,7 @@ def _full_block_solve(laplacian):
                 row[k + 1 :] = [
                     (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
                 ]
-            else:
+            elif factor:
                 factor /= pivot
                 row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
         pivots.append(pivot)
@@ -130,16 +132,35 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
     rng = random.Random(CORPUS_SEED)
     arcs = [(u, v, rng.randint(1, 5)) for u in range(40) for v in range(u + 1, 40)]
     graphs += [path_graph(40), MultiDigraph(40, [arc for arc in arcs if rng.random() < 0.05])]
-    # The solver takes its steps in pairs: even and odd orders, so that the
-    # last step runs alone or in a pair.
-    graphs += [random_graph(n, 4) for n in (2, 3, 7)] + [random_graph(31, 2)]
-    # A star into vertex 0 and a DAG, where one step of a pair has factor 0
-    # on some rows and the other does not.
+    # The solver takes its steps in blocks of four: every order mod 4, so
+    # that zero to three last steps run alone.
+    graphs += [random_graph(n, 4) for n in (2, 3, 4, 5, 6, 7, 9)] + [random_graph(31, 2)]
+    # Stars into each vertex of the first block and a DAG, where a step of
+    # a block has factor 0 on some rows and the others do not.
     graphs.append(MultiDigraph(9, [(v, 0, Fraction(v, 3)) for v in range(1, 9)]))
+    for v in range(1, 4):
+        graphs.append(MultiDigraph(9, [(u, v, Fraction(u + 1, 3)) for u in range(9) if u != v]))
     dag = [(u, v, Fraction(rng.randint(1, 5), 3)) for u in range(12) for v in range(u + 1, 12)]
     graphs.append(MultiDigraph(12, [arc for arc in dag if rng.random() < 0.3]))
-    for graph in graphs:
-        laplacian = graph.laplacian(mode)
+    # Weights at both ends of the double range, in blocks of four.
+    graphs.append(MultiDigraph(6, [(0, 1, 1e308), (1, 2, 1), (5, 3, 1e308), (4, 1, 1), (2, 5, 1)]))
+    graphs.append(MultiDigraph(6, [(0, 1, 1e-300), (5, 2, 1e-300), (4, 0, 1), (3, 5, 1e-300)]))
+    matrices = [graph.laplacian(mode) for graph in graphs]
+    if mode == FLOAT:
+        # Not a Laplacian: rows 4-7 take two steps of factor -1e308, so the
+        # running sums of the second block's pivot rows overflow to inf.
+        # In that block rows 0-3 have no nonzero factor and row 8 + j has a
+        # zero factor at position j only. Each must skip its zero-factor
+        # steps as a lone step does: taken, x - 0.0 * inf would be nan.
+        rows = [[0.0] * 12 for _ in range(12)]
+        for r in range(4, 8):
+            rows[r][0] = rows[r][1] = -1e308
+        for j in range(4):
+            for i in range(4):
+                if i != j:
+                    rows[8 + j][4 + i] = -1.0
+        matrices.append(Matrix(rows, FLOAT))
+    for laplacian in matrices:
         solved, expected = _forest_solve(laplacian), _full_block_solve(laplacian)
         # repr tells 0.0 from -0.0 and compares nan with nan.
         assert repr(solved) == repr(expected)
