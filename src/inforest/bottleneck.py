@@ -25,12 +25,12 @@ without building any. The single-triple :func:`is_bottleneck`, behind
 dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
 
-One sweep, :func:`_sweep`, serves both modes with the same steps. It
-compares the products of the matrix's stored rows: the integers ``N = c
-F`` in exact mode, which give the verdicts of ``F`` because the law is
-homogeneous of degree 2, and the doubles of ``F`` in float mode. Its bound
-and its filter read doubles ``V``: the ratios ``q = N / T`` of
-:func:`_filter_ratios` in exact mode, ``T`` the largest ``|N|``, and ``F``
+One sweep, :func:`_sweep`, serves both modes with the same steps: a row
+bound, then the rule. It compares the products of the matrix's stored
+rows: the integers ``N = c F`` in exact mode, which give the verdicts of
+``F`` because the law is homogeneous of degree 2, and the doubles of ``F``
+in float mode. Its bound reads doubles ``V``: the ratios ``q = N / T`` of
+:func:`_bound_ratios` in exact mode, ``T`` the largest ``|N|``, and ``F``
 itself in float mode.
 
 Each (i, j) row is a triangle check, the multiplicative counterpart of
@@ -42,29 +42,22 @@ every k ≠ j when ``fl(fl(V_ij / V_jj) fl(M_j S))``, at least 2^-1000,
 is below the least scaled entry of row i, ``M_j`` being the largest
 scaled entry of row j off its diagonal. The slack ``S`` of exact mode,
 ``1 + 16u`` (u = 2^-53), covers the rounding; float mode's ``1 + 8e-9``
-covers it and then the gap the filter below proves. Row (i, i) and the
+covers it and then a gap past the equality tolerance. Row (i, i) and the
 triples (i, j, j) multiply the same two numbers on both sides, so under
 the guard they are equal, and their separators are counted from the
-dominator bits. So the sweep costs O(n^2) plus n for each row the bound
-declines; every other matrix, with zeros, overflow or a wide spread,
-takes the filter below on every row.
+dominator bits.
 
-On a declined row one certified filter (:func:`_unsettled`) settles the
-clearly strict triples first: triple (i, j, k) is strict when
-``2^-1000 <= fl(fl(V_ij V_jk) s) < fl(V_ik V_jj) < inf``, with the slack
-``s`` of its mode, ``1 + 16u`` in exact mode and ``1 + 4e-9`` in float
-mode. In exact mode the triple (i, j, j) of a declined row is equal, its
-two products being those of the same two integers, and is counted with
-no product formed; float mode leaves it to the rule, which calls a pair
-of infinite products strict. The rule of :func:`_equal`, the one that
-decides equal or strict, compares the products of the triples it leaves: the equal,
-near-equal, zero, tiny, subnormal and overflowed ones. The bound and the
-filter only ever prove a triple strict, and one the rule calls strict, so
-every count is the one the rule gives and exact mode stays
-authoritative. In exact mode a bad triple, one whose verdict disagrees
-with its separator or whose product ``F_ij F_jk`` exceeds ``F_ik F_jj``,
-makes :func:`verify_all_triples` raise through the triple-by-triple check,
-at the first such triple in lexicographic order.
+On a row the bound declines, the rule of :func:`_equal`, the one that
+decides equal or strict, compares both products of all n triples. So the
+sweep costs O(n^2) plus n for each row the bound declines; every other
+matrix, with zeros, overflow or a wide spread, takes the rule on every
+row. Every verdict the bound settles is the one the rule gives, and it
+proves a triple strict only where ``F_ij F_jk < F_ik F_jj``, so every
+count is the rule's and exact mode stays authoritative. In exact mode a
+bad triple, one whose verdict disagrees with its separator or whose
+product ``F_ij F_jk`` exceeds ``F_ik F_jj``, makes
+:func:`verify_all_triples` raise through the triple-by-triple check, at
+the first such triple in lexicographic order.
 """
 
 from __future__ import annotations
@@ -88,20 +81,15 @@ RELATION_STRICT = "strict"
 # compares exactly and is authoritative.
 FLOAT_EQUALITY_RTOL = 1e-9
 
-# The sweep's filter (see _unsettled): a triple is certified strict when
-# lhs times the slack of its mode is at least _FILTER_FLOOR and below a
-# finite rhs. Exact mode's 1 + 16u (u = 2^-53) covers the rounding of the
-# ratios; float mode's 1 + 4e-9 is a gap of more than 3.9 times the
-# equality tolerance.
-_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 4e-9}
-_FILTER_FLOOR = 2.0**-1000
-
 # The row bound (see _settled_rows): it runs when every entry lies in
-# [2^-500, 2^500]. Exact mode's slack 1 + 16u covers the rounding of the
-# bound and of the ratios; float mode's 1 + 8e-9 covers the rounding and
-# then the gap of the filter.
+# [2^-500, 2^500], and settles a row when its bound, at least _ROW_FLOOR,
+# is below the least scaled entry of row i. Exact mode's slack 1 + 16u
+# (u = 2^-53) covers the rounding of the bound and of the ratios; float
+# mode's 1 + 8e-9 covers the rounding and then a gap of more than 7.8
+# times the equality tolerance.
 _ROW_RANGE = (2.0**-500, 2.0**500)
 _ROW_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 8e-9}
+_ROW_FLOOR = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -292,7 +280,7 @@ class TripleReports(Sequence[BottleneckReport]):
         return f"TripleReports(n={self._n}, mode={self.mode!r}, summary={self.summary})"
 
 
-def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
+def _bound_ratios(rows: list[list[int]]) -> list[list[float]]:
     """The doubles ``q_xy = N_xy / T`` of the integer rows ``N``, with
     ``T`` the largest ``|N_xy|`` (1 when every entry is 0).
 
@@ -307,7 +295,7 @@ def _filter_ratios(rows: list[list[int]]) -> list[list[float]]:
 
 def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     """Per i and j, whether one bound settles every triple (i, j, k) of the
-    positive doubles ``values``, the float ``F`` or the exact filter
+    positive doubles ``values``, the float ``F`` or the exact bound
     ratios ``q``: equal for k = j, and for every k when j = i,
     strict for the other k. No row is settled unless every entry lies in
     [2^-500, 2^500]; then row (i, i) always is.
@@ -331,20 +319,25 @@ def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     adds one factor ``(1 + d)``, ``|d| <= u``. For k ≠ j,
     ``M_j >= w_jk`` and ``m_i <= w_ik``, so ``(V_ij / V_jj)(V_jk / C_k) S
     (1 - u)^4 <= x < m_i <= (V_ik / C_k)(1 + u)``: ``V_ij V_jk S (1 -
-    u)^4 / (1 + u) < V_ik V_jj``, the scale ``C_k`` cancelling. In float
-    mode the rule compares the doubles ``a = fl(F_ij F_jk)`` and ``b =
-    fl(F_ik F_jj)``, so ``b > a S (1 - u)^5 / (1 + u)^2 > a (1 + 7.9e-9)``
-    with ``a`` and ``b`` normal and finite, past the gap ``b > a (1 +
-    3.99e-9)`` from which :func:`_unsettled` shows that neither
-    form of the rule calls a triple equal. In exact mode the guard makes
-    each ratio normal, so ``q = (N / T)(1 + d)`` and ``N_ij N_jk S (1 -
-    u)^6 / (1 + u)^3 < N_ik N_jj``. ``1 + 16u`` is a double, and ``(1 +
-    16u)(1 - u)^6 >= (1 + 16u)(1 - 6u) > (1 + u)^3``, so ``N_ij N_jk <
-    N_ik N_jj``: any slack above about ``9u`` would do. Triples 1e-12
-    apart, those of ``random_graph(40, 3).scaled(10**12)``, are then
-    settled whole, where float mode's slack would decline every row with
-    j ≠ i. Dividing column k by ``F_kk`` rather than by the column mean
-    would settle far fewer rows.
+    u)^4 / (1 + u) < V_ik V_jj``, the scale ``C_k`` cancelling.
+
+    In float mode the rule compares the doubles ``a = fl(F_ij F_jk)`` and
+    ``b = fl(F_ik F_jj)``, normal and finite under the guard, so ``b > a S
+    (1 - u)^5 / (1 + u)^2 > a (1 + 7.9e-9)``, and ``b - a > 7.8e-9 b``.
+    ``fl(b - a) >= (b - a)(1 - u)``, or is exact where it is subnormal,
+    while ``fl(1e-9 b)`` is at most ``1e-9 b (1 + 2^-44)``, absolute error
+    of at most 2^-1075 included, as ``1e-9 b >= 2^-1030``. So ``fl(b - a)
+    > fl(1e-9 b) >= fl(1e-9 a)``: neither the written-out rule of
+    :func:`_equal` nor :func:`math.isclose` calls the triple equal.
+
+    In exact mode the guard makes each ratio normal, so ``q = (N / T)(1 +
+    d)`` and ``N_ij N_jk S (1 - u)^6 / (1 + u)^3 < N_ik N_jj``. ``1 +
+    16u`` is a double, and ``(1 + 16u)(1 - u)^6 >= (1 + 16u)(1 - 6u) > (1
+    + u)^3``, so ``N_ij N_jk < N_ik N_jj``: any slack above about ``9u``
+    would do. Triples 1e-12 apart, those of ``random_graph(40,
+    3).scaled(10**12)``, are then settled whole, where float mode's slack
+    would decline every row with j ≠ i. Dividing column k by ``F_kk``
+    rather than by the column mean would settle far fewer rows.
     """
     n = len(values)
     low, high = _ROW_RANGE
@@ -355,7 +348,7 @@ def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     slack = _ROW_SLACK[mode]
     tops = [max(w[:j] + w[j + 1 :]) * slack for j, w in enumerate(scaled)]
     diagonal = [row[j] for j, row in enumerate(values)]
-    floor = _FILTER_FLOOR
+    floor = _ROW_FLOOR
     settled = []
     for i, (row, w) in enumerate(zip(values, scaled)):
         least = min(w)
@@ -363,47 +356,6 @@ def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
         flags[i] = True
         settled.append(flags)
     return settled
-
-
-def _unsettled(values_i: list[float], values_j: list[float], j: int, slack: float) -> list[int]:
-    """The k of row (i, j) that the filter leaves to the rule of
-    :func:`_equal`, from rows i and j of the sweep's doubles: the exact
-    filter ratios ``q`` with ``slack`` ``1 + 16u`` (u = 2^-53), or the float
-    ``F`` with ``slack`` ``1 + 4e-9``.
-
-    Every other k is certified strict: in doubles, with ``a =
-    fl(V_ij V_jk)`` and ``b = fl(V_ik V_jj)``, ``2^-1000 <= fl(a s) < b <
-    inf``. Then ``fl(a s)`` is normal and positive, and ``s`` is below 2,
-    so ``a`` is positive and normal too, and ``b > a``.
-
-    In exact mode the exact products ``q_ij q_jk`` and ``q_ik q_jj`` are
-    then positive too, by the signs of rounding. Every ratio is at most 1
-    in magnitude, so each of the four is at least about ``2^-1001`` in
-    magnitude: all are normal, and so are the three products. Each
-    rounding thus adds one factor ``(1 + d)``, ``|d| <= u``, and ``1 +
-    16u`` is a double, so ``b = (N_ik N_jj / T^2)(1 + d)^3`` and ``fl(a
-    s) = (N_ij N_jk / T^2)(1 + d)^4 (1 + 16u)``.
-    So ``N_ik N_jj / (N_ij N_jk) > (1 - u)^4 (1 + 16u) / (1 + u)^3``, about
-    ``1 + 9u`` and above 1; any slack above ``7u`` would do. A certified
-    triple therefore has ``N_ij N_jk < N_ik N_jj``.
-
-    In float mode ``a`` and ``b`` are the doubles the rule compares, and
-    ``fl(a s) = a s (1 + d)``. So ``b > a s (1 - u) > a (1 + 3.99e-9)``,
-    and ``b - a > 3.9e-9 b``. Both operands are normal, so ``fl(b - a) >=
-    (b - a)(1 - u)``, or is exact where it is subnormal, while ``fl(1e-9
-    b)`` is at most ``1e-9 b (1 + 2^-44)``, absolute error of at most
-    2^-1075 included, as ``1e-9 b >= 2^-1030``. So ``fl(b - a) > fl(1e-9
-    b) >= fl(1e-9 a)``: neither the rule nor :func:`math.isclose` calls
-    the triple equal.
-
-    The filter leaves every equal triple, and every near-equal, zero,
-    tiny, subnormal, overflowed and nan one, to the rule.
-    """
-    ij, jj = values_i[j], values_j[j]
-    floor, inf = _FILTER_FLOOR, math.inf
-    return [
-        k for k, v in enumerate(values_j) if not floor <= ij * v * slack < values_i[k] * jj < inf
-    ]
 
 
 def _sweep(
@@ -416,18 +368,17 @@ def _sweep(
     ``rows`` are the matrix's stored rows, the integers ``N = c F`` in
     exact mode, whose products give the verdicts of ``F`` because the law
     is homogeneous of degree 2, and the doubles of ``F`` in float mode;
-    ``values`` are the doubles that the bound and the filter read, the
-    ratios of :func:`_filter_ratios` in exact mode and ``rows`` itself in
-    float mode. The rows that :func:`_settled_rows` settles are equal at
-    k = j, and throughout row (i, i), and strict elsewhere; on the other
-    rows the triples that :func:`_unsettled` certifies are strict, and the
-    rule of :func:`_equal` settles the rest. A strict triple is
-    inconsistent exactly where j separates, and an equal one where j does
-    not. In exact mode a triple whose product ``F_ij F_jk`` exceeds
-    ``F_ik F_jj`` is inconsistent too; the bound and the filter only ever
-    prove ``F_ij F_jk < F_ik F_jj``, so such a triple reaches the rule.
+    ``values`` are the doubles that the row bound reads, the ratios of
+    :func:`_bound_ratios` in exact mode and ``rows`` itself in float mode.
+    The row bound, then the rule: the rows that :func:`_settled_rows`
+    settles are equal at k = j, and throughout row (i, i), and strict
+    elsewhere; on every other row the rule of :func:`_equal` compares both
+    products of all n triples. A strict triple is inconsistent exactly
+    where j separates, and an equal one where j does not. In exact mode a
+    triple whose product ``F_ij F_jk`` exceeds ``F_ik F_jj`` is
+    inconsistent too; the bound only ever proves ``F_ij F_jk < F_ik
+    F_jj``, so such a triple reaches the rule.
     """
-    slack = _SLACK[mode]
     span = range(len(rows))
     settled = _settled_rows(values, mode)
     equal = inconsistent = 0
@@ -435,7 +386,7 @@ def _sweep(
         # Every triple is strict until it is found equal, and a strict
         # triple is inconsistent exactly where j separates: bit j of
         # masks[i][k].
-        masks_i, settled_i, values_i = masks[i], settled[i], values[i]
+        masks_i, settled_i = masks[i], settled[i]
         inconsistent += sum(map(int.bit_count, masks_i))
         if settled_i[i]:
             # The separator bits of the equal triples of the settled rows:
@@ -447,16 +398,9 @@ def _sweep(
         for j in compress(span, map(operator.not_, settled_i)):
             row_j = rows[j]
             ij, jj = row_i[j], row_j[j]
-            kept = _unsettled(values_i, values[j], j, slack)
-            if mode == EXACT:
-                # The filter never certifies (i, j, j), as fl(a s) >= a,
-                # and its two products multiply the same two integers.
-                kept.remove(j)
-                equal += 1
-                inconsistent += -1 if masks_i[j] >> j & 1 else 1
-            lhs = [ij * row_j[k] for k in kept]
-            rhs = [row_i[k] * jj for k in kept]
-            for k in compress(kept, _equal(lhs, rhs, mode)):
+            lhs = [ij * v for v in row_j]
+            rhs = [v * jj for v in row_i]
+            for k in compress(span, _equal(lhs, rhs, mode)):
                 equal += 1
                 inconsistent += -1 if masks_i[k] >> j & 1 else 1
             if mode == EXACT:
@@ -506,7 +450,7 @@ def verify_all_triples(
     weights = forests.matrix
     masks = graph.dominator_masks()
     rows = weights._rows
-    equal, inconsistent = _sweep(rows, _filter_ratios(rows) if mode == EXACT else rows, masks, mode)
+    equal, inconsistent = _sweep(rows, _bound_ratios(rows) if mode == EXACT else rows, masks, mode)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)

@@ -23,7 +23,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, common_denominator, format_for_message, scalar
+from .matrix import EXACT, Matrix, common_denominator, format_for_message, scalar, value_repr
 
 Weight = Union[Fraction, int, float]
 
@@ -40,6 +40,9 @@ class Arc(NamedTuple):
     tail: int
     head: int
     weight: Fraction
+
+    def __repr__(self) -> str:
+        return f"Arc(tail={self.tail!r}, head={self.head!r}, weight={value_repr(self.weight)})"
 
 
 def _check_weight(weight: Weight) -> Fraction:

@@ -69,6 +69,16 @@ def format_for_message(value: Union[Scalar, int]) -> str:
         return f"{'-' if value < 0 else ''}~10^{magnitude:.2f}"
 
 
+def value_repr(value: Union[Scalar, int]) -> str:
+    """``repr(value)``, or :func:`format_for_message`'s text for an exact
+    value with more digits than Python converts to text, so that a
+    ``repr`` built from it never raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        return format_for_message(value)
+
+
 def scalar(value, mode: str) -> Scalar:
     """``value`` as a scalar of ``mode``: a ``Fraction``, or the nearest
     float, which is infinite with the sign of ``value`` beyond the range
@@ -182,7 +192,8 @@ class Matrix:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"Matrix({self.to_lists()!r}, mode={self.mode!r})"
+        rows = ", ".join(f"[{', '.join(map(value_repr, row))}]" for row in self.to_lists())
+        return f"Matrix([{rows}], mode={self.mode!r})"
 
     def _check_compatible(self, other: "Matrix") -> None:
         if self.mode != other.mode:

@@ -57,6 +57,25 @@ def detour_graph() -> MultiDigraph:
     return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
 
 
+def sink_graph() -> MultiDigraph:
+    """``random_graph(30, 1)`` without vertex 0's out-arcs: dense, with a
+    sink, whose zero entries keep the sweep's row bound off every row."""
+    return MultiDigraph(30, [arc for arc in random_graph(30, 1).arcs if arc.tail != 0])
+
+
+def dag_graph(n=40, p=0.1, seed=5) -> MultiDigraph:
+    """Seeded DAG on ``n`` vertices: each arc (u, v), u < v, is drawn with
+    probability ``p`` and weighted p/q, p and q uniform in 1..5."""
+    rng = random.Random(seed)
+    arcs = [
+        (u, v, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return MultiDigraph(n, arcs)
+
+
 def random_multidigraph(seed, min_n=2, max_n=5, max_arcs=8, weight_limit=5) -> MultiDigraph:
     """Seeded random multidigraph with parallel arcs allowed and rational
     weights p/q, p and q uniform in 1..weight_limit."""
@@ -180,7 +199,7 @@ def reference_parse_text(text: str) -> ParsedGraph:
 def reference_sweep(rows, masks, mode) -> tuple[int, int]:
     """The numbers of equal and of inconsistent triples of the stored rows
     ``rows`` of ``F`` (the integers ``N = cF`` in exact mode, the doubles
-    in float mode), with no bound and no filter: both products of every
+    in float mode), with no row bound: both products of every
     triple of an (i, j) row, the verdicts of ``_equal`` on the whole row,
     and the separator of (i, j, k) read as bit j of ``masks[i][k]``. In
     exact mode a triple whose first product exceeds the second counts once

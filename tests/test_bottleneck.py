@@ -29,18 +29,17 @@ from inforest import (
 )
 from inforest.bottleneck import (
     FLOAT_EQUALITY_RTOL,
-    _SLACK,
+    _bound_ratios,
     _equal,
-    _filter_ratios,
     _settled_rows,
     _sweep,
-    _unsettled,
 )
 from inforest.cli import run
 from inforest.matrix import common_denominator, scalar
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
+    dag_graph,
     detour_graph,
     make_path,
     make_triangle,
@@ -50,6 +49,7 @@ from tests.helpers import (
     random_undirected,
     reference_sweep,
     reference_separators,
+    sink_graph,
 )
 
 
@@ -360,37 +360,30 @@ def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
     assert str(raised.value) == str(first.value)
 
 
-def _proved(values, unsettled, mode):
+def _proved(values, mode):
     """The triples (i, j, k) that a sweep in ``mode`` decides before it
     compares their products, as the sets of those proved strict and proved
     equal, from the doubles ``values`` that the row bound of
-    ``_settled_rows`` reads and ``unsettled(i, j)``, the k of row (i, j)
-    that the per-triple filter leaves. A row the bound settles is equal
-    throughout when j = i and at k = j, and strict elsewhere; in exact mode
-    every (i, j, j) is equal; the filter certifies strict triples on every
-    row, settled or not."""
+    ``_settled_rows`` reads. A row the bound settles is equal throughout
+    when j = i and at k = j, and strict elsewhere; the rule decides every
+    triple of the other rows."""
     settled = _settled_rows(values, mode)
     n = len(values)
     strict, equal = set(), set()
     for i in range(n):
         for j in range(n):
-            kept = set(unsettled(i, j))
-            for k in range(n):
-                if k == j and mode == EXACT or settled[i][j] and (j == i or k == j):
-                    equal.add((i, j, k))
-                elif settled[i][j] or k not in kept:
-                    strict.add((i, j, k))
+            if settled[i][j]:
+                for k in range(n):
+                    (equal if j == i or k == j else strict).add((i, j, k))
     return strict, equal
 
 
 def _certified(forests):
     """``(triple, lhs, rhs)`` for every triple that the exact sweep proves
-    strict by its row bound or its float filter, with the integer products
-    ``N_ij N_jk`` and ``N_ik N_jj`` of ``N = c F``."""
+    strict by its row bound, with the integer products ``N_ij N_jk`` and
+    ``N_ik N_jj`` of ``N = c F``."""
     rows, _ = common_denominator(forests.matrix.to_lists())
-    ratios = _filter_ratios(rows)
-    slack = _SLACK[EXACT]
-    strict, _ = _proved(ratios, lambda i, j: _unsettled(ratios[i], ratios[j], j, slack), EXACT)
+    strict, _ = _proved(_bound_ratios(rows), EXACT)
     for i, j, k in sorted(strict):
         yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
 
@@ -410,11 +403,11 @@ def _tiny_paths(count=6, seed=3):
     return graphs
 
 
-def test_exact_filter_never_certifies_an_equal_or_reversed_triple():
+def test_exact_row_bound_never_proves_an_equal_or_reversed_triple():
     # Near-equal cases next to the corpus: strict triples 2e-10 and 2e-13
     # apart on the 2-cycles, heavy weights, and paths whose separated
-    # triples have equal products near and below the filter's lower limit.
-    # A slack of 0, or no lower limit, certifies equal triples here.
+    # triples have equal products near and below the bound's lower limit.
+    # A slack of 1 proves equal triples strict here.
     near = [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     near += [random_graph(40, 3).scaled(10**12)] + _tiny_paths()
     certified = 0
@@ -436,14 +429,14 @@ def _close_to_equality(gap, mode=FLOAT):
     return Matrix(values, mode)._rows, [g.dominators(i) for i in range(g.n)]
 
 
-def test_float_filter_never_certifies_a_close_triple():
+def test_float_row_bound_never_proves_a_close_triple():
     # The corpus in float mode, strict triples 2e-10 and 2e-13 apart on
-    # the 2-cycles, a dense graph, whose triples are nearly all certified,
+    # the 2-cycles, a dense graph, whose triples are nearly all proved,
     # and the same graph with heavy weights, whose F overflows, products
     # that overflow at n=90, paths whose products lie near and below
     # 2^-1000, and a doctored F with one triple within 2e-9 of equality in
-    # a row the bound would settle. A slack of 1 in either filter certifies
-    # triples here that the rule calls equal.
+    # a row the bound would settle. A slack of 1 proves triples strict
+    # here that the rule calls equal.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12), random_graph(90, 1)]
     graphs += _tiny_paths()
@@ -452,11 +445,9 @@ def test_float_filter_never_certifies_a_close_triple():
         for g in graphs
     ]
     cases += [_close_to_equality(gap) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
-    certified, slack = 0, _SLACK[FLOAT]
+    certified = 0
     for values, masks in cases:
-        strict, equal = _proved(
-            values, lambda i, j: _unsettled(values[i], values[j], j, slack), FLOAT
-        )
+        strict, equal = _proved(values, FLOAT)
         for i, j, k in strict:
             a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
             assert not math.isclose(a, b) and not _reference_equal(a, b), (values, i, j, k)
@@ -470,34 +461,33 @@ def test_float_filter_never_certifies_a_close_triple():
 
 @pytest.mark.parametrize("gap", [-1.5e-9, 5e-10, 1.5e-9])
 def test_row_bound_declines_a_row_with_a_close_triple(gap):
-    # Within 2e-9 of equality the triple's row is left to the per-triple
-    # filter, which leaves the triple to the rule. The bound settles every
-    # row of the graph's own F, and every row of the doctored one whose
-    # start vertex is not 0.
+    # Within 2e-9 of equality the bound leaves the triple's row to the
+    # rule. The bound settles every row of the graph's own F, and every row
+    # of the doctored one whose start vertex is not 0.
     rows = forest_matrices(random_graph(20, 3), FLOAT).matrix._rows
     assert all(map(all, _settled_rows(rows, FLOAT)))
     values, masks = _close_to_equality(gap)
     settled = _settled_rows(values, FLOAT)
     assert not settled[0][1] and all(map(all, settled[1:]))
-    assert 2 in _unsettled(values[0], values[1], 1, _SLACK[FLOAT])
     assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_sweep_counts_what_the_rule_gives_on_every_triple(mode):
-    # The inputs of the filter tests above, the detour graph, whose bound
-    # declines 31 rows, and the close triples in rows the bound declines,
+    # The inputs of the row bound tests above, the detour graph, whose bound
+    # declines 31 rows, a dense graph with a sink and a DAG, whose bound
+    # declines every row, and the close triples in rows the bound declines,
     # against both products of every triple compared by the rule.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12)]
-    graphs += _tiny_paths() + [detour_graph()]
+    graphs += _tiny_paths() + [detour_graph(), sink_graph(), dag_graph()]
     cases = [
         (forest_matrices(g, mode).matrix._rows, [g.dominators(i) for i in range(g.n)])
         for g in graphs
     ]
     cases += [_close_to_equality(gap, mode) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
     for rows, masks in cases:
-        values = _filter_ratios(rows) if mode == EXACT else rows
+        values = _bound_ratios(rows) if mode == EXACT else rows
         assert _sweep(rows, values, masks, mode) == reference_sweep(rows, masks, mode)
 
 
@@ -517,7 +507,7 @@ def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
     (second, _), (first, j) = ratios[-2:]
     rows[0][1] = (first + second) / 2
     doctored = replace(forests, matrix=Matrix(rows))
-    settled = _settled_rows(_filter_ratios(doctored.matrix._rows), EXACT)
+    settled = _settled_rows(_bound_ratios(doctored.matrix._rows), EXACT)
     assert not settled[0][j] and any(map(any, settled))
     message = f"triple {(0, j, 1)}: product"
     with pytest.raises(InconsistentWithTheoremError) as first_bad:
@@ -531,10 +521,10 @@ def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_row_bound_settles_nearly_every_row(seed):
     # Counted over the rows with j != i, for the float F and for the exact
-    # sweep's filter ratios.
+    # sweep's bound ratios.
     for n, mode in ((40, FLOAT), (30, EXACT)):
         rows = forest_matrices(random_graph(n, seed), mode).matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
+        settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
         count = sum(settled[i][j] for i in range(n) for j in range(n) if j != i)
         assert count >= 0.95 * n * (n - 1), (mode, count)
 
@@ -548,7 +538,7 @@ def test_row_bound_declines_the_rows_of_a_detour():
     for mode in (FLOAT, EXACT):
         forests = forest_matrices(g, mode)
         rows = forests.matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
+        settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
         declined = {(i, j) for i in range(31) for j in range(31) if not settled[i][j]}
         assert declined == {(i, 4) for i in range(31) if i != 4} | {(30, 7)}
         assert summarize(verify_all_triples(g, forests)).equal == 1949
@@ -570,7 +560,7 @@ def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, 
     g = random_graph(20, 3)
     forests = forest_matrices(g, mode)
     rows = forests.matrix._rows
-    settled = _settled_rows(rows if mode == FLOAT else _filter_ratios(rows), mode)
+    settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
     assert all(settled[i][j] for i, j, _ in flipped)
     masks = g.dominator_masks()
     for i, j, k in flipped:
@@ -596,7 +586,7 @@ def test_sweep_reads_the_separator_at_k_equal_j_of_a_declined_row(mode):
     # of masks[0][4] cleared, its equal triple (0, 4, 4) is inconsistent.
     g = detour_graph()
     rows = forest_matrices(g, mode).matrix._rows
-    values = _filter_ratios(rows) if mode == EXACT else rows
+    values = _bound_ratios(rows) if mode == EXACT else rows
     assert not _settled_rows(values, mode)[0][4]
     masks = g.dominator_masks()
     masks[0][4] ^= 1 << 4
@@ -604,15 +594,14 @@ def test_sweep_reads_the_separator_at_k_equal_j_of_a_declined_row(mode):
     assert reference_sweep(rows, masks, mode)[1] == 1
 
 
-def test_exact_sweep_raises_at_a_certified_strict_separator():
+def test_exact_sweep_raises_at_a_strict_separator():
     # F_02 doubled makes the separated triple (0, 1, 2) strict by a factor
-    # of 2, which the filter certifies; it is the first bad triple.
+    # of 2; it is the first bad triple.
     g = make_path()
     forests = forest_matrices(g)
     rows = forests.matrix.to_lists()
     rows[0][2] *= 2
     doctored = replace(forests, matrix=Matrix(rows))
-    assert ((0, 1, 2), rows[0][1] * rows[1][2], rows[0][2] * rows[1][1]) in _certified(doctored)
     message = "triple (0, 1, 2): relation strict but separator is True"
     with pytest.raises(InconsistentWithTheoremError) as first:
         _reports_one_by_one(g, doctored)

@@ -23,6 +23,7 @@ from inforest import (
     complete_graph,
     cycle_graph,
     is_bottleneck,
+    parse_graph,
     path_graph,
     random_graph,
     route_decomposition,
@@ -151,6 +152,14 @@ def test_constructor_stores_or_refuses_the_arcs_as_the_checks_one_by_one(case):
             return type(exc), str(exc)
 
     assert outcome(lambda: MultiDigraph(n, arcs).arcs) == outcome(lambda: reference_arcs(n, arcs))
+
+
+def test_repr_of_a_weight_too_long_to_print_gives_its_magnitude():
+    # The parser reads 1e4300 exactly, a numerator of 4,301 digits, past
+    # the digits that Fraction's repr converts to text.
+    graph = parse_graph("digraph 2\n1 2 1e4300\n2 1 3/7\n").graph
+    arcs = "Arc(tail=0, head=1, weight=~10^4300.00), Arc(tail=1, head=0, weight=Fraction(3, 7))"
+    assert repr(graph) == f"MultiDigraph(n=2, arcs=[{arcs}])"
 
 
 def test_laplacian_sums_parallel_arcs():

@@ -382,6 +382,17 @@ def test_an_exact_matrix_keeps_integer_rows_over_its_least_scale(rows):
     assert repr(matrix) == f"Matrix({rows!r}, mode='exact')"
 
 
+def test_repr_of_an_entry_too_long_to_print_gives_its_magnitude():
+    # Fraction's repr converts at most 4,300 digits to text; such an entry
+    # prints as the sign and order of magnitude of an error message.
+    matrix = Matrix([[10**4400, 0], [Fraction(1, 3), -Fraction(1, 10**4400)]])
+    rows = "[[~10^4400.00, Fraction(0, 1)], [Fraction(1, 3), -~10^-4400.00]]"
+    assert repr(matrix) == f"Matrix({rows}, mode='exact')"
+    assert repr(Matrix([[0.5, -math.inf], [0.0, 1e300]], FLOAT)) == (
+        "Matrix([[0.5, -inf], [0.0, 1e+300]], mode='float')"
+    )
+
+
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_zero_and_identity_have_scale_one(order):
     for matrix in (Matrix.zeros(order), Matrix([[0] * order] * order), Matrix.identity(order)):

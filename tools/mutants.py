@@ -11,7 +11,8 @@ pytest ends any other way (a collection error, for one).
 
 It prints one table row per mutant: its name, the number of tests that
 failed, and the verdict. The run needs one pytest process per mutant, so
-it is not part of the tier-1 suite.
+it is not part of the tier-1 suite; ``tests/test_mutants.py`` checks
+there that each old text still occurs once in its file.
 
 Usage: ``python tools/mutants.py [name ...]`` runs every mutant, or only
 those named.
@@ -41,20 +42,6 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "exact-filter-slack-1",
-        "bottleneck.py",
-        "_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 4e-9}",
-        "_SLACK = {EXACT: 1, FLOAT: 1 + 4e-9}",
-        ("tests/test_bottleneck.py",),
-    ),
-    Mutant(
-        "float-filter-slack-1",
-        "bottleneck.py",
-        "_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 4e-9}",
-        "_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1}",
-        ("tests/test_bottleneck.py",),
-    ),
-    Mutant(
         "exact-row-slack-1",
         "bottleneck.py",
         "_ROW_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 8e-9}",
@@ -80,6 +67,13 @@ MUTANTS = (
         "bottleneck.py",
         "            inconsistent += len(bits) - 2 * sum(bits)\n",
         "",
+        ("tests/test_bottleneck.py",),
+    ),
+    Mutant(
+        "declined-row-separator-bit-dropped",
+        "bottleneck.py",
+        "-1 if masks_i[k] >> j & 1 else 1",
+        "1",
         ("tests/test_bottleneck.py",),
     ),
     Mutant(

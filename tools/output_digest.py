@@ -36,9 +36,11 @@ generator graphs with at most 8 vertices:
   of 20 and 30 vertices, whose triples are nearly all strict by a wide
   margin, and a 2-cycle of weight 1e10, whose strict triples are close to
   equality. Both modes end with :func:`detour_graph`, where the sweep's
-  row bound leaves some rows to the per-triple filter, and
+  row bound leaves some rows to the rule, and
   :func:`joined_blocks`, whose one strong articulation point sends the
-  separators through one dominator pass per start vertex.
+  separators through one dominator pass per start vertex, then
+  :func:`sink_graph` and :func:`dag_graph`, whose zero entries make the
+  sweep decide every triple by comparing its products.
 
 A section and mode with no record print no line.
 
@@ -149,6 +151,7 @@ def large_corpus() -> list:
     pairs += [(FLOAT, graph) for graph in tiny_paths()]
     pairs += [(mode, detour_graph()) for mode in MODES]
     pairs += [(mode, joined_blocks()) for mode in MODES]
+    pairs += [(mode, graph) for mode in MODES for graph in (sink_graph(), dag_graph())]
     return pairs
 
 
@@ -157,8 +160,30 @@ def detour_graph() -> MultiDigraph:
     4 to vertex 7, arcs of weight 2 and 3. Its entries lie within the
     sweep's row-bound range, and 30 of its 930 rows with ``j != i`` hold
     a triple close enough to equality that the bound leaves the row to the
-    per-triple filter."""
+    rule."""
     return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
+
+
+def sink_graph() -> MultiDigraph:
+    """``random_graph(30, 1)`` without vertex 0's out-arcs, as
+    ``sink_graph`` in ``tests/helpers.py`` builds it: dense, with a sink,
+    whose zero entries keep the sweep's row bound off every row."""
+    return MultiDigraph(30, [arc for arc in random_graph(30, 1).arcs if arc.tail != 0])
+
+
+def dag_graph(n=40, p=0.1, seed=5) -> MultiDigraph:
+    """Seeded DAG on ``n`` vertices, as ``dag_graph`` in
+    ``tests/helpers.py`` builds it: each arc (u, v), u < v, is drawn with
+    probability ``p`` and weighted p/q, p and q uniform in 1..5. Its zero
+    entries keep the row bound off every row."""
+    rng = random.Random(seed)
+    arcs = [
+        (u, v, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return MultiDigraph(n, arcs)
 
 
 def joined_blocks() -> MultiDigraph:
