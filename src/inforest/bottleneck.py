@@ -26,12 +26,12 @@ dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
 
 One sweep, :func:`_sweep`, serves both modes with the same steps: a row
-bound, then the rule. It compares the products of the matrix's stored
-rows: the integers ``N = c F`` in exact mode, which give the verdicts of
-``F`` because the law is homogeneous of degree 2, and the doubles of ``F``
-in float mode. Its bound reads doubles ``V``: the ratios ``q = N / T`` of
-:func:`_bound_ratios` in exact mode, ``T`` the largest ``|N|``, and ``F``
-itself in float mode.
+bound, then the rule. It reads the matrix's stored rows alone: the
+integers ``N = c F`` in exact mode, which give the verdicts of ``F``
+because the law is homogeneous of degree 2, and the doubles of ``F`` in
+float mode. The bound derives the doubles ``V`` it reads from those rows:
+the ratios ``q = N / T`` of :func:`_bound_ratios` in exact mode, ``T`` the
+largest ``|N|``, and ``F`` itself in float mode.
 
 Each (i, j) row is a triangle check, the multiplicative counterpart of
 the triangle inequality, and one bound settles most rows whole before any
@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
 from .graph import MultiDigraph
-from .matrix import EXACT, FLOAT, Matrix, Scalar, format_for_message
+from .matrix import EXACT, FLOAT, Matrix, Scalar, format_for_message, record_repr
 
 RELATION_EQUAL = "equal"
 RELATION_STRICT = "strict"
@@ -112,6 +112,8 @@ class BottleneckReport:
     consistent: bool
     degenerate: bool
 
+    __repr__ = record_repr
+
 
 class TripleSummary(NamedTuple):
     total: int
@@ -119,6 +121,8 @@ class TripleSummary(NamedTuple):
     strict: int
     degenerate: int
     inconsistent: int
+
+    __repr__ = record_repr
 
 
 def _equal(lhs: Sequence[Scalar], rhs: Sequence[Scalar], mode: str) -> list[bool]:
@@ -293,22 +297,23 @@ def _bound_ratios(rows: list[list[int]]) -> list[list[float]]:
     return [[v / scale for v in row] for row in rows]
 
 
-def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
+def _settled_rows(rows: list[list[Scalar]], mode: str) -> list[list[bool]]:
     """Per i and j, whether one bound settles every triple (i, j, k) of the
-    positive doubles ``values``, the float ``F`` or the exact bound
-    ratios ``q``: equal for k = j, and for every k when j = i,
-    strict for the other k. No row is settled unless every entry lies in
-    [2^-500, 2^500]; then row (i, i) always is.
+    stored rows ``rows`` of ``F``: equal for k = j, and for every k when
+    j = i, strict for the other k. The bound reads doubles ``V``, the
+    float ``F`` itself in float mode and, in exact mode, the ratios ``q``
+    that :func:`_bound_ratios` derives from the integers ``N = c F``. No
+    row is settled unless every entry of ``V`` lies in [2^-500, 2^500];
+    then row (i, i) always is.
 
     Under that guard the products of two entries lie in [2^-1000,
     2^1000], normal and finite. Row (i, i) and the triple (i, j, j)
     multiply the same two numbers on both sides, so they are equal, as
     integers and as doubles alike. For the rest, column k is divided by
-    ``C_k``, the mean of its off-diagonal entries, and ``w = fl(V / C)``
-    for the entries ``V`` of ``values``. With ``M_j = max_{k≠j} w_jk`` and
-    ``m_i = min_k w_ik``, row (i, j), j ≠ i, is settled when ``2^-1000 <=
-    x < m_i`` for ``x = fl(fl(V_ij / V_jj) fl(M_j S))``, with the slack
-    ``S`` of ``mode``: ``1 + 16u`` (u = 2^-53) in exact mode and ``1 +
+    ``C_k``, the mean of its off-diagonal entries, and ``w = fl(V / C)``.
+    With ``M_j = max_{k≠j} w_jk`` and ``m_i = min_k w_ik``, row (i, j),
+    j ≠ i, is settled when ``2^-1000 <= x < m_i`` for ``x = fl(fl(V_ij /
+    V_jj) fl(M_j S))``, with the slack ``S`` of ``mode``: ``1 + 16u`` (u = 2^-53) in exact mode and ``1 +
     8e-9`` in float mode. That is O(n^2) work for all n^2 rows. (Leaving
     column j out of ``m_i`` helps only where ``M_j S`` reaches about ``w_jj``; on
     ``random_graph(n, s)`` with n up to 40 both forms settle the same
@@ -339,6 +344,7 @@ def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     would decline every row with j ≠ i. Dividing column k by ``F_kk``
     rather than by the column mean would settle far fewer rows.
     """
+    values = _bound_ratios(rows) if mode == EXACT else rows
     n = len(values)
     low, high = _ROW_RANGE
     if not all(low <= v <= high for row in values for v in row):
@@ -358,18 +364,14 @@ def _settled_rows(values: list[list[float]], mode: str) -> list[list[bool]]:
     return settled
 
 
-def _sweep(
-    rows: list[list[Scalar]], values: list[list[float]], masks: list[list[int]], mode: str
-) -> tuple[int, int]:
+def _sweep(rows: list[list[Scalar]], masks: list[list[int]], mode: str) -> tuple[int, int]:
     """The numbers of equal and of inconsistent triples of ``F``, with
     separators from the dominator masks ``masks``: bit j of ``masks[i][k]``
     is set when j separates i from k.
 
     ``rows`` are the matrix's stored rows, the integers ``N = c F`` in
     exact mode, whose products give the verdicts of ``F`` because the law
-    is homogeneous of degree 2, and the doubles of ``F`` in float mode;
-    ``values`` are the doubles that the row bound reads, the ratios of
-    :func:`_bound_ratios` in exact mode and ``rows`` itself in float mode.
+    is homogeneous of degree 2, and the doubles of ``F`` in float mode.
     The row bound, then the rule: the rows that :func:`_settled_rows`
     settles are equal at k = j, and throughout row (i, i), and strict
     elsewhere; on every other row the rule of :func:`_equal` compares both
@@ -380,7 +382,7 @@ def _sweep(
     F_jj``, so such a triple reaches the rule.
     """
     span = range(len(rows))
-    settled = _settled_rows(values, mode)
+    settled = _settled_rows(rows, mode)
     equal = inconsistent = 0
     for i, row_i in enumerate(rows):
         # Every triple is strict until it is found equal, and a strict
@@ -449,8 +451,7 @@ def verify_all_triples(
         )
     weights = forests.matrix
     masks = graph.dominator_masks()
-    rows = weights._rows
-    equal, inconsistent = _sweep(rows, _bound_ratios(rows) if mode == EXACT else rows, masks, mode)
+    equal, inconsistent = _sweep(weights._rows, masks, mode)
     total = n**3
     # Triples with j at an endpoint or with i = k.
     degenerate = total - n * (n - 1) * (n - 2)

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import InconsistentWithTheoremError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, Scalar, format_for_message
+from .matrix import EXACT, Matrix, Scalar, format_for_message, record_repr
 
 # Re-exported for the benchmark's tracer, which patches invert and
 # determinant here (PATCH_POINTS in perfbench/spans.py, checked by
@@ -65,6 +65,8 @@ class ForestMatrices:
     matrix: Matrix
     proximity: Matrix
     mode: str
+
+    __repr__ = record_repr
 
 
 def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[float]]]:

@@ -23,7 +23,7 @@ from .errors import (
     TooFewVerticesError,
     VertexOutOfRangeError,
 )
-from .matrix import EXACT, Matrix, common_denominator, format_for_message, scalar, value_repr
+from .matrix import EXACT, Matrix, common_denominator, format_for_message, record_repr, scalar
 
 Weight = Union[Fraction, int, float]
 
@@ -41,8 +41,7 @@ class Arc(NamedTuple):
     head: int
     weight: Fraction
 
-    def __repr__(self) -> str:
-        return f"Arc(tail={self.tail!r}, head={self.head!r}, weight={value_repr(self.weight)})"
+    __repr__ = record_repr
 
 
 def _check_weight(weight: Weight) -> Fraction:
@@ -186,12 +185,10 @@ class MultiDigraph:
         return Matrix._wrap(rows, mode, scale)
 
     def max_out_weight(self) -> Fraction:
-        """Largest total out-weight over all vertices (the largest Laplacian
-        diagonal entry), exact."""
-        totals = [Fraction(0)] * self.n
-        for arc in self.arcs:
-            totals[arc.tail] = totals[arc.tail] + arc.weight
-        return max(totals)
+        """Largest total out-weight over all vertices, exact: the largest
+        diagonal entry of the exact Laplacian, read off its integer rows."""
+        laplacian = self.laplacian()
+        return Fraction(max(row[i] for i, row in enumerate(laplacian._rows)), laplacian._scale)
 
     # No library path calls this search; it stays because the benchmark's
     # tracer patches it (PATCH_POINTS in perfbench/spans.py, which

@@ -23,7 +23,7 @@ from typing import NoReturn, Sequence
 
 from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
-from .matrix import MAX_DIGITS, format_weight
+from .matrix import MAX_DIGITS, format_weight, record_repr
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class ParsedGraph:
     """
 
     graph: MultiDigraph
+
+    __repr__ = record_repr
 
 
 def parse_weight(token: str) -> Fraction:

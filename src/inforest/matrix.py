@@ -14,6 +14,7 @@ both functions under the same pivot rule.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -77,6 +78,19 @@ def value_repr(value: Union[Scalar, int]) -> str:
         return repr(value)
     except ValueError:
         return format_for_message(value)
+
+
+def record_repr(record) -> str:
+    """The ``repr`` of a named tuple or dataclass, ``Name(field=value,
+    ...)`` as Python builds it by default, with each field's text from
+    :func:`value_repr`, so that it never raises. Every record of the
+    library uses it as its ``__repr__``."""
+    if isinstance(record, tuple):
+        names = record._fields
+    else:
+        names = [field.name for field in dataclasses.fields(record)]
+    fields = ", ".join(f"{name}={value_repr(getattr(record, name))}" for name in names)
+    return f"{type(record).__qualname__}({fields})"
 
 
 def scalar(value, mode: str) -> Scalar:
@@ -149,12 +163,6 @@ class Matrix:
         matrix._rows = rows
         matrix._scale = scale
         return matrix
-
-    @classmethod
-    def _of(cls, rows: list[list[Scalar]], mode: str) -> "Matrix":
-        """Internal: the matrix of rows that already hold scalars of ``mode``."""
-        stored, scale = common_denominator(rows) if mode == EXACT else (rows, 1)
-        return cls._wrap(stored, mode, scale)
 
     @classmethod
     def zeros(cls, order: int, mode: str = EXACT) -> "Matrix":
@@ -305,7 +313,7 @@ def gauss_jordan(matrix: Matrix) -> tuple[Matrix, Scalar]:
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return Matrix._of(inv, mode), det
+    return Matrix(inv, mode), det
 
 
 def invert(matrix: Matrix) -> Matrix:
@@ -330,6 +338,8 @@ class SeriesSum(NamedTuple):
     total: Matrix
     terms_used: int
     last_term_norm: Scalar
+
+    __repr__ = record_repr
 
 
 def geometric_series(

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError
 from .graph import MultiDigraph
-from .matrix import EXACT, Matrix, common_denominator
+from .matrix import EXACT, Matrix, common_denominator, record_repr
 
 DEFAULT_CHOICE_CAP = 10_000_000
 
@@ -38,6 +38,8 @@ class InForest:
     root_of: tuple[int, ...]
     weight: Fraction
 
+    __repr__ = record_repr
+
     @property
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v, choice in enumerate(self.arc_choice) if choice is None)
@@ -50,6 +52,8 @@ class OracleResult:
     total_weight: Fraction
     matrix: Matrix
     forest_count: int
+
+    __repr__ = record_repr
 
 
 def choice_count(graph: MultiDigraph) -> int:

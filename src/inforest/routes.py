@@ -33,6 +33,7 @@ from .matrix import (
     SeriesSum,
     format_for_message,
     geometric_series,
+    record_repr,
     scalar,
 )
 
@@ -66,6 +67,8 @@ class _Walk(NamedTuple):
     eps: EpsilonValue
     scalar: Scalar
     ratio: Scalar
+
+    __repr__ = record_repr
 
 
 def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
@@ -109,7 +112,7 @@ def _step(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
         # when eps d is within a few roundings of 1; zero is the nearer value.
         row[i] = ratio * max(one - eps * values[i], zero)
         rows.append(row)
-    result = Matrix._of(rows, mode)
+    result = Matrix(rows, mode)
     assert mode == FLOAT or all(total == ratio for total in result.row_sums())
     return result
 
@@ -141,6 +144,8 @@ class RouteMatrices:
     route_weights: Matrix
     terms_used: int
     tail_bound: Scalar
+
+    __repr__ = record_repr
 
 
 def _refuse_unreachable_tolerance(
@@ -306,6 +311,8 @@ class RouteDecomposition:
     through_via: Scalar
     avoiding_via: Scalar
     degenerate: bool
+
+    __repr__ = record_repr
 
 
 def route_decomposition(

@@ -76,6 +76,21 @@ def dag_graph(n=40, p=0.1, seed=5) -> MultiDigraph:
     return MultiDigraph(n, arcs)
 
 
+def tiny_paths(count=6, seed=3) -> list[MultiDigraph]:
+    """Seeded 9-vertex paths with two arcs of weight 1e-152 to 1e-162 times
+    1 to 9, and the others between 1/9 and 9. The products of two entries
+    of ``F / f`` across both arcs lie near and below 2^-1000, down into the
+    subnormal range, where a double keeps few digits."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
+        for v in (0, rng.randint(3, 6)):
+            weights[v] = Fraction(rng.randint(1, 9), 10 ** rng.randint(152, 162))
+        graphs.append(MultiDigraph(9, [(v, v + 1, w) for v, w in enumerate(weights)]))
+    return graphs
+
+
 def random_multidigraph(seed, min_n=2, max_n=5, max_arcs=8, weight_limit=5) -> MultiDigraph:
     """Seeded random multidigraph with parallel arcs allowed and rational
     weights p/q, p and q uniform in 1..weight_limit."""
@@ -220,6 +235,15 @@ def reference_sweep(rows, masks, mode) -> tuple[int, int]:
             if mode == EXACT:
                 inconsistent += sum(map(operator.gt, lhs, rhs))
     return equal, inconsistent
+
+
+def reference_max_out_weight(graph: MultiDigraph) -> Fraction:
+    """Largest total out-weight over all vertices, as ``Fraction`` sums of
+    the stored arc weights, arc by arc; 0 for a graph with no arcs."""
+    totals = [Fraction(0)] * graph.n
+    for arc in graph.arcs:
+        totals[arc.tail] = totals[arc.tail] + arc.weight
+    return max(totals)
 
 
 def out_arc_indices(graph: MultiDigraph) -> list[list[int]]:

@@ -29,7 +29,6 @@ from inforest import (
 )
 from inforest.bottleneck import (
     FLOAT_EQUALITY_RTOL,
-    _bound_ratios,
     _equal,
     _settled_rows,
     _sweep,
@@ -50,6 +49,7 @@ from tests.helpers import (
     reference_sweep,
     reference_separators,
     sink_graph,
+    tiny_paths,
 )
 
 
@@ -360,15 +360,15 @@ def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
     assert str(raised.value) == str(first.value)
 
 
-def _proved(values, mode):
+def _proved(rows, mode):
     """The triples (i, j, k) that a sweep in ``mode`` decides before it
     compares their products, as the sets of those proved strict and proved
-    equal, from the doubles ``values`` that the row bound of
+    equal, from the stored rows ``rows`` of ``F`` that the row bound of
     ``_settled_rows`` reads. A row the bound settles is equal throughout
     when j = i and at k = j, and strict elsewhere; the rule decides every
     triple of the other rows."""
-    settled = _settled_rows(values, mode)
-    n = len(values)
+    settled = _settled_rows(rows, mode)
+    n = len(rows)
     strict, equal = set(), set()
     for i in range(n):
         for j in range(n):
@@ -383,24 +383,9 @@ def _certified(forests):
     strict by its row bound, with the integer products ``N_ij N_jk`` and
     ``N_ik N_jj`` of ``N = c F``."""
     rows, _ = common_denominator(forests.matrix.to_lists())
-    strict, _ = _proved(_bound_ratios(rows), EXACT)
+    strict, _ = _proved(rows, EXACT)
     for i, j, k in sorted(strict):
         yield (i, j, k), rows[i][j] * rows[j][k], rows[i][k] * rows[j][j]
-
-
-def _tiny_paths(count=6, seed=3):
-    """Seeded 9-vertex paths with two arcs of weight 1e-152 to 1e-162 times
-    1 to 9, and the others between 1/9 and 9. The products of two entries
-    of ``F / f`` across both arcs lie near and below 2^-1000, down into the
-    subnormal range, where a double keeps few digits."""
-    rng = random.Random(seed)
-    graphs = []
-    for _ in range(count):
-        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
-        for v in (0, rng.randint(3, 6)):
-            weights[v] = Fraction(rng.randint(1, 9), 10 ** rng.randint(152, 162))
-        graphs.append(MultiDigraph(9, [(v, v + 1, w) for v, w in enumerate(weights)]))
-    return graphs
 
 
 def test_exact_row_bound_never_proves_an_equal_or_reversed_triple():
@@ -409,7 +394,7 @@ def test_exact_row_bound_never_proves_an_equal_or_reversed_triple():
     # triples have equal products near and below the bound's lower limit.
     # A slack of 1 proves equal triples strict here.
     near = [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
-    near += [random_graph(40, 3).scaled(10**12)] + _tiny_paths()
+    near += [random_graph(40, 3).scaled(10**12)] + tiny_paths()
     certified = 0
     for graph in corpus(200) + near:
         for triple, lhs, rhs in _certified(forest_matrices(graph)):
@@ -439,7 +424,7 @@ def test_float_row_bound_never_proves_a_close_triple():
     # here that the rule calls equal.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12), random_graph(90, 1)]
-    graphs += _tiny_paths()
+    graphs += tiny_paths()
     cases = [
         (forest_matrices(g, FLOAT).matrix.to_lists(), [g.dominators(i) for i in range(g.n)])
         for g in graphs
@@ -455,7 +440,7 @@ def test_float_row_bound_never_proves_a_close_triple():
             a, b = values[i][j] * values[j][k], values[i][k] * values[j][j]
             assert math.isclose(a, b) and _reference_equal(a, b), (values, i, j, k)
         certified += len(strict)
-        assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
+        assert _sweep(values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
     assert certified > 60000
 
 
@@ -469,7 +454,7 @@ def test_row_bound_declines_a_row_with_a_close_triple(gap):
     values, masks = _close_to_equality(gap)
     settled = _settled_rows(values, FLOAT)
     assert not settled[0][1] and all(map(all, settled[1:]))
-    assert _sweep(values, values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
+    assert _sweep(values, masks, FLOAT) == reference_sweep(values, masks, FLOAT)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -480,15 +465,14 @@ def test_sweep_counts_what_the_rule_gives_on_every_triple(mode):
     # against both products of every triple compared by the rule.
     graphs = corpus(200) + [make_two_cycle(10**10, 10**10), make_two_cycle(10**13, 10**13)]
     graphs += [random_graph(40, 3), random_graph(40, 3).scaled(10**12)]
-    graphs += _tiny_paths() + [detour_graph(), sink_graph(), dag_graph()]
+    graphs += tiny_paths() + [detour_graph(), sink_graph(), dag_graph()]
     cases = [
         (forest_matrices(g, mode).matrix._rows, [g.dominators(i) for i in range(g.n)])
         for g in graphs
     ]
     cases += [_close_to_equality(gap, mode) for gap in (-1.5e-9, 5e-10, 1.5e-9)]
     for rows, masks in cases:
-        values = _bound_ratios(rows) if mode == EXACT else rows
-        assert _sweep(rows, values, masks, mode) == reference_sweep(rows, masks, mode)
+        assert _sweep(rows, masks, mode) == reference_sweep(rows, masks, mode)
 
 
 def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
@@ -507,7 +491,7 @@ def test_exact_sweep_raises_on_a_reversed_product_at_a_non_separator():
     (second, _), (first, j) = ratios[-2:]
     rows[0][1] = (first + second) / 2
     doctored = replace(forests, matrix=Matrix(rows))
-    settled = _settled_rows(_bound_ratios(doctored.matrix._rows), EXACT)
+    settled = _settled_rows(doctored.matrix._rows, EXACT)
     assert not settled[0][j] and any(map(any, settled))
     message = f"triple {(0, j, 1)}: product"
     with pytest.raises(InconsistentWithTheoremError) as first_bad:
@@ -524,7 +508,7 @@ def test_row_bound_settles_nearly_every_row(seed):
     # sweep's bound ratios.
     for n, mode in ((40, FLOAT), (30, EXACT)):
         rows = forest_matrices(random_graph(n, seed), mode).matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
+        settled = _settled_rows(rows, mode)
         count = sum(settled[i][j] for i in range(n) for j in range(n) if j != i)
         assert count >= 0.95 * n * (n - 1), (mode, count)
 
@@ -538,7 +522,7 @@ def test_row_bound_declines_the_rows_of_a_detour():
     for mode in (FLOAT, EXACT):
         forests = forest_matrices(g, mode)
         rows = forests.matrix._rows
-        settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
+        settled = _settled_rows(rows, mode)
         declined = {(i, j) for i in range(31) for j in range(31) if not settled[i][j]}
         assert declined == {(i, 4) for i in range(31) if i != 4} | {(30, 7)}
         assert summarize(verify_all_triples(g, forests)).equal == 1949
@@ -560,7 +544,7 @@ def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, 
     g = random_graph(20, 3)
     forests = forest_matrices(g, mode)
     rows = forests.matrix._rows
-    settled = _settled_rows(rows if mode == FLOAT else _bound_ratios(rows), mode)
+    settled = _settled_rows(rows, mode)
     assert all(settled[i][j] for i, j, _ in flipped)
     masks = g.dominator_masks()
     for i, j, k in flipped:
@@ -586,11 +570,10 @@ def test_sweep_reads_the_separator_at_k_equal_j_of_a_declined_row(mode):
     # of masks[0][4] cleared, its equal triple (0, 4, 4) is inconsistent.
     g = detour_graph()
     rows = forest_matrices(g, mode).matrix._rows
-    values = _bound_ratios(rows) if mode == EXACT else rows
-    assert not _settled_rows(values, mode)[0][4]
+    assert not _settled_rows(rows, mode)[0][4]
     masks = g.dominator_masks()
     masks[0][4] ^= 1 << 4
-    assert _sweep(rows, values, masks, mode) == reference_sweep(rows, masks, mode)
+    assert _sweep(rows, masks, mode) == reference_sweep(rows, masks, mode)
     assert reference_sweep(rows, masks, mode)[1] == 1
 
 

@@ -37,6 +37,7 @@ from tests.helpers import (
     make_triangle,
     multidigraphs,
     reference_arcs,
+    reference_max_out_weight,
     reference_separators,
     transpose,
 )
@@ -268,6 +269,29 @@ def test_exact_laplacian_is_integer_rows_over_the_least_scale():
     assert laplacian._scale == 3
     assert laplacian._rows == [[3, -3, 0], [0, 1, -1], [-9, 0, 9]]
     assert laplacian.to_lists() == [[1, -1, 0], [0, third, -third], [-3, 0, 3]]
+
+
+def test_max_out_weight_is_the_arc_by_arc_sum():
+    # The largest diagonal entry of the exact Laplacian against Fraction
+    # sums arc by arc: the corpus, parallel arcs, float-typed weights at
+    # both ends of the doubles, whose sums leave the doubles' range, and
+    # a graph with no arcs.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    parallel = MultiDigraph(3, [(0, 1, half), (0, 1, third), (0, 2, half), (1, 2, 1), (2, 1, 1)])
+    tiny = MultiDigraph(
+        3, [(0, 1, 5e-324), (0, 1, 5e-324), (0, 2, 1e-323), (1, 2, 2.5e-323), (2, 0, 5e-324)]
+    )
+    huge = MultiDigraph(
+        3, [(0, 1, 1e308), (0, 2, 1e308), (0, 2, 1.7e308), (1, 2, 1.5e308), (2, 1, 1e-300)]
+    )
+    arcless = MultiDigraph(4, [])
+    for graph in corpus(200) + [parallel, tiny, huge, arcless]:
+        heaviest = graph.max_out_weight()
+        assert heaviest == reference_max_out_weight(graph) and type(heaviest) is Fraction, graph
+    assert parallel.max_out_weight() == 4 * third
+    assert tiny.max_out_weight() == 5 * Fraction(5e-324)
+    assert huge.max_out_weight() == Fraction(1e308) * 2 + Fraction(1.7e308)
+    assert arcless.max_out_weight() == 0
 
 
 def test_reachable_respects_exclusion():

@@ -56,6 +56,13 @@ MUTANTS = (
         ("tests/test_bottleneck.py",),
     ),
     Mutant(
+        "exact-bound-reads-raw-rows",
+        "bottleneck.py",
+        "    values = _bound_ratios(rows) if mode == EXACT else rows\n",
+        "    values = rows if mode == EXACT else rows\n",
+        ("tests/test_bottleneck.py",),
+    ),
+    Mutant(
         "reversed-product-count-dropped",
         "bottleneck.py",
         "                inconsistent += sum(map(operator.gt, lhs, rhs))\n",
@@ -102,6 +109,13 @@ MUTANTS = (
         "graph.py",
         "                meet |= 1 << v\n",
         "",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "max-out-weight-takes-the-least",
+        "graph.py",
+        "        return Fraction(max(row[i] for i, row",
+        "        return Fraction(min(row[i] for i, row",
         ("tests/test_graph.py",),
     ),
     Mutant(

@@ -32,23 +32,27 @@ generator graphs with at most 8 vertices:
   last start vertex, recorded as in ``verify``. Under ``float``, where
   products overflow at n=90, ``f``, ``F`` and ``Q`` come first, and six
   seeded 9-vertex paths with two tiny arcs follow, whose products
-  straddle 2^-1000 (:func:`tiny_paths`). Under ``exact`` the graphs are
+  straddle 2^-1000 (``tiny_paths``). Under ``exact`` the graphs are
   of 20 and 30 vertices, whose triples are nearly all strict by a wide
   margin, and a 2-cycle of weight 1e10, whose strict triples are close to
-  equality. Both modes end with :func:`detour_graph`, where the sweep's
+  equality. Both modes end with ``detour_graph``, where the sweep's
   row bound leaves some rows to the rule, and
   :func:`joined_blocks`, whose one strong articulation point sends the
   separators through one dominator pass per start vertex, then
-  :func:`sink_graph` and :func:`dag_graph`, whose zero entries make the
-  sweep decide every triple by comparing its products.
+  ``sink_graph`` and ``dag_graph``, whose zero entries make the
+  sweep decide every triple by comparing its products. ``tiny_paths``,
+  ``detour_graph``, ``sink_graph`` and ``dag_graph`` are the builders of
+  ``tests/helpers.py``, which the tests run on too.
 
 A section and mode with no record print no line.
 
 A change that keeps every output prints the same lines as its parent, and
 a change to float arithmetic alone leaves every ``.exact`` line as it was. The
 tool imports ``inforest`` from the ``src`` directory of the checkout it
-lies in, so to compare two checkouts, copy it into the other one and run
-it in both.
+lies in and the four shared builders from its ``tests/helpers.py``, so it
+needs the test dependencies (``hypothesis``, which that module imports).
+To compare two checkouts, copy it into the other one and run it in both;
+the other checkout's ``tests/helpers.py`` must define the four builders.
 
 Usage: ``python tools/output_digest.py``
 """
@@ -65,7 +69,8 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from inforest import (  # noqa: E402
     EXACT,
@@ -90,6 +95,7 @@ from inforest import (  # noqa: E402
     verify_all_triples,
 )
 from inforest import cli  # noqa: E402
+from tests.helpers import dag_graph, detour_graph, sink_graph, tiny_paths  # noqa: E402
 
 MODES = (EXACT, FLOAT)
 # Exact route series, the enumeration oracle and the per-triple route
@@ -155,37 +161,6 @@ def large_corpus() -> list:
     return pairs
 
 
-def detour_graph() -> MultiDigraph:
-    """``random_graph(30, 11)`` with a 31st vertex on a detour from vertex
-    4 to vertex 7, arcs of weight 2 and 3. Its entries lie within the
-    sweep's row-bound range, and 30 of its 930 rows with ``j != i`` hold
-    a triple close enough to equality that the bound leaves the row to the
-    rule."""
-    return MultiDigraph(31, [*random_graph(30, 11).arcs, (4, 30, 2), (30, 7, 3)])
-
-
-def sink_graph() -> MultiDigraph:
-    """``random_graph(30, 1)`` without vertex 0's out-arcs, as
-    ``sink_graph`` in ``tests/helpers.py`` builds it: dense, with a sink,
-    whose zero entries keep the sweep's row bound off every row."""
-    return MultiDigraph(30, [arc for arc in random_graph(30, 1).arcs if arc.tail != 0])
-
-
-def dag_graph(n=40, p=0.1, seed=5) -> MultiDigraph:
-    """Seeded DAG on ``n`` vertices, as ``dag_graph`` in
-    ``tests/helpers.py`` builds it: each arc (u, v), u < v, is drawn with
-    probability ``p`` and weighted p/q, p and q uniform in 1..5. Its zero
-    entries keep the row bound off every row."""
-    rng = random.Random(seed)
-    arcs = [
-        (u, v, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return MultiDigraph(n, arcs)
-
-
 def joined_blocks() -> MultiDigraph:
     """``random_graph(20, 1)`` and ``random_graph(20, 2)`` on 39 vertices,
     the second shifted by 19 so that the two share vertex 19. Each block is
@@ -193,22 +168,6 @@ def joined_blocks() -> MultiDigraph:
     the graph's only one: every path between the blocks runs through it."""
     second = [(t + 19, h + 19, w) for t, h, w in random_graph(20, 2).arcs]
     return MultiDigraph(39, [*random_graph(20, 1).arcs, *second])
-
-
-def tiny_paths(count=6, seed=3) -> list:
-    """Seeded 9-vertex paths with two arcs of weight 1e-152 to 1e-162
-    times 1 to 9, and the others between 1/9 and 9, as ``_tiny_paths`` in
-    ``tests/test_bottleneck.py`` builds them. The products of two entries
-    of ``F`` across both arcs lie near and below 2^-1000, down into the
-    subnormal range."""
-    rng = random.Random(seed)
-    graphs = []
-    for _ in range(count):
-        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
-        for v in (0, rng.randint(3, 6)):
-            weights[v] = Fraction(rng.randint(1, 9), 10 ** rng.randint(152, 162))
-        graphs.append(MultiDigraph(9, [(v, v + 1, w) for v, w in enumerate(weights)]))
-    return graphs
 
 
 def undirected_corpus() -> list:
