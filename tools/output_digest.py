@@ -11,8 +11,8 @@ generator graphs with at most 8 vertices:
 - ``verify``: every report of :func:`verify_all_triples`, with the types of
   ``lhs`` and ``rhs`` and whether they are one object, and the summary;
 - ``triple``: :func:`check_triple` on every triple;
-- ``routes``: :func:`route_matrix`: weights, terms, tail bound and its
-  type, or the error;
+- ``routes``: :func:`route_matrix`: the step matrix and the type names
+  of its entries, weights, terms, tail bound and its type, or the error;
 - ``decompose``: :func:`route_decomposition` on every triple;
 - ``oracle``: :func:`oracle_matrices`, which is exact for every graph,
   under ``exact``;
@@ -318,8 +318,10 @@ def _sections(graphs, undirected, runs, large) -> dict:
 def _routes(graph, mode: str, **kwargs) -> tuple:
     result = route_matrix(graph, mode=mode, **kwargs)
     bound = result.tail_bound
+    steps = result.step_weights.to_lists()
+    types = sorted({type(v).__name__ for row in steps for v in row})
     weights = result.route_weights.to_lists()
-    return (result.epsilon, weights, result.terms_used, bound, type(bound).__name__)
+    return (result.epsilon, steps, types, weights, result.terms_used, bound, type(bound).__name__)
 
 
 def digest(graphs, undirected=(), runs=(), large=()) -> list[str]:
