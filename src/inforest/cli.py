@@ -277,24 +277,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_io_options(parser: argparse.ArgumentParser, with_mode: bool) -> None:
-    parser.add_argument("--input", default="-", help="graph file, or - for stdin")
-    if with_mode:
-        parser.add_argument("--mode", choices=[EXACT, FLOAT], help="scalar mode (default: exact up to 12 vertices)")
-    parser.add_argument("--format", dest="fmt", choices=["tsv", "json"], default="tsv")
-
-
-def _add_series_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    parser.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
-
-
-def _add_triple_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-i", type=int, required=True, help="start vertex (1-based)")
-    parser.add_argument("-j", type=int, required=True, help="via vertex (1-based)")
-    parser.add_argument("-k", type=int, required=True, help="end vertex (1-based)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inforest",
@@ -313,13 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", _cmd_verify, ("mode",)),
     ]:
         sub = commands.add_parser(name)
-        _add_io_options(sub, with_mode="mode" in extras)
+        sub.add_argument("--input", default="-", help="graph file, or - for stdin")
+        if "mode" in extras:
+            sub.add_argument("--mode", choices=[EXACT, FLOAT], help="scalar mode (default: exact up to 12 vertices)")
+        sub.add_argument("--format", dest="fmt", choices=["tsv", "json"], default="tsv")
         if "epsilon" in extras:
             sub.add_argument("--epsilon", help="walk parameter as a rational, e.g. 1/4")
         if "series" in extras:
-            _add_series_options(sub)
+            sub.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+            sub.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
         if "triple" in extras:
-            _add_triple_options(sub)
+            for flag, role in (("-i", "start"), ("-j", "via"), ("-k", "end")):
+                sub.add_argument(flag, type=int, required=True, help=f"{role} vertex (1-based)")
         # enumerate has no --mode, but run reads args.mode for every graph command.
         sub.set_defaults(handler=handler, mode=None)
 

@@ -14,7 +14,6 @@ both functions under the same pivot rule.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -84,11 +83,9 @@ def record_repr(record) -> str:
     """The ``repr`` of a named tuple or dataclass, ``Name(field=value,
     ...)`` as Python builds it by default, with each field's text from
     :func:`value_repr`, so that it never raises. Every record of the
-    library uses it as its ``__repr__``."""
-    if isinstance(record, tuple):
-        names = record._fields
-    else:
-        names = [field.name for field in dataclasses.fields(record)]
+    library uses it as its ``__repr__``. The fields are those of
+    ``__match_args__``, which every named tuple and dataclass defines."""
+    names = type(record).__match_args__
     fields = ", ".join(f"{name}={value_repr(getattr(record, name))}" for name in names)
     return f"{type(record).__qualname__}({fields})"
 

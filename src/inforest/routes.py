@@ -102,18 +102,16 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
 
 
 def _step(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    """``P = (I - eps L) / (1 + eps)`` in one pass over the rows of ``L``."""
-    zero, one, eps, ratio = scalar(0, mode), scalar(1, mode), walk.scalar, walk.ratio
-    rows = []
-    for i, values in enumerate(graph.laplacian(mode).to_lists()):
-        # 0 - eps L_ij, not -(eps L_ij), so that a zero entry stays +0.0.
-        row = [ratio * (zero - eps * value) for value in values]
-        # 1 - eps d is positive, but in float mode it rounds below zero
-        # when eps d is within a few roundings of 1; zero is the nearer value.
-        row[i] = ratio * max(one - eps * values[i], zero)
-        rows.append(row)
-    result = Matrix(rows, mode)
-    assert mode == FLOAT or all(total == ratio for total in result.row_sums())
+    """``P = (I - eps L) / (1 + eps)`` on the stored rows of ``L``."""
+    identity = Matrix.identity(graph.n, mode)
+    result = (identity - graph.laplacian(mode).scaled(walk.scalar)).scaled(walk.ratio)
+    # 1 - eps d is positive, but in float mode it rounds below zero
+    # when eps d is within a few roundings of 1, and to -0.0 when a
+    # subnormal ratio scales it; zero is the nearer value.
+    for i, row in enumerate(result._rows):
+        if row[i] <= 0:
+            row[i] = 0.0
+    assert mode == FLOAT or all(total == walk.ratio for total in result.row_sums())
     return result
 
 

@@ -246,6 +246,21 @@ def reference_max_out_weight(graph: MultiDigraph) -> Fraction:
     return max(totals)
 
 
+def reference_step(graph: MultiDigraph, eps, mode) -> Matrix:
+    """The step matrix ``(I - eps L) / (1 + eps)`` entry by entry from the
+    scalars of ``L``: ``r (0 - eps L_ij)`` off the diagonal and ``r max(1
+    - eps L_ii, 0)`` on it, ``r = 1 / (1 + eps)``, built with the validating
+    constructor."""
+    zero, one, eps = scalar(0, mode), scalar(1, mode), scalar(eps, mode)
+    ratio = one / (1 + eps)
+    rows = []
+    for i, values in enumerate(graph.laplacian(mode).to_lists()):
+        row = [ratio * (zero - eps * value) for value in values]
+        row[i] = ratio * max(one - eps * values[i], zero)
+        rows.append(row)
+    return Matrix(rows, mode)
+
+
 def out_arc_indices(graph: MultiDigraph) -> list[list[int]]:
     """Per vertex, the indices into ``graph.arcs`` of its out-arcs in arc
     order, grouped from the arc list, not from an adjacency the library

@@ -33,6 +33,7 @@ from tests.helpers import (
     matrix_power,
     multidigraphs,
     random_multidigraph,
+    reference_step,
     route_weights_by_length,
 )
 
@@ -391,14 +392,15 @@ def test_float_tail_bound_covers_a_wide_matrix():
         assert result.tail_bound <= 1e-9
 
 
+def _clamped_step_input():
+    """At the largest double eps that passes validation, eps * d rounds to
+    just above 1 at vertex 0, and 1 - eps * d to -2.2e-16."""
+    arcs = [(0, 1, 0.3), (0, 6, 0.2), (0, 2, 0.1), (0, 3, 0.2), (0, 2, 1.1), (0, 1, 0.31619498421306813)]
+    return MultiDigraph(7, arcs), 0.4512238350521682
+
+
 def test_float_step_rounding_to_a_negative_diagonal_is_clamped():
-    # At the largest double eps that passes validation, eps * d rounds to
-    # just above 1 at vertex 0, and 1 - eps * d to -2.2e-16.
-    g = MultiDigraph(
-        7,
-        [(0, 1, 0.3), (0, 6, 0.2), (0, 2, 0.1), (0, 3, 0.2), (0, 2, 1.1), (0, 1, 0.31619498421306813)],
-    )
-    eps = 0.4512238350521682
+    g, eps = _clamped_step_input()
     step_matrix(g, eps)  # in range
     step = step_matrix(g, eps, FLOAT)
     assert step[0, 0] == 0.0
@@ -410,6 +412,45 @@ def test_float_step_rounding_to_a_negative_diagonal_is_clamped():
         for value, exact in zip(row, exact_row)
     )
     assert gap <= result.tail_bound
+
+
+def _subnormal_ratio_input():
+    """A weight just above a halfway point between doubles, so that ``d``
+    rounds up and ``eps * d`` to ``1 + 2.2e-16`` though ``eps * w < 1``.
+    At eps near 1e308 the ratio ``1 / (1 + eps)`` is subnormal, and its
+    product with ``1 - eps * d`` rounds to -0.0."""
+    weight = Fraction(2 * 1510488701281951 + 1, 2**1075) + Fraction(1, 2**1100)
+    return MultiDigraph(2, [(0, 1, weight)]), 1 / weight * (1 - Fraction(1, 10**30))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_step_matrix_is_the_entrywise_reference(mode):
+    inputs = [(g, choose_epsilon(g)) for g in corpus(200)]
+    inputs += [_clamped_step_input(), _subnormal_ratio_input()]
+    # Matrix.scaled returns its input at eps = 1 and, in float mode, at
+    # eps = 1e-17, where 1/(1 + eps) rounds to 1.0.
+    halves = path_graph(4, Fraction(1, 2))
+    inputs += [(halves, 1), (halves, 1e-17), (random_graph(8, 4), 1e-17)]
+    for g, eps in inputs:
+        assert repr(step_matrix(g, eps, mode)) == repr(reference_step(g, eps, mode))
+
+
+def test_route_calls_build_no_matrix_through_the_constructor(monkeypatch):
+    calls = []
+    original = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    g = make_triangle()
+    for mode in (EXACT, FLOAT):
+        step_matrix(g, mode=mode)
+        route_matrix(g, mode=mode)
+        closed_route_matrix(g, mode=mode)
+        route_decomposition(g, 0, 1, 2, mode=mode)
+    assert calls == []
 
 
 def test_float_step_with_a_row_sum_above_one_is_not_summed():

@@ -119,6 +119,13 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
+        "step-diagonal-clamp-dropped",
+        "routes.py",
+        "            row[i] = 0.0\n",
+        "            pass\n",
+        ("tests/test_routes.py",),
+    ),
+    Mutant(
         "block-zero-factor-fallback-dropped",
         "forest.py",
         "            if f0 and f1 and f2 and f3:",
