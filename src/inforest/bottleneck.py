@@ -467,15 +467,13 @@ def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:
     """Counts of the reports; for the sweep's own reports, the counts it made."""
     if isinstance(reports, TripleReports):
         return reports.summary
-    total = equal = strict = degenerate = inconsistent = 0
+    total = equal = degenerate = inconsistent = 0
     for report in reports:
         total += 1
         if report.relation == RELATION_EQUAL:
             equal += 1
-        else:
-            strict += 1
         if report.degenerate:
             degenerate += 1
         if not report.consistent:
             inconsistent += 1
-    return TripleSummary(total, equal, strict, degenerate, inconsistent)
+    return TripleSummary(total, equal, total - equal, degenerate, inconsistent)

@@ -113,18 +113,12 @@ def _triple_args(args, graph: MultiDigraph) -> tuple[int, int, int]:
     return args.i - 1, args.j - 1, args.k - 1
 
 
-def _rational_arg(raw: str, flag: str) -> Fraction:
+def _rational_arg(raw: Optional[str], flag: str) -> Optional[Fraction]:
+    """The option's value as a rational, or None when it was not given."""
     try:
-        return parse_weight(raw)
+        return None if raw is None else parse_weight(raw)
     except GraphFormatError as exc:
         raise BadParametersError(f"{flag} must be a rational, got {raw!r}") from exc
-
-
-def _epsilon_arg(args) -> Optional[Fraction]:
-    """The ``--epsilon`` value, or None for the library's default."""
-    if args.epsilon is None:
-        return None
-    return _rational_arg(args.epsilon, "--epsilon")
 
 
 def _cmd_forest(args, graph: MultiDigraph, mode: str) -> int:
@@ -167,7 +161,7 @@ def _cmd_enumerate(args, graph: MultiDigraph, mode: str) -> int:
 def _cmd_routes(args, graph: MultiDigraph, mode: str) -> int:
     from .routes import route_matrix
 
-    eps = _epsilon_arg(args)
+    eps = _rational_arg(args.epsilon, "--epsilon")
     result = route_matrix(graph, eps=eps, tolerance=args.tol, max_terms=args.max_terms, mode=mode)
     fields = {
         "epsilon": result.epsilon,
@@ -183,7 +177,7 @@ def _cmd_decompose(args, graph: MultiDigraph, mode: str) -> int:
     from .bottleneck import relation
     from .routes import route_decomposition
 
-    eps = _epsilon_arg(args)
+    eps = _rational_arg(args.epsilon, "--epsilon")
     deco = route_decomposition(graph, *_triple_args(args, graph), eps=eps, mode=mode)
     fields = {
         "r_ij": deco.start_via,
@@ -267,12 +261,9 @@ def _cmd_gen(args) -> int:
         if args.seed is None:
             raise BadParametersError("gen random requires --seed")
         graph = random_graph(args.n, args.seed, _parse_weight_range(args.weight_range))
-    elif args.kind == "path":
-        graph = path_graph(args.n, weight)
-    elif args.kind == "cycle":
-        graph = cycle_graph(args.n, weight)
     else:
-        graph = complete_graph(args.n, weight)
+        fixed = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
+        graph = fixed[args.kind](args.n, weight)
     sys.stdout.write(format_graph(graph))
     return 0
 

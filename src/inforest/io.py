@@ -185,10 +185,9 @@ def parse_graph(text: str) -> ParsedGraph:
 
 
 def format_graph(graph: MultiDigraph) -> str:
-    """Canonical text form of a digraph (1-based, sorted arcs)."""
-    order = sorted(range(len(graph.arcs)), key=lambda i: (graph.arcs[i].tail, graph.arcs[i].head))
+    """Canonical text form of a digraph (1-based, arcs sorted by endpoints,
+    parallel arcs in input order)."""
     lines = [f"digraph {graph.n}"]
-    for index in order:
-        arc = graph.arcs[index]
+    for arc in sorted(graph.arcs, key=lambda arc: (arc.tail, arc.head)):
         lines.append(f"{arc.tail + 1} {arc.head + 1} {format_weight(arc.weight)}")
     return "\n".join(lines) + "\n"

@@ -343,6 +343,8 @@ def test_reports_behave_as_the_list_they_replace(mode):
             reports[index]
     assert reports.summary == summarize(reports) == summarize(list(reports))
     assert summarize(reports) == summarize(expected)
+    assert reports != len(reports)
+    assert repr(reports) == f"TripleReports(n=4, mode={mode!r}, summary={reports.summary!r})"
 
 
 def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():

@@ -482,8 +482,16 @@ def test_console_entry_point_smoke(tmp_path):
 
 
 def test_routes_epsilon_that_is_no_rational_is_bad_parameters(path_file, capsys):
-    assert run(["routes", "--input", path_file, "--epsilon", "abc"]) == 1
-    assert capsys.readouterr().err.startswith("error:bad-parameters:")
+    # Every caller of the one rational-option reader names its own flag.
+    for argv, flag in [
+        (["routes", "--input", path_file, "--epsilon", "abc"], "--epsilon"),
+        (["decompose", "--input", path_file, *_TRIPLE, "--epsilon", "abc"], "--epsilon"),
+        (["gen", "path", "3", "--weights", "abc"], "--weights"),
+    ]:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error:bad-parameters: {flag} must be a rational, got 'abc'\n"
+        assert captured.out == ""
 
 
 def test_json_arcs_that_are_no_list_is_format_error(tmp_path, capsys):

@@ -51,6 +51,11 @@ def test_isolated_vertices_are_legal():
 def test_arc_order_preserved():
     g = make_path(2, 3)
     assert [(a.tail, a.head, a.weight) for a in g.arcs] == [(0, 1, 2), (1, 2, 3)]
+    # Equality, and so the hash, follows n and the arcs in order.
+    same = MultiDigraph(3, [(0, 1, 2), (1, 2, Fraction(3))])
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != MultiDigraph(3, [(1, 2, 3), (0, 1, 2)]) and g != MultiDigraph(4, g.arcs)
+    assert g != 3
 
 
 def test_loop_arc_rejected():

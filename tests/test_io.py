@@ -159,6 +159,9 @@ def test_round_trip_is_byte_identical():
 def test_canonical_emission_sorts_arcs_stably():
     g = MultiDigraph(3, [(1, 2, 5), (0, 1, 2), (0, 1, 3)])
     assert format_graph(g) == "digraph 3\n1 2 2\n1 2 3\n2 3 5\n"
+    # Parallel arcs keep their input order, not weight order.
+    g = MultiDigraph(3, [(1, 2, 5), (0, 1, 3), (0, 1, 2)])
+    assert format_graph(g) == "digraph 3\n1 2 3\n1 2 2\n2 3 5\n"
 
 
 def test_weight_formatting():

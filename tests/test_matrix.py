@@ -399,6 +399,7 @@ def test_zero_and_identity_have_scale_one(order):
         _assert_stored_form(matrix)
         assert matrix._scale == 1
     assert Matrix.zeros(order) == Matrix([[Fraction(0)] * order] * order)
+    assert Matrix.zeros(order) != 0
 
 
 @given(stored_pairs(), stored_entries)

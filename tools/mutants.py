@@ -112,10 +112,10 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
-        "max-out-weight-takes-the-least",
+        "max-out-weight-halved",
         "graph.py",
-        "        return Fraction(max(row[i] for i, row",
-        "        return Fraction(min(row[i] for i, row",
+        "        return self.laplacian().max_abs()\n",
+        "        return self.laplacian().max_abs() / 2\n",
         ("tests/test_graph.py",),
     ),
     Mutant(
@@ -131,6 +131,13 @@ MUTANTS = (
         "            if f0 and f1 and f2 and f3:",
         "            if True:",
         ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "format-graph-sorts-whole-arcs",
+        "io.py",
+        "sorted(graph.arcs, key=lambda arc: (arc.tail, arc.head))",
+        "sorted(graph.arcs)",
+        ("tests/test_io.py",),
     ),
     Mutant(
         "parser-diagnostic-rerun-skipped",
