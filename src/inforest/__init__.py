@@ -53,10 +53,8 @@ _EXPORTS = {
         "EXACT",
         "FLOAT",
         "Matrix",
-        "SeriesSum",
         "determinant",
         "format_weight",
-        "geometric_series",
         "invert",
     ),
     "oracle": (
@@ -70,8 +68,10 @@ _EXPORTS = {
     "routes": (
         "RouteDecomposition",
         "RouteMatrices",
+        "SeriesSum",
         "choose_epsilon",
         "closed_route_matrix",
+        "geometric_series",
         "route_decomposition",
         "route_matrix",
         "step_matrix",

@@ -256,14 +256,13 @@ def _parse_weight_range(raw: str) -> tuple[int, int]:
 def _cmd_gen(args) -> int:
     from .generators import complete_graph, cycle_graph, path_graph, random_graph
 
-    weight = _rational_arg(args.weights, "--weights")
     if args.kind == "random":
         if args.seed is None:
             raise BadParametersError("gen random requires --seed")
         graph = random_graph(args.n, args.seed, _parse_weight_range(args.weight_range))
     else:
         fixed = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
-        graph = fixed[args.kind](args.n, weight)
+        graph = fixed[args.kind](args.n, _rational_arg(args.weights, "--weights"))
     sys.stdout.write(format_graph(graph))
     return 0
 

@@ -6,12 +6,15 @@ a matrix view needs them, so enumeration over individual arcs and algebra
 over summed weights can be cross-checked against each other. Every arc
 weight is stored as the exact rational it denotes, a float weight as its
 double's own value; only the float Laplacian rounds it back to a double.
+
+The graph runs one search, the depth-first :meth:`MultiDigraph._postorder`:
+it gives :meth:`MultiDigraph.reachable` its vertex set and the dominators'
+data flow its order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, NamedTuple, Union
@@ -75,8 +78,8 @@ class MultiDigraph:
         self.n = n
         checked = []
         # Per vertex, the heads of its out-arcs and the tails of its in-arcs,
-        # one entry per arc: the searches of reachable and dominators read
-        # them, and out_degree counts the heads.
+        # one entry per arc: the one search, _postorder, and the dominators'
+        # data flow read them, and out_degree counts the heads.
         successors: list[list[int]] = [[] for _ in range(n)]
         predecessors: list[list[int]] = [[] for _ in range(n)]
         for tail, head, weight in arcs:
@@ -190,21 +193,14 @@ class MultiDigraph:
         off-diagonal ``|L_ij|`` exceeds ``L_ii``."""
         return self.laplacian().max_abs()
 
-    # No library path calls this search; it stays because the benchmark's
+    # No library path calls this method; it stays because the benchmark's
     # tracer patches it (PATCH_POINTS in perfbench/spans.py, which
     # tests/test_trace_points.py checks).
     def reachable(self, source: int) -> frozenset[int]:
         """Vertices reachable from ``source`` along directed paths; the
-        source itself is always included."""
-        self.check_vertex(source)
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            for head in self._successors[queue.popleft()]:
-                if head not in seen:
-                    seen.add(head)
-                    queue.append(head)
-        return frozenset(seen)
+        source itself is always included. The search is
+        :meth:`_postorder`, the one the dominators run."""
+        return frozenset(self._postorder(self.check_vertex(source), self._successors))
 
     def dominators(self, root: int) -> list[int]:
         """Dominator sets of the flow graph rooted at ``root``, as bit masks.
@@ -268,20 +264,7 @@ class MultiDigraph:
         """The data flow of :meth:`dominators` rooted at ``root``, along
         the arcs ``v -> w`` for ``w`` in ``heads[v]``, with ``predecessors``
         their reverse; the two swapped give the reverse graph's."""
-        postorder = []
-        seen = [False] * self.n
-        seen[root] = True
-        stack = [(root, iter(heads[root]))]
-        while stack:
-            v, successors = stack[-1]
-            for w in successors:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(heads[w])))
-                    break
-            else:
-                stack.pop()
-                postorder.append(v)
+        postorder = self._postorder(root, heads)
         every = (1 << self.n) - 1
         floor = 1 << root
         dominators = [every] * self.n
@@ -300,6 +283,26 @@ class MultiDigraph:
                     dominators[v] = meet
                     changed = True
         return dominators
+
+    def _postorder(self, root: int, heads) -> list[int]:
+        """The vertices reachable from ``root`` along the arcs ``v -> w``
+        for ``w`` in ``heads[v]``, in the postorder of an iterative
+        depth-first search, so ``root`` comes last."""
+        postorder = []
+        seen = [False] * self.n
+        seen[root] = True
+        stack = [(root, iter(heads[root]))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(heads[w])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(v)
+        return postorder
 
     def scaled(self, factor: Weight) -> "MultiDigraph":
         """Copy of the graph with every arc weight multiplied by ``factor``."""

@@ -10,6 +10,10 @@ loops allowed, one zero-length route per vertex) of every length converges
 because each step contracts total weight by ``1 / (1 + eps)``; the sum is
 proportional to the forest matrix, which is what makes route
 decompositions usable to certify forest-weight identities.
+
+The series of the step matrix is summed here by doubling,
+:func:`geometric_series`, beside :func:`_tail_bound`, the error bound that
+counts the doubling's roundings, so that one cannot change without the other.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .errors import EpsilonOutOfRangeError, NotConvergedError
+from .errors import BadParametersError, EpsilonOutOfRangeError, NotConvergedError
 from .forest import forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
@@ -30,9 +34,7 @@ from .matrix import (
     FLOAT,
     Matrix,
     Scalar,
-    SeriesSum,
     format_for_message,
-    geometric_series,
     record_repr,
     scalar,
 )
@@ -174,6 +176,121 @@ def _refuse_unreachable_tolerance(
             f"series cannot reach tolerance {tolerance} within {max_terms} terms: at epsilon "
             f"{format_for_message(walk.eps)}, term m has an entry of at least (1 + eps)^-m / {n}"
         )
+
+
+class SeriesSum(NamedTuple):
+    total: Matrix
+    terms_used: int
+    last_term_norm: Scalar
+
+    __repr__ = record_repr
+
+
+def geometric_series(
+    matrix: Matrix, tolerance: float, max_terms: int = DEFAULT_MAX_TERMS
+) -> SeriesSum:
+    """Sum the powers ``A^0, A^1, ..., A^p`` of ``matrix``, where ``p`` is
+    the largest power whose max-abs norm is at least ``tolerance``.
+
+    ``A`` must be nonnegative, or :class:`ValueError` is raised, with
+    every row sum at most 1, or :class:`NotConvergedError` is raised, as
+    its series need not converge. Then no entry of ``A^(k+1) = A A^k``
+    exceeds the largest entry of ``A^k``, so the norms never increase and
+    the powers at or above tolerance are exactly ``A^0..A^p``: the sum is
+    the one a loop adding term by term until the first term below
+    tolerance would return. Returns that sum, the number of terms added
+    (``p + 1``; 0 when even ``A^0`` is below tolerance) and the norm of
+    ``A^p``. Raises :class:`BadParametersError` unless ``tolerance > 0``
+    and ``max_terms >= 1``, and :class:`NotConvergedError` when
+    ``A^max_terms`` is still at or above tolerance, that is when more than
+    ``max_terms`` terms would be needed.
+
+    The sum is formed by doubling, in about ``4 log2 p`` products. Square:
+    build ``A^(2^t)`` and ``S_(2^t) = sum of A^k for k < 2^t`` through
+    ``S_(2^(t+1)) = S_(2^t) + A^(2^t) S_(2^t)`` until a power drops below
+    tolerance at depth ``T``, so that ``2^(T-1) <= p < 2^T``. Descend: from
+    ``q = 2^(T-1)``, for t from ``T - 2`` down to 0, accept ``q + 2^t``
+    when ``A^q A^(2^t)`` is still at or above tolerance and add
+    ``A^q S_(2^t)`` to the sum; this ends at ``q = p``.
+
+    Float rounding: a product adds at most n roundings to each route
+    weight (product of entries) it forms and a sum adds one, so in the
+    result every route of length k carries at most ``n k + 2 T`` roundings
+    (``T = p.bit_length()``), as in a term-by-term loop apart from the
+    ``2 T``; :func:`_tail_bound` charges exactly these. Exact sums do not
+    depend on order, so in exact mode the result equals the term-by-term
+    sum.
+
+    Exact mode runs the same steps on integers. With ``d`` the scale of
+    A's stored form, each power and partial sum is held as an exact matrix
+    ``X`` at scale 1 and an exponent ``e``, standing for ``X / d^e``: a
+    product adds the exponents, a sum first scales the lower one up, and a
+    norm is compared with ``tolerance * d^e`` exactly. No product or sum
+    normalises a fraction; the result is the integer sum over the scale
+    ``d^p``, normalised once. In float mode ``d`` is 1 and every scaling
+    is skipped.
+    """
+    if not tolerance > 0:
+        raise BadParametersError(f"tolerance must be positive, got {tolerance}")
+    if max_terms < 1:
+        raise BadParametersError(f"max_terms must be at least 1, got {max_terms}")
+    if not all(value >= 0 for row in matrix._rows for value in row):
+        raise ValueError("the series needs a nonnegative matrix")
+    if not all(total <= 1 for total in matrix.row_sums()):
+        raise NotConvergedError("a row sums to more than 1, so its series need not converge")
+    n, mode = matrix.order, matrix.mode
+    identity = Matrix.identity(n, mode)
+    if identity.max_abs() < tolerance:
+        return SeriesSum(Matrix.zeros(n, mode), 0, scalar(0, mode))
+    d = matrix._scale
+    base = Matrix._wrap(matrix._rows, mode)
+    threshold = scalar(tolerance, mode)
+
+    # levels[t] = (A^(2^t), S_(2^t)) at exponents 2^t and 2^t - 1, for every
+    # power A^(2^t) at or above tolerance; last_norm is the norm of the highest.
+    levels = []
+    square, norm = base, base.max_abs()
+    while norm >= threshold * d ** (1 << len(levels)):
+        size = 1 << len(levels)
+        if size >= max_terms:
+            raise _not_converged(tolerance, max_terms, size, norm / d**size)
+        if levels:
+            power, block = levels[-1]
+            block = block.scaled(d ** (size >> 1)) + power @ block
+        else:
+            block = identity
+        levels.append((square, block))
+        last_norm = norm
+        square = square @ square
+        norm = square.max_abs()
+    if not levels:
+        return SeriesSum(identity, 1, identity.max_abs())
+    # total = S_p at exponent p - 1 and power = A^p at exponent p.
+    power, total = levels[-1]
+    p = 1 << (len(levels) - 1)
+    for t in range(len(levels) - 2, -1, -1):
+        square, block = levels[t]
+        if p + (1 << t) > max_terms:
+            continue
+        candidate = power @ square
+        norm = candidate.max_abs()
+        if norm >= threshold * d ** (p + (1 << t)):
+            total = total.scaled(d ** (1 << t)) + power @ block
+            power, last_norm, p = candidate, norm, p + (1 << t)
+    if p == max_terms:
+        raise _not_converged(tolerance, max_terms, p, last_norm / d**p)
+    total = total.scaled(d) + power
+    if mode == EXACT:
+        total = Matrix._wrap(total._rows, mode, d**p)
+    return SeriesSum(total, p + 1, last_norm / d**p)
+
+
+def _not_converged(tolerance, max_terms: int, term: int, norm: Scalar) -> NotConvergedError:
+    return NotConvergedError(
+        f"series did not reach tolerance {tolerance} within {max_terms} terms "
+        f"(term {term} has norm {float(norm):.3e})"
+    )
+
 
 
 def route_matrix(

@@ -122,6 +122,39 @@ def random_undirected(seed, min_n=2, max_n=5, max_edges=6, weight_limit=5):
     return n, edges
 
 
+def _arc_neighbors(n, arcs, undirected=False) -> list[set]:
+    """Per vertex, the heads of its arcs among ``arcs``, ``(tail, head,
+    weight)`` triples, and the tails of its in-arcs too when ``undirected``:
+    an adjacency built from the arc list, not from a graph's own successor
+    lists."""
+    neighbors = [set() for _ in range(n)]
+    for tail, head, _ in arcs:
+        neighbors[tail].add(head)
+        if undirected:
+            neighbors[head].add(tail)
+    return neighbors
+
+
+def _breadth_first(neighbors, source, avoid=None) -> set:
+    """The vertices a breadth-first search from ``source`` reaches without
+    entering ``avoid``."""
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        for w in neighbors[queue.popleft()]:
+            if w != avoid and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def reference_reachable(n, arcs, source) -> set:
+    """Vertices reachable from ``source``: a breadth-first search over an
+    adjacency built from ``arcs``, where ``MultiDigraph.reachable`` runs a
+    depth-first search over the graph's successor lists."""
+    return _breadth_first(_arc_neighbors(n, arcs), source)
+
+
 def reference_separators(n, arcs, i, undirected=False) -> list[list[bool]]:
     """Reference separator table of start vertex i: row j, entry k, is True
     when every directed path from i to k contains j.
@@ -133,23 +166,13 @@ def reference_separators(n, arcs, i, undirected=False) -> list[list[bool]]:
     zero-length path from i to i contains only i), and the rest come from
     one breadth-first search from i that never enters j.
     """
-    neighbors = [set() for _ in range(n)]
-    for tail, head, _ in arcs:
-        neighbors[tail].add(head)
-        if undirected:
-            neighbors[head].add(tail)
+    neighbors = _arc_neighbors(n, arcs, undirected)
     table = []
     for j in range(n):
         if j == i:
             table.append([True] * n)
             continue
-        seen = {i}
-        queue = deque([i])
-        while queue:
-            for w in neighbors[queue.popleft()]:
-                if w != j and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        seen = _breadth_first(neighbors, i, avoid=j)
         table.append([k == j or (k != i and k not in seen) for k in range(n)])
     return table
 

@@ -370,6 +370,9 @@ def test_gen_random_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(["gen", "random", "4", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+    # The random kind reads --weight-range, never --weights.
+    assert run(["gen", "random", "4", "--seed", "7", "--weights", "abc"]) == 0
+    assert capsys.readouterr().out == first
     assert run(["gen", "random", "4", "--seed", "8"]) == 0
     assert capsys.readouterr().out != first
 

@@ -32,13 +32,16 @@ from inforest.graph import MAX_VERTICES
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
+    dag_graph,
     detour_graph,
     make_path,
     make_triangle,
     multidigraphs,
     reference_arcs,
     reference_max_out_weight,
+    reference_reachable,
     reference_separators,
+    sink_graph,
     transpose,
 )
 
@@ -302,6 +305,16 @@ def test_max_out_weight_is_the_arc_by_arc_sum():
 def test_reachable_respects_exclusion():
     g = make_path()
     assert g.reachable(0) == {0, 1, 2}
+
+
+def test_reachable_matches_a_breadth_first_search_over_the_arc_list():
+    # Two directed cycles, the first leading into the second by one arc.
+    linked = MultiDigraph(6, [*cycle_graph(3).arcs, (3, 4, 1), (4, 5, 1), (5, 3, 1), (2, 3, 1)])
+    cycles = [cycle_graph(2), cycle_graph(3), cycle_graph(9), linked]
+    for graph in corpus(200) + [sink_graph(), dag_graph(), *cycles]:
+        for source in range(graph.n):
+            expected = reference_reachable(graph.n, graph.arcs, source)
+            assert graph.reachable(source) == expected, (graph, source)
 
 
 def test_reachable_rejects_bad_arguments():

@@ -119,6 +119,20 @@ MUTANTS = (
         ("tests/test_graph.py",),
     ),
     Mutant(
+        "series-exact-scale-dropped",
+        "routes.py",
+        "total = total.scaled(d ** (1 << t)) + power @ block",
+        "total = total + power @ block",
+        ("tests/test_matrix.py",),
+    ),
+    Mutant(
+        "reachable-reads-predecessors",
+        "graph.py",
+        "self._successors))",
+        "self._predecessors))",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
         "step-diagonal-clamp-dropped",
         "routes.py",
         "            row[i] = 0.0\n",
