@@ -154,10 +154,11 @@ class MultiDigraph:
         Exact mode builds the integer rows over ``D``, the least common
         multiple of the weights' denominators, straight from the arcs. This
         is the one place where an arc weight becomes a double: float
-        mode rounds each stored weight to the nearest one, which for a
-        float-typed weight is the given double itself. A double cannot hold
-        every positive rational, so a weight that rounds to zero, or an
-        out-weight total that overflows, raises
+        mode rounds each stored weight through :func:`scalar` to the
+        nearest one, which for a float-typed weight is the given double
+        itself. A double cannot hold every positive rational, so a weight
+        that rounds to zero, or an out-weight total that overflows (a
+        weight beyond the doubles is infinite), raises
         :class:`NonPositiveWeightError`, as a non-finite float weight does
         when the graph is built.
         """
@@ -166,12 +167,7 @@ class MultiDigraph:
             zero = 0
         else:
             zero, scale = scalar(0, mode), 1
-            try:
-                # scalar's correctly rounded division of each stored Fraction,
-                # inline; only a weight beyond the doubles needs its infinity.
-                values = [w.numerator / w.denominator for _, _, w in self.arcs]
-            except OverflowError:
-                values = [scalar(arc.weight, mode) for arc in self.arcs]
+            values = [scalar(arc.weight, mode) for arc in self.arcs]
         rows = [[zero] * self.n for _ in range(self.n)]
         for (tail, head, weight), value in zip(self.arcs, values):
             if not value > 0:

@@ -7,8 +7,9 @@ Text format::
 
 Vertices are 1-based; weights are decimals or rationals like ``p/q``.
 Lines starting with ``#`` and blank lines are ignored. The JSON form is
-``{"n": int, "directed": bool, "arcs": [[tail, head, "weight"], ...]}``
-with weights kept as strings so exact values survive the boundary.
+``{"n": int, "directed": bool, "arcs": [[tail, head, "weight"], ...]}``;
+a weight is a string or a JSON number, and either is read from its text,
+as a text-file token is, so exact values survive the boundary.
 
 Emission is canonical (arcs sorted by tail then head, input order
 preserved among parallels) so parse-emit round trips are byte identical.
@@ -143,11 +144,12 @@ def parse_graph_text(text: str) -> ParsedGraph:
 def parse_graph_json(text: str) -> ParsedGraph:
     import json
 
-    # Besides JSONDecodeError, a ValueError, json.loads raises a plain
-    # ValueError for an integer past Python's digit limit and RecursionError
-    # for deep nesting.
+    # A JSON number with a fraction or an exponent stays its own text, so
+    # that parse_weight reads it exactly. Besides JSONDecodeError, a
+    # ValueError, json.loads raises a plain ValueError for an integer past
+    # Python's digit limit and RecursionError for deep nesting.
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=str)
     except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "arcs" not in payload:

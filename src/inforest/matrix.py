@@ -199,8 +199,6 @@ class Matrix:
             return NotImplemented
         return (self.mode, self._scale, self._rows) == (other.mode, other._scale, other._rows)
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         rows = ", ".join(f"[{', '.join(map(value_repr, row))}]" for row in self.to_lists())
         return f"Matrix([{rows}], mode={self.mode!r})"

@@ -279,9 +279,7 @@ def geometric_series(
             power, last_norm, p = candidate, norm, p + (1 << t)
     if p == max_terms:
         raise _not_converged(tolerance, max_terms, p, last_norm / d**p)
-    total = total.scaled(d) + power
-    if mode == EXACT:
-        total = Matrix._wrap(total._rows, mode, d**p)
+    total = Matrix._wrap((total.scaled(d) + power)._rows, mode, d**p)
     return SeriesSum(total, p + 1, last_norm / d**p)
 
 

@@ -185,6 +185,12 @@ def test_parse_json_undirected_and_numeric_weights():
     assert parsed.graph == MultiDigraph.from_undirected(3, [(0, 1, 1), (1, 2, Fraction(1, 2))])
     assert len(parsed.graph.arcs) == 4
     assert parsed.graph.arcs[2].weight == Fraction(1, 2)
+    # As doubles these would be 0.0, inf and 0.3; the token itself is read,
+    # as in the text format.
+    for token in ("1e-400", "1e400", "0.30000000000000000001"):
+        parsed = parse_graph(f'{{"n": 2, "arcs": [[1, 2, {token}]]}}')
+        assert parsed == parse_graph(f"digraph 2\n1 2 {token}\n")
+        assert parsed.graph.arcs[0].weight == parse_weight(token)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +220,8 @@ def test_weight_exponent_beyond_the_digit_limit_is_rejected():
     for token in ("1e1000000", "1e4301", "1e-4301"):
         with pytest.raises(GraphFormatError):
             parse_weight(token)
+    with pytest.raises(GraphFormatError, match=r"^bad weight '1e99999' \(arc 1\)$"):
+        parse_graph('{"n": 2, "arcs": [[1, 2, 1e99999]]}')
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Matrix kernel: stored form, determinant, inversion, and geometric series."""
+"""Matrix kernel: stored form, determinant, and inversion."""
 
 import math
 import random
@@ -10,18 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inforest import (
-    BadParametersError,
     EXACT,
     FLOAT,
     Matrix,
     MultiDigraph,
-    NotConvergedError,
     SingularMatrixError,
     determinant,
-    choose_epsilon,
     closed_route_matrix,
     forest_matrices,
-    geometric_series,
     invert,
     random_graph,
     route_decomposition,
@@ -30,7 +26,7 @@ from inforest import (
     verify_all_triples,
 )
 from inforest.matrix import scalar
-from tests.helpers import FractionRows, corpus, make_path, reference_series
+from tests.helpers import FractionRows, make_path
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
 # a = b = 1 the expansion gives 4 (cross-checked against the oracle's
@@ -143,114 +139,6 @@ def test_determinant_multiplicative(m, n):
     assert determinant(m @ n) == determinant(m) * determinant(n)
 
 
-def test_geometric_series_zero_matrix():
-    result = geometric_series(Matrix.zeros(2), 1e-12)
-    assert result.total == Matrix.identity(2)
-    assert result.terms_used == 1
-
-
-def test_geometric_series_scalar_half():
-    result = geometric_series(Matrix([[0.5]], FLOAT), 1e-12)
-    assert abs(result.total[0, 0] - 2.0) <= 1e-11
-
-
-def test_geometric_series_matches_closed_form():
-    m = Matrix([[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 2)]])
-    closed = invert(Matrix.identity(2) - m)
-    result = geometric_series(m, 1e-12)
-    assert (closed - result.total).max_abs() < 1e-10
-    # Entrywise below the closed form: the omitted tail is nonnegative.
-    for i in range(2):
-        for j in range(2):
-            assert result.total[i, j] <= closed[i, j]
-
-
-def test_geometric_series_partial_sums_monotone():
-    m = Matrix([[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 2)]])
-    loose = geometric_series(m, 1e-3).total
-    tight = geometric_series(m, 1e-9).total
-    for i in range(2):
-        for j in range(2):
-            assert loose[i, j] <= tight[i, j]
-
-
-def test_geometric_series_not_converged():
-    with pytest.raises(NotConvergedError):
-        geometric_series(Matrix.identity(1), 1e-12, max_terms=5)
-
-
-def _step_matrices(count):
-    # The corpus, then a graph with a weight of 1e-40, whose powers carry
-    # denominators of thousands of bits.
-    tiny = MultiDigraph(
-        4, [(0, 1, Fraction(1, 10**40)), (1, 2, 1), (2, 3, Fraction(2, 3)), (1, 0, Fraction(5, 4))]
-    )
-    for g in corpus(count) + [tiny]:
-        yield step_matrix(g, choose_epsilon(g))
-
-
-def _series_outcome(series, *args):
-    try:
-        return series(*args)
-    except NotConvergedError:
-        return NotConvergedError
-
-
-@pytest.mark.parametrize("tolerance", [2, 0.5, 1e-2, 1e-4])
-def test_geometric_series_equals_the_term_by_term_reference(tolerance):
-    # Exact sums do not depend on their order, so the doubling sum, its
-    # term count and its last term's norm are those of the reference.
-    for step in _step_matrices(40):
-        series = geometric_series(step, tolerance)
-        assert series == reference_series(step, tolerance)
-        assert all(type(v) is Fraction for row in series.total.to_lists() for v in row)
-        assert type(series.last_term_norm) is Fraction
-
-
-def test_geometric_series_raises_exactly_where_the_reference_raises():
-    # max_terms on both sides of the term count, and at powers of two.
-    for step in _step_matrices(12):
-        needed = reference_series(step, 1e-2).terms_used
-        for max_terms in sorted({1, 2, 3, 4, 8, needed - 1, needed, needed + 1, 2 * needed}):
-            if max_terms < 1:
-                continue
-            expected = _series_outcome(reference_series, step, 1e-2, max_terms)
-            assert _series_outcome(geometric_series, step, 1e-2, max_terms) == expected
-    stuck = Matrix.identity(2)
-    for max_terms in (1, 2, 5, 64):
-        assert _series_outcome(geometric_series, stuck, 1e-12, max_terms) is NotConvergedError
-
-
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        Matrix([[Fraction(1, 2), Fraction(-1, 4)], [0, 0]]),
-        Matrix([[float("nan"), 0.0], [0.0, 0.0]], FLOAT),
-        Matrix([[0.25, 0.0], [-1e-300, 0.5]], FLOAT),
-    ],
-)
-def test_geometric_series_rejects_a_matrix_outside_its_precondition(matrix):
-    # Only a nonnegative matrix with row sums at most 1 has powers whose
-    # norms never increase, which the doubling search relies on.
-    with pytest.raises(ValueError, match="nonnegative"):
-        geometric_series(matrix, 1e-3)
-
-
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_geometric_series_of_a_row_sum_above_one_is_not_converged(mode):
-    # The row sums 5/4: a nonnegative matrix whose series need not converge.
-    with pytest.raises(NotConvergedError, match="need not converge"):
-        geometric_series(Matrix([[Fraction(1, 2), Fraction(3, 4)], [0, 0]], mode), 1e-3)
-
-
-def test_geometric_series_rejects_bad_tolerance():
-    # BadParametersError is a ValueError too.
-    for tolerance, max_terms in [(0.0, 10), (1e-3, 0)]:
-        with pytest.raises(BadParametersError) as caught:
-            geometric_series(Matrix.zeros(2), tolerance, max_terms)
-        assert isinstance(caught.value, ValueError)
-
-
 def test_float_near_singular_determinant_is_zero_where_invert_raises():
     m = Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-14]], FLOAT)
     with pytest.raises(SingularMatrixError):
@@ -272,11 +160,6 @@ def test_float_determinant_is_zero_exactly_where_invert_raises(m):
         assert determinant(m) == 0.0
     else:
         assert determinant(m) != 0.0
-
-
-def test_geometric_series_rejects_nan_tolerance():
-    with pytest.raises(ValueError):
-        geometric_series(Matrix([[Fraction(1, 2)]]), float("nan"))
 
 
 def test_float_scalar_rounds_to_nearest_and_overflows_to_infinity():
@@ -400,6 +283,8 @@ def test_zero_and_identity_have_scale_one(order):
         assert matrix._scale == 1
     assert Matrix.zeros(order) == Matrix([[Fraction(0)] * order] * order)
     assert Matrix.zeros(order) != 0
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(order))
 
 
 @given(stored_pairs(), stored_entries)

@@ -123,7 +123,7 @@ MUTANTS = (
         "routes.py",
         "total = total.scaled(d ** (1 << t)) + power @ block",
         "total = total + power @ block",
-        ("tests/test_matrix.py",),
+        ("tests/test_routes.py",),
     ),
     Mutant(
         "reachable-reads-predecessors",
@@ -161,11 +161,11 @@ MUTANTS = (
         ("tests/test_io.py",),
     ),
     Mutant(
-        "laplacian-overflow-fallback-dropped",
-        "graph.py",
-        "            except OverflowError:\n                values = [scalar(",
-        "            except ZeroDivisionError:\n                values = [scalar(",
-        ("tests/test_graph.py",),
+        "scalar-overflow-to-zero",
+        "matrix.py",
+        "        return math.inf if value > 0 else -math.inf\n",
+        "        return 0.0\n",
+        ("tests/test_matrix.py", "tests/test_graph.py"),
     ),
 )
 
