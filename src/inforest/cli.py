@@ -338,7 +338,3 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
@@ -88,20 +88,6 @@ def _parsed_graph(
         raise
 
 
-def _raise_arc_error(tokens: list[str], line_no: int, read_weight) -> NoReturn:
-    """Raise the error of the first bad field of an arc line: the tail,
-    the head, then the weight."""
-    for token in tokens[:2]:
-        try:
-            int(token)  # range checks happen at graph construction
-        except ValueError as exc:
-            raise GraphFormatError(f"line {line_no}: bad vertex {token!r}") from exc
-    try:
-        read_weight(tokens[2])
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"line {line_no}: {exc}") from exc
-
-
 def parse_graph_text(text: str) -> ParsedGraph:
     header = None
     n = 0
@@ -116,12 +102,20 @@ def parse_graph_text(text: str) -> ParsedGraph:
         if not tokens or tokens[0][0] == "#":
             continue
         if header is not None and len(tokens) == 3:
-            # An arc line: one try for its three fields. Only when it fails
-            # are they read again one by one, to name the first bad one.
+            # An arc line; range checks happen at graph construction.
             try:
-                entries.append((int(tokens[0]) - 1, int(tokens[1]) - 1, read_weight(tokens[2])))
-            except (ValueError, GraphFormatError):
-                _raise_arc_error(tokens, line_no, read_weight)
+                tail = int(tokens[0]) - 1
+            except ValueError as exc:
+                raise GraphFormatError(f"line {line_no}: bad vertex {tokens[0]!r}") from exc
+            try:
+                head = int(tokens[1]) - 1
+            except ValueError as exc:
+                raise GraphFormatError(f"line {line_no}: bad vertex {tokens[1]!r}") from exc
+            try:
+                weight = read_weight(tokens[2])
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {line_no}: {exc}") from exc
+            entries.append((tail, head, weight))
             line_numbers.append(line_no)
             continue
         if header is None:
@@ -165,11 +159,15 @@ def parse_graph_json(text: str) -> ParsedGraph:
     entries = []
     read_weight = functools.cache(parse_weight)  # as in parse_graph_text
     for number, item in enumerate(payload["arcs"], start=1):
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise GraphFormatError(f"bad arc entry {item!r}")
+        if not isinstance(item, list) or len(item) != 3:
+            raise GraphFormatError(f"arc {number} is not a [tail, head, weight] array")
         tail, head, weight = item
         if not (_is_int(tail) and _is_int(head)):
-            raise GraphFormatError(f"bad arc endpoints in {item!r}")
+            raise GraphFormatError(f"arc {number} has endpoints that are not integers")
+        # Numbers arrive as their text or as ints; a literal, an array or
+        # an object is named as the file spells it.
+        if not (isinstance(weight, str) or _is_int(weight)):
+            raise GraphFormatError(f"bad weight {json.dumps(weight)} (arc {number})")
         try:
             weight = read_weight(str(weight))
         except GraphFormatError as exc:

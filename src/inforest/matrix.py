@@ -168,8 +168,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, order: int, mode: str = EXACT) -> "Matrix":
-        zero = 0 if mode == EXACT else scalar(0, mode)
-        return cls._wrap([[zero] * order for _ in range(order)], mode)
+        return cls.identity(order, mode).scaled(0)
 
     @classmethod
     def identity(cls, order: int, mode: str = EXACT) -> "Matrix":

@@ -55,11 +55,7 @@ def choose_epsilon(graph: MultiDigraph) -> Fraction:
     as the weights are. Arcless graphs put no constraint on eps, so 1 is
     returned by convention.
     """
-    return _midpoint(graph.max_out_weight())
-
-
-def _midpoint(heaviest: Fraction) -> Fraction:
-    return Fraction(1, 2) / heaviest if heaviest else Fraction(1)
+    return _walk(graph, None, EXACT).eps
 
 
 class _Walk(NamedTuple):
@@ -74,8 +70,9 @@ class _Walk(NamedTuple):
 
 
 def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
-    """The walk parameter, :func:`choose_epsilon` when ``eps`` is None,
-    checked and converted to a scalar of ``mode``.
+    """The walk parameter, checked and converted to a scalar of ``mode``.
+    When ``eps`` is None it is the default of :func:`choose_epsilon`, whose
+    one home this is.
 
     The range ``0 < eps`` and ``eps * max out-weight < 1`` (strictly) is
     tested first, exactly, as the weights are, and so that NaN and infinity
@@ -87,7 +84,7 @@ def _walk(graph: MultiDigraph, eps: Optional[EpsilonValue], mode: str) -> _Walk:
     """
     heaviest = graph.max_out_weight()
     if eps is None:
-        eps = _midpoint(heaviest)
+        eps = Fraction(1, 2) / heaviest if heaviest else Fraction(1)
     if not eps > 0:
         raise EpsilonOutOfRangeError(f"epsilon must be positive, got {format_for_message(eps)}")
     if not (eps < math.inf and scalar(eps, EXACT) * heaviest < 1):
@@ -384,11 +381,6 @@ def _tail_bound(graph: MultiDigraph, walk: _Walk, series: SeriesSum, mode: str) 
     return bound if mode == EXACT else math.nextafter(float(bound), math.inf)
 
 
-def _closed(graph: MultiDigraph, walk: _Walk, mode: str) -> Matrix:
-    """Route weights in closed form, ``(1 + 1/eps) Q``, for a checked walk."""
-    return forest_matrices(graph, mode).proximity.scaled(1 + 1 / walk.scalar)
-
-
 def closed_route_matrix(
     graph: MultiDigraph, eps: Optional[EpsilonValue] = None, mode: str = EXACT
 ) -> Matrix:
@@ -397,7 +389,8 @@ def closed_route_matrix(
     That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
-    return _closed(graph, _walk(graph, eps, mode), mode)
+    weight = 1 + 1 / _walk(graph, eps, mode).scalar
+    return forest_matrices(graph, mode).proximity.scaled(weight)
 
 
 @dataclass(frozen=True)
@@ -446,18 +439,18 @@ def route_decomposition(
     """
     for v in (start, via, end):
         graph.check_vertex(v)
-    walk = _walk(graph, eps, mode)
-    full = _closed(graph, walk, mode)
+    weight = 1 + 1 / _walk(graph, eps, mode).scalar
+    full = forest_matrices(graph, mode).proximity
     degenerate = via in (start, end)
     if degenerate:
         avoiding = scalar(0, mode)
     else:
         cut = MultiDigraph(graph.n, [arc for arc in graph.arcs if arc.tail != via])
-        avoiding = _closed(cut, walk, mode)[start, end]
-    start_via = full[start, via]
-    via_via = full[via, via]
-    via_end = full[via, end]
-    start_end = full[start, end]
+        avoiding = forest_matrices(cut, mode).proximity[start, end] * weight
+    start_via = full[start, via] * weight
+    via_via = full[via, via] * weight
+    via_end = full[via, end] * weight
+    start_end = full[start, end] * weight
     return RouteDecomposition(
         start=start,
         via=via,

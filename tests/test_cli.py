@@ -4,11 +4,13 @@ import ast
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,9 @@ from inforest.cli import run
 
 PATH_FILE = "digraph 3\n1 2 1\n2 3 1\n"
 TRIANGLE_FILE = "digraph 3\n1 2 1\n1 3 1\n2 3 1\n"
+# A child interpreter imports the package these tests import, whether or
+# not the calling shell sets PYTHONPATH.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(inforest.cli.__file__).parents[1]))
 
 
 @pytest.fixture
@@ -439,8 +444,9 @@ def test_loop_arc_file_is_input_error(tmp_path, capsys):
             '{"n": 3, "arcs": [[1, 2, "1"], [2, 3, "x"]]}',
             "error:format: bad weight 'x' (arc 2)\n",
         ),
+        ('{"n": 2, "arcs": [[1, 2, true]]}', "error:format: bad weight true (arc 1)\n"),
     ],
-    ids=["text-loop", "json-loop", "zero-weight", "text-weight", "json-weight"],
+    ids=["text-loop", "json-loop", "zero-weight", "text-weight", "json-weight", "json-literal"],
 )
 def test_arc_errors_name_the_file_vertex_and_place(tmp_path, capsys, text, error):
     source = tmp_path / "bad.graph"
@@ -479,6 +485,7 @@ def test_console_entry_point_smoke(tmp_path):
         [sys.executable, "-m", "inforest", "verify", "--input", str(source)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("triples=27")
@@ -528,6 +535,7 @@ def test_closed_stdout_pipe_exits_quietly(path_file):
         [sys.executable, "-m", "inforest", "forest", "--input", path_file],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     # The reader goes away before the first write, as "| head -c 0" would.
     process.stdout.close()
@@ -558,7 +566,11 @@ print(repr(steps))
 
 def test_commands_load_only_the_modules_they_run(path_file):
     result = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, path_file], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", MODULE_PROBE, path_file],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
     steps = ast.literal_eval(result.stdout.splitlines()[-1])

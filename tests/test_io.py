@@ -121,6 +121,32 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
             GraphFormatError,
             "bad weight 'x' (arc 2)",
         ),
+        # JSON values are spelled as in the file, arc entries by number.
+        ('{"n": 2, "arcs": [[1, 2, true]]}', GraphFormatError, "bad weight true (arc 1)"),
+        ('{"n": 2, "arcs": [[1, 2, false]]}', GraphFormatError, "bad weight false (arc 1)"),
+        ('{"n": 2, "arcs": [[1, 2, null]]}', GraphFormatError, "bad weight null (arc 1)"),
+        ('{"n": 2, "arcs": [[1, 2, [1]]]}', GraphFormatError, "bad weight [1] (arc 1)"),
+        ('{"n": 2, "arcs": [[1, 2, {"a": 1}]]}', GraphFormatError, 'bad weight {"a": 1} (arc 1)'),
+        (
+            '{"n": 2, "arcs": [null]}',
+            GraphFormatError,
+            "arc 1 is not a [tail, head, weight] array",
+        ),
+        (
+            '{"n": 2, "arcs": [[1, 2]]}',
+            GraphFormatError,
+            "arc 1 is not a [tail, head, weight] array",
+        ),
+        (
+            '{"n": 2, "arcs": [{"a": 1}]}',
+            GraphFormatError,
+            "arc 1 is not a [tail, head, weight] array",
+        ),
+        (
+            '{"n": 2, "arcs": [[true, 2, "1"]]}',
+            GraphFormatError,
+            "arc 1 has endpoints that are not integers",
+        ),
     ],
     ids=[
         "text-loop",
@@ -129,6 +155,15 @@ def test_endpoint_out_of_range_is_named_as_in_the_file(text, message):
         "endpoint-first",
         "text-weight",
         "json-weight",
+        "json-true",
+        "json-false",
+        "json-null",
+        "json-array-weight",
+        "json-object-weight",
+        "json-null-entry",
+        "json-short-entry",
+        "json-object-entry",
+        "json-bool-endpoint",
     ],
 )
 def test_arc_errors_are_named_as_in_the_file(text, error, message):

@@ -154,11 +154,32 @@ MUTANTS = (
         ("tests/test_io.py",),
     ),
     Mutant(
-        "parser-diagnostic-rerun-skipped",
+        "arc-line-head-names-the-tail",
         "io.py",
-        "                _raise_arc_error(tokens, line_no, read_weight)",
-        "                raise",
+        "bad vertex {tokens[1]!r}",
+        "bad vertex {tokens[0]!r}",
         ("tests/test_io.py",),
+    ),
+    Mutant(
+        "json-weight-type-check-dropped",
+        "io.py",
+        "        if not (isinstance(weight, str) or _is_int(weight)):\n",
+        "        if False:\n",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "decomposition-avoiding-weight-dropped",
+        "routes.py",
+        "proximity[start, end] * weight",
+        "proximity[start, end]",
+        ("tests/test_routes.py",),
+    ),
+    Mutant(
+        "decomposition-start-end-weight-dropped",
+        "routes.py",
+        "    start_end = full[start, end] * weight\n",
+        "    start_end = full[start, end]\n",
+        ("tests/test_routes.py",),
     ),
     Mutant(
         "scalar-overflow-to-zero",
