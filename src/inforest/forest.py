@@ -29,11 +29,14 @@ joins the elimination at step k, the first step that changes it; before
 that it is a multiple of the k-th unit vector, which no step needs to
 update.
 
-The steps go in blocks of four. A row's entry takes the same operations in
-the same order as in four passes of one step each, so every value is the
-one the one-step elimination gives; what the block saves is the
-interpreter's work per entry and pass, which in pure Python costs more
-than the arithmetic.
+The steps go in blocks of four. In float mode a row's entry takes the same
+operations in the same order as in four passes of one step each, so every
+value is the one the one-step elimination gives; what the block saves is
+the interpreter's work per entry and pass, which in pure Python costs more
+than the arithmetic. In exact mode Sylvester's identity, the result that
+makes Bareiss's divisions exact, gives an entry's value after the block's
+four steps with one division instead of four; exact integers are unique,
+so every value is again the one the one-step elimination gives.
 """
 
 from __future__ import annotations
@@ -88,18 +91,36 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
 
     The steps go in blocks of four, k to k + 3. The block's pivot rows take
     its steps one at a time: step k + j updates the other three after
-    pivot k + j is read. Every other row then finds its four factors in
-    turn, the factor of step k + j being its column k + j after the
-    block's first j steps, and takes one pass over its tail:
-    ``x - g0*y0 - g1*y1 - g2*y2 - g3*y3`` in float mode, four nested
-    Bareiss divisions in exact mode. Each entry takes the same operations
-    in the same order as in four passes; the columns of ``c I`` that join
-    within the block, still 0 on those rows, take the earlier steps' terms
-    too, which leaves them 0 (``0.0 - g * 0.0`` is ``0.0`` for a finite
-    g). A float row with a zero factor takes the block's steps one at a
-    time, and so skips those steps as a lone step does; that keeps the
-    operations the same where a pivot row holds an infinity, and saves
-    the pass on sparse rows. The last ``n mod 4`` steps run alone.
+    pivot k + j is read. Every other row then takes one pass over its
+    tail, from column k + 4 on.
+
+    In exact mode that pass is one division. Let ``q`` be the pivot before
+    the block, ``p3`` the block's last pivot, ``a`` the row's entries in
+    columns k to k + 3 before the block, and ``U`` the block's four pivot
+    rows from column k + 4 on after the block's steps. Bareiss's value
+    after step k + 3 is ``(p3*x - a0*U0 - a1*U1 - a2*U2 - a3*U3) // q``.
+    Proof: let ``B`` and ``T`` be the block's pivot rows before the block,
+    in columns k to k + 3 and from k + 4 on. The steps are row operations
+    that turn ``[B | T]`` into ``[p3 I | U]``, so ``U = p3 B^-1 T``, and
+    ``det B = q^3 p3`` by Sylvester's identity (``p3`` is ``B``'s last
+    entry after three steps). So the bordered determinant is
+    ``det [[B, T], [a, x]] = det B (x - a B^-1 T) = q^3 (p3*x - a.U)``,
+    and by Sylvester's identity again Bareiss's value after four steps is
+    that determinant over ``q^4``. The columns of ``c I`` that join within
+    the block obey it too: they are 0 on the row, as in the one-step
+    elimination, and ``U`` holds the values that elimination gives there.
+
+    In float mode the row finds its four factors in turn, the factor of
+    step k + j being its column k + j after the block's first j steps, and
+    its pass is ``x - g0*y0 - g1*y1 - g2*y2 - g3*y3``. Each entry takes the
+    same operations in the same order as in four passes; the columns of
+    ``c I`` that join within the block, still 0 on those rows, take the
+    earlier steps' terms too, which leaves them 0 (``0.0 - g * 0.0`` is
+    ``0.0`` for a finite g). A float row with a zero factor takes the
+    block's steps one at a time, and so skips those steps as a lone step
+    does; that keeps the operations the same where a pivot row holds an
+    infinity, and saves the pass on sparse rows. The last ``n mod 4``
+    steps run alone in both modes.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -159,19 +180,17 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
             continue
         (_, p0, q, t0), (_, p1, _, t1), (_, p2, _, t2), (_, p3, _, t3) = steps
         u0, u1, u2 = t0[3:], t1[2:], t2[1:]  # from column end on, as t3
+        if exact:
+            reduced = [pivot_row[end:] for pivot_row in block]
+            for row in others:
+                a0, a1, a2, a3 = row[k:end]
+                row[end:] = [
+                    (p3 * x - a0 * y0 - a1 * y1 - a2 * y2 - a3 * y3) // q
+                    for x, y0, y1, y2, y3 in zip(row[end:], *reduced)
+                ]
+            continue
         for row in others:
             f0, a1, a2, a3 = row[k:end]
-            if exact:
-                f1 = (p0 * a1 - f0 * t0[0]) // q
-                f2 = (p1 * ((p0 * a2 - f0 * t0[1]) // q) - f1 * t1[0]) // p0
-                f3 = (p2 * ((p1 * ((p0 * a3 - f0 * t0[2]) // q) - f1 * t1[1]) // p0)
-                      - f2 * t2[0]) // p1
-                row[end:] = [
-                    (p3 * ((p2 * ((p1 * ((p0 * x - f0 * y0) // q) - f1 * y1) // p0)
-                            - f2 * y2) // p1) - f3 * y3) // p2
-                    for x, y0, y1, y2, y3 in zip(row[end:], u0, u1, u2, t3)
-                ]
-                continue
             g0 = f0 / p0
             f1 = a1 - g0 * t0[0]
             g1 = f1 / p1

@@ -26,7 +26,7 @@ from inforest import (
 )
 from inforest.forest import _forest_solve
 from inforest.matrix import common_denominator
-from tests.helpers import CORPUS_SEED, corpus, random_undirected
+from tests.helpers import CORPUS_SEED, corpus, dag_graph, random_undirected
 
 
 def _reference(graph):
@@ -90,6 +90,17 @@ def test_solver_on_arcless_graph_and_smallest_graph():
     assert forests.total_weight == 1 + Fraction(2, 3) + 5
 
 
+def _rational_graph(n, seed, arcs):
+    """Seeded exact graph on ``n`` vertices with ``arcs`` arcs drawn with
+    repeats, so some are parallel, weighted p/q with p in 1..9, q in 1..12."""
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(arcs):
+        tail, head = rng.sample(range(n), 2)
+        drawn.append((tail, head, Fraction(rng.randint(1, 9), rng.randint(1, 12))))
+    return MultiDigraph(n, drawn)
+
+
 def _full_block_solve(laplacian):
     """The elimination of ``[c(I + L) | c I | s]`` one step at a time, with
     every column of ``c I`` updated at every step, as in the solver before
@@ -142,6 +153,11 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         graphs.append(MultiDigraph(9, [(u, v, Fraction(u + 1, 3)) for u in range(9) if u != v]))
     dag = [(u, v, Fraction(rng.randint(1, 5), 3)) for u in range(12) for v in range(u + 1, 12)]
     graphs.append(MultiDigraph(12, [arc for arc in dag if rng.random() < 0.3]))
+    # Rational graphs of every density, whose exact blocks divide once.
+    graphs += [
+        _rational_graph(n, rng.randrange(2**32), rng.randint(0, n * n))
+        for n in (rng.randint(2, 13) for _ in range(40))
+    ]
     # Weights at both ends of the double range, in blocks of four.
     graphs.append(MultiDigraph(6, [(0, 1, 1e308), (1, 2, 1), (5, 3, 1e308), (4, 1, 1), (2, 5, 1)]))
     graphs.append(MultiDigraph(6, [(0, 1, 1e-300), (5, 2, 1e-300), (4, 0, 1), (3, 5, 1e-300)]))
@@ -166,10 +182,19 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         assert repr(solved) == repr(expected)
 
 
+# Orders 8 to 11 take two blocks of four and then every number of lone
+# steps. The one-sink graph and the DAG have rows whose four factors of a
+# block are 0, which the exact update still scales by p3 / q.
 @pytest.mark.parametrize(
     "graph",
-    [MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, Fraction(5, 4))]), MultiDigraph(4, [])],
-    ids=["n2", "arcless"],
+    [
+        MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, Fraction(5, 4))]),
+        MultiDigraph(4, []),
+        *(_rational_graph(n, CORPUS_SEED + n, 3 * n) for n in (8, 9, 10, 11)),
+        MultiDigraph(10, [arc for arc in _rational_graph(10, 7, 40).arcs if arc.tail != 0]),
+        dag_graph(12, 0.3),
+    ],
+    ids=["n2", "arcless", "rational8", "rational9", "rational10", "rational11", "one-sink", "dag"],
 )
 def test_exact_solve_is_the_scaled_determinant_and_adjugate(graph):
     pivots, c, weights = _forest_solve(graph.laplacian(EXACT))
@@ -178,6 +203,10 @@ def test_exact_solve_is_the_scaled_determinant_and_adjugate(graph):
     scale = c**graph.n
     assert pivots[-1] == scale * total
     assert Matrix(weights) == invert(shifted).scaled(scale * total)
+    if graph.n >= 8:
+        # Mixed denominators, and parallel arcs in all but the DAG.
+        pairs = [(arc.tail, arc.head) for arc in graph.arcs]
+        assert c > 1 and (len(set(pairs)) < len(pairs) or graph.n == 12)
 
 
 def test_solver_rejects_a_nonpositive_pivot():

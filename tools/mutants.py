@@ -147,6 +147,20 @@ MUTANTS = (
         ("tests/test_solver.py",),
     ),
     Mutant(
+        "block-divides-by-first-pivot",
+        "forest.py",
+        "a3 * y3) // q\n",
+        "a3 * y3) // p0\n",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "block-reads-partial-tails",
+        "forest.py",
+        "reduced = [pivot_row[end:] for pivot_row in block]",
+        "reduced = [u0, u1, u2, t3]",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
         "format-graph-sorts-whole-arcs",
         "io.py",
         "sorted(graph.arcs, key=lambda arc: (arc.tail, arc.head))",
