@@ -29,14 +29,21 @@ joins the elimination at step k, the first step that changes it; before
 that it is a multiple of the k-th unit vector, which no step needs to
 update.
 
-The steps go in blocks of four. In float mode a row's entry takes the same
-operations in the same order as in four passes of one step each, so every
-value is the one the one-step elimination gives; what the block saves is
-the interpreter's work per entry and pass, which in pure Python costs more
-than the arithmetic. In exact mode Sylvester's identity, the result that
-makes Bareiss's divisions exact, gives an entry's value after the block's
-four steps with one division instead of four; exact integers are unique,
-so every value is again the one the one-step elimination gives.
+The first ``n mod 4`` steps run alone and the rest go in blocks of four.
+In float mode a row's entry takes the same operations in the same order as
+in four passes of one step each, so every value is the one the one-step
+elimination gives; what the block saves is the interpreter's work per
+entry and pass, which in pure Python costs more than the arithmetic. In
+exact mode Sylvester's identity, the result that makes Bareiss's divisions
+exact, gives an entry's value after the block's four steps with one
+division instead of four; exact integers are unique, so every value is
+again the one the one-step elimination gives. Each step of a block first
+goes only to the block's later rows. A pivot row, after its own step,
+is then one of the other rows of the run of the block's later steps, whose
+previous pivot is its own; so the identity gives its value after the block
+with one division by that pivot, and rows k + 2, k + 1 and k take their
+passes in that order. The lone steps come first, where Bareiss's
+integers are smallest, since each costs a division per entry.
 """
 
 from __future__ import annotations
@@ -89,10 +96,10 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     in float mode, and 0 on every other row. So it joins the right block
     only at step k, with that value, and no earlier step updates it.
 
-    The steps go in blocks of four, k to k + 3. The block's pivot rows take
-    its steps one at a time: step k + j updates the other three after
-    pivot k + j is read. Every other row then takes one pass over its
-    tail, from column k + 4 on.
+    The first ``n mod 4`` steps run alone; the others go in blocks of four,
+    k to k + 3. Step k + j updates only the block's later rows once pivot
+    k + j is read. Every other row then takes one pass over its tail, from
+    column k + 4 on, and so do the block's first three rows, as below.
 
     In exact mode that pass is one division. Let ``q`` be the pivot before
     the block, ``p3`` the block's last pivot, ``a`` the row's entries in
@@ -110,6 +117,17 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     the block obey it too: they are 0 on the row, as in the one-step
     elimination, and ``U`` holds the values that elimination gives there.
 
+    The same proof holds for a run of s steps, with ``q^(s-1)`` and
+    ``q^s``. Pivot row k + l has taken steps k to k + l - 1 when its
+    pivot is read, and its own step leaves it as it is. So it is one of the
+    other rows of the run of steps k + l + 1 to k + 3, whose previous pivot
+    is ``p_l``, and its value after the block is
+    ``(p3*x - sum of a_m*U_m over m > l) // p_l``. That run's pivot rows
+    are the block's later rows as the forward steps left them, and its
+    ``U`` is their tails after the whole block; so rows k + 2, k + 1 and
+    k take their passes in that order. Row k + 2's pass is its lone step
+    k + 3.
+
     In float mode the row finds its four factors in turn, the factor of
     step k + j being its column k + j after the block's first j steps, and
     its pass is ``x - g0*y0 - g1*y1 - g2*y2 - g3*y3``. Each entry takes the
@@ -119,8 +137,15 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     ``0.0`` for a finite g). A float row with a zero factor takes the
     block's steps one at a time, and so skips those steps as a lone step
     does; that keeps the operations the same where a pivot row holds an
-    infinity, and saves the pass on sparse rows. The last ``n mod 4``
-    steps run alone in both modes.
+    infinity, and saves the pass on sparse rows. The block's first three
+    rows take their later steps one at a time after the block's pivots,
+    with the tails each step read, which are the values they took before.
+
+    The lone steps come first because Bareiss's integers grow with the
+    step: pivot k is ``D^(k+1)`` times a leading minor of ``I + L``. A
+    lone step costs one division per entry and a block one per four
+    steps, so the lone steps take the smallest integers; in float mode
+    the steps, and so every value, are the same in any grouping.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -157,7 +182,7 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
             row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
 
     previous = 1
-    blocks = [(k, 4) for k in range(0, n - 3, 4)] + [(k, 1) for k in range(n - n % 4, n)]
+    blocks = [(k, 1) for k in range(n % 4)] + [(k, 4) for k in range(n % 4, n, 4)]
     for k, size in blocks:
         end = k + size
         extra = [zero] * size
@@ -168,9 +193,8 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
         for j, pivot_row in enumerate(block):
             pivot = pivot_of(k + j, previous)
             steps.append((k + j, pivot, previous, pivot_row[k + j + 1 :]))
-            for row in block:
-                if row is not pivot_row:
-                    step(row, *steps[-1])
+            for row in block[j + 1 :]:
+                step(row, *steps[-1])
             if exact:
                 previous = pivot
         others = rows[:k] + rows[end:]
@@ -179,8 +203,20 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                 step(row, *steps[0])
             continue
         (_, p0, q, t0), (_, p1, _, t1), (_, p2, _, t2), (_, p3, _, t3) = steps
-        u0, u1, u2 = t0[3:], t1[2:], t2[1:]  # from column end on, as t3
         if exact:
+            # Rows k + 2, k + 1 and k, in that order, take the block's later
+            # steps in one division by their own pivot.
+            b0, b1, b2, _ = block
+            step(b2, *steps[3])
+            a2, a3 = b1[k + 2 : end]
+            b1[end:] = [
+                (p3 * x - a2 * y2 - a3 * y3) // p1 for x, y2, y3 in zip(b1[end:], b2[end:], t3)
+            ]
+            a1, a2, a3 = b0[k + 1 : end]
+            b0[end:] = [
+                (p3 * x - a1 * y1 - a2 * y2 - a3 * y3) // p0
+                for x, y1, y2, y3 in zip(b0[end:], b1[end:], b2[end:], t3)
+            ]
             reduced = [pivot_row[end:] for pivot_row in block]
             for row in others:
                 a0, a1, a2, a3 = row[k:end]
@@ -189,6 +225,10 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                     for x, y0, y1, y2, y3 in zip(row[end:], *reduced)
                 ]
             continue
+        for l, row in enumerate(block):
+            for args in steps[l + 1 :]:
+                step(row, *args)
+        u0, u1, u2 = t0[3:], t1[2:], t2[1:]  # from column end on, as t3
         for row in others:
             f0, a1, a2, a3 = row[k:end]
             g0 = f0 / p0

@@ -101,6 +101,18 @@ def _rational_graph(n, seed, arcs):
     return MultiDigraph(n, drawn)
 
 
+# Orders 13 to 15 run one to three lone steps and then three blocks of
+# four. The DAG's rows have entries right of the diagonal only, so a step
+# leaves a later row's zeros as zeros: its pivot rows keep the zeros of
+# their later block columns. The sink, vertex 2, is the first pivot row of
+# the one-sink graph's first block, and all its later block columns are 0.
+LONE_STEPS_FIRST = [
+    dag_graph(13, 0.3),
+    MultiDigraph(14, [arc for arc in _rational_graph(14, 3, 60).arcs if arc.tail != 2]),
+    _rational_graph(15, CORPUS_SEED + 15, 40),
+]
+
+
 def _full_block_solve(laplacian):
     """The elimination of ``[c(I + L) | c I | s]`` one step at a time, with
     every column of ``c I`` updated at every step, as in the solver before
@@ -143,9 +155,10 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
     rng = random.Random(CORPUS_SEED)
     arcs = [(u, v, rng.randint(1, 5)) for u in range(40) for v in range(u + 1, 40)]
     graphs += [path_graph(40), MultiDigraph(40, [arc for arc in arcs if rng.random() < 0.05])]
-    # The solver takes its steps in blocks of four: every order mod 4, so
-    # that zero to three last steps run alone.
+    # The solver runs n mod 4 lone steps and then blocks of four: every
+    # order mod 4, so that zero to three first steps run alone.
     graphs += [random_graph(n, 4) for n in (2, 3, 4, 5, 6, 7, 9)] + [random_graph(31, 2)]
+    graphs += LONE_STEPS_FIRST
     # Stars into each vertex of the first block and a DAG, where a step of
     # a block has factor 0 on some rows and the others do not.
     graphs.append(MultiDigraph(9, [(v, 0, Fraction(v, 3)) for v in range(1, 9)]))
@@ -182,8 +195,8 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         assert repr(solved) == repr(expected)
 
 
-# Orders 8 to 11 take two blocks of four and then every number of lone
-# steps. The one-sink graph and the DAG have rows whose four factors of a
+# Orders 8 to 11 take every number of lone steps and then two blocks of
+# four. The one-sink graphs and the DAGs have rows whose four factors of a
 # block are 0, which the exact update still scales by p3 / q.
 @pytest.mark.parametrize(
     "graph",
@@ -193,8 +206,12 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         *(_rational_graph(n, CORPUS_SEED + n, 3 * n) for n in (8, 9, 10, 11)),
         MultiDigraph(10, [arc for arc in _rational_graph(10, 7, 40).arcs if arc.tail != 0]),
         dag_graph(12, 0.3),
+        *LONE_STEPS_FIRST,
     ],
-    ids=["n2", "arcless", "rational8", "rational9", "rational10", "rational11", "one-sink", "dag"],
+    ids=[
+        *("n2", "arcless", "rational8", "rational9", "rational10", "rational11"),
+        *("one-sink", "dag", "dag13", "one-sink14", "rational15"),
+    ],
 )
 def test_exact_solve_is_the_scaled_determinant_and_adjugate(graph):
     pivots, c, weights = _forest_solve(graph.laplacian(EXACT))
@@ -204,9 +221,9 @@ def test_exact_solve_is_the_scaled_determinant_and_adjugate(graph):
     assert pivots[-1] == scale * total
     assert Matrix(weights) == invert(shifted).scaled(scale * total)
     if graph.n >= 8:
-        # Mixed denominators, and parallel arcs in all but the DAG.
+        # Mixed denominators, and parallel arcs in all but the DAGs.
         pairs = [(arc.tail, arc.head) for arc in graph.arcs]
-        assert c > 1 and (len(set(pairs)) < len(pairs) or graph.n == 12)
+        assert c > 1 and (len(set(pairs)) < len(pairs) or graph.n in (12, 13))
 
 
 def test_solver_rejects_a_nonpositive_pivot():

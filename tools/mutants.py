@@ -157,7 +157,21 @@ MUTANTS = (
         "block-reads-partial-tails",
         "forest.py",
         "reduced = [pivot_row[end:] for pivot_row in block]",
-        "reduced = [u0, u1, u2, t3]",
+        "reduced = [t0[3:], t1[2:], t2[1:], t3]",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "pivot-row-pass-divides-by-q",
+        "forest.py",
+        "a3 * y3) // p0\n",
+        "a3 * y3) // q\n",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "pivot-row-pass-reads-early-tail",
+        "forest.py",
+        "zip(b0[end:], b1[end:], b2[end:], t3)",
+        "zip(b0[end:], b1[end:], t2[1:], t3)",
         ("tests/test_solver.py",),
     ),
     Mutant(
