@@ -29,28 +29,25 @@ joins the elimination at step k, the first step that changes it; before
 that it is a multiple of the k-th unit vector, which no step needs to
 update.
 
-The first ``n mod 4`` steps run alone and the rest go in blocks of four.
-In float mode a row's entry takes the same operations in the same order as
-in four passes of one step each, so every value is the one the one-step
-elimination gives; what the block saves is the interpreter's work per
-entry and pass, which in pure Python costs more than the arithmetic. In
-exact mode Sylvester's identity, the result that makes Bareiss's divisions
-exact, gives an entry's value after the block's four steps with one
-division instead of four; exact integers are unique, so every value is
-again the one the one-step elimination gives. Each step of a block first
-goes only to the block's later rows. A pivot row, after its own step,
-is then one of the other rows of the run of the block's later steps, whose
-previous pivot is its own; so the identity gives its value after the block
-with one division by that pivot, and rows k + 2, k + 1 and k take their
-passes in that order. The lone steps come first, where Bareiss's
-integers are smallest, since each costs a division per entry.
+The steps go in blocks of up to 16 in exact mode and 4 in float mode, and
+a block of s steps runs as two halves of s/2, each half's rows taking the
+other half's steps in one pass. In float mode a row's entry takes the same
+operations in the same order as in one pass per step, so every value is
+the one the one-step elimination gives; what a pass of several steps saves
+is the interpreter's work per entry and pass, which in pure Python costs
+more than the arithmetic. In exact mode Sylvester's identity, the result
+that makes Bareiss's divisions exact, gives an entry's value after a run
+of s steps with one division instead of s; exact integers are unique, so
+every value is again the one the one-step elimination gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InconsistentWithTheoremError
 from .graph import MultiDigraph
@@ -79,7 +76,56 @@ class ForestMatrices:
     __repr__ = record_repr
 
 
-def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[float]]]:
+@cache
+def _row_pass(width: int, exact: bool) -> Callable[..., None]:
+    """``row_pass(targets, rows, k, q, pivots, tails, steps)``, by which each
+    row of ``targets`` takes the ``width`` steps from k in one pass.
+
+    ``x`` runs over the row from column k + width on. In exact mode the
+    pass is ``(p*x - a0*u0 - a1*u1 - ...) // q``, ``p`` the last of the
+    steps' pivots, ``a`` the row's entries in their columns and ``u`` their
+    pivot rows in ``rows``, from the same column on. In float mode the row
+    finds its factors ``g`` in turn from ``pivots`` and the pivot rows'
+    ``tails`` as their steps read them, and the pass is
+    ``x - g0*u0 - g1*u1 - ...``, ``u`` those tails from the same column on,
+    or ``steps`` when a factor is 0.
+    The comprehension is written out for its width, as the generic forms
+    cost the interpreter more per entry than the arithmetic; the source is
+    built here once per width and mode.
+    """
+    m = range(width)
+    a, u, y = ("".join(f"{v}{j}, " for j in m) for v in "auy")
+    head = ["def row_pass(targets, rows, k, q, pivots, tails, steps):", f"end = k + {width}"]
+    if exact:
+        head += ["p = pivots[end - 1]", *(f"u{j} = rows[k + {j}][end:]" for j in m)]
+        terms = "".join(f" - a{j} * y{j}" for j in m)
+        body = [f"row[end:] = [(p * x{terms}) // q for x, {y}in zip(row[end:], {u})]"]
+    else:
+        head += [f"p{j}, t{j} = pivots[k + {j}], tails[k + {j}]" for j in m]
+        head += [f"u{j} = t{j}[{width - 1 - j}:]" for j in m]
+        body = []
+        for j in m:
+            if j:  # the row's column k + j after the pass's earlier steps
+                chain = "".join(f" - g{i} * t{i}[{j - i - 1}]" for i in range(j))
+                body.append(f"a{j} = a{j}{chain}")
+            body.append(f"g{j} = a{j} / p{j}")
+        terms = "".join(f" - g{j} * y{j}" for j in m)
+        body += [
+            f"if {' and '.join(f'a{j}' for j in m)}:",
+            f"    row[end:] = [x{terms} for x, {y}in zip(row[end:], {u})]",
+            "else:",
+            "    steps(row, k, end)",
+        ]
+    lines = [head[0], *("    " + line for line in head[1:]), "    for row in targets:"]
+    lines += ["        " + line for line in [f"{a}= row[k:end]", *body]]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["row_pass"]
+
+
+def _forest_solve(
+    laplacian: Matrix,
+) -> tuple[list[int], int, list[list[int]]] | tuple[list[float], float, list[list[float]]]:
     """``(pivots, c, R)`` from eliminating ``[c(I + L) | s | c I]``.
 
     ``c`` is ``D``, the scale of the exact Laplacian's integer rows, in
@@ -89,63 +135,75 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     (GTH), positive by construction. In exact mode, where every update is
     Bareiss's exact division, it must equal the eliminated diagonal, else
     the matrix is no ``I + L``; the last pivot is then ``D^n f`` and ``R``
-    is ``D^n F``. In float mode ``R_k / pivot_k`` is row k of ``Q``.
+    is ``D^n F``, all ints. In float mode ``R_k / pivot_k`` is row k of
+    ``Q``.
 
     Column k of ``c I`` is a multiple of the unit vector until step k
     reads it: ``c`` times the previous pivot on row k in exact mode, ``c``
     in float mode, and 0 on every other row. So it joins the right block
-    only at step k, with that value, and no earlier step updates it.
+    only at step k, with that value, and no earlier step updates it. The
+    rows grow by a top-level block's columns of ``c I`` before the block
+    starts, so that every tail a pass reads has the row's length.
 
-    The first ``n mod 4`` steps run alone; the others go in blocks of four,
-    k to k + 3. Step k + j updates only the block's later rows once pivot
-    k + j is read. Every other row then takes one pass over its tail, from
-    column k + 4 on, and so do the block's first three rows, as below.
+    The top-level blocks follow the binary digits of n, smallest first, with
+    the blocks capped at 16 steps in exact mode and at 4 in float mode:
+    n = 30 runs blocks of 2, 4, 8 and 16 steps exact, and of 2 and then
+    seven of 4 float. The block's own rows run its steps, as below, and
+    every other row then takes all of them in one pass.
 
     In exact mode that pass is one division. Let ``q`` be the pivot before
-    the block, ``p3`` the block's last pivot, ``a`` the row's entries in
-    columns k to k + 3 before the block, and ``U`` the block's four pivot
-    rows from column k + 4 on after the block's steps. Bareiss's value
-    after step k + 3 is ``(p3*x - a0*U0 - a1*U1 - a2*U2 - a3*U3) // q``.
-    Proof: let ``B`` and ``T`` be the block's pivot rows before the block,
-    in columns k to k + 3 and from k + 4 on. The steps are row operations
-    that turn ``[B | T]`` into ``[p3 I | U]``, so ``U = p3 B^-1 T``, and
-    ``det B = q^3 p3`` by Sylvester's identity (``p3`` is ``B``'s last
-    entry after three steps). So the bordered determinant is
-    ``det [[B, T], [a, x]] = det B (x - a B^-1 T) = q^3 (p3*x - a.U)``,
-    and by Sylvester's identity again Bareiss's value after four steps is
-    that determinant over ``q^4``. The columns of ``c I`` that join within
-    the block obey it too: they are 0 on the row, as in the one-step
-    elimination, and ``U`` holds the values that elimination gives there.
+    a run of s steps from k, ``p`` its last pivot, ``a`` the row's entries
+    in columns k to k + s - 1 before the run, and ``U`` the run's s pivot
+    rows from column k + s on after the run. Bareiss's value after the run
+    is ``(p*x - a0*U0 - ... - a(s-1)*U(s-1)) // q``. Proof: let ``B`` and
+    ``T`` be the pivot rows before the run, in columns k to k + s - 1 and
+    from k + s on. The steps are row operations that turn ``[B | T]`` into
+    ``[p I | U]``, so ``U = p B^-1 T``, and ``det B = q^(s-1) p`` by
+    Sylvester's identity (``p`` is ``B``'s last entry after s - 1 steps).
+    So the bordered determinant is ``det [[B, T], [a, x]] =
+    det B (x - a B^-1 T) = q^(s-1) (p*x - a.U)``, and by Sylvester's
+    identity again Bareiss's value after the run is that determinant over
+    ``q^s``. The columns of ``c I`` that join within the run obey it too:
+    they are 0 on the row, as in the one-step elimination, and ``U`` holds
+    the values that elimination gives there.
 
-    The same proof holds for a run of s steps, with ``q^(s-1)`` and
-    ``q^s``. Pivot row k + l has taken steps k to k + l - 1 when its
-    pivot is read, and its own step leaves it as it is. So it is one of the
-    other rows of the run of steps k + l + 1 to k + 3, whose previous pivot
-    is ``p_l``, and its value after the block is
-    ``(p3*x - sum of a_m*U_m over m > l) // p_l``. That run's pivot rows
-    are the block's later rows as the forward steps left them, and its
-    ``U`` is their tails after the whole block; so rows k + 2, k + 1 and
-    k take their passes in that order. Row k + 2's pass is its lone step
-    k + 3.
+    A block of s steps runs as two halves of s/2. The first half runs on
+    its own rows; the second half's rows, which have taken the steps
+    before the block, then take the first half's steps in one pass, with
+    ``q`` the block's previous pivot. The second half runs on its rows,
+    with the first half's last pivot as its previous one. A row of the
+    first half has taken every step before the second half when that half
+    starts, its own step leaving it as it is, so it is one of the other
+    rows of the second half's run, whose previous pivot is the first half's
+    last; it takes the second half's steps in one pass with that divisor.
+    By induction on s every row of the block leaves it as Bareiss's
+    elimination leaves it after the block's last step, so the pass of the
+    block's other rows reads ``U`` as the proof above needs it; a block of
+    one step is just its pivot. A block's rows take log2(s) passes each
+    and the block's other rows one; the passes at one level of the halving
+    are as wide as its halves.
 
-    In float mode the row finds its four factors in turn, the factor of
-    step k + j being its column k + j after the block's first j steps, and
-    its pass is ``x - g0*y0 - g1*y1 - g2*y2 - g3*y3``. Each entry takes the
-    same operations in the same order as in four passes; the columns of
-    ``c I`` that join within the block, still 0 on those rows, take the
-    earlier steps' terms too, which leaves them 0 (``0.0 - g * 0.0`` is
-    ``0.0`` for a finite g). A float row with a zero factor takes the
-    block's steps one at a time, and so skips those steps as a lone step
-    does; that keeps the operations the same where a pivot row holds an
-    infinity, and saves the pass on sparse rows. The block's first three
-    rows take their later steps one at a time after the block's pivots,
-    with the tails each step read, which are the values they took before.
+    In float mode a row finds its factors in turn, the factor of step
+    k + j being its column k + j after the pass's first j steps over that
+    step's pivot, each step reading its pivot row's tail as it was when its
+    pivot was read; the pass is then ``x - g0*y0 - g1*y1 - ...``. Each
+    entry takes the same operations in the same order as in one pass per
+    step; the columns of ``c I`` that join within the pass, still 0 on the
+    row, take the earlier steps' terms too, which leaves them 0
+    (``0.0 - g * 0.0`` is ``0.0`` for a finite g). A float row with a zero
+    factor takes the pass's steps one at a time, and so skips those steps as
+    a one-step pass does; that keeps the operations the same where a pivot
+    row holds an infinity, and saves the pass on sparse rows.
 
-    The lone steps come first because Bareiss's integers grow with the
-    step: pivot k is ``D^(k+1)`` times a leading minor of ``I + L``. A
-    lone step costs one division per entry and a block one per four
-    steps, so the lone steps take the smallest integers; in float mode
-    the steps, and so every value, are the same in any grouping.
+    Why 16 and 4. An exact pass costs one product per step and entry and
+    one division per entry, so a wider block trades divisions, the
+    dearest operation on Bareiss's growing integers, for products. A float
+    pass also needs its factor recurrence, O(s^2) products per row. Exact
+    blocks of 32 measured 4% slower than 16 at n = 33 and 7% faster at
+    n = 50; float blocks of 8 measured 10% slower than 4 at n = 16 and 2 to
+    5% faster from n = 30 to 60 (``random_graph`` inputs, 2-vCPU host,
+    Python 3.11). Each wider cap pays only well past the order where it
+    first loses, so the caps stay at 16 and 4.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -154,11 +212,11 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
     rows = [row + [c] for row in left]
     for r, row in enumerate(rows):
         row[r] += c
-    pivots = []
+    pivots, tails = [], []
 
-    def pivot_of(k: int, previous) -> float:
+    def read_pivot(k: int, q) -> None:
         pivot_row = rows[k]
-        pivot_row[n + 1 + k] = c * previous
+        pivot_row[n + 1 + k] = c * q if exact else c
         pivot = pivot_row[n] - sum(pivot_row[k + 1 : n])
         if exact and not 0 < pivot == pivot_row[k]:
             raise InconsistentWithTheoremError(
@@ -167,85 +225,39 @@ def _forest_solve(laplacian: Matrix) -> tuple[list[float], float, list[list[floa
                 "from its row sum; it must be one positive value"
             )
         pivots.append(pivot)
-        return pivot
+        tails.append(pivot_row[k + 1 :])
 
-    def step(row: list, k: int, pivot, previous, tail: list) -> None:
-        # Columns up to k are settled: the left block there is diagonal.
-        # Off the diagonal every update adds terms of one sign.
-        factor = row[k]
-        if exact:
-            row[k + 1 :] = [
-                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-            ]
-        elif factor:  # x - 0*y is x for finite y: a row with no entry in column k stays
-            factor /= pivot
-            row[k + 1 :] = [x - factor * y for x, y in zip(row[k + 1 :], tail)]
+    def steps(row: list, k: int, end: int) -> None:
+        # Float: the row takes steps k to end - 1 one at a time.
+        for m in range(k, end):
+            factor = row[m]
+            if factor:  # x - 0*y is x for finite y: a row with no entry in column m stays
+                factor /= pivots[m]
+                row[m + 1 :] = [x - factor * y for x, y in zip(row[m + 1 :], tails[m])]
 
-    previous = 1
-    blocks = [(k, 1) for k in range(n % 4)] + [(k, 4) for k in range(n % 4, n, 4)]
-    for k, size in blocks:
+    def run(k: int, end: int, q) -> None:
+        # Rows k to end - 1, which have taken the steps before k, take steps
+        # k to end - 1; q is the pivot before k.
+        if end - k == 1:
+            return read_pivot(k, q)
+        mid = (k + end) // 2
+        half = _row_pass(mid - k, exact)
+        run(k, mid, q)
+        half(rows[mid:end], rows, k, q, pivots, tails, steps)
+        p = pivots[-1]
+        run(mid, end, p)
+        half(rows[k:mid], rows, mid, p, pivots, tails, steps)
+
+    cap = 16 if exact else 4
+    k, q = 0, 1
+    for size in [b for b in (1, 2, 4, 8) if n % cap & b] + [cap] * (n // cap):
         end = k + size
         extra = [zero] * size
         for row in rows:
             row += extra
-        steps = []
-        block = rows[k:end]
-        for j, pivot_row in enumerate(block):
-            pivot = pivot_of(k + j, previous)
-            steps.append((k + j, pivot, previous, pivot_row[k + j + 1 :]))
-            for row in block[j + 1 :]:
-                step(row, *steps[-1])
-            if exact:
-                previous = pivot
-        others = rows[:k] + rows[end:]
-        if size == 1:
-            for row in others:
-                step(row, *steps[0])
-            continue
-        (_, p0, q, t0), (_, p1, _, t1), (_, p2, _, t2), (_, p3, _, t3) = steps
-        if exact:
-            # Rows k + 2, k + 1 and k, in that order, take the block's later
-            # steps in one division by their own pivot.
-            b0, b1, b2, _ = block
-            step(b2, *steps[3])
-            a2, a3 = b1[k + 2 : end]
-            b1[end:] = [
-                (p3 * x - a2 * y2 - a3 * y3) // p1 for x, y2, y3 in zip(b1[end:], b2[end:], t3)
-            ]
-            a1, a2, a3 = b0[k + 1 : end]
-            b0[end:] = [
-                (p3 * x - a1 * y1 - a2 * y2 - a3 * y3) // p0
-                for x, y1, y2, y3 in zip(b0[end:], b1[end:], b2[end:], t3)
-            ]
-            reduced = [pivot_row[end:] for pivot_row in block]
-            for row in others:
-                a0, a1, a2, a3 = row[k:end]
-                row[end:] = [
-                    (p3 * x - a0 * y0 - a1 * y1 - a2 * y2 - a3 * y3) // q
-                    for x, y0, y1, y2, y3 in zip(row[end:], *reduced)
-                ]
-            continue
-        for l, row in enumerate(block):
-            for args in steps[l + 1 :]:
-                step(row, *args)
-        u0, u1, u2 = t0[3:], t1[2:], t2[1:]  # from column end on, as t3
-        for row in others:
-            f0, a1, a2, a3 = row[k:end]
-            g0 = f0 / p0
-            f1 = a1 - g0 * t0[0]
-            g1 = f1 / p1
-            f2 = a2 - g0 * t0[1] - g1 * t1[0]
-            g2 = f2 / p2
-            f3 = a3 - g0 * t0[2] - g1 * t1[1] - g2 * t2[0]
-            if f0 and f1 and f2 and f3:
-                g3 = f3 / p3
-                row[end:] = [
-                    x - g0 * y0 - g1 * y1 - g2 * y2 - g3 * y3
-                    for x, y0, y1, y2, y3 in zip(row[end:], u0, u1, u2, t3)
-                ]
-            else:
-                for args in steps:
-                    step(row, *args)
+        run(k, end, q)
+        _row_pass(size, exact)(rows[:k] + rows[end:], rows, k, q, pivots, tails, steps)
+        k, q = end, pivots[-1]
     return pivots, c, [row[n + 1 :] for row in rows]
 
 

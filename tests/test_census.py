@@ -5,9 +5,11 @@ is a subset of the pairs, and the arc of index a weighs ``1 + a % 3``. On
 each graph the exact solve must equal the enumeration oracle, exact verify
 must find no inconsistent triple, and the dominator separators must equal
 the breadth-first reference. At n = 4 the solve is one block of four
-steps, and its pivot rows meet every zero pattern of factors; the block's
-pass over the other rows starts at n = 5, and ``test_solver.py`` compares
-it with the one-step solve.
+steps, run as two halves of two whose rows take each other's steps in one
+pass, and at n = 3 a block of one step and then one of two, whose steps
+the rows outside each block take in one pass; between them these passes
+meet every zero pattern of factors of up to two steps. ``test_solver.py``
+compares wider blocks with the one-step solve.
 """
 
 from itertools import compress, product

@@ -101,12 +101,14 @@ def _rational_graph(n, seed, arcs):
     return MultiDigraph(n, drawn)
 
 
-# Orders 13 to 15 run one to three lone steps and then three blocks of
-# four. The DAG's rows have entries right of the diagonal only, so a step
-# leaves a later row's zeros as zeros: its pivot rows keep the zeros of
-# their later block columns. The sink, vertex 2, is the first pivot row of
-# the one-sink graph's first block, and all its later block columns are 0.
-LONE_STEPS_FIRST = [
+# Orders 13 to 15 run blocks of one and two steps, by the binary digits
+# of n, and then a block of four and one of eight in exact mode, or three
+# blocks of four in float mode. The DAG's rows have entries right of the
+# diagonal only, so a step leaves a later row's zeros as zeros: its pivot
+# rows keep the zeros of their later block columns. The sink, vertex 2, is
+# the first pivot row of the one-sink graph's first block of four, and all
+# its later block columns are 0.
+SMALL_BLOCKS_FIRST = [
     dag_graph(13, 0.3),
     MultiDigraph(14, [arc for arc in _rational_graph(14, 3, 60).arcs if arc.tail != 2]),
     _rational_graph(15, CORPUS_SEED + 15, 40),
@@ -117,8 +119,9 @@ def _full_block_solve(laplacian):
     """The elimination of ``[c(I + L) | c I | s]`` one step at a time, with
     every column of ``c I`` updated at every step, as in the solver before
     it skipped the columns a step cannot change. A float row whose factor
-    is 0 is left as it is, as the solver's lone step leaves it; while every
-    entry is finite that changes no value, since ``x - 0.0 * y`` is ``x``."""
+    is 0 is left as it is, as the solver's one-step fallback leaves it;
+    while every entry is finite that changes no value, since
+    ``x - 0.0 * y`` is ``x``."""
     n = laplacian.order
     exact = laplacian.mode == EXACT
     left, c = common_denominator(laplacian.to_lists()) if exact else (laplacian.to_lists(), 1.0)
@@ -155,10 +158,20 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
     rng = random.Random(CORPUS_SEED)
     arcs = [(u, v, rng.randint(1, 5)) for u in range(40) for v in range(u + 1, 40)]
     graphs += [path_graph(40), MultiDigraph(40, [arc for arc in arcs if rng.random() < 0.05])]
-    # The solver runs n mod 4 lone steps and then blocks of four: every
-    # order mod 4, so that zero to three first steps run alone.
-    graphs += [random_graph(n, 4) for n in (2, 3, 4, 5, 6, 7, 9)] + [random_graph(31, 2)]
-    graphs += LONE_STEPS_FIRST
+    # The solver's top-level blocks follow the binary digits of n, up to 16
+    # steps in exact mode and 4 in float mode: every order from 2 to 40 runs
+    # each plan of blocks of 1, 2, 4 and 8 steps before the blocks of the cap.
+    graphs += [random_graph(n, 4) for n in range(2, 41)] + [random_graph(31, 2)]
+    graphs += SMALL_BLOCKS_FIRST
+    # A block of 16 meets rows whose factors are all 0. The DAGs' rows have
+    # entries right of the diagonal only; the sink, vertex 1 at n = 17 and
+    # vertex 17 at n = 33, is the first pivot row of a block of 16 in exact
+    # mode and of four in float mode, and its later block columns are 0.
+    for n, sink in ((17, 1), (33, 17)):
+        graphs.append(dag_graph(n, 0.2))
+        graphs.append(
+            MultiDigraph(n, [arc for arc in _rational_graph(n, n, 4 * n).arcs if arc.tail != sink])
+        )
     # Stars into each vertex of the first block and a DAG, where a step of
     # a block has factor 0 on some rows and the others do not.
     graphs.append(MultiDigraph(9, [(v, 0, Fraction(v, 3)) for v in range(1, 9)]))
@@ -180,7 +193,7 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         # running sums of the second block's pivot rows overflow to inf.
         # In that block rows 0-3 have no nonzero factor and row 8 + j has a
         # zero factor at position j only. Each must skip its zero-factor
-        # steps as a lone step does: taken, x - 0.0 * inf would be nan.
+        # steps as a one-step pass does: taken, x - 0.0 * inf would be nan.
         rows = [[0.0] * 12 for _ in range(12)]
         for r in range(4, 8):
             rows[r][0] = rows[r][1] = -1e308
@@ -195,21 +208,22 @@ def test_solver_skipping_idle_identity_columns_changes_no_value(mode):
         assert repr(solved) == repr(expected)
 
 
-# Orders 8 to 11 take every number of lone steps and then two blocks of
-# four. The one-sink graphs and the DAGs have rows whose four factors of a
-# block are 0, which the exact update still scales by p3 / q.
+# Orders 8 to 11 run blocks of zero to three steps, by the binary digits of
+# n, and then a block of eight; order 20 runs a block of four and one of 16.
+# The one-sink graphs and the DAGs have rows whose factors of a block are all
+# 0, which the exact update still scales by p / q.
 @pytest.mark.parametrize(
     "graph",
     [
         MultiDigraph(2, [(0, 1, Fraction(2, 3)), (1, 0, Fraction(5, 4))]),
         MultiDigraph(4, []),
-        *(_rational_graph(n, CORPUS_SEED + n, 3 * n) for n in (8, 9, 10, 11)),
+        *(_rational_graph(n, CORPUS_SEED + n, 3 * n) for n in (8, 9, 10, 11, 20)),
         MultiDigraph(10, [arc for arc in _rational_graph(10, 7, 40).arcs if arc.tail != 0]),
         dag_graph(12, 0.3),
-        *LONE_STEPS_FIRST,
+        *SMALL_BLOCKS_FIRST,
     ],
     ids=[
-        *("n2", "arcless", "rational8", "rational9", "rational10", "rational11"),
+        *("n2", "arcless", "rational8", "rational9", "rational10", "rational11", "rational20"),
         *("one-sink", "dag", "dag13", "one-sink14", "rational15"),
     ],
 )

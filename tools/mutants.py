@@ -142,36 +142,43 @@ MUTANTS = (
     Mutant(
         "block-zero-factor-fallback-dropped",
         "forest.py",
-        "            if f0 and f1 and f2 and f3:",
-        "            if True:",
+        """f"if {' and '.join(f'a{j}' for j in m)}:",""",
+        """"if True:",""",
         ("tests/test_solver.py",),
     ),
     Mutant(
         "block-divides-by-first-pivot",
         "forest.py",
-        "a3 * y3) // q\n",
-        "a3 * y3) // p0\n",
+        "(rows[:k] + rows[end:], rows, k, q, pivots,",
+        "(rows[:k] + rows[end:], rows, k, pivots[k], pivots,",
         ("tests/test_solver.py",),
     ),
     Mutant(
         "block-reads-partial-tails",
         "forest.py",
-        "reduced = [pivot_row[end:] for pivot_row in block]",
-        "reduced = [t0[3:], t1[2:], t2[1:], t3]",
+        "(rows[:k] + rows[end:], rows, k,",
+        "(rows[:k] + rows[end:], [[0] * (m + 1) + tail for m, tail in enumerate(tails)], k,",
         ("tests/test_solver.py",),
     ),
     Mutant(
         "pivot-row-pass-divides-by-q",
         "forest.py",
-        "a3 * y3) // p0\n",
-        "a3 * y3) // q\n",
+        "        p = pivots[-1]\n",
+        "        p = q\n",
         ("tests/test_solver.py",),
     ),
     Mutant(
         "pivot-row-pass-reads-early-tail",
         "forest.py",
-        "zip(b0[end:], b1[end:], b2[end:], t3)",
-        "zip(b0[end:], b1[end:], t2[1:], t3)",
+        "half(rows[k:mid], rows, mid,",
+        "half(rows[k:mid], [[0] * (m + 1) + tail for m, tail in enumerate(tails)], mid,",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "half-pass-divides-by-block-previous",
+        "forest.py",
+        "half(rows[k:mid], rows, mid, p,",
+        "half(rows[k:mid], rows, mid, q,",
         ("tests/test_solver.py",),
     ),
     Mutant(
