@@ -16,11 +16,12 @@ dominator passes, two forward and two on the reverse graph, when these
 show the graph strongly connected with no strong articulation point, as
 on most dense digraphs; then only the endpoints separate. Any other graph
 takes one pass per start vertex. The sweep settles the triples a whole
-(i, j) row at a time and counts the verdicts as it goes. It keeps the dominator masks, n integers per start
-vertex, as the one stored form of the separators; the report objects of
-:func:`verify_all_triples` are built from them and the rows of ``F`` only
-when they are read, and :func:`summarize` returns the sweep's counts
-without building any. The single-triple :func:`is_bottleneck`, behind
+(i, j) row at a time and counts the verdicts as it goes. It keeps the
+dominator masks, n integers per start vertex, as the one stored form of
+the separators. The result of :func:`verify_all_triples` holds the
+sweep's counts, which :func:`summarize` returns; its report objects are
+built from the masks and the rows of ``F`` only when it is iterated, one
+pass in lexicographic order. The single-triple :func:`is_bottleneck`, behind
 :func:`check_triple`, reads the same bit of the same masks, so the
 dominator sets are the one separator solver; the tests check them
 against a breadth-first search of their own.
@@ -65,9 +66,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentWithTheoremError
 from .forest import ForestMatrices, forest_matrices
@@ -232,56 +232,33 @@ def check_triple(
     return _report(forests.mode, (i, j, k), weights.row(i), weights.row(j), separator)
 
 
-class TripleReports(Sequence[BottleneckReport]):
-    """The reports of all ordered triples in lexicographic order, built on
-    access from the rows of ``F`` and the sweep's dominator masks.
+class TripleReports:
+    """The reports of all ordered triples, built as they are read from the
+    rows of ``F`` and the sweep's dominator masks; ``summary`` holds the
+    counts the sweep made.
 
-    A read-only sequence: reports built here equal those of
-    :func:`_report` called triple by triple, and ``summary`` holds the
-    counts the sweep made. Indexing takes ints, negative ones too, and
-    slices, which return lists. The rows of ``F`` are read out of the
-    matrix once, when the first report is built.
+    Each pass reads the rows of ``F`` out of the matrix once and yields
+    the reports in lexicographic order, equal to those of :func:`_report`
+    called triple by triple.
     """
 
     def __init__(self, weights: Matrix, masks: list[list[int]], summary: TripleSummary):
-        self.mode = weights.mode
         self.summary = summary
         self._weights = weights
         # masks[i] is graph.dominators(i): j separates i from k exactly
         # when bit j of masks[i][k] is set.
         self._masks = masks
-        self._n = weights.order
-
-    @cached_property
-    def _values(self) -> list[list[Scalar]]:
-        return self._weights.to_lists()
-
-    def _report(self, i: int, j: int, k: int) -> BottleneckReport:
-        separator = bool(self._masks[i][k] >> j & 1)
-        values = self._values
-        return _report(self.mode, (i, j, k), values[i], values[j], separator)
 
     def __len__(self) -> int:
-        return self._n**3
-
-    def __getitem__(self, index):
-        index = range(len(self))[index]
-        if isinstance(index, range):
-            return [self[t] for t in index]
-        i, rest = divmod(index, self._n * self._n)
-        return self._report(i, *divmod(rest, self._n))
+        return self.summary.total
 
     def __iter__(self) -> Iterator[BottleneckReport]:
-        span = range(self._n)
-        return (self._report(i, j, k) for i in span for j in span for k in span)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, TripleReports)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"TripleReports(n={self._n}, mode={self.mode!r}, summary={self.summary})"
+        mode, rows, masks = self._weights.mode, self._weights.to_lists(), self._masks
+        span = range(len(rows))
+        for i in span:
+            for j in span:
+                for k in span:
+                    yield _report(mode, (i, j, k), rows[i], rows[j], bool(masks[i][k] >> j & 1))
 
 
 def _bound_ratios(rows: list[list[int]]) -> list[list[float]]:
@@ -415,7 +392,8 @@ def verify_all_triples(
     forests: Optional[ForestMatrices] = None,
     mode: str = EXACT,
 ) -> TripleReports:
-    """Reports for all ordered triples, in lexicographic order.
+    """The counts of all ordered triples, in ``summary``, and their
+    reports, built in lexicographic order when the result is iterated.
 
     The checks run here, in one sweep that counts the triples that break
     the law: float mode reports them as ``inconsistent``, and exact mode,
@@ -463,17 +441,6 @@ def verify_all_triples(
     return reports
 
 
-def summarize(reports: Iterable[BottleneckReport]) -> TripleSummary:
-    """Counts of the reports; for the sweep's own reports, the counts it made."""
-    if isinstance(reports, TripleReports):
-        return reports.summary
-    total = equal = degenerate = inconsistent = 0
-    for report in reports:
-        total += 1
-        if report.relation == RELATION_EQUAL:
-            equal += 1
-        if report.degenerate:
-            degenerate += 1
-        if not report.consistent:
-            inconsistent += 1
-    return TripleSummary(total, equal, total - equal, degenerate, inconsistent)
+def summarize(reports: TripleReports) -> TripleSummary:
+    """The counts the sweep of :func:`verify_all_triples` made."""
+    return reports.summary

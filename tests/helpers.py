@@ -20,7 +20,9 @@ from inforest import (
     MultiDigraph,
     NotConvergedError,
     ParsedGraph,
+    RELATION_EQUAL,
     SeriesSum,
+    TripleSummary,
     choose_epsilon,
     complete_graph,
     cycle_graph,
@@ -258,6 +260,21 @@ def reference_sweep(rows, masks, mode) -> tuple[int, int]:
             if mode == EXACT:
                 inconsistent += sum(map(operator.gt, lhs, rhs))
     return equal, inconsistent
+
+
+def count_reports(reports) -> TripleSummary:
+    """The counts of ``reports`` taken report by report: the reference for
+    the counts the sweep makes without building any report."""
+    total = equal = degenerate = inconsistent = 0
+    for report in reports:
+        total += 1
+        if report.relation == RELATION_EQUAL:
+            equal += 1
+        if report.degenerate:
+            degenerate += 1
+        if not report.consistent:
+            inconsistent += 1
+    return TripleSummary(total, equal, total - equal, degenerate, inconsistent)
 
 
 def reference_max_out_weight(graph: MultiDigraph) -> Fraction:

@@ -38,6 +38,7 @@ from inforest.matrix import common_denominator, scalar
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
+    count_reports,
     dag_graph,
     detour_graph,
     make_path,
@@ -101,7 +102,7 @@ def test_verify_counts_frozen_fixtures():
 def test_verify_reports_are_ordered_and_consistent():
     reports = verify_all_triples(make_triangle())
     assert len(reports) == 27
-    assert reports[0].triple == (0, 0, 0)
+    assert [r.triple for r in reports] == sorted(r.triple for r in reports)
     assert all(r.consistent for r in reports)
     counts = summarize(reports)
     assert counts.degenerate == 21 and counts.inconsistent == 0
@@ -260,10 +261,12 @@ def test_given_forests_set_the_mode_of_both_verifies():
     expected = verify_all_triples(doubled, forests, FLOAT).summary
     assert expected != verify_all_triples(doubled, mode=EXACT).summary
     reports = verify_all_triples(doubled, forests, EXACT)
-    assert (reports.mode, reports.summary) == (FLOAT, expected)
+    assert reports.summary == expected
+    assert {type(r.lhs) for r in reports} == {float}
     # check_triple takes no mode: the forests' mode is its only one.
-    assert check_triple(forests, doubled, 0, 1, 2) == reports[5]
-    assert reports[5].relation == RELATION_EQUAL
+    report = list(reports)[5]
+    assert check_triple(forests, doubled, 0, 1, 2) == report
+    assert report.relation == RELATION_EQUAL
 
 
 def test_route_products_agree_with_forest_products():
@@ -332,19 +335,8 @@ def test_reports_behave_as_the_list_they_replace(mode):
     expected = _reports_one_by_one(g, forests)
     assert len(reports) == len(expected) == 64
     assert [_typed(r) for r in reports] == [_typed(r) for r in expected]
-    assert reports == expected and expected == reports
-    assert reports != expected[:-1] and reports != expected[::-1]
-    assert reports[-1] == expected[-1] and reports[-64] == expected[0]
-    assert reports[5] == expected[5] and reports[-7] == expected[-7]
-    assert reports[3:50:7] == expected[3:50:7] and isinstance(reports[3:50:7], list)
-    assert reports[::-1] == expected[::-1]
-    for index in (64, -65):
-        with pytest.raises(IndexError):
-            reports[index]
-    assert reports.summary == summarize(reports) == summarize(list(reports))
-    assert summarize(reports) == summarize(expected)
-    assert reports != len(reports)
-    assert repr(reports) == f"TripleReports(n=4, mode={mode!r}, summary={reports.summary!r})"
+    assert reports.summary == summarize(reports) == count_reports(reports)
+    assert summarize(reports) == count_reports(expected)
 
 
 def test_exact_sweep_raises_at_the_first_bad_triple_before_any_access():
@@ -556,7 +548,7 @@ def test_sweep_reads_every_separator_of_the_rows_the_bound_settles(monkeypatch, 
     if mode == FLOAT:
         summary = summarize(verify_all_triples(g, forests))
         assert summary.inconsistent == len(flipped)
-        assert summary == summarize(_reports_one_by_one(g, forests))
+        assert summary == count_reports(_reports_one_by_one(g, forests))
         return
     with pytest.raises(InconsistentWithTheoremError) as first:
         _reports_one_by_one(g, forests)
@@ -617,7 +609,7 @@ def test_float_sweep_counts_the_bad_triples_of_corrupted_forests():
     rows[0][1] += 100  # breaks the equality of the separated triple (0, 1, 2)
     reports = verify_all_triples(g, replace(forests, matrix=Matrix(rows, FLOAT)))
     assert reports.summary.inconsistent > 0
-    assert reports.summary == summarize(list(reports))
+    assert reports.summary == count_reports(reports)
 
 
 def test_undirected_separators_match_reference_bfs():
@@ -730,12 +722,13 @@ def test_float_sweep_with_overflowing_products_matches_triple_by_triple():
     forests = forest_matrices(g, FLOAT)
     rows = forests.matrix.to_lists()
     assert not all(math.isfinite(a * b) for a in rows[0] for b in rows[1])
-    assert summarize(verify_all_triples(g, mode=FLOAT)) == summarize(_reports_one_by_one(g, forests))
+    assert summarize(verify_all_triples(g, mode=FLOAT)) == count_reports(_reports_one_by_one(g, forests))
 
 
 def test_reports_read_the_rows_of_f_out_of_the_matrix_once(monkeypatch):
     # Every report reads rows i and j of F; the Fractions of all n^2
-    # entries are built once, on the first read, not once per report.
+    # entries are built once per pass over the reports, not once per
+    # report, and not at all by the sweep.
     g = random_graph(12, 1)
     forests = forest_matrices(g)
     calls = []
@@ -749,8 +742,10 @@ def test_reports_read_the_rows_of_f_out_of_the_matrix_once(monkeypatch):
     reports = verify_all_triples(g, forests)
     assert calls == []
     listed = list(reports)
-    assert len(listed) == g.n**3 and reports[-1] == listed[-1]
+    assert len(listed) == len(reports) == g.n**3
     assert calls == [forests.matrix]
+    assert list(reports) == listed
+    assert calls == [forests.matrix] * 2
     monkeypatch.undo()
     assert listed == _reports_one_by_one(g, forests)
 

@@ -84,6 +84,13 @@ MUTANTS = (
         ("tests/test_bottleneck.py",),
     ),
     Mutant(
+        "report-iteration-reads-bit-k",
+        "bottleneck.py",
+        "bool(masks[i][k] >> j & 1)",
+        "bool(masks[i][k] >> k & 1)",
+        ("tests/test_bottleneck.py",),
+    ),
+    Mutant(
         "symmetry-self-check-dropped",
         "bottleneck.py",
         "    if not symmetric and graph.is_symmetric():",

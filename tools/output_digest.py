@@ -49,10 +49,11 @@ A section and mode with no record print no line.
 A change that keeps every output prints the same lines as its parent, and
 a change to float arithmetic alone leaves every ``.exact`` line as it was. The
 tool imports ``inforest`` from the ``src`` directory of the checkout it
-lies in and the four shared builders from its ``tests/helpers.py``, so it
-needs the test dependencies (``hypothesis``, which that module imports).
-To compare two checkouts, copy it into the other one and run it in both;
-the other checkout's ``tests/helpers.py`` must define the four builders.
+lies in, and the four shared builders and the report counter
+``count_reports`` from its ``tests/helpers.py``, so it needs the test
+dependencies (``hypothesis``, which that module imports). To compare two
+checkouts, copy it into the other one and run it in both; the other
+checkout's ``tests/helpers.py`` must define those five names.
 
 Usage: ``python tools/output_digest.py``
 """
@@ -94,8 +95,14 @@ from inforest import (  # noqa: E402
     summarize,
     verify_all_triples,
 )
-from inforest import cli  # noqa: E402
-from tests.helpers import dag_graph, detour_graph, sink_graph, tiny_paths  # noqa: E402
+from inforest import bottleneck, cli  # noqa: E402
+from tests.helpers import (  # noqa: E402
+    count_reports,
+    dag_graph,
+    detour_graph,
+    sink_graph,
+    tiny_paths,
+)
 
 MODES = (EXACT, FLOAT)
 # Exact route series, the enumeration oracle and the per-triple route
@@ -252,11 +259,24 @@ def _attempt(call) -> str:
 
 def _reports(reports) -> list[str]:
     """Every report with the types of its sides and whether they are one
-    object, then the summary."""
+    object, then their counts."""
+    reports = list(reports)
     records = [
         repr((r, type(r.lhs).__name__, type(r.rhs).__name__, r.lhs is r.rhs)) for r in reports
     ]
-    return records + [repr(summarize(reports))]
+    return records + [repr(count_reports(reports))]
+
+
+def _start_reports(graph, forests, i: int) -> list:
+    """The reports of the triples (i, j, k) in lexicographic order, from
+    one dominator pass from i."""
+    rows, masks = forests.matrix.to_lists(), graph.dominators(i)
+    span = range(graph.n)
+    return [
+        bottleneck._report(forests.mode, (i, j, k), rows[i], rows[j], bool(masks[k] >> j & 1))
+        for j in span
+        for k in span
+    ]
 
 
 def _sections(graphs, undirected, runs, large) -> dict:
@@ -304,8 +324,8 @@ def _sections(graphs, undirected, runs, large) -> dict:
             out["verify_large", mode].append(repr((forests.total_weight, *matrices)))
         reports = verify_all_triples(graph, forests, mode)
         out["verify_large", mode].append(repr(summarize(reports)))
-        square = graph.n**2
-        out["verify_large", mode] += _reports(reports[:square] + reports[-square:])
+        first, last = (_start_reports(graph, forests, i) for i in (0, graph.n - 1))
+        out["verify_large", mode] += _reports(first + last)
     # Building the argument parser takes most of a small run's time, and a
     # parser keeps no state between calls, so the runs share one.
     parser = cli.build_parser()
