@@ -31,14 +31,15 @@ update.
 
 The steps go in blocks of up to 16 in exact mode and 4 in float mode, and
 a block of s steps runs as two halves of s/2, each half's rows taking the
-other half's steps in one pass. In float mode a row's entry takes the same
-operations in the same order as in one pass per step, so every value is
-the one the one-step elimination gives; what a pass of several steps saves
-is the interpreter's work per entry and pass, which in pure Python costs
-more than the arithmetic. In exact mode Sylvester's identity, the result
-that makes Bareiss's divisions exact, gives an entry's value after a run
-of s steps with one division instead of s; exact integers are unique, so
-every value is again the one the one-step elimination gives.
+other half's steps in one pass. Such a pass gives a row's value after a
+run of s steps, the Schur complement, from its entries before the run and
+the run's pivot rows after it; what it saves is the interpreter's work per
+entry and pass, which in pure Python costs more than the arithmetic. In
+exact mode Sylvester's identity, the result that makes Bareiss's divisions
+exact, gives that value with one division instead of s; exact integers are
+unique, so every value is the one the one-step elimination gives. In float
+mode the values differ from that elimination's by rounding alone, and the
+pass is subtraction-free as each step is.
 """
 
 from __future__ import annotations
@@ -78,43 +79,38 @@ class ForestMatrices:
 
 @cache
 def _row_pass(width: int, exact: bool) -> Callable[..., None]:
-    """``row_pass(targets, rows, k, q, pivots, tails, steps)``, by which each
-    row of ``targets`` takes the ``width`` steps from k in one pass.
+    """``row_pass(targets, rows, k, q, pivots)``, by which each row of
+    ``targets`` takes the ``width`` steps from k in one pass.
 
-    ``x`` runs over the row from column k + width on. In exact mode the
+    ``x`` runs over the row from column k + width on, ``a`` over the row's
+    entries in the steps' columns and ``u`` over the steps' pivot rows in
+    ``rows``, from the same column on, after the steps. In exact mode the
     pass is ``(p*x - a0*u0 - a1*u1 - ...) // q``, ``p`` the last of the
-    steps' pivots, ``a`` the row's entries in their columns and ``u`` their
-    pivot rows in ``rows``, from the same column on. In float mode the row
-    finds its factors ``g`` in turn from ``pivots`` and the pivot rows'
-    ``tails`` as their steps read them, and the pass is
-    ``x - g0*u0 - g1*u1 - ...``, ``u`` those tails from the same column on,
-    or ``steps`` when a factor is 0.
+    steps' pivots. In float mode it is ``x - g0*u0 - g1*u1 - ...`` with
+    ``g = a / pivot``, and a row with a zero ``a`` takes one pass per
+    nonzero one instead, leaving out the zero terms.
     The comprehension is written out for its width, as the generic forms
     cost the interpreter more per entry than the arithmetic; the source is
     built here once per width and mode.
     """
     m = range(width)
-    a, u, y = ("".join(f"{v}{j}, " for j in m) for v in "auy")
-    head = ["def row_pass(targets, rows, k, q, pivots, tails, steps):", f"end = k + {width}"]
+    a, g, p, u, y = ("".join(f"{v}{j}, " for j in m) for v in "agpuy")
+    head = ["def row_pass(targets, rows, k, q, pivots):", f"end = k + {width}"]
+    head += [f"{p}= pivots[k:end]", *(f"u{j} = rows[k + {j}][end:]" for j in m)]
     if exact:
-        head += ["p = pivots[end - 1]", *(f"u{j} = rows[k + {j}][end:]" for j in m)]
         terms = "".join(f" - a{j} * y{j}" for j in m)
-        body = [f"row[end:] = [(p * x{terms}) // q for x, {y}in zip(row[end:], {u})]"]
+        body = [f"row[end:] = [(p{width - 1} * x{terms}) // q for x, {y}in zip(row[end:], {u})]"]
     else:
-        head += [f"p{j}, t{j} = pivots[k + {j}], tails[k + {j}]" for j in m]
-        head += [f"u{j} = t{j}[{width - 1 - j}:]" for j in m]
-        body = []
-        for j in m:
-            if j:  # the row's column k + j after the pass's earlier steps
-                chain = "".join(f" - g{i} * t{i}[{j - i - 1}]" for i in range(j))
-                body.append(f"a{j} = a{j}{chain}")
-            body.append(f"g{j} = a{j} / p{j}")
         terms = "".join(f" - g{j} * y{j}" for j in m)
-        body += [
+        body = [
             f"if {' and '.join(f'a{j}' for j in m)}:",
+            f"    {g}= {''.join(f'a{j} / p{j}, ' for j in m)}",
             f"    row[end:] = [x{terms} for x, {y}in zip(row[end:], {u})]",
             "else:",
-            "    steps(row, k, end)",
+            f"    for g, p, u in zip(({a}), ({p}), ({u})):",
+            "        if g:",
+            "            g /= p",
+            "            row[end:] = [x - g * y for x, y in zip(row[end:], u)]",
         ]
     lines = [head[0], *("    " + line for line in head[1:]), "    for row in targets:"]
     lines += ["        " + line for line in [f"{a}= row[k:end]", *body]]
@@ -143,7 +139,7 @@ def _forest_solve(
     in float mode, and 0 on every other row. So it joins the right block
     only at step k, with that value, and no earlier step updates it. The
     rows grow by a top-level block's columns of ``c I`` before the block
-    starts, so that every tail a pass reads has the row's length.
+    starts, so that every pivot row a pass reads has the row's length.
 
     The top-level blocks follow the binary digits of n, smallest first, with
     the blocks capped at 16 steps in exact mode and at 4 in float mode:
@@ -183,27 +179,31 @@ def _forest_solve(
     and the block's other rows one; the passes at one level of the halving
     are as wide as its halves.
 
-    In float mode a row finds its factors in turn, the factor of step
-    k + j being its column k + j after the pass's first j steps over that
-    step's pivot, each step reading its pivot row's tail as it was when its
-    pivot was read; the pass is then ``x - g0*y0 - g1*y1 - ...``. Each
-    entry takes the same operations in the same order as in one pass per
-    step; the columns of ``c I`` that join within the pass, still 0 on the
-    row, take the earlier steps' terms too, which leaves them 0
-    (``0.0 - g * 0.0`` is ``0.0`` for a finite g). A float row with a zero
-    factor takes the pass's steps one at a time, and so skips those steps as
-    a one-step pass does; that keeps the operations the same where a pivot
-    row holds an infinity, and saves the pass on sparse rows.
+    In float mode the pass over the same run is
+    ``x - g0*U0 - ... - g(s-1)*U(s-1)`` with ``g_j = a_j / pivot_(k+j)``.
+    Gauss-Jordan, which does not scale its pivot rows, turns ``[B | T]``
+    into ``[P | U]``, ``P`` the diagonal of the run's pivots, so
+    ``U = P B^-1 T`` and the row's value after the run, the Schur
+    complement ``x - a B^-1 T``, is ``x - (a P^-1) U``. Off the row's
+    diagonal every term has the sign of ``x``, as ``a`` is at most 0 and
+    ``x`` and ``U`` share a sign, so the pass adds no cancellation that the
+    one-step elimination avoids. A row with a zero ``a_j`` takes one pass
+    per nonzero term instead, and none if it has none. No entry is ``-0.0``
+    and, on a Laplacian, every entry is finite, so ``x - 0.0*y`` is ``x``
+    and those values are the full pass's; a pivot row that holds an
+    infinity would make the zero term nan.
 
-    Why 16 and 4. An exact pass costs one product per step and entry and
-    one division per entry, so a wider block trades divisions, the
-    dearest operation on Bareiss's growing integers, for products. A float
-    pass also needs its factor recurrence, O(s^2) products per row. Exact
-    blocks of 32 measured 4% slower than 16 at n = 33 and 7% faster at
-    n = 50; float blocks of 8 measured 10% slower than 4 at n = 16 and 2 to
-    5% faster from n = 30 to 60 (``random_graph`` inputs, 2-vCPU host,
-    Python 3.11). Each wider cap pays only well past the order where it
-    first loses, so the caps stay at 16 and 4.
+    Why 16 and 4. A pass costs one product per step and entry, and in
+    exact mode one division per entry, so a wider exact block trades
+    divisions, the dearest operation on Bareiss's growing integers, for
+    products: exact blocks of 32 measured 4% slower than 16 at n = 33 and
+    7% faster at n = 50. A float block saves only the interpreter's work
+    per entry, which a row with a zero factor does not share: float blocks
+    of 8 measured 5 to 10% slower than 4 at n = 8, 12 and 20 and 5 to 20%
+    faster from n = 30 to 80, and blocks of 16 11 to 17% slower up to
+    n = 20 (``random_graph`` inputs, 2-vCPU host, Python 3.11). Each wider
+    cap pays only past the order where it first loses, so the caps stay at
+    16 and 4.
     """
     n = laplacian.order
     exact = laplacian.mode == EXACT
@@ -212,7 +212,7 @@ def _forest_solve(
     rows = [row + [c] for row in left]
     for r, row in enumerate(rows):
         row[r] += c
-    pivots, tails = [], []
+    pivots = []
 
     def read_pivot(k: int, q) -> None:
         pivot_row = rows[k]
@@ -225,15 +225,6 @@ def _forest_solve(
                 "from its row sum; it must be one positive value"
             )
         pivots.append(pivot)
-        tails.append(pivot_row[k + 1 :])
-
-    def steps(row: list, k: int, end: int) -> None:
-        # Float: the row takes steps k to end - 1 one at a time.
-        for m in range(k, end):
-            factor = row[m]
-            if factor:  # x - 0*y is x for finite y: a row with no entry in column m stays
-                factor /= pivots[m]
-                row[m + 1 :] = [x - factor * y for x, y in zip(row[m + 1 :], tails[m])]
 
     def run(k: int, end: int, q) -> None:
         # Rows k to end - 1, which have taken the steps before k, take steps
@@ -243,10 +234,10 @@ def _forest_solve(
         mid = (k + end) // 2
         half = _row_pass(mid - k, exact)
         run(k, mid, q)
-        half(rows[mid:end], rows, k, q, pivots, tails, steps)
+        half(rows[mid:end], rows, k, q, pivots)
         p = pivots[-1]
         run(mid, end, p)
-        half(rows[k:mid], rows, mid, p, pivots, tails, steps)
+        half(rows[k:mid], rows, mid, p, pivots)
 
     cap = 16 if exact else 4
     k, q = 0, 1
@@ -256,7 +247,7 @@ def _forest_solve(
         for row in rows:
             row += extra
         run(k, end, q)
-        _row_pass(size, exact)(rows[:k] + rows[end:], rows, k, q, pivots, tails, steps)
+        _row_pass(size, exact)(rows[:k] + rows[end:], rows, k, q, pivots)
         k, q = end, pivots[-1]
     return pivots, c, [row[n + 1 :] for row in rows]
 

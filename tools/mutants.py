@@ -147,24 +147,39 @@ MUTANTS = (
         ("tests/test_routes.py",),
     ),
     Mutant(
-        "block-zero-factor-fallback-dropped",
+        "zero-factor-row-takes-fused-pass",
         "forest.py",
         """f"if {' and '.join(f'a{j}' for j in m)}:",""",
         """"if True:",""",
         ("tests/test_solver.py",),
     ),
     Mutant(
-        "block-divides-by-first-pivot",
+        "zero-term-taken",
         "forest.py",
-        "(rows[:k] + rows[end:], rows, k, q, pivots,",
-        "(rows[:k] + rows[end:], rows, k, pivots[k], pivots,",
+        '"        if g:',
+        '"        if True:',
         ("tests/test_solver.py",),
     ),
     Mutant(
-        "block-reads-partial-tails",
+        "float-factors-divide-by-last-pivot",
         "forest.py",
-        "(rows[:k] + rows[end:], rows, k,",
-        "(rows[:k] + rows[end:], [[0] * (m + 1) + tail for m, tail in enumerate(tails)], k,",
+        "f'a{j} / p{j}, '",
+        "f'a{j} / p{width - 1}, '",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "block-divides-by-first-pivot",
+        "forest.py",
+        "(rows[:k] + rows[end:], rows, k, q, pivots)",
+        "(rows[:k] + rows[end:], rows, k, pivots[k], pivots)",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "block-pass-reads-unrun-block",
+        "forest.py",
+        "        run(k, end, q)\n        _row_pass(size, exact)(rows[:k] + rows[end:], rows,",
+        "        early = [row[:] for row in rows]\n        run(k, end, q)\n"
+        "        _row_pass(size, exact)(rows[:k] + rows[end:], early,",
         ("tests/test_solver.py",),
     ),
     Mutant(
@@ -175,10 +190,11 @@ MUTANTS = (
         ("tests/test_solver.py",),
     ),
     Mutant(
-        "pivot-row-pass-reads-early-tail",
+        "pivot-row-pass-reads-unrun-second-half",
         "forest.py",
-        "half(rows[k:mid], rows, mid,",
-        "half(rows[k:mid], [[0] * (m + 1) + tail for m, tail in enumerate(tails)], mid,",
+        "        run(mid, end, p)\n        half(rows[k:mid], rows,",
+        "        early = [row[:] for row in rows]\n        run(mid, end, p)\n"
+        "        half(rows[k:mid], early,",
         ("tests/test_solver.py",),
     ),
     Mutant(
