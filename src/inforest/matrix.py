@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub
-from typing import Iterable, Sequence, Union
+from operator import add, sub
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InstanceTooLargeError, SingularMatrixError
 
@@ -41,6 +42,11 @@ FLOAT_PIVOT_RTOL = 1e-12
 # the series may load ``routes``.
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_TERMS = 100_000
+
+# The most terms one expression of a written-out matrix product holds
+# (:func:`_product`): a single sum of thousands of terms nests too deep for
+# the compiler, which raises RecursionError.
+W = 32
 
 
 # Python's default limit on the digits of an int converted to or from text
@@ -227,9 +233,13 @@ class Matrix:
         return self._combine(other, sub)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, each entry the products of a row and a column
+        added left to right onto the int 0, through a kernel written out
+        for the order (:func:`_product`). Its sums go in chunks of at most
+        ``W`` terms because one expression of thousands of terms does not
+        compile."""
         self._check_compatible(other)
-        cols = list(zip(*other._rows))
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
+        rows = _product(self.order)(self._rows, other._rows)
         return Matrix._wrap(rows, self.mode, self._scale * other._scale)
 
     def scaled(self, factor) -> "Matrix":
@@ -258,6 +268,42 @@ class Matrix:
         if self.mode == EXACT:
             return [Fraction(sum(row), self._scale) for row in self._rows]
         return [sum(row, 0.0) for row in self._rows]
+
+
+@lru_cache(maxsize=16)
+def _product(order: int) -> Callable[[list, list], list]:
+    """``product(left, right)``, the stored rows of the product of two
+    stored forms of ``order``.
+
+    Entry (i, j) is ``0 + a0*y0 + a1*y1 + ...``, with ``a`` row i of
+    ``left`` and ``y`` column j of ``right``, added left to right: the
+    roundings, signed zeros included, of ``reduce(add, map(mul, row,
+    col), 0)``, and of ``sum(map(mul, row, col))`` up to Python 3.11 (from
+    3.12 on, ``sum`` adds floats with compensation). Each left row is
+    unpacked once. The terms go in chunks of at most ``W``, each chunk's
+    sum added onto the running row, which keeps that order while every
+    expression stays small enough to compile. The comprehension is
+    written out for its order, as the generic form costs the interpreter
+    more per entry than the arithmetic. The source is built here once per
+    order, and the kernels of the 16 orders used last are kept: that of
+    order 4,096 takes about 1 MB.
+    """
+    chunks = [range(start, min(start + W, order)) for start in range(0, order, W)]
+    a = "".join(f"a{j}, " for j in range(order))
+    lines = ["def product(left, right):"]
+    lines += [f"    cols{c} = list(zip(*right[{r.start}:{r.stop}]))" for c, r in enumerate(chunks)]
+    lines += ["    rows = []", f"    for ({a}) in left:"]
+    for c, r in enumerate(chunks):
+        y = "".join(f"y{j - r.start}, " for j in r)
+        terms = "".join(f" + a{j} * y{j - r.start}" for j in r)
+        if c == 0:
+            lines.append(f"        row = [0{terms} for {y}in cols0]")
+        else:
+            lines.append(f"        row = [s{terms} for s, ({y}) in zip(row, cols{c})]")
+    lines += ["        rows.append(row)", "    return rows"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["product"]
 
 
 def _times(rows: list[list], factor: int) -> list[list]:

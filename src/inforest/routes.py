@@ -202,21 +202,24 @@ def geometric_series(
     ``A^max_terms`` is still at or above tolerance, that is when more than
     ``max_terms`` terms would be needed.
 
-    The sum is formed by doubling, in about ``4 log2 p`` products. Square:
-    build ``A^(2^t)`` and ``S_(2^t) = sum of A^k for k < 2^t`` through
-    ``S_(2^(t+1)) = S_(2^t) + A^(2^t) S_(2^t)`` until a power drops below
-    tolerance at depth ``T``, so that ``2^(T-1) <= p < 2^T``. Descend: from
-    ``q = 2^(T-1)``, for t from ``T - 2`` down to 0, accept ``q + 2^t``
-    when ``A^q A^(2^t)`` is still at or above tolerance and add
-    ``A^q S_(2^t)`` to the sum; this ends at ``q = p``.
+    The sum is formed by doubling, in fewer than ``4 T`` products with
+    ``T = p.bit_length()``. Square: build ``A^(2^t)`` and ``S_(2^t) = sum
+    of A^k for k < 2^t`` through ``S_(2^(t+1)) = S_(2^t) + A^(2^t)
+    S_(2^t)`` until a power drops below tolerance at depth ``T``, so that
+    ``2^(T-1) <= p < 2^T``. Descend: from ``q = 2^(T-1)``, for t from
+    ``T - 2`` down to 0, accept ``q + 2^t`` when ``A^q A^(2^t)`` is still
+    at or above tolerance and add ``A^q S_(2^t)`` to the sum; this ends at
+    ``q = p``.
+
+    ``S_1`` is the identity, so ``A S_1`` and ``A^q S_1`` are taken as
+    ``A`` and ``A^q``: no product has an identity factor.
 
     Float rounding: a product adds at most n roundings to each route
     weight (product of entries) it forms and a sum adds one, so in the
-    result every route of length k carries at most ``n k + 2 T`` roundings
-    (``T = p.bit_length()``), as in a term-by-term loop apart from the
-    ``2 T``; :func:`_tail_bound` charges exactly these. Exact sums do not
-    depend on order, so in exact mode the result equals the term-by-term
-    sum.
+    result every route of length k carries at most ``n k + 2 T`` roundings,
+    as in a term-by-term loop apart from the ``2 T``; :func:`_tail_bound`
+    charges exactly these. Exact sums do not depend on order, so in exact
+    mode the result equals the term-by-term sum.
 
     Exact mode runs the same steps on integers. With ``d`` the scale of
     A's stored form, each power and partial sum is held as an exact matrix
@@ -253,7 +256,7 @@ def geometric_series(
             raise _not_converged(tolerance, max_terms, size, norm / d**size)
         if levels:
             power, block = levels[-1]
-            block = block.scaled(d ** (size >> 1)) + power @ block
+            block = block.scaled(d ** (size >> 1)) + (power @ block if size > 2 else power)
         else:
             block = identity
         levels.append((square, block))
@@ -272,7 +275,7 @@ def geometric_series(
         candidate = power @ square
         norm = candidate.max_abs()
         if norm >= threshold * d ** (p + (1 << t)):
-            total = total.scaled(d ** (1 << t)) + power @ block
+            total = total.scaled(d ** (1 << t)) + (power @ block if t else power)
             power, last_norm, p = candidate, norm, p + (1 << t)
     if p == max_terms:
         raise _not_converged(tolerance, max_terms, p, last_norm / d**p)

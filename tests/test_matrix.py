@@ -4,6 +4,8 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +27,7 @@ from inforest import (
     step_matrix,
     verify_all_triples,
 )
-from inforest.matrix import scalar
+from inforest.matrix import W, scalar
 from tests.helpers import FractionRows, make_path
 
 # det of [[1+a, -a, 0], [0, 1+b, -b], [0, 0, 1]] is (1+a)(1+b); with
@@ -319,3 +321,47 @@ def test_with_mode_gives_signed_infinities_beyond_the_double_range():
     matrix = Matrix([[huge, -huge], [Fraction(1, 2**1100), 0]])
     assert matrix.with_mode(FLOAT).to_lists() == [[math.inf, -math.inf], [0.0, 0.0]]
     assert matrix.with_mode(FLOAT).to_lists() == FractionRows(matrix.to_lists()).floats()
+
+
+def _reference_product(left, right):
+    """Stored rows of ``left @ right`` with each entry the products of a row
+    and a column added left to right onto the int 0. An explicit fold, as
+    ``sum`` adds floats with compensation from Python 3.12 on."""
+    cols = list(zip(*right._rows))
+    return [[reduce(add, map(mul, row, col), 0) for col in cols] for row in left._rows]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e308]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, W - 1, W, W + 1, 2 * W + 1])
+def test_the_written_out_product_rounds_as_a_left_to_right_sum(order):
+    # The same roundings in the same order, signed zeros, infinities, NaN
+    # and subnormals included, for every chunking of the terms by W.
+    rng = random.Random(order)
+
+    def floats(special_rate, scale=1.0):
+        return [
+            [
+                rng.choice(_SPECIAL_FLOATS) if rng.random() < special_rate else rng.uniform(-4, 4) * scale
+                for _ in range(order)
+            ]
+            for _ in range(order)
+        ]
+
+    def ints():
+        return [[rng.getrandbits(300) - 2**299 for _ in range(order)] for _ in range(order)]
+
+    negative_zeros = Matrix([[-0.0] * order] * order, FLOAT)
+    ones = Matrix([[1.0] * order] * order, FLOAT)
+    # Products of subnormal size at the scale 2^-530.
+    kinds = [(0.0, 1.0), (0.0, 2.0**-530), (0.3, 1.0)]
+    pairs = [(Matrix(floats(*kind), FLOAT), Matrix(floats(*kind), FLOAT)) for kind in kinds]
+    pairs += [(negative_zeros, ones), (ones, negative_zeros), (Matrix(ints()), Matrix(ints()))]
+    for left, right in pairs:
+        product = left @ right
+        assert product._scale == 1
+        expected = _reference_product(left, right)
+        assert [list(map(repr, row)) for row in product._rows] == [
+            list(map(repr, row)) for row in expected
+        ]

@@ -26,6 +26,7 @@ from inforest import (
     route_matrix,
     step_matrix,
 )
+from inforest.matrix import W
 from tests.helpers import (
     CORPUS_SEED,
     corpus,
@@ -455,18 +456,23 @@ def test_up_front_refusal_never_changes_the_outcome(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_route_series_takes_logarithmically_many_products(mode, monkeypatch):
+    # 2,777 terms in 38 products, none with an identity factor: 12 squares
+    # and 10 partial sums on the way up (S_2 = d I + A takes none), 11
+    # candidates and 5 partial sums on the way down.
     g, eps = make_path(), Fraction(1, 100)
+    identity = Matrix.identity(g.n, mode)
     products = []
     original = Matrix.__matmul__
 
     def counted(self, other):
+        assert identity not in (self, other)
         products.append(1)
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     result = route_matrix(g, eps, mode=mode)
-    assert result.terms_used >= 1000
-    assert len(products) <= 4 * math.ceil(math.log2(result.terms_used)) + 4
+    assert result.terms_used == 2777
+    assert len(products) == 38
 
 
 def _float_gap_to_exact(graph, eps, tolerance, proximity):
@@ -494,6 +500,16 @@ def test_float_tail_bound_covers_long_series(n, seed):
             result, gap = _float_gap_to_exact(g, eps, tolerance, proximity)
             assert gap <= result.tail_bound
             assert result.tail_bound <= 1e-9
+
+
+def test_float_tail_bound_covers_a_series_of_a_matrix_wider_than_two_chunks():
+    # Order 2W + 1: every product of the series sums three chunks of terms.
+    g = random_graph(2 * W + 1, 7)
+    proximity = forest_matrices(g, EXACT).proximity
+    eps = 0.5 / float(g.max_out_weight())
+    result, gap = _float_gap_to_exact(g, eps, 1e-12, proximity)
+    assert gap <= result.tail_bound
+    assert result.tail_bound <= 1e-9
 
 
 def test_float_tail_bound_covers_a_wide_matrix():

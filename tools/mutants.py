@@ -128,8 +128,8 @@ MUTANTS = (
     Mutant(
         "series-exact-scale-dropped",
         "routes.py",
-        "total = total.scaled(d ** (1 << t)) + power @ block",
-        "total = total + power @ block",
+        "total = total.scaled(d ** (1 << t)) + (power @ block if t else power)",
+        "total = total + (power @ block if t else power)",
         ("tests/test_routes.py",),
     ),
     Mutant(
@@ -238,6 +238,20 @@ MUTANTS = (
         "    start_end = full[start, end] * weight\n",
         "    start_end = full[start, end]\n",
         ("tests/test_routes.py",),
+    ),
+    Mutant(
+        "product-chunks-added-out-of-order",
+        "matrix.py",
+        'f"        row = [s{terms} for s,',
+        'f"        row = [{terms[3:]} + s for s,',
+        ("tests/test_matrix.py",),
+    ),
+    Mutant(
+        "product-zero-start-dropped",
+        "matrix.py",
+        'f"        row = [0{terms} for',
+        'f"        row = [{terms[3:]} for',
+        ("tests/test_matrix.py",),
     ),
     Mutant(
         "scalar-overflow-to-zero",
