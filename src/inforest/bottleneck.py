@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -92,8 +91,7 @@ _ROW_SLACK = {EXACT: 1 + 16 * 2.0**-53, FLOAT: 1 + 8e-9}
 _ROW_FLOOR = 2.0**-1000
 
 
-@dataclass(frozen=True)
-class BottleneckReport:
+class BottleneckReport(NamedTuple):
     """Verdict for one ordered triple (i, j, k).
 
     ``lhs`` and ``rhs`` are the two forest-weight products, ``relation``

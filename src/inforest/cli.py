@@ -6,8 +6,10 @@ Errors print to stderr as ``error:<code>: <message>``.
 
 Each command runs in a process of its own, which loads (and, without
 cached bytecode, compiles) every module it imports. So this module imports
-only what every graph command needs, and a command imports the rest of the
-library, and ``json``, when it runs.
+only what the parser and the printing need, ``errors`` and ``matrix``, and
+each command imports the rest of the library, and ``json``, when it runs:
+``--version`` loads nothing more, and ``gen``, ``enumerate`` and ``routes``
+load no forest solver.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import (
@@ -28,17 +30,17 @@ from .errors import (
     InstanceTooLargeError,
     VertexOutOfRangeError,
 )
-from .forest import forest_matrices
-from .graph import MultiDigraph
-from .io import format_graph, format_weight, parse_graph, parse_weight
-from .matrix import DEFAULT_MAX_TERMS, DEFAULT_TOLERANCE, EXACT, FLOAT, Matrix, scalar
+from .matrix import DEFAULT_MAX_TERMS, DEFAULT_TOLERANCE, EXACT, FLOAT, Matrix, format_weight, scalar
+
+if TYPE_CHECKING:
+    from .graph import MultiDigraph
 
 EXACT_MODE_MAX_VERTICES = 12
 
 # perfbench/spans.py wraps these on this module as well as on their own.
-# They resolve through the package on first access. The commands import
-# them from their own modules when they run, and so call what is there.
-_TRACED_NAMES = ("verify_all_triples", "route_matrix", "enumerate_in_forests")
+# They resolve through the package on first access. This module imports
+# them from their own modules where it calls them, and so calls what is there.
+_TRACED_NAMES = ("parse_graph", "forest_matrices", "verify_all_triples", "route_matrix", "enumerate_in_forests")
 
 
 def __getattr__(name):
@@ -115,6 +117,8 @@ def _triple_args(args, graph: MultiDigraph) -> tuple[int, int, int]:
 
 def _rational_arg(raw: Optional[str], flag: str) -> Optional[Fraction]:
     """The option's value as a rational, or None when it was not given."""
+    from .io import parse_weight
+
     try:
         return None if raw is None else parse_weight(raw)
     except GraphFormatError as exc:
@@ -122,12 +126,16 @@ def _rational_arg(raw: Optional[str], flag: str) -> Optional[Fraction]:
 
 
 def _cmd_forest(args, graph: MultiDigraph, mode: str) -> int:
+    from .forest import forest_matrices
+
     forests = forest_matrices(graph, mode)
     _emit(args.fmt, {"f": forests.total_weight, "F": forests.matrix, "Q": forests.proximity})
     return 0
 
 
 def _cmd_proximity(args, graph: MultiDigraph, mode: str) -> int:
+    from .forest import forest_matrices
+
     _emit(args.fmt, {"Q": forest_matrices(graph, mode).proximity})
     return 0
 
@@ -198,6 +206,7 @@ def _cmd_decompose(args, graph: MultiDigraph, mode: str) -> int:
 
 def _cmd_bottleneck(args, graph: MultiDigraph, mode: str) -> int:
     from .bottleneck import check_triple
+    from .forest import forest_matrices
 
     forests = forest_matrices(graph, mode)
     report = check_triple(forests, graph, *_triple_args(args, graph))
@@ -215,6 +224,7 @@ def _cmd_bottleneck(args, graph: MultiDigraph, mode: str) -> int:
 
 def _cmd_verify(args, graph: MultiDigraph, mode: str) -> int:
     from .bottleneck import summarize, verify_all_triples
+    from .forest import forest_matrices
     from .oracle import oracle_matrices
 
     forests = forest_matrices(graph, mode)
@@ -255,6 +265,7 @@ def _parse_weight_range(raw: str) -> tuple[int, int]:
 
 def _cmd_gen(args) -> int:
     from .generators import complete_graph, cycle_graph, path_graph, random_graph
+    from .io import format_graph
 
     if args.kind == "random":
         if args.seed is None:
@@ -319,6 +330,8 @@ def run(argv=None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
+        from .io import parse_graph
+
         graph = parse_graph(_read_input(args.input)).graph
         mode = args.mode or (EXACT if graph.n <= EXACT_MODE_MAX_VERTICES else FLOAT)
         return args.handler(args, graph, mode)

@@ -18,17 +18,15 @@ preserved among parallels) so parse-emit round trips are byte identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GraphFormatError, LoopArcError, NonPositiveWeightError, VertexOutOfRangeError
 from .graph import MultiDigraph
 from .matrix import MAX_DIGITS, format_weight, record_repr
 
 
-@dataclass(frozen=True)
-class ParsedGraph:
+class ParsedGraph(NamedTuple):
     """A parsed graph.
 
     An input that declares itself undirected, by a ``graph <n>`` header or

@@ -14,9 +14,8 @@ truth the algebraic computation is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InstanceTooLargeError
 from .graph import MultiDigraph
@@ -25,8 +24,7 @@ from .matrix import EXACT, Matrix, common_denominator, record_repr
 DEFAULT_CHOICE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class InForest:
+class InForest(NamedTuple):
     """One spanning converging forest.
 
     ``arc_choice[v]`` is the index (into the graph's arc list) of the arc
@@ -45,8 +43,7 @@ class InForest:
         return tuple(v for v, choice in enumerate(self.arc_choice) if choice is None)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Totals assembled from an exhaustive forest enumeration."""
 
     total_weight: Fraction

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import BadParametersError, EpsilonOutOfRangeError, NotConvergedError
-from .forest import forest_matrices
 from .graph import MultiDigraph
 from .matrix import (
     DEFAULT_MAX_TERMS,
@@ -123,8 +121,7 @@ def step_matrix(
     return _step(graph, _walk(graph, eps, mode), mode)
 
 
-@dataclass(frozen=True)
-class RouteMatrices:
+class RouteMatrices(NamedTuple):
     """Truncated route-weight sum together with its convergence evidence.
 
     ``tail_bound`` is a guaranteed upper bound on the max-abs error of
@@ -392,12 +389,14 @@ def closed_route_matrix(
     That matrix is ``(eps / (1 + eps)) (I + L)``, so its inverse is
     ``(1 + 1/eps) Q`` with ``Q`` from the forest solver.
     """
+    # Imported where it is called, so that route_matrix loads no solver.
+    from .forest import forest_matrices
+
     weight = 1 + 1 / _walk(graph, eps, mode).scalar
     return forest_matrices(graph, mode).proximity.scaled(weight)
 
 
-@dataclass(frozen=True)
-class RouteDecomposition:
+class RouteDecomposition(NamedTuple):
     """Route-weight split of the triple (start, via, end).
 
     The route weight from start to end splits into routes through ``via``
@@ -440,6 +439,8 @@ def route_decomposition(
     there stays on its loop; so the routes from ``start`` to an ``end``
     other than ``via`` are exactly the original routes that avoid ``via``.
     """
+    from .forest import forest_matrices
+
     for v in (start, via, end):
         graph.check_vertex(v)
     weight = 1 + 1 / _walk(graph, eps, mode).scalar

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +17,9 @@ from hypothesis import strategies as st
 
 import inforest.bottleneck
 import inforest.cli
+import inforest.forest
 import inforest.oracle
-from inforest import Matrix, format_graph, random_graph
+from inforest import Matrix, format_graph, format_weight, random_graph
 from inforest.cli import run
 
 PATH_FILE = "digraph 3\n1 2 1\n2 3 1\n"
@@ -220,7 +220,7 @@ def test_verify_exits_3_when_the_oracle_disagrees(triangle_file, capsys, monkeyp
 
     def wrong_total(graph):
         result = real(graph)
-        return replace(result, total_weight=result.total_weight + 1)
+        return result._replace(total_weight=result.total_weight + 1)
 
     monkeypatch.setattr(inforest.oracle, "oracle_matrices", wrong_total)
     assert run(["verify", "--input", triangle_file]) == 3
@@ -544,51 +544,98 @@ def test_closed_stdout_pipe_exits_quietly(path_file):
     assert stderr == ""
 
 
-# Run in a fresh interpreter: prints, after each step, the inforest modules
-# loaded and whether json is.
+# Run in a fresh interpreter with a command's arguments: runs the command
+# and prints the inforest modules loaded after "import inforest" and after
+# the command, and which of dataclasses and json the command loaded.
 MODULE_PROBE = """
 import sys
 
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("inforest.")), "json" in sys.modules
+    return sorted(name for name in sys.modules if name.startswith("inforest."))
 
-steps = {}
 import inforest
-steps["import"] = loaded()
+imported = loaded()
 from inforest.cli import run
-run(["--version"])
-steps["version"] = loaded()
-assert run(["forest", "--input", sys.argv[1]]) == 0
-steps["forest"] = loaded()
-print(repr(steps))
+run(sys.argv[1:])
+print(repr((imported, loaded(), [name for name in ("dataclasses", "json") if name in sys.modules])))
 """
 
 
-def test_commands_load_only_the_modules_they_run(path_file):
+def _probe(*argv):
     result = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, path_file],
+        [sys.executable, "-c", MODULE_PROBE, *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
-    steps = ast.literal_eval(result.stdout.splitlines()[-1])
-    assert steps["import"] == ([], False)
-    # What the CLI imports before it reads its arguments: what every graph
-    # command needs.
-    common = [
-        "inforest.cli",
-        "inforest.errors",
-        "inforest.forest",
-        "inforest.graph",
-        "inforest.io",
-        "inforest.matrix",
+    imported, modules, others = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert imported == []
+    return modules, others
+
+
+def test_commands_load_only_the_modules_they_run(path_file):
+    # What the CLI imports before it reads its arguments: the errors and
+    # what the parser's defaults and the printing need.
+    common = ["inforest.cli", "inforest.errors", "inforest.matrix"]
+    assert _probe("--version") == (common, [])
+    # Commands that build no ForestMatrices load no solver and no dataclasses.
+    graph_input = ["inforest.graph", "inforest.io"]
+    for argv, extra in [
+        (["gen", "random", "8", "--seed", "1"], ["inforest.generators"]),
+        (["enumerate", "--input", path_file], ["inforest.oracle"]),
+        (["routes", "--input", path_file], ["inforest.routes"]),
+    ]:
+        assert _probe(*argv) == (sorted(common + graph_input + extra), []), argv
+    # A TSV forest run needs the solver and nothing more: no bottleneck,
+    # oracle, routes, generators or json.
+    modules, others = _probe("forest", "--input", path_file)
+    assert modules == sorted(common + graph_input + ["inforest.forest"])
+    assert "json" not in others
+
+
+def _benchmark_commands(tmp_path) -> list[list[str]]:
+    """The eleven commands of the benchmark's cli workload, each on a small
+    seeded graph."""
+    files = {}
+    for n, seed in [(6, 1), (7, 2), (8, 1)]:
+        files[n] = tmp_path / f"random{n}.graph"
+        files[n].write_text(format_graph(random_graph(n, seed)))
+    arcs = [[a.tail + 1, a.head + 1, format_weight(a.weight)] for a in random_graph(7, 2).arcs]
+    json7 = tmp_path / "random7.json"
+    json7.write_text(json.dumps({"n": 7, "directed": True, "arcs": arcs}))
+    f6, f7, f8 = (str(files[n]) for n in (6, 7, 8))
+    return [
+        ["--version"],
+        ["gen", "random", "8", "--seed", "5"],
+        ["forest", "--input", f7],
+        ["proximity", "--input", f7],
+        ["enumerate", "--input", f6],
+        ["bottleneck", "--input", f7, *_TRIPLE],
+        ["decompose", "--input", f7, *_TRIPLE],
+        ["forest", "--input", str(json7), "--format", "json"],
+        ["verify", "--input", f6],
+        ["verify", "--input", f8],
+        ["routes", "--input", f6],
     ]
-    assert steps["version"] == (common, False)
-    # A TSV forest run needs nothing more: no bottleneck, oracle, routes,
-    # generators or json.
-    assert steps["forest"] == (common, False)
+
+
+def test_each_command_prints_in_a_fresh_process_what_run_prints(tmp_path, capsys):
+    # cli.__getattr__ stores a name it resolves among the module's globals,
+    # so a command that reads a name it never imports passes in a session
+    # that has touched that name, and fails only in a fresh process.
+    for argv in _benchmark_commands(tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-m", "inforest", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=CHILD_ENV,
+        )
+        code = run(argv)
+        assert (child.returncode, child.stdout) == (code, capsys.readouterr().out), argv
+        assert child.stdout and child.stderr == "", argv
 
 
 @pytest.mark.parametrize("text", [TRIANGLE_FILE, "graph 3\n1 2 1\n2 3 1/2\n"])
@@ -598,13 +645,14 @@ def test_verify_solves_the_forest_matrices_once(tmp_path, capsys, monkeypatch, t
     assert run(["verify", "--input", str(source)]) == 0
     expected = capsys.readouterr().out
     calls = []
-    original = inforest.cli.forest_matrices
+    # Where the commands and the sweep look the solver up when they run.
+    original = inforest.forest.forest_matrices
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(inforest.cli, "forest_matrices", counted)
+    monkeypatch.setattr(inforest.forest, "forest_matrices", counted)
     monkeypatch.setattr(inforest.bottleneck, "forest_matrices", counted)
     assert run(["verify", "--input", str(source)]) == 0
     assert capsys.readouterr().out == expected

@@ -13,6 +13,7 @@ import inforest
 from inforest import (
     EXACT,
     FLOAT,
+    ForestMatrices,
     Matrix,
     SeriesSum,
     check_triple,
@@ -108,3 +109,11 @@ def test_repr_of_every_record_is_the_default_on_printable_values(mode):
     assert all(cls.__repr__ is record_repr for cls in classes)
     for record in records:
         assert repr(record) == _default_repr(record)
+
+
+def test_forest_matrices_is_the_one_dataclass_and_every_other_record_a_tuple():
+    # The other records are named tuples, so that only the commands that
+    # solve for the forest matrices load dataclasses.
+    classes = _record_classes()
+    assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {ForestMatrices}
+    assert all(issubclass(cls, tuple) for cls in classes - {ForestMatrices})

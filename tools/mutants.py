@@ -240,6 +240,20 @@ MUTANTS = (
         ("tests/test_routes.py",),
     ),
     Mutant(
+        "cli-imports-the-solver-up-front",
+        "cli.py",
+        "from .matrix import DEFAULT_MAX_TERMS",
+        "from .forest import forest_matrices\nfrom .matrix import DEFAULT_MAX_TERMS",
+        ("tests/test_cli.py::test_commands_load_only_the_modules_they_run",),
+    ),
+    Mutant(
+        "routes-imports-the-solver-up-front",
+        "routes.py",
+        "from .graph import MultiDigraph\n",
+        "from .forest import forest_matrices\nfrom .graph import MultiDigraph\n",
+        ("tests/test_cli.py::test_commands_load_only_the_modules_they_run",),
+    ),
+    Mutant(
         "product-chunks-added-out-of-order",
         "matrix.py",
         'f"        row = [s{terms} for s,',
